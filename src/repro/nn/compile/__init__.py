@@ -51,7 +51,7 @@ from .backend import (
 )
 from .executor import CompiledGraph
 from .fuse import FusedProgram, Kernel, fuse_graph
-from .ir import Graph, GraphBuilder, LazyOp, UnsupportedOpError
+from .ir import Graph, GraphBuilder, LazyOp, ModuleStateError, UnsupportedOpError
 from .plan import (
     ArenaPlan,
     KernelPartition,
@@ -79,6 +79,7 @@ __all__ = [
     "GraphBuilder",
     "LazyOp",
     "UnsupportedOpError",
+    "ModuleStateError",
     "FusedProgram",
     "Kernel",
     "fuse_graph",

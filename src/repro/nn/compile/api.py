@@ -15,20 +15,27 @@ The contract, end to end:
   ``compile.fallbacks`` counter; it never raises at the call site.
   Callers keep their eager path as the fallback arm.
 
-Graphs are compiled per ``(input shape, dtype)`` and cached on the
-:class:`CompiledModule`; model classes outside :mod:`repro.nn` (e.g.
-:class:`repro.core.selective.SelectiveNet`) plug in whole-model graphs
-via :func:`register_graph_factory`.
+One graph is cached on the :class:`CompiledModule` per ``(per-sample
+shape, dtype, backend)``: batch size is not part of the key.  The graph
+is planned at a batch *capacity* and runs any batch of up to that many
+rows on leading-axis prefixes of one arena (bit-identical to eager at
+every size).  A larger batch grows the capacity geometrically — at
+least doubling it — and releases the outgrown arena, so a caller
+ramping through sizes compiles O(log n) times, and one that reserves
+its largest batch up front (:meth:`CompiledModule.reserve`, as the
+serving engine does) compiles once.  Model classes outside
+:mod:`repro.nn` (e.g. :class:`repro.core.selective.SelectiveNet`) plug
+in whole-model graphs via :func:`register_graph_factory`.
 
 Telemetry (``repro.obs`` default registry):
 
-* ``compile.graphs`` — graphs compiled (counter);
+* ``compile.graphs`` — graphs compiled, capacity growth included
+  (counter);
 * ``compile.cache_hits`` / ``compile.cache_misses`` — per-run lookups
-  against the per-model ``(shape, dtype)`` graph cache;
+  against the per-model graph cache (a miss compiles or grows);
 * ``compile.fallbacks`` — runs that fell back to eager;
 * ``compile.kernels_fused`` — ops absorbed into other kernels;
-* ``compile.arena_bytes`` — bytes planned across live compiled graphs
-  (gauge).
+* ``compile.arena_bytes`` — bytes of live compiled arenas (gauge).
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from ..tensor import _as_array
 from .backend import get_backend
 from .executor import CompiledGraph
 from .fuse import fuse_graph
-from .ir import Graph, UnsupportedOpError
+from .ir import Graph, ModuleStateError, UnsupportedOpError
 from .plan import plan_buffers
 from .trace import trace_module
 
@@ -237,10 +244,10 @@ class CompiledModule:
 
     # -- compilation ----------------------------------------------------
     def _key(self, x: np.ndarray) -> Tuple:
-        return (tuple(x.shape), x.dtype.str, self.backend_name)
+        return (tuple(x.shape[1:]), x.dtype.str, self.backend_name)
 
-    def _compile(self, x: np.ndarray) -> CompiledGraph:
-        graph = _build_graph(self.model, tuple(x.shape), x.dtype)
+    def _compile(self, shape: Tuple[int, ...], dtype) -> CompiledGraph:
+        graph = _build_graph(self.model, shape, dtype)
         program = fuse_graph(graph)
         backend = get_backend(self.backend_name)
         plan = plan_buffers(program, backend)
@@ -248,11 +255,63 @@ class CompiledModule:
         registry = _metrics()
         registry.counter("compile.graphs").inc()
         registry.counter("compile.kernels_fused").inc(compiled.ops_fused)
-        registry.gauge("compile.arena_bytes").add(compiled.arena_nbytes)
         # Numeric flag per backend name (the registry holds no strings);
         # repro.obs.top lists the set flags as the active backends.
         registry.gauge(f"compile.active.{self.backend_name}").set(1)
         return compiled
+
+    def _graph_for(self, x: np.ndarray, rows: int) -> Optional[CompiledGraph]:
+        """The graph for ``x``'s per-sample shape and dtype with room for
+        ``rows`` rows — compiling or growing it (a cache miss) when the
+        cached one is missing or too small — or ``None`` if the model
+        does not compile at that shape.
+        """
+        key = self._key(x)
+        with self._lock:
+            if key in self._unsupported:
+                return None
+            compiled = self._graphs.get(key)
+            if compiled is not None and rows <= compiled.capacity:
+                _metrics().counter("compile.cache_hits").inc()
+                return compiled
+            _metrics().counter("compile.cache_misses").inc()
+            capacity = rows if compiled is None else max(rows, 2 * compiled.capacity)
+            try:
+                grown = self._compile((capacity,) + tuple(x.shape[1:]), x.dtype)
+            except ModuleStateError:
+                return None
+            except UnsupportedOpError:
+                self._unsupported.add(key)
+                return None
+            self._graphs[key] = grown
+        if compiled is not None:
+            compiled.release()
+        return grown
+
+    def _eligible(self, x: np.ndarray) -> bool:
+        # Training-mode layers (dropout, batch-norm) are stochastic or
+        # stateful; inference compilation covers eval mode only.  An
+        # empty or 0-d batch has no rows to plan.
+        return not getattr(self.model, "training", False) and x.ndim > 0 and len(x) > 0
+
+    def reserve(self, x, capacity: int) -> bool:
+        """Compile for ``x``'s per-sample shape and dtype at ``capacity``
+        rows ahead of traffic, without running anything.
+
+        ``x`` is any batch with the shape and dtype later runs will
+        have.  The arena is allocated but not touched, so reserving a
+        large capacity costs address space, not resident memory, until
+        runs actually use it.  Returns whether the compiled path is
+        available (``False``: runs will fall back to eager).
+        """
+        x = _as_array(x)
+        if not (_State.enabled and self._eligible(x)):
+            return False
+        compiled = self._graph_for(x, capacity)
+        if compiled is None:
+            return False
+        compiled.materialize()
+        return True
 
     # -- execution ------------------------------------------------------
     def try_run(self, x: np.ndarray) -> Optional[Tuple[np.ndarray, ...]]:
@@ -263,36 +322,17 @@ class CompiledModule:
         """
         if not _State.enabled:
             return None
-        model = self.model
-        if getattr(model, "training", False):
-            # Training-mode layers (dropout, batch-norm) are stochastic
-            # or stateful; inference compilation covers eval mode only.
+        x = _as_array(x)
+        if not self._eligible(x):
             _metrics().counter("compile.fallbacks").inc()
             return None
-        x = _as_array(x)
-        key = self._key(x)
         # Steady-state fast path: dict reads are atomic under the GIL,
         # so cache hits skip the lock entirely.
-        compiled = self._graphs.get(key)
-        if compiled is not None:
+        compiled = self._graphs.get(self._key(x))
+        if compiled is not None and len(x) <= compiled.capacity:
             _metrics().counter("compile.cache_hits").inc()
             return compiled.run(x)
-        with self._lock:
-            if key in self._unsupported:
-                compiled = None
-            else:
-                compiled = self._graphs.get(key)
-                if compiled is None:
-                    _metrics().counter("compile.cache_misses").inc()
-                    try:
-                        compiled = self._compile(x)
-                    except UnsupportedOpError:
-                        self._unsupported.add(key)
-                        compiled = None
-                    else:
-                        self._graphs[key] = compiled
-                else:
-                    _metrics().counter("compile.cache_hits").inc()
+        compiled = self._graph_for(x, len(x))
         if compiled is None:
             _metrics().counter("compile.fallbacks").inc()
             return None
@@ -325,14 +365,8 @@ class CompiledModule:
 
     def release(self) -> int:
         """Release every compiled arena; returns total bytes freed."""
-        freed = 0
         with self._lock:
-            for compiled in self._graphs.values():
-                nbytes = compiled.release()
-                freed += nbytes
-                if nbytes:
-                    _metrics().gauge("compile.arena_bytes").add(-nbytes)
-        return freed
+            return sum(compiled.release() for compiled in self._graphs.values())
 
     def __getstate__(self):  # pragma: no cover - guard, not a feature
         raise TypeError(

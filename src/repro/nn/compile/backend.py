@@ -30,10 +30,19 @@ from .. import functional as F
 from .fuse import FusedProgram, Kernel
 from .ir import LazyOp, UnsupportedOpError
 
-__all__ = ["Backend", "NumpyBackend", "register_backend", "get_backend", "backend_names"]
+__all__ = [
+    "BATCH", "Backend", "NumpyBackend", "register_backend", "get_backend",
+    "backend_names",
+]
 
 #: ``getter(env) -> ndarray`` — resolves one graph value for this run.
 Getter = Callable[[dict], np.ndarray]
+
+#: Run-environment key holding the run's batch size ``n``.  Graphs are
+#: planned at a batch capacity; getters hand kernels the ``[:n]``
+#: leading-axis prefix of every value, and kernels size each run from
+#: ``n`` or the arrays they are given, never from the planned op shapes.
+BATCH = "n"
 
 
 class Backend:
@@ -72,7 +81,8 @@ class Backend:
         for planned intermediates, allocated-on-first-use (and
         published into ``env``) for graph outputs.  Kernels for which
         :meth:`hosts_output` is true ignore ``out`` and assign
-        ``env[kernel.output]`` themselves.
+        ``env[kernel.output]`` themselves.  ``scratch`` is sized for
+        the planned capacity; a run uses its leading-axis prefix.
         """
         raise NotImplementedError
 
@@ -160,9 +170,8 @@ class NumpyBackend(Backend):
 
     @staticmethod
     def _conv_input_shape(kernel: Kernel, root: LazyOp) -> Tuple[int, ...]:
-        n = root.shape[0]
-        # Recover (C_in, H, W) from the weight leaf + output geometry.
-        return (n,) + root.params["input_chw"]
+        # Planned (capacity) batch, plus the traced (C_in, H, W).
+        return (root.shape[0],) + root.params["input_chw"]
 
     @staticmethod
     def _conv_kernel_hw(root: LazyOp) -> Tuple[int, int]:
@@ -207,12 +216,12 @@ class NumpyBackend(Backend):
         scratch: Dict[str, np.ndarray],
     ) -> Callable[[dict], None]:
         root = kernel.ops[0]
-        n, c_in, h, w = self._conv_input_shape(kernel, root)
+        capacity, c_in, h, w = self._conv_input_shape(kernel, root)
         kh, kw = self._conv_kernel_hw(root)
         stride = root.params["stride"]
         ph, pw = root.params["padding"]
         c_out, out_h, out_w = root.shape[1], root.shape[2], root.shape[3]
-        rows, features = n * out_h * out_w, c_in * kh * kw
+        out_hw, features = out_h * out_w, c_in * kh * kw
         index = F._im2col_index(c_in, h, w, (kh, kw), stride, (ph, pw))
         get_x = get(root.inputs[0])
         get_w = get(root.inputs[1])
@@ -220,13 +229,15 @@ class NumpyBackend(Backend):
         dt = np.dtype(root.dtype)
         padded = scratch.get("padded")
         if padded is not None:
-            padded = padded.view(dt).reshape(n, c_in, h + 2 * ph, w + 2 * pw)
-        cols3 = scratch["cols"].view(dt).reshape((n,) + index.shape)
+            padded = padded.view(dt).reshape(capacity, c_in, h + 2 * ph, w + 2 * pw)
+        cols3 = scratch["cols"].view(dt).reshape((capacity,) + index.shape)
         pool_hw = kernel.pool[0].params["kernel"] if kernel.pool else None
         out_id = kernel.output
+        # A pooled graph output escapes in eager's contiguous NCHW layout.
+        copy_out = pool_hw is not None and out_id in program.graph.output_ids
         gemm = None
         if "gemm" in scratch:
-            gemm = scratch["gemm"].view(dt).reshape(rows, c_out)
+            gemm = scratch["gemm"].view(dt).reshape(capacity * out_hw, c_out)
 
         # The output is *published*, not copied out (hosts_output):
         # pooled convs hand over the pooling reduction's fresh array,
@@ -235,23 +246,27 @@ class NumpyBackend(Backend):
         # with no NCHW materialization copy in either case.
         def run(env: dict) -> None:
             x = get_x(env)
+            n = len(x)
+            rows = n * out_hw
             if padded is not None:
-                padded.fill(0)
-                padded[:, :, ph:ph + h, pw:pw + w] = x
-                flat = padded.reshape(n, -1)
+                pad = padded[:n]
+                pad.fill(0)
+                pad[:, :, ph:ph + h, pw:pw + w] = x
+                flat = pad.reshape(n, -1)
             else:
                 flat = x.reshape(n, -1)
-            np.take(flat, index, axis=1, mode="clip", out=cols3)
-            cols = cols3.reshape(rows, features)
+            np.take(flat, index, axis=1, mode="clip", out=cols3[:n])
+            cols = cols3[:n].reshape(rows, features)
             weight = get_w(env)
-            buf = gemm if gemm is not None else np.empty((rows, c_out), dtype=dt)
+            buf = gemm[:rows] if gemm is not None else np.empty((rows, c_out), dtype=dt)
             np.matmul(cols, weight.reshape(c_out, -1).T, out=buf)
             for apply in chain:
                 apply(buf, env)
             if pool_hw is not None:
                 qh, qw = pool_hw
                 nhwc = buf.reshape(n, out_h // qh, qh, out_w // qw, qw, c_out)
-                env[out_id] = nhwc.max(axis=(2, 4)).transpose(0, 3, 1, 2)
+                pooled = nhwc.max(axis=(2, 4)).transpose(0, 3, 1, 2)
+                env[out_id] = pooled.copy() if copy_out else pooled
             else:
                 env[out_id] = buf.reshape(n, out_h, out_w, c_out).transpose(
                     0, 3, 1, 2
@@ -436,13 +451,13 @@ class NumpyBackend(Backend):
         self, op: LazyOp, get_x: Getter, out: Getter
     ) -> Callable[[dict], None]:
         scale = op.params["scale"]
-        n, c, out_h, out_w = op.shape
+        _, c, out_h, out_w = op.shape
         h, w = out_h // scale, out_w // scale
 
         def run(env: dict) -> None:
             x = get_x(env)
             # Broadcast assignment == x.repeat(scale, 2).repeat(scale, 3).
-            blocks = out(env).reshape(n, c, h, scale, w, scale)
+            blocks = out(env).reshape(len(x), c, h, scale, w, scale)
             blocks[...] = x[:, :, :, None, :, None]
 
         return run

@@ -1,32 +1,49 @@
 """Arena-hosted execution of a fused, planned graph.
 
 :class:`CompiledGraph` owns one byte arena sized by the planner and a
-list of backend-lowered kernel closures.  A run is: resolve leaves
-(inputs + live parameter bindings) into an environment dict, execute
-the kernels in order (graph outputs are produced into fresh buffers or
-fresh views as each kernel runs — they escape to the caller, like
-eager results), return the outputs.
+list of backend-lowered kernel closures.  The graph is planned at a
+batch *capacity* (the leading-axis length it was traced with) and runs
+any batch of ``n <= capacity`` rows: every arena value is read and
+written through its leading-axis prefix ``[:n]``, so a run at ``n``
+makes the very numpy/BLAS calls eager inference makes at ``n`` — which
+is what keeps compiled outputs bit-identical to eager at every batch
+size.
+
+A run is: resolve leaves (inputs + live parameter bindings) into an
+environment dict, execute the kernels in order (graph outputs are
+produced into fresh buffers or fresh views as each kernel runs — they
+escape to the caller, like eager results), return the outputs.
 Everything intermediate lives in the arena at planner-assigned offsets,
 so steady-state runs perform no large allocations beyond the outputs
-themselves.
+themselves.  Runs of one graph are serialized (they share the arena).
 
 :meth:`CompiledGraph.release` drops the arena (and the kernel closures
 viewing it) so an idle server can return the memory; the next run
-rebuilds both from the retained plan.
+rebuilds both from the retained plan.  The ``compile.arena_bytes``
+gauge tracks the bytes of live arenas.  Materializing touches no arena
+page, so a run at ``n`` only ever pages in the prefixes it uses.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .backend import Backend
+from .backend import BATCH, Backend
 from .fuse import FusedProgram
-from .ir import Graph
+from .ir import Graph, UnsupportedOpError
 from .plan import ArenaPlan
 
 __all__ = ["CompiledGraph"]
+
+
+def _arena_gauge():
+    from ...obs.metrics import default_registry
+
+    return default_registry().gauge("compile.arena_bytes")
 
 
 class CompiledGraph:
@@ -42,9 +59,10 @@ class CompiledGraph:
         self.graph: Graph = program.graph
         self.plan = plan
         self.backend = backend
+        self.capacity = _batch_capacity(self.graph)
         self._arena: Optional[np.ndarray] = None
         self._fns: Optional[List[Callable[[dict], None]]] = None
-        self._static_views: Dict[int, np.ndarray] = {}
+        self._lock = threading.Lock()
         self._external = {
             op.id for op in self.graph.ops if op.kind in ("input", "param")
         }
@@ -66,17 +84,20 @@ class CompiledGraph:
 
     def release(self) -> int:
         """Drop the arena; returns the bytes freed.  Rebuilt lazily."""
-        freed = 0 if self._arena is None else self._arena.nbytes
-        self._arena = None
-        self._fns = None
-        self._static_views = {}
+        with self._lock:
+            freed = 0 if self._arena is None else self._arena.nbytes
+            self._arena = None
+            self._fns = None
         return freed
 
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------
-    def _view(self, arena: np.ndarray, offset: int, nbytes: int) -> np.ndarray:
-        return arena[offset:offset + nbytes]
+    def materialize(self) -> None:
+        """Allocate the arena and lower every kernel, without running."""
+        with self._lock:
+            if self._fns is None:
+                self._materialize()
 
     def _materialize(self) -> None:
         graph, program, plan = self.graph, self.program, self.plan
@@ -86,22 +107,26 @@ class CompiledGraph:
             op = graph.op(root)
             nbytes = int(np.prod(op.shape, dtype=np.int64)) * np.dtype(op.dtype).itemsize
             views[root] = (
-                self._view(arena, slot.offset, nbytes)
+                arena[slot.offset:slot.offset + nbytes]
                 .view(np.dtype(op.dtype))
                 .reshape(op.shape)
             )
-        self._static_views = views
 
+        # Every value carries the batch on its leading axis, so a run of
+        # n rows sees the [:n] prefix of each capacity-sized view.
         def make_getter(value_id: int) -> Callable[[dict], np.ndarray]:
             root = program.resolve(value_id)
-            shape = graph.op(value_id).shape
+            tail = graph.op(value_id).shape[1:]
             static = views.get(root)
-            if static is not None:
-                view = static if static.shape == shape else static.reshape(shape)
-                return lambda env, _v=view: _v
-            if graph.op(root).shape == shape:
+            if graph.op(root).shape[1:] == tail:
+                if static is not None:
+                    return lambda env, _v=static: _v[:env[BATCH]]
                 return lambda env, _r=root: env[_r]
-            return lambda env, _r=root, _s=shape: env[_r].reshape(_s)
+            if static is not None:
+                return lambda env, _v=static, _t=tail: (
+                    _v[:env[BATCH]].reshape((env[BATCH],) + _t)
+                )
+            return lambda env, _r=root, _t=tail: env[_r].reshape((env[BATCH],) + _t)
 
         def make_out(root: int) -> Callable[[dict], np.ndarray]:
             # Kernel-output getter: arena view for planned intermediates;
@@ -110,14 +135,14 @@ class CompiledGraph:
             # they escape to the caller like eager results.
             static = views.get(root)
             if static is not None:
-                return lambda env, _v=static: _v
+                return lambda env, _v=static: _v[:env[BATCH]]
             op = graph.op(root)
-            shape, dt = op.shape, np.dtype(op.dtype)
+            tail, dt = op.shape[1:], np.dtype(op.dtype)
 
-            def getter(env: dict, _r=root, _s=shape, _d=dt) -> np.ndarray:
+            def getter(env: dict, _r=root, _t=tail, _d=dt) -> np.ndarray:
                 buf = env.get(_r)
                 if buf is None:
-                    buf = np.empty(_s, dtype=_d)
+                    buf = np.empty((env[BATCH],) + _t, dtype=_d)
                     env[_r] = buf
                 return buf
 
@@ -128,7 +153,7 @@ class CompiledGraph:
             scratch: Dict[str, np.ndarray] = {}
             for tag, nbytes in self.backend.scratch_requests(kernel, program):
                 slot = plan.scratch[(index, tag)]
-                scratch[tag] = self._view(arena, slot.offset, nbytes)
+                scratch[tag] = arena[slot.offset:slot.offset + nbytes]
             fns.append(
                 self.backend.lower(
                     kernel, program, make_getter, make_out(kernel.output), scratch
@@ -136,36 +161,47 @@ class CompiledGraph:
             )
         self._arena = arena
         self._fns = fns
+        gauge = _arena_gauge()
+        gauge.add(arena.nbytes)
+        # Counted down when the arena is freed: on release(), or when a
+        # graph nobody released (a dropped model's) is collected.
+        weakref.finalize(arena, gauge.add, -arena.nbytes)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, *inputs: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Execute the graph; returns one fresh array per graph output."""
+        """Execute the graph on ``n <= capacity`` rows; returns one fresh
+        array per graph output, each with ``n`` leading rows."""
         graph = self.graph
         if len(inputs) != len(graph.input_ids):
             raise ValueError(
                 f"graph takes {len(graph.input_ids)} inputs, got {len(inputs)}"
             )
-        if self._fns is None:
-            self._materialize()
-        env: dict = {}
+        n = len(inputs[0])
+        if not 1 <= n <= self.capacity:
+            raise ValueError(f"batch of {n} rows outside 1..{self.capacity}")
+        env: dict = {BATCH: n}
         for value_id, array in zip(graph.input_ids, inputs):
             op = graph.op(value_id)
-            if tuple(array.shape) != op.shape:
+            if array.shape != (n,) + op.shape[1:]:
                 raise ValueError(
-                    f"input %{value_id} expects shape {op.shape}, got {array.shape}"
+                    f"input %{value_id} expects shape {(n,) + op.shape[1:]}, "
+                    f"got {array.shape}"
                 )
             env[value_id] = np.ascontiguousarray(array, dtype=np.dtype(op.dtype))
         for value_id, binding in graph.bindings.items():
             env[value_id] = binding()
-        for fn in self._fns:
-            fn(env)
+        with self._lock:
+            if self._fns is None:
+                self._materialize()
+            for fn in self._fns:
+                fn(env)
         results = []
         for value_id in graph.output_ids:
             root = self.program.resolve(value_id)
-            out = env[root] if root in env else self._static_views[root]
-            shape = graph.op(value_id).shape
+            out = env[root]
+            shape = (n,) + graph.op(value_id).shape[1:]
             if out.shape != shape:
                 out = out.reshape(shape)
             if root in self._external:
@@ -173,3 +209,23 @@ class CompiledGraph:
                 out = out.copy()
             results.append(out)
         return tuple(results)
+
+
+def _batch_capacity(graph: Graph) -> int:
+    """The graph's batch capacity: its inputs' shared leading axis.
+
+    Prefix execution is only sound when every computed value keeps the
+    batch on its leading axis; a graph breaking that (say, a reshape
+    folding the batch into another axis) is not compiled.
+    """
+    leading = {graph.op(v).shape[0] for v in graph.input_ids if graph.op(v).shape}
+    if len(leading) != 1:
+        raise UnsupportedOpError("graph inputs do not share a leading batch axis")
+    capacity = leading.pop()
+    for op in graph.ops:
+        if op.kind != "param" and (not op.shape or op.shape[0] != capacity):
+            raise UnsupportedOpError(
+                f"%{op.id} {op.kind} {op.shape} does not keep the batch of "
+                f"{capacity} on its leading axis"
+            )
+    return capacity

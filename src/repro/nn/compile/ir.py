@@ -29,6 +29,7 @@ __all__ = [
     "Graph",
     "GraphBuilder",
     "UnsupportedOpError",
+    "ModuleStateError",
     "ELEMENTWISE_KINDS",
     "PRODUCER_KINDS",
 ]
@@ -50,7 +51,16 @@ class UnsupportedOpError(Exception):
 
     The compile entry points catch this and fall back to the eager
     path — an unsupported model is a missed optimization, never an
-    error surfaced to callers.
+    error surfaced to callers.  The failure is remembered for that
+    per-sample shape and dtype, so it is not retraced on every call.
+    """
+
+
+class ModuleStateError(UnsupportedOpError):
+    """The module cannot compile in its *current state* — timing hooks
+    attached, layers in training mode — though it may once that state
+    changes.  Falls back like any :class:`UnsupportedOpError`, but is
+    not remembered: the next call tries again.
     """
 
 

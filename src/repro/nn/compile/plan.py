@@ -7,7 +7,9 @@ frees a value's range the moment its last consumer has run and hands
 the space to the next allocation (first-fit over an offset-ordered,
 coalescing free list).  The compiled executor therefore performs no
 large allocations per run at all: one arena, planned once, reused for
-every batch of the same geometry.
+every batch of the same per-sample geometry.  The plan is made at a
+batch *capacity*; a run of ``n <= capacity`` rows uses the leading-axis
+prefix of every planned range.
 
 This subsumes the eager path's ad-hoc scratch pools
 (:class:`repro.nn.functional._ScratchPool`) on the compiled path: conv
@@ -250,10 +252,13 @@ def partition_rows(
     return KernelPartition(axis_size=axis_size, bounds=bounds)
 
 
-def _kernel_row_work(kernel: Kernel, program: FusedProgram) -> Tuple[int, int]:
+def _kernel_row_work(
+    kernel: Kernel, program: FusedProgram, rows: Optional[int] = None
+) -> Tuple[int, int]:
     """``(axis_size, work_per_row)`` for partitioning one kernel.
 
-    The leading axis is the batch/rows dimension of the kernel's output;
+    The leading axis is the batch/rows dimension of the kernel's output
+    (``rows`` overrides its planned size with a run's batch size);
     work per row is a scalar-operation (flop) proxy — GEMM rows weigh
     their inner dimension, elementwise rows weigh their chain length —
     so GEMM-heavy kernels split readily while cheap elementwise kernels
@@ -262,7 +267,7 @@ def _kernel_row_work(kernel: Kernel, program: FusedProgram) -> Tuple[int, int]:
     root = kernel.ops[0]
     if not root.shape:
         return 0, 0
-    axis = int(root.shape[0])
+    axis = int(root.shape[0]) if rows is None else int(rows)
     per_row = int(np.prod(root.shape[1:], dtype=np.int64))
     if root.kind == "conv2d":
         c_in, _, _ = root.params["input_chw"]
@@ -276,9 +281,12 @@ def _kernel_row_work(kernel: Kernel, program: FusedProgram) -> Tuple[int, int]:
     return axis, per_row
 
 
-def partition_kernel(kernel: Kernel, program: FusedProgram) -> Optional[KernelPartition]:
-    """The planned partition for ``kernel``, or ``None`` if it must stay
-    serial for correctness (not merely for size).
+def partition_kernel(
+    kernel: Kernel, program: FusedProgram, rows: Optional[int] = None
+) -> Optional[KernelPartition]:
+    """The partition for ``kernel`` at ``rows`` leading-axis rows (the
+    planned capacity by default), or ``None`` if it must stay serial
+    for correctness (not merely for size).
 
     Softmax-family kernels reduce along a recorded axis; they partition
     only when that axis is not the leading one, so every reduction stays
@@ -290,7 +298,7 @@ def partition_kernel(kernel: Kernel, program: FusedProgram) -> Optional[KernelPa
         axis = root.params["axis"] % len(root.shape)
         if axis == 0:
             return None
-    axis_size, per_row = _kernel_row_work(kernel, program)
+    axis_size, per_row = _kernel_row_work(kernel, program, rows)
     if axis_size <= 0:
         return None
     return partition_rows(axis_size, per_row)

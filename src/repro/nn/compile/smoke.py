@@ -1,9 +1,11 @@
 """Compiler smoke check: ``python -m repro.nn.compile.smoke``.
 
-Builds a small Table-I-shaped CNN and a SelectiveNet, compiles both,
+Builds a small Table-I-shaped CNN and a SelectiveNet, compiles each
+once at a batch capacity of 16, runs it at batch sizes 1, 5 and 16,
 and asserts the compiled outputs are **bit-identical** to the eager
-``inference_mode`` outputs.  Prints a one-line JSON summary and exits
-nonzero on any mismatch, so CI (``scripts/check.sh``) can gate on it in
+``inference_mode`` outputs at every size — and that each model
+compiled exactly one graph.  Prints a one-line JSON summary and exits
+nonzero on any failure, so CI (``scripts/check.sh``) can gate on it in
 a few seconds.
 
 ``--backend NAME`` selects the compile backend (default ``numpy``);
@@ -22,15 +24,25 @@ from typing import Optional, Sequence
 import numpy as np
 
 
-def _check(model_name: str, compiled, x, reference_outputs) -> dict:
-    out = compiled.try_run(x)
-    ok = out is not None and all(
-        np.array_equal(got, want) for got, want in zip(out, reference_outputs)
-    )
-    graph = next(iter(compiled.graphs.values()), None)
+#: Capacity every model is compiled at, and the batch sizes run on it.
+CAPACITY = 16
+BATCH_SIZES = (1, 5, 16)
+
+
+def _check(model_name: str, compiled, x, reference: dict) -> dict:
+    """Run ``compiled`` at every size in :data:`BATCH_SIZES` against the
+    eager ``reference[n]`` outputs."""
+    ok = compiled.reserve(x, CAPACITY)
+    for n in BATCH_SIZES:
+        out = compiled.try_run(x[:n])
+        ok = ok and out is not None and all(
+            np.array_equal(got, want) for got, want in zip(out, reference[n])
+        )
+    graphs = list(compiled.graphs.values())
+    graph = graphs[0] if graphs else None
     return {
         "model": model_name,
-        "compiled": out is not None,
+        "graphs": len(graphs),
         "bit_identical": bool(ok),
         "kernels": graph.kernel_count if graph else 0,
         "ops_fused": graph.ops_fused if graph else 0,
@@ -42,7 +54,7 @@ def run_smoke(backend: Optional[str] = None, threads: Sequence[int] = (1, 4)) ->
     from ...core.cnn import BackboneConfig, WaferCNN
     from ...core.selective import SelectiveNet
     from . import (
-        compiled_for,
+        compile_module,
         configure_threads,
         eager_only,
         resolve_backend_name,
@@ -54,17 +66,18 @@ def run_smoke(backend: Optional[str] = None, threads: Sequence[int] = (1, 4)) ->
         input_size=32, conv_channels=(8, 8), conv_kernels=(5, 3), fc_units=32, seed=3
     )
     rng = np.random.default_rng(99)
-    x = rng.normal(size=(4, 1, 32, 32)).astype(np.float32)
+    x = rng.normal(size=(CAPACITY, 1, 32, 32)).astype(np.float32)
 
-    summary = {"backend": backend, "checks": [], "ok": True}
+    summary = {"backend": backend, "capacity": CAPACITY,
+               "batch_sizes": list(BATCH_SIZES), "checks": [], "ok": True}
 
     cnn = WaferCNN(num_classes=5, config=config)
     cnn.eval()
     net = SelectiveNet(num_classes=5, config=config)
     net.eval()
     with eager_only():
-        cnn_ref = (cnn.predict_proba(x, batch_size=len(x)),)
-        net_ref = net.predict_batched(x, batch_size=len(x))
+        cnn_ref = {n: (cnn.predict_proba(x[:n], batch_size=n),) for n in BATCH_SIZES}
+        net_ref = {n: net.predict_batched(x[:n], batch_size=n) for n in BATCH_SIZES}
 
     pool_sizes = list(threads) if backend == "threaded" else [None]
     previous = thread_count()
@@ -76,11 +89,13 @@ def run_smoke(backend: Optional[str] = None, threads: Sequence[int] = (1, 4)) ->
                 ("WaferCNN", cnn, cnn_ref),
                 ("SelectiveNet", net, net_ref),
             ):
-                check = _check(name, compiled_for(model, backend=backend), x, ref)
+                # A fresh wrapper per check, so its graph count is its own.
+                compiled = compile_module(model, backend=backend)
+                check = _check(name, compiled, x, ref)
                 if pool is not None:
                     check["threads"] = pool
                 summary["checks"].append(check)
-                summary["ok"] &= check["bit_identical"]
+                summary["ok"] &= check["bit_identical"] and check["graphs"] == 1
     finally:
         configure_threads(previous)
     summary["ok"] = bool(summary["ok"])
@@ -90,7 +105,7 @@ def run_smoke(backend: Optional[str] = None, threads: Sequence[int] = (1, 4)) ->
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.nn.compile.smoke",
-        description="Compile two reference models and check bit-identity.",
+        description="Compile two reference models once each and check bit-identity.",
     )
     parser.add_argument(
         "--backend", default=None,

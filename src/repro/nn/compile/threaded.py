@@ -12,10 +12,11 @@ The bit-identity contract survives parallelism by construction:
 
 * the partition (tile bounds) comes from the plan layer
   (:func:`repro.nn.compile.plan.partition_kernel`) and depends only on
-  the kernel's geometry — never on the thread count — so every
-  N-thread run executes the *same* tiles (a 1-worker pool runs the
-  serial numpy-backend lowering instead: zero tiling overhead, and the
-  probe below certifies the numbers cannot differ);
+  the kernel's geometry and the run's batch size — never on the thread
+  count — so every N-thread run at a batch size executes the *same*
+  tiles (a 1-worker pool runs the serial numpy-backend lowering
+  instead: zero tiling overhead, and the probe below certifies the
+  numbers cannot differ);
 * each tile writes a disjoint row range of the shared output buffer,
   so there is no cross-tile reduction at all (every reduction an op
   performs stays inside one tile, in the serial fan-in order);
@@ -53,9 +54,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .backend import Getter, NumpyBackend, register_backend
+from .backend import BATCH, Getter, NumpyBackend, register_backend
 from .fuse import FusedProgram, Kernel
-from .plan import KernelPartition, partition_kernel
+from .plan import partition_kernel
 
 __all__ = [
     "ThreadedBackend",
@@ -215,6 +216,29 @@ def gemm_slicing_bit_identical(
 # ----------------------------------------------------------------------
 # The backend
 # ----------------------------------------------------------------------
+#: ``tile(env, start, stop, *extra)`` — computes one disjoint row range.
+Tile = Callable[..., None]
+
+#: ``run(env, bounds, pool)`` — executes a kernel as the tiles ``bounds``.
+TiledRun = Callable[[dict, Tuple[int, ...], ThreadPoolExecutor], None]
+
+#: Run-environment key a sliced kernel's tile reads its row range from.
+_TILE = "tile"
+
+
+def _dispatch(
+    pool: ThreadPoolExecutor, tile: Tile, env: dict, bounds: Tuple[int, ...], *extra
+) -> None:
+    """Run ``tile`` over every range of ``bounds``; the first range runs
+    on the dispatching thread, the rest on the pool."""
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    _metrics().counter("compile.threads.tiles").inc(len(ranges))
+    futures = [pool.submit(tile, env, a, b, *extra) for a, b in ranges[1:]]
+    tile(env, *ranges[0], *extra)
+    for future in futures:
+        future.result()
+
+
 class ThreadedBackend(NumpyBackend):
     """Tile-parallel twin of :class:`~.backend.NumpyBackend`.
 
@@ -224,43 +248,16 @@ class ThreadedBackend(NumpyBackend):
     one is *not* interchangeable with the other only because the
     lowered closures differ (which is why the compile cache keys on the
     backend name).
+
+    A graph runs any batch up to its planned capacity, so tiles are
+    planned per run size: the first run of a kernel at ``n`` rows
+    partitions it at ``n`` (:func:`~.plan.partition_kernel`), probes
+    the sliced GEMM, counts the decision in
+    ``compile.threads.kernels_parallel`` / ``.kernels_serial`` and
+    caches it for every later run at ``n``.
     """
 
     name = "threaded"
-
-    # -- tile dispatch --------------------------------------------------
-    def _dispatch(
-        self,
-        tiles: List[Callable[[dict], None]],
-        prime: Optional[Getter] = None,
-    ) -> Callable[[dict], None]:
-        """One run closure executing ``tiles`` (fixed order, disjoint).
-
-        ``prime`` (the kernel's output getter) is called once on the
-        dispatching thread before any tile runs: graph outputs are
-        allocated on first use, and that first use must not race across
-        tiles.  With a 1-worker configuration the tiles run inline in
-        order — the exact sequence the pool would execute, minus the
-        handoff — so results are byte-identical across pool sizes by
-        construction.
-        """
-        count = len(tiles)
-
-        def run(env: dict) -> None:
-            _metrics().counter("compile.threads.tiles").inc(count)
-            if prime is not None:
-                prime(env)
-            pool = _executor()
-            if pool is None:
-                for tile in tiles:
-                    tile(env)
-                return
-            futures = [pool.submit(tile, env) for tile in tiles[1:]]
-            tiles[0](env)
-            for future in futures:
-                future.result()
-
-        return run
 
     def _mark(self, parallel: bool) -> None:
         name = "kernels_parallel" if parallel else "kernels_serial"
@@ -275,93 +272,111 @@ class ThreadedBackend(NumpyBackend):
         out: Getter,
         scratch: Dict[str, np.ndarray],
     ) -> Callable[[dict], None]:
-        partition = partition_kernel(kernel, program)
-        if partition is None or partition.num_tiles <= 1:
+        serial = super().lower(kernel, program, get, out, scratch)
+        if partition_kernel(kernel, program) is None:
             self._mark(parallel=False)
-            return super().lower(kernel, program, get, out, scratch)
+            return serial
         root = kernel.ops[0]
+        gemm = None
         if kernel.kind == "gemm" and root.kind == "conv2d":
-            fn = self._lower_conv_tiled(kernel, program, get, scratch, partition)
+            tiled, gemm = self._conv_tiles(kernel, program, get, scratch)
         elif kernel.kind == "gemm" and root.kind == "matmul":
-            fn = self._lower_matmul_tiled(kernel, program, get, out, partition)
+            tiled, gemm = self._matmul_tiles(kernel, program, get, out)
         else:
-            fn = self._lower_sliced(kernel, program, get, out, scratch, partition)
-        if fn is None:  # probe refused the sliced GEMM
-            self._mark(parallel=False)
-            return super().lower(kernel, program, get, out, scratch)
-        self._mark(parallel=True)
-        # Both closures are kept and the choice is made per run: with a
-        # 1-worker pool the serial (numpy-backend) lowering runs — zero
-        # tiling overhead when parallelism is unavailable.  Identical
-        # numbers either way: the probe that admitted this kernel
-        # certifies row-sliced GEMMs are bit-equal to the full GEMM
-        # (shape-dependent, value-independent), and every non-GEMM op is
-        # sliced along an axis it never reduces across.
-        serial_fn = super().lower(kernel, program, get, out, scratch)
+            tiled = self._sliced_tiles(kernel, program, get, out, scratch)
+        plans: Dict[int, Optional[Tuple[int, ...]]] = {}
 
+        # With a 1-worker pool the serial (numpy-backend) lowering runs:
+        # zero tiling overhead when parallelism is unavailable.  The
+        # numbers are identical either way: the probe that admits a
+        # tiling certifies its row-sliced GEMMs are bit-equal to the
+        # full GEMM, and every non-GEMM op is sliced along an axis it
+        # never reduces across.
         def run(env: dict) -> None:
-            if _executor() is None:
-                serial_fn(env)
+            pool = _executor()
+            if pool is None:
+                serial(env)
+                return
+            n = env[BATCH]
+            if n not in plans:
+                plans[n] = self._plan(kernel, program, n, gemm)
+            bounds = plans[n]
+            if bounds is None:
+                serial(env)
             else:
-                fn(env)
+                tiled(env, bounds, pool)
 
         return run
 
+    def _plan(
+        self,
+        kernel: Kernel,
+        program: FusedProgram,
+        n: int,
+        gemm: Optional[Tuple[int, int, int]],
+    ) -> Optional[Tuple[int, ...]]:
+        """Tile bounds for ``kernel`` at ``n`` rows, or ``None`` (serial).
+
+        ``gemm`` is ``(gemm rows per leading row, inner dim, columns)``
+        for GEMM-rooted kernels, whose sliced GEMM must pass the probe.
+        """
+        partition = partition_kernel(kernel, program, rows=n)
+        parallel = partition is not None and partition.num_tiles > 1
+        if parallel and gemm is not None:
+            per_row, inner, cols = gemm
+            parallel = gemm_slicing_bit_identical(
+                n * per_row, inner, cols, kernel.ops[0].dtype,
+                partition.scaled(per_row).bounds,
+            )
+        self._mark(parallel)
+        return partition.bounds if parallel else None
+
     # -- GEMM-rooted kernels --------------------------------------------
-    def _lower_matmul_tiled(
+    def _matmul_tiles(
         self,
         kernel: Kernel,
         program: FusedProgram,
         get: Callable[[int], Getter],
         out: Getter,
-        partition: KernelPartition,
-    ) -> Optional[Callable[[dict], None]]:
+    ) -> Tuple[TiledRun, Tuple[int, int, int]]:
         root = kernel.ops[0]
-        rows, cols = root.shape
-        inner = program.graph.op(root.inputs[1]).shape[0]
-        if not gemm_slicing_bit_identical(
-            rows, inner, cols, root.dtype, partition.bounds
-        ):
-            return None
         get_x = get(root.inputs[0])
         get_w = get(root.inputs[1])
         chain = self._chain_appliers(kernel.ops[1:], get, channels_last=True)
 
-        tiles = []
-        for start, stop in partition.ranges:
-            def tile(env: dict, _a=start, _b=stop) -> None:
-                target = out(env)[_a:_b]
-                np.matmul(get_x(env)[_a:_b], get_w(env), out=target)
-                for apply in chain:
-                    apply(target, env)
+        def tile(env: dict, a: int, b: int) -> None:
+            target = out(env)[a:b]
+            np.matmul(get_x(env)[a:b], get_w(env), out=target)
+            for apply in chain:
+                apply(target, env)
 
-            tiles.append(tile)
-        return self._dispatch(tiles, prime=out)
+        def run(env: dict, bounds: Tuple[int, ...], pool: ThreadPoolExecutor) -> None:
+            # A graph output is allocated on first use: do it here, once,
+            # before the tiles race for it.
+            out(env)
+            _dispatch(pool, tile, env, bounds)
 
-    def _lower_conv_tiled(
+        inner = program.graph.op(root.inputs[1]).shape[0]
+        return run, (1, inner, root.shape[1])
+
+    def _conv_tiles(
         self,
         kernel: Kernel,
         program: FusedProgram,
         get: Callable[[int], Getter],
         scratch: Dict[str, np.ndarray],
-        partition: KernelPartition,
-    ) -> Optional[Callable[[dict], None]]:
+    ) -> Tuple[TiledRun, Tuple[int, int, int]]:
         """Batch-partitioned conv: pad / im2col / GEMM / chain / pool per
         batch tile, into disjoint slices of the same arena scratch and
         the same published output the serial lowering would use.
         """
         root = kernel.ops[0]
-        n, c_in, h, w = self._conv_input_shape(kernel, root)
+        capacity, c_in, h, w = self._conv_input_shape(kernel, root)
         kh, kw = self._conv_kernel_hw(root)
         stride = root.params["stride"]
         ph, pw = root.params["padding"]
         c_out, out_h, out_w = root.shape[1], root.shape[2], root.shape[3]
-        out_hw = out_h * out_w
-        rows, features = n * out_hw, c_in * kh * kw
-        if not gemm_slicing_bit_identical(
-            rows, features, c_out, root.dtype, partition.scaled(out_hw).bounds
-        ):
-            return None
+        out_hw, features = out_h * out_w, c_in * kh * kw
         from .. import functional as F
 
         index = F._im2col_index(c_in, h, w, (kh, kw), stride, (ph, pw))
@@ -371,94 +386,74 @@ class ThreadedBackend(NumpyBackend):
         dt = np.dtype(root.dtype)
         padded = scratch.get("padded")
         if padded is not None:
-            padded = padded.view(dt).reshape(n, c_in, h + 2 * ph, w + 2 * pw)
-        cols3 = scratch["cols"].view(dt).reshape((n,) + index.shape)
+            padded = padded.view(dt).reshape(capacity, c_in, h + 2 * ph, w + 2 * pw)
+        cols3 = scratch["cols"].view(dt).reshape((capacity,) + index.shape)
         pool_hw = kernel.pool[0].params["kernel"] if kernel.pool else None
         out_id = kernel.output
+        copy_out = pool_hw is not None and out_id in program.graph.output_ids
         gemm = None
         if "gemm" in scratch:
-            gemm = scratch["gemm"].view(dt).reshape(n, out_hw, c_out)
+            gemm = scratch["gemm"].view(dt).reshape(capacity, out_hw, c_out)
 
-        def make_tile(
-            b0: int, b1: int
-        ) -> Callable[[dict, np.ndarray, Optional[np.ndarray]], None]:
+        def tile(
+            env: dict, b0: int, b1: int, buf3: np.ndarray, pooled: Optional[np.ndarray]
+        ) -> None:
             nb = b1 - b0
-
-            def tile(
-                env: dict, buf3: np.ndarray, pooled: Optional[np.ndarray]
-            ) -> None:
-                x = get_x(env)[b0:b1]
-                if padded is not None:
-                    pad = padded[b0:b1]
-                    pad.fill(0)
-                    pad[:, :, ph:ph + h, pw:pw + w] = x
-                    flat = pad.reshape(nb, -1)
-                else:
-                    flat = x.reshape(nb, -1)
-                np.take(flat, index, axis=1, mode="clip", out=cols3[b0:b1])
-                cols = cols3[b0:b1].reshape(nb * out_hw, features)
-                weight = get_w(env)
-                buf = buf3[b0:b1].reshape(nb * out_hw, c_out)
-                np.matmul(cols, weight.reshape(c_out, -1).T, out=buf)
-                for apply in chain:
-                    apply(buf, env)
-                if pooled is not None:
-                    qh, qw = pool_hw
-                    nhwc = buf.reshape(
-                        nb, out_h // qh, qh, out_w // qw, qw, c_out
-                    )
-                    np.max(nhwc, axis=(2, 4), out=pooled[b0:b1])
-
-            return tile
-
-        tile_fns = [make_tile(b0, b1) for b0, b1 in partition.ranges]
-        count = len(tile_fns)
+            x = get_x(env)[b0:b1]
+            if padded is not None:
+                pad = padded[b0:b1]
+                pad.fill(0)
+                pad[:, :, ph:ph + h, pw:pw + w] = x
+                flat = pad.reshape(nb, -1)
+            else:
+                flat = x.reshape(nb, -1)
+            np.take(flat, index, axis=1, mode="clip", out=cols3[b0:b1])
+            cols = cols3[b0:b1].reshape(nb * out_hw, features)
+            buf = buf3[b0:b1].reshape(nb * out_hw, c_out)
+            np.matmul(cols, get_w(env).reshape(c_out, -1).T, out=buf)
+            for apply in chain:
+                apply(buf, env)
+            if pooled is not None:
+                qh, qw = pool_hw
+                nhwc = buf.reshape(nb, out_h // qh, qh, out_w // qw, qw, c_out)
+                np.max(nhwc, axis=(2, 4), out=pooled[b0:b1])
 
         # Hosted output (hosts_output is inherited): both shapes publish
         # the NHWC-strided transpose of one fresh buffer — the same
         # values *and strides* the serial lowering publishes (pooled:
-        # the pooling reduction's array; unpooled: the GEMM buffer).
-        def run(env: dict) -> None:
-            _metrics().counter("compile.threads.tiles").inc(count)
+        # the pooling reduction's array, copied to NCHW as a graph
+        # output; unpooled: the GEMM buffer).
+        def run(env: dict, bounds: Tuple[int, ...], pool: ThreadPoolExecutor) -> None:
+            n = env[BATCH]
             pooled = None
             if pool_hw is not None:
-                buf3 = gemm
+                buf3 = gemm[:n]
                 qh, qw = pool_hw
-                pooled = np.empty(
-                    (n, out_h // qh, out_w // qw, c_out), dtype=dt
-                )
+                pooled = np.empty((n, out_h // qh, out_w // qw, c_out), dtype=dt)
                 env[out_id] = pooled.transpose(0, 3, 1, 2)
             else:
                 buf3 = np.empty((n, out_hw, c_out), dtype=dt)
                 env[out_id] = buf3.reshape(n, out_h, out_w, c_out).transpose(
                     0, 3, 1, 2
                 )
-            pool = _executor()
-            if pool is None:
-                for tile in tile_fns:
-                    tile(env, buf3, pooled)
-                return
-            futures = [
-                pool.submit(tile, env, buf3, pooled) for tile in tile_fns[1:]
-            ]
-            tile_fns[0](env, buf3, pooled)
-            for future in futures:
-                future.result()
+            _dispatch(pool, tile, env, bounds, buf3, pooled)
+            if copy_out:
+                env[out_id] = env[out_id].copy()
 
-        return run
+        return run, (out_hw, features, c_out)
 
     # -- sliceable non-GEMM kernels -------------------------------------
-    def _lower_sliced(
+    def _sliced_tiles(
         self,
         kernel: Kernel,
         program: FusedProgram,
         get: Callable[[int], Getter],
         out: Getter,
         scratch: Dict[str, np.ndarray],
-        partition: KernelPartition,
-    ) -> Optional[Callable[[dict], None]]:
-        """Row-tile an elementwise chain or singleton kernel by reusing
-        the serial lowering per tile with axis-0-sliced getters.
+    ) -> TiledRun:
+        """Row-tile an elementwise chain or singleton kernel by running
+        the serial lowering per tile, on axis-0 slices of its primary
+        input and its output.
 
         Valid because none of these kernels mix data across the leading
         axis: elementwise ops are per-element, pooling/upsample are
@@ -467,52 +462,29 @@ class ThreadedBackend(NumpyBackend):
         guarantee) — so each output row range depends only on the same
         input row range, computed by the very same numpy calls.
         """
-        root = kernel.ops[0]
-        primary = root.inputs[0]
+        primary = kernel.ops[0].inputs[0]
 
-        if root.kind == "upsample":
-            # The serial lowering bakes the full batch size into its
-            # 6-block reshape; tiles need their own slice-shaped twin.
-            return self._lower_upsample_tiled(root, get(primary), out, partition)
+        def sliced_get(value_id: int) -> Getter:
+            getter = get(value_id)
+            if value_id != primary:
+                return getter
+            return lambda env: getter(env)[slice(*env[_TILE])]
 
-        tiles = []
-        for start, stop in partition.ranges:
-            def sliced_get(value_id: int, _a=start, _b=stop) -> Getter:
-                getter = get(value_id)
-                if value_id != primary:
-                    return getter
-                return lambda env: getter(env)[_a:_b]
+        inner = super().lower(
+            kernel, program, sliced_get,
+            lambda env: out(env)[slice(*env[_TILE])], scratch,
+        )
 
-            def sliced_out(env: dict, _a=start, _b=stop) -> np.ndarray:
-                return out(env)[_a:_b]
+        def tile(env: dict, a: int, b: int) -> None:
+            local = dict(env)
+            local[_TILE] = (a, b)
+            inner(local)
 
-            tiles.append(
-                super().lower(kernel, program, sliced_get, sliced_out, scratch)
-            )
-        return self._dispatch(tiles, prime=out)
+        def run(env: dict, bounds: Tuple[int, ...], pool: ThreadPoolExecutor) -> None:
+            out(env)  # allocate a graph output before the tiles copy env
+            _dispatch(pool, tile, env, bounds)
 
-    def _lower_upsample_tiled(
-        self,
-        op,
-        get_x: Getter,
-        out: Getter,
-        partition: KernelPartition,
-    ) -> Callable[[dict], None]:
-        scale = op.params["scale"]
-        _, c, out_h, out_w = op.shape
-        h, w = out_h // scale, out_w // scale
-
-        tiles = []
-        for start, stop in partition.ranges:
-            def tile(env: dict, _a=start, _b=stop) -> None:
-                x = get_x(env)[_a:_b]
-                blocks = out(env)[_a:_b].reshape(
-                    _b - _a, c, h, scale, w, scale
-                )
-                blocks[...] = x[:, :, :, None, :, None]
-
-            tiles.append(tile)
-        return self._dispatch(tiles, prime=out)
+        return run
 
 
 register_backend(ThreadedBackend())

@@ -25,7 +25,7 @@ from ..layers.conv import Conv2D
 from ..layers.dense import Dense, Flatten
 from ..layers.pooling import AvgPool2D, MaxPool2D, UpSample2D
 from ..layers.regularization import BatchNorm1D, BatchNorm2D, Dropout
-from .ir import Graph, GraphBuilder, UnsupportedOpError
+from .ir import Graph, GraphBuilder, ModuleStateError, UnsupportedOpError
 
 __all__ = ["register_tracer", "trace_call", "trace_module"]
 
@@ -50,7 +50,7 @@ def trace_call(module: Module, builder: GraphBuilder, x_id: int) -> int:
     if module.__dict__.get("_hooks"):
         # Timing hooks need the real per-layer __call__ boundaries;
         # compiling away the layers would silence them.
-        raise UnsupportedOpError(
+        raise ModuleStateError(
             f"{type(module).__name__} carries timing hooks; profiling "
             "requires the eager path"
         )
@@ -267,13 +267,13 @@ def _trace_upsample(module: UpSample2D, builder: GraphBuilder, x_id: int) -> int
 @register_tracer(Dropout)
 def _trace_dropout(module: Dropout, builder: GraphBuilder, x_id: int) -> int:
     if module.training and module.rate > 0.0:
-        raise UnsupportedOpError("Dropout in training mode is stochastic")
+        raise ModuleStateError("Dropout in training mode is stochastic")
     return x_id  # identity in eval mode
 
 
 def _trace_batchnorm(module, builder: GraphBuilder, x_id: int, ndim: int) -> int:
     if module.training:
-        raise UnsupportedOpError("BatchNorm in training mode updates running stats")
+        raise ModuleStateError("BatchNorm in training mode updates running stats")
     shape, dtype = _meta(builder, x_id)
     if len(shape) != ndim or shape[1] != module.num_features:
         raise UnsupportedOpError(

@@ -39,6 +39,7 @@ operator, so returned arrays are always freshly owned.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple, Union
 
@@ -140,10 +141,14 @@ def free_inference_scratch() -> int:
     return freed
 
 
-class _TrainScratchState:
-    """Process-wide switch enabling per-layer training scratch reuse."""
+class _TrainScratchSwitch(threading.local):
+    """Per-thread switch enabling per-layer training scratch reuse;
+    every thread starts with it off."""
 
     enabled = False
+
+
+_TrainScratchState = _TrainScratchSwitch()
 
 
 class train_scratch:
@@ -161,7 +166,7 @@ class train_scratch:
     loops).  Running two forwards of the same layer before calling
     ``backward`` (e.g. gradient accumulation across batches) would
     clobber the first forward's columns — leave the context disabled
-    for such schedules.  Not thread-safe (like ``no_grad``).
+    for such schedules.  Like ``no_grad``, the switch is per thread.
     """
 
     def __enter__(self) -> "train_scratch":
@@ -174,7 +179,7 @@ class train_scratch:
 
 
 def is_train_scratch_enabled() -> bool:
-    """Whether :class:`train_scratch` buffer reuse is currently active."""
+    """Whether :class:`train_scratch` buffer reuse is active in this thread."""
     return _TrainScratchState.enabled
 
 

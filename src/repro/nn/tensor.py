@@ -32,6 +32,7 @@ Example
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -52,16 +53,26 @@ __all__ = [
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
 
-class _GradMode:
-    """Process-wide switch that disables tape recording inside ``no_grad``."""
+class _GradModeState(threading.local):
+    """Per-thread switch that disables tape recording inside ``no_grad``.
+
+    Per thread, so a serving lane inside ``inference_mode`` never turns
+    off the tape of a training thread beside it.  Every thread starts
+    with recording on (the class attribute is each thread's default).
+    """
 
     enabled = True
 
 
-class _InferenceMode:
-    """Process-wide switch for the serving fast path (``inference_mode``)."""
+class _InferenceModeState(threading.local):
+    """Per-thread switch for the serving fast path (``inference_mode``);
+    every thread starts with it off."""
 
     active = False
+
+
+_GradMode = _GradModeState()
+_InferenceMode = _InferenceModeState()
 
 
 class _DtypeState:
@@ -108,7 +119,8 @@ class inference_mode(no_grad):
     behaviour differ.  Every batched ``predict`` in :mod:`repro.core`
     runs under this context.
 
-    Not thread-safe (like ``no_grad``): the flag is process-global.
+    Like ``no_grad``, the mode is per thread: it applies to the thread
+    that enters it and leaves every other thread's mode alone.
     """
 
     def __enter__(self) -> "inference_mode":

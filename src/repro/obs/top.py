@@ -4,7 +4,7 @@ Reads metric snapshots — straight from a registry, or from the JSON
 file a :class:`~repro.obs.export.SnapshotWriter` keeps fresh — and
 renders the numbers an operator watches during a run of the selective
 classifier: live QPS, p50/p99 latency, shed / cache-hit / abstain
-rates, and per-lane circuit-breaker state.  Rates are computed from
+rates, what flushed each batch, and per-lane circuit-breaker state.  Rates are computed from
 **deltas between consecutive snapshots**, so the console shows current
 behaviour, not lifetime averages.
 
@@ -29,6 +29,9 @@ __all__ = ["BREAKER_STATE_CODES", "compute_rates", "render", "main"]
 #: (``serve.lane<i>.breaker_state``): closed is healthy, open is shed.
 BREAKER_STATE_CODES = {"closed": 0, "half_open": 1, "open": 2}
 _STATE_NAMES = {code: name for name, code in BREAKER_STATE_CODES.items()}
+
+#: Per-reason batch flush counters (``serve.batch.flush.<reason>``).
+_FLUSH_PREFIX = "serve.batch.flush."
 
 
 def _counters(snapshot: Dict[str, Any]) -> Dict[str, float]:
@@ -64,6 +67,11 @@ def compute_rates(
     gw_requests = _delta(now, before, "gateway.requests_total")
     gw_rejected = _delta(now, before, "gateway.rejected_total")
     tiles = _delta(now, before, "compile.threads.tiles")
+    flushes = {
+        name[len(_FLUSH_PREFIX):]: _delta(now, before, name)
+        for name in sorted(now)
+        if name.startswith(_FLUSH_PREFIX)
+    }
     return {
         "qps": requests / dt_s if dt_s > 0 else None,
         "shed_rate": _ratio(shed, requests),
@@ -75,6 +83,7 @@ def compute_rates(
         "gateway_reject_rate": _ratio(gw_rejected, gw_requests),
         "compile_tiles": tiles,
         "compile_tiles_per_s": tiles / dt_s if dt_s > 0 else None,
+        "flushes": flushes,
     }
 
 
@@ -117,6 +126,11 @@ def render(
     queue_depth = curr.get("gauges", {}).get("serve.queue_depth")
     if queue_depth is not None:
         lines.append(f"  queue depth  {queue_depth:10.0f}")
+    flushes = {reason: n for reason, n in rates["flushes"].items() if n}
+    if flushes:
+        lines.append("  flushes      " + "  ".join(
+            f"{reason} {n:.0f}" for reason, n in flushes.items()
+        ))
     if rates["gateway_requests"]:
         counters = curr.get("counters", {})
         gauges = curr.get("gauges", {})
@@ -232,9 +246,13 @@ def _demo_frames() -> List[Dict[str, Any]]:
     registry.counter("stream.label_queue.labeled").inc(58)
     registry.counter("stream.label_queue.shed.budget").inc(3)
     latency = registry.histogram("serve.latency_s")
+    immediate = registry.counter("serve.batch.flush.immediate")
+    size = registry.counter("serve.batch.flush.size")
     frames = []
     for frame in range(3):
         compile_tiles.inc(360)
+        immediate.inc(60)
+        size.inc(frame)
         for i in range(200):
             requests.inc()
             (hits if i % 3 == 0 else misses).inc()

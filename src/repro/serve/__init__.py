@@ -5,9 +5,9 @@ machinery of :mod:`repro.parallel` into *serving throughput* for the
 paper's deployment setting (a fab classifying a continuous wafer
 stream, Sec. I / Fig. 1).  Four cooperating pieces:
 
-* :mod:`~repro.serve.batcher` — :class:`MicroBatcher`, dynamic
-  micro-batching with a size trigger and a latency deadline, plus
-  explicit :class:`Overloaded` backpressure;
+* :mod:`~repro.serve.batcher` — :class:`MicroBatcher`, work-conserving
+  micro-batching (a free lane takes everything pending) with an opt-in
+  linger, plus explicit :class:`Overloaded` backpressure;
 * :mod:`~repro.serve.cache` — :class:`ResultCache`, content-hash
   (byte-exact or dihedral-canonical) LRU result cache under a byte
   budget;

@@ -24,8 +24,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..nn import Module
 from ..nn import functional as F
-from ..nn.compile import release_compiled
+from ..nn.compile import compiled_for, release_compiled
 from ..obs.flight import dump_flight, record_flight_event
 from ..obs.trace import current_tracer, remote_span
 from ..parallel import (
@@ -42,6 +43,7 @@ __all__ = [
     "ReplicaPoolBackend",
     "make_backend",
     "model_infer_fn",
+    "reserve_compiled",
 ]
 
 logger = logging.getLogger("repro.serve")
@@ -72,6 +74,28 @@ def model_infer_fn(model) -> InferFn:
     raise TypeError(
         f"{type(model).__name__} has neither predict_batched nor predict_proba"
     )
+
+
+def reserve_compiled(model, max_batch: int, input_hw: Tuple[int, int]) -> bool:
+    """Compile ``model``'s inference graph for batches of up to
+    ``max_batch`` wafers before it serves, so no request waits on a
+    compile.
+
+    Runs nothing: the arena is allocated, not touched.  The graph is
+    compiled in eval mode, the mode the predict path runs in.  Returns
+    whether the model compiled (``False``: it will serve eagerly).
+    """
+    if not isinstance(model, Module):
+        return False
+    h, w = input_hw
+    was_training = model.training
+    model.eval()
+    try:
+        return compiled_for(model).reserve(
+            np.zeros((1, 1, h, w), dtype=np.float32), max_batch
+        )
+    finally:
+        model.train(was_training)
 
 
 class InProcessBackend:
@@ -151,6 +175,7 @@ def _replica_worker(rank, num_workers, pipe, payload) -> None:
         inputs = arena.view(f"in{rank}")
         probs = arena.view(f"probs{rank}")
         scores = arena.view(f"scores{rank}")
+        reserve_compiled(model, max_batch, inputs.shape[2:])
         while True:
             message = pipe.recv()
             if message[0] == "stop":
@@ -391,6 +416,8 @@ def make_backend(
 ):
     """Replica pool when possible, in-process fallback otherwise.
 
+    Either way the model is compiled for ``max_batch`` wafers before the
+    backend is returned (in each replica process for the pool).
     ``compile_backend`` / ``compile_threads`` configure the compiled
     inference path per replica process (see :class:`ServeConfig`); on
     the in-process fallback they apply to this process — but only when
@@ -406,4 +433,5 @@ def make_backend(
         )
     if compile_backend is not None or compile_threads is not None:
         _configure_compile(compile_backend, compile_threads, lanes=1)
+    reserve_compiled(model, max_batch, input_hw)
     return InProcessBackend(model_infer_fn(model))

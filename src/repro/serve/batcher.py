@@ -1,23 +1,30 @@
-"""Dynamic micro-batching queue.
+"""Work-conserving micro-batching queue.
 
-Requests accumulate in a bounded pending queue; a consumer pulls them
-out in *batches* that flush on whichever comes first:
+Requests accumulate in a bounded pending queue; a consumer (one per
+model replica) pulls them out in *batches*.  By default dispatch is
+**work-conserving**: a free consumer never idles while requests are
+pending — :meth:`MicroBatcher.get_batch` hands it everything pending,
+up to ``max_batch_size``, at once.  Batches form by themselves under
+load, because requests queue while every consumer is busy, and a lone
+request never waits for company.
 
-* the batch reaches ``max_batch_size`` (steady-state traffic gets
-  full-batch GEMM efficiency), or
-* ``max_latency_s`` has elapsed since the **oldest** pending request
-  arrived (a lone wafer waits at most one deadline, bounding the
-  queueing component of single-request latency).
+``max_latency_s > 0`` opts into a *linger*: a partial batch is held
+until ``max_latency_s`` has elapsed since its **oldest** request
+arrived, or until it fills up, whichever comes first.  This trades
+queueing latency for larger batches; it pays only when batching cuts
+the per-request compute by more than the linger costs.
 
 There is no dispatcher thread: :meth:`MicroBatcher.get_batch` itself
-performs the accumulate-until-deadline wait, so each consumer (one per
-model replica) blocks directly on the shared condition variable.  Under
-a burst deeper than one batch, every consumer's size check trips
-immediately and full batches fan out to all replicas back-to-back.
+performs any wait, so each consumer blocks directly on the shared
+condition variable.  Under a burst deeper than one batch, every
+consumer's size check trips immediately and full batches fan out to
+all replicas back-to-back.
 
 Backpressure is explicit: :meth:`put` raises :class:`Overloaded` when
 ``queue_limit`` requests are already pending, so callers shed load with
 a definite signal instead of unbounded queue growth.
+:meth:`put_many` enqueues a group all-or-nothing under one lock, so a
+free consumer sees the whole group at once.
 """
 
 from __future__ import annotations
@@ -25,14 +32,16 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Overloaded",
     "MicroBatcher",
+    "FLUSH_IMMEDIATE",
     "FLUSH_SIZE",
     "FLUSH_DEADLINE",
     "FLUSH_CLOSE",
+    "FLUSH_REASONS",
     "SHED_QUEUE_FULL",
     "SHED_BUCKET_EXHAUSTED",
     "SHED_BREAKER_OPEN",
@@ -41,13 +50,17 @@ __all__ = [
     "SHED_REASONS",
 ]
 
-#: Why a batch flushed: it filled up, its oldest request's deadline
-#: expired, or the batcher was closed and is draining.  Surfaced per
-#: batch so traces and ``serve.batch.flush.*`` counters can attribute
-#: latency to the right trigger.
+#: Why a batch flushed: a free consumer took a partial batch without
+#: waiting (no linger configured), it filled up, it waited out the
+#: linger since its oldest request arrived, or the batcher was closed
+#: and is draining.  Surfaced per batch so traces and
+#: ``serve.batch.flush.*`` counters can attribute latency to the right
+#: trigger.
+FLUSH_IMMEDIATE = "immediate"
 FLUSH_SIZE = "size"
 FLUSH_DEADLINE = "deadline"
 FLUSH_CLOSE = "close"
+FLUSH_REASONS = (FLUSH_IMMEDIATE, FLUSH_SIZE, FLUSH_DEADLINE, FLUSH_CLOSE)
 
 
 #: Machine-readable shed reasons carried by :class:`Overloaded`.  Every
@@ -101,12 +114,12 @@ class _Item:
 
 
 class MicroBatcher:
-    """Deadline/size dual-trigger batching queue (thread-safe)."""
+    """Work-conserving batching queue with an opt-in linger (thread-safe)."""
 
     def __init__(
         self,
         max_batch_size: int = 64,
-        max_latency_s: float = 0.005,
+        max_latency_s: float = 0.0,
         queue_limit: int = 1024,
     ) -> None:
         if max_batch_size < 1:
@@ -130,15 +143,26 @@ class MicroBatcher:
 
     def put(self, value: Any) -> None:
         """Enqueue one request; raises :class:`Overloaded` when full."""
+        self.put_many((value,))
+
+    def put_many(self, values: Sequence[Any]) -> None:
+        """Enqueue ``values`` as one unit, all or nothing.
+
+        Raises :class:`Overloaded` — enqueuing none of them — when they
+        do not all fit under ``queue_limit``.  A free consumer therefore
+        takes the group whole (up to ``max_batch_size``) instead of
+        racing the enqueue and taking its head alone.
+        """
         with self._cond:
             if self._closed:
                 raise RuntimeError("batcher is closed")
-            if len(self._pending) >= self.queue_limit:
+            if len(self._pending) + len(values) > self.queue_limit:
                 raise Overloaded(
                     f"pending queue full ({self.queue_limit} requests)",
                     reason=SHED_QUEUE_FULL,
                 )
-            self._pending.append(_Item(value, time.monotonic()))
+            now = time.monotonic()
+            self._pending.extend(_Item(value, now) for value in values)
             self._cond.notify_all()
 
     def get_batch(self, timeout: Optional[float] = None) -> Optional[List[Any]]:
@@ -157,7 +181,7 @@ class MicroBatcher:
         """Like :meth:`get_batch`, also naming the flush trigger.
 
         Returns ``(values, reason)`` with ``reason`` one of
-        :data:`FLUSH_SIZE` / :data:`FLUSH_DEADLINE` / :data:`FLUSH_CLOSE`.
+        :data:`FLUSH_REASONS`.
         """
         wait_deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
@@ -172,9 +196,10 @@ class MicroBatcher:
                     if remaining <= 0:
                         return None
                     self._cond.wait(remaining)
-            # Phase 2: accumulate until full or the oldest request's
-            # deadline expires.  Another consumer may win the race and
-            # drain the queue while we wait — loop back to phase 1.
+            # Phase 2: take what is pending now, or — with a linger —
+            # accumulate until full or the oldest request's deadline
+            # expires.  Another consumer may win the race and drain the
+            # queue while we wait — loop back to phase 1.
             while True:
                 if not self._pending:
                     return self.get_batch_with_reason(
@@ -186,6 +211,9 @@ class MicroBatcher:
                     break
                 if self._closed:
                     reason = FLUSH_CLOSE
+                    break
+                if self.max_latency_s == 0:
+                    reason = FLUSH_IMMEDIATE
                     break
                 flush_at = self._pending[0].enqueued_at + self.max_latency_s
                 remaining = flush_at - time.monotonic()

@@ -8,12 +8,18 @@ routing abstentions (``label == ABSTAIN``) to human review.
 
 Request lifecycle::
 
-    submit(grid)
+    submit(grid) / classify_many(grids)
       ├─ cache hit  ──────────────────────────────► completed future
-      └─ cache miss ─► MicroBatcher (deadline/size)
+      └─ cache miss ─► MicroBatcher (work-conserving, optional linger)
                           └─► runner thread (one per backend lane)
                                 └─► backend.infer(batch)  ─► futures
 
+Dispatch is work-conserving: a free lane takes everything pending, up
+to ``max_batch_size``, at once, so a request never waits on a linger
+and batches grow by themselves when requests queue behind busy lanes.
+Every model generation is compiled for ``max_batch_size`` wafers before
+it serves — at construction, and inside :meth:`ServeEngine.swap_model`
+before the commit — so a request never waits on a compile either.
 Every lane (model replica) has a dedicated runner thread, so N
 replicas keep N batches in flight.  The engine records queue depth,
 cache hit counters, per-request latency and per-batch size/compute
@@ -48,7 +54,7 @@ from ..resilience.breaker import CircuitBreaker
 from ..resilience.chaos import chaos_point
 from ..resilience.checkpoint import IntegrityError, validate_checkpoint
 from .backend import make_backend, model_infer_fn
-from .batcher import SHED_BREAKER_OPEN, MicroBatcher, Overloaded
+from .batcher import FLUSH_REASONS, SHED_BREAKER_OPEN, MicroBatcher, Overloaded
 from .cache import ResultCache
 
 __all__ = [
@@ -105,11 +111,14 @@ class ServeConfig:
     Attributes
     ----------
     max_batch_size:
-        Flush a batch once this many requests are pending.
+        Largest batch a lane takes at once; also the batch capacity each
+        model generation is compiled for before it serves.
     max_latency_ms:
-        Flush a partial batch once its oldest request has waited this
-        long — the queueing component of a lone request's latency is
-        bounded by this deadline (total latency adds one batch compute).
+        Opt-in linger.  ``0`` (the default) dispatches work-conservingly:
+        a free lane takes everything pending at once.  A positive value
+        holds a partial batch until its oldest request has waited this
+        long (or the batch fills), trading up to that much queueing
+        latency for larger batches.
     queue_limit:
         Pending-queue bound; beyond it :meth:`ServeEngine.submit` sheds
         with :class:`Overloaded` instead of queueing without limit.
@@ -151,7 +160,7 @@ class ServeConfig:
     """
 
     max_batch_size: int = 64
-    max_latency_ms: float = 5.0
+    max_latency_ms: float = 0.0
     queue_limit: int = 1024
     cache_bytes: int = 8 * 1024 * 1024
     canonicalize: bool = False
@@ -389,7 +398,7 @@ class ServeEngine:
         self._generation_gauge = reg.gauge("serve.generation")
         self._flush_counters = {
             reason: reg.counter(f"serve.batch.flush.{reason}")
-            for reason in ("size", "deadline", "close")
+            for reason in FLUSH_REASONS
         }
         num_lanes = initial_backend.num_lanes
         # Per-lane breaker state, encoded per obs.top.BREAKER_STATE_CODES
@@ -510,8 +519,10 @@ class ServeEngine:
            candidate weights into the clone (the serving model is
            never mutated).
         3. ``serve.swap.build`` — build a complete sibling backend
-           (same replica layout) and probe every lane live with a
-           zero wafer.
+           (same replica layout), which compiles the candidate for
+           ``max_batch_size`` wafers, and probe every lane live with a
+           zero wafer.  The first request after the commit compiles
+           nothing.
         4. ``serve.swap.commit`` — flip the generation pointer.  The
            flip is one reference assignment: every request either ran
            entirely on the old generation or runs entirely on the new
@@ -660,54 +671,74 @@ class ServeEngine:
         socket-read → admission → enqueue → batch → replica-forward →
         respond.
         """
+        return self._submit((grid,), parent)[0]
+
+    def _submit(self, grids: Sequence[np.ndarray], parent=None) -> List[PendingResult]:
+        """Validate, look up and enqueue ``grids`` as one unit.
+
+        Every grid is validated before anything is enqueued, and the
+        cache misses enter the batcher together, all or nothing.
+        """
         if self._closed:
             raise RuntimeError("engine is closed")
         started = time.monotonic()
-        grid = np.asarray(grid)
-        self._validate(grid)
-        self._requests.inc()
+        grids = [np.asarray(grid) for grid in grids]
+        for grid in grids:
+            self._validate(grid)
+        self._requests.inc(len(grids))
         # THE disarmed fast path: one global read.  Everything tracing
         # costs beyond this probe only runs when a tracer is armed.
         tracer = current_tracer()
-        root = (
-            tracer.start_span("serve.request", parent=parent, shape=grid.shape)
-            if tracer is not None else None
-        )
-
-        key = None
-        if self.cache is not None:
-            key = self.cache.key(grid)
-            entry = self.cache.get(key)
-            if entry is not None:
-                self._cache_hits.inc()
-                future = PendingResult()
-                latency = time.monotonic() - started
-                future._set(self._finish(
-                    entry.probabilities, entry.score,
-                    cached=True, latency_s=latency, gen=self._generation,
-                ))
-                self._latency.observe(time.monotonic() - started)
+        futures: List[PendingResult] = []
+        queued: List[_Request] = []
+        for grid in grids:
+            root = (
+                tracer.start_span("serve.request", parent=parent, shape=grid.shape)
+                if tracer is not None else None
+            )
+            key = None
+            if self.cache is not None:
+                key = self.cache.key(grid)
+                entry = self.cache.get(key)
+                if entry is not None:
+                    self._cache_hits.inc()
+                    future = PendingResult()
+                    latency = time.monotonic() - started
+                    future._set(self._finish(
+                        entry.probabilities, entry.score,
+                        cached=True, latency_s=latency, gen=self._generation,
+                    ))
+                    self._latency.observe(time.monotonic() - started)
+                    if root is not None:
+                        root.set("cache", "hit")
+                        tracer.end(root, duration_s=latency)
+                    futures.append(future)
+                    continue
+                self._cache_misses.inc()
                 if root is not None:
-                    root.set("cache", "hit")
-                    tracer.end(root, duration_s=latency)
-                return future
-            self._cache_misses.inc()
-            if root is not None:
-                root.set("cache", "miss")
-
-        request = _Request(
-            grid_to_tensor(grid), key, started, PendingResult(), trace=root
-        )
-        try:
-            self._batcher.put(request)
-        except Overloaded:
-            self._shed.inc()
-            if root is not None:
-                root.event("shed", queue_limit=self.config.queue_limit)
-                tracer.end(root, status="error")
-            raise
-        self._queue_depth.set(self._batcher.depth)
-        return request.future
+                    root.set("cache", "miss")
+            request = _Request(
+                grid_to_tensor(grid), key, started, PendingResult(), trace=root
+            )
+            queued.append(request)
+            futures.append(request.future)
+        if queued:
+            try:
+                if len(queued) == 1:
+                    self._batcher.put(queued[0])
+                else:
+                    self._batcher.put_many(queued)
+            except Overloaded:
+                self._shed.inc(len(queued))
+                for request in queued:
+                    if request.trace is not None:
+                        request.trace.event(
+                            "shed", queue_limit=self.config.queue_limit
+                        )
+                        tracer.end(request.trace, status="error")
+                raise
+            self._queue_depth.set(self._batcher.depth)
+        return futures
 
     def classify(self, grid: np.ndarray, timeout: Optional[float] = None) -> ServeResult:
         """Synchronous single-wafer classification."""
@@ -716,13 +747,16 @@ class ServeEngine:
     def classify_many(
         self, grids: Sequence[np.ndarray], timeout: Optional[float] = None
     ) -> List[ServeResult]:
-        """Submit a sequence of grids, then gather all results in order.
+        """Classify a group of grids; results in order.
 
-        The whole sequence is enqueued before the first wait, so it
-        must fit the ``queue_limit``; use :meth:`submit` directly for
-        open-ended streams.
+        The group is enqueued as one unit: its cache misses enter the
+        queue together, so on an idle engine a group of at most
+        ``max_batch_size`` wafers is served as exactly one batch.  A
+        group that does not fit under ``queue_limit`` raises
+        :class:`Overloaded` and enqueues nothing; use :meth:`submit`
+        directly for open-ended streams.
         """
-        futures = [self.submit(grid) for grid in grids]
+        futures = self._submit(list(grids))
         return [future.result(timeout) for future in futures]
 
     # ------------------------------------------------------------------

@@ -365,11 +365,10 @@ def run_scenario(
 
     # -- 3. serving + routing stack -----------------------------------
     engine = ServeEngine(model, ServeConfig(
-        # One full batch per step flushes on size, never on deadline;
-        # cache off and a single in-process lane keep the decision
-        # trace a pure function of the seed.
+        # classify_many enqueues each step as one unit, so every step is
+        # one full batch; cache off and a single in-process lane keep
+        # the decision trace a pure function of the seed.
         max_batch_size=config.wafers_per_step,
-        max_latency_ms=200.0,
         queue_limit=max(4 * config.wafers_per_step, len(val_data)),
         cache_bytes=0,
         num_replicas=1,

@@ -101,6 +101,18 @@ def test_hooked_module_falls_back():
     assert compile_module(model).try_run(X) is not None
 
 
+def test_state_fallback_is_retried_once_the_state_changes():
+    # Hooks and training mode are transient: the same CompiledModule
+    # compiles once they are gone (a shape mismatch, by contrast, is
+    # remembered — see the next test).
+    model = _simple_model()
+    compiled = compile_module(model)
+    handle = model.register_hook(lambda **kwargs: None)
+    assert compiled.try_run(X) is None
+    handle.remove()
+    assert compiled.try_run(X) is not None
+
+
 def test_shape_mismatch_falls_back_and_is_cached():
     model = nn.Sequential(nn.Dense(16, 4, rng=np.random.default_rng(0)))
     model.eval()
@@ -156,9 +168,18 @@ def test_compile_counters_and_arena_gauge():
     assert registry.counter("compile.cache_hits").value == 1
     assert registry.counter("compile.graphs").value == 1
 
-    # A second shape is its own cache entry.
+    # Batch size is not part of the key: a smaller batch runs on the
+    # same graph, a larger one grows its capacity (one more compile).
+    assert compiled.try_run(X[:1]) is not None
+    assert registry.counter("compile.graphs").value == 1
     assert compiled.try_run(np.zeros((3, 1, 8, 8), dtype=np.float32)) is not None
     assert registry.counter("compile.graphs").value == 2
+    assert len(compiled.graphs) == 1
+
+    # A second per-sample shape is its own cache entry.
+    assert compiled.try_run(np.zeros((2, 1, 6, 6), dtype=np.float32)) is not None
+    assert registry.counter("compile.graphs").value == 3
+    assert len(compiled.graphs) == 2
 
     gauge = registry.gauge("compile.arena_bytes").value
     assert gauge > 0

@@ -69,6 +69,18 @@ class TestRender:
         snapshot["counters"]["parallel.worker.respawns"] = 3
         assert "respawns" in render(snapshot)
 
+    def test_flush_reasons_listed_as_interval_deltas(self):
+        prev = _snapshot()
+        curr = _snapshot()
+        prev["counters"]["serve.batch.flush.immediate"] = 10
+        curr["counters"]["serve.batch.flush.immediate"] = 25
+        curr["counters"]["serve.batch.flush.size"] = 2
+        assert compute_rates(curr, prev, dt_s=1.0)["flushes"] == {
+            "immediate": 15, "size": 2,
+        }
+        assert "flushes      immediate 15  size 2" in render(curr, prev)
+        assert "flushes" not in render(prev, prev)
+
     def test_renders_empty_snapshot(self):
         frame = render({"counters": {}, "gauges": {}, "histograms": {}})
         assert "repro.obs.top" in frame

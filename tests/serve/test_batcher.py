@@ -52,6 +52,31 @@ class TestTriggers:
         assert batch == [0, 1]
 
 
+class TestWorkConserving:
+    def test_default_dispatch_takes_everything_pending_at_once(self):
+        batcher = MicroBatcher(max_batch_size=4)
+        batcher.put("a")
+        assert batcher.get_batch_with_reason(timeout=5.0) == (["a"], "immediate")
+        for i in range(6):
+            batcher.put(i)
+        assert batcher.get_batch_with_reason(timeout=5.0) == ([0, 1, 2, 3], "size")
+        assert batcher.get_batch_with_reason(timeout=5.0) == ([4, 5], "immediate")
+
+    def test_linger_flush_is_a_deadline(self):
+        batcher = MicroBatcher(max_batch_size=4, max_latency_s=0.01)
+        batcher.put("a")
+        assert batcher.get_batch_with_reason(timeout=5.0) == (["a"], "deadline")
+
+    def test_put_many_is_all_or_nothing(self):
+        batcher = MicroBatcher(max_batch_size=8, queue_limit=5)
+        batcher.put("a")
+        with pytest.raises(Overloaded):
+            batcher.put_many(["b", "c", "d", "e", "f"])
+        assert batcher.depth == 1
+        batcher.put_many(["b", "c", "d", "e"])
+        assert batcher.get_batch(timeout=5.0) == ["a", "b", "c", "d", "e"]
+
+
 class TestBackpressure:
     def test_put_sheds_when_full(self):
         batcher = MicroBatcher(max_batch_size=4, max_latency_s=1.0, queue_limit=2)

@@ -66,6 +66,7 @@ class _StubBackend:
         self.num_lanes = num_lanes
         self.num_classes = num_classes
         self.infer_calls = 0
+        self.batch_sizes = []
         self.reclaims = 0
         self.closed = False
         self.gate = None  # set to an Event to block infer until set
@@ -73,6 +74,7 @@ class _StubBackend:
 
     def infer(self, lane, inputs):
         self.infer_calls += 1
+        self.batch_sizes.append(len(inputs))
         if self.gate is not None:
             self.gate.wait(timeout=30.0)
         if self.error is not None:
@@ -262,6 +264,117 @@ class TestBackpressure:
             assert result.accepted
         finally:
             engine.close()
+
+
+def _stub_engine(backend, registry, **config):
+    return ServeEngine(
+        config=ServeConfig(cache_bytes=0, **config), registry=registry,
+        backend=backend, input_hw=(SIZE, SIZE), num_classes=NUM_CLASSES,
+    )
+
+
+class TestWorkConservingDispatch:
+    def test_group_call_on_idle_engine_is_one_batch(self, grids):
+        backend = _StubBackend()
+        engine = _stub_engine(backend, MetricsRegistry(), max_batch_size=8)
+        try:
+            for k in (1, 5, 8, 3):
+                results = engine.classify_many(list(grids[:k]), timeout=30.0)
+                assert len(results) == k
+        finally:
+            engine.close()
+        assert backend.batch_sizes == [1, 5, 8, 3]
+
+    def test_over_limit_group_enqueues_nothing(self, grids):
+        backend = _StubBackend()
+        registry = MetricsRegistry()
+        engine = _stub_engine(backend, registry, max_batch_size=8, queue_limit=4)
+        try:
+            with pytest.raises(Overloaded):
+                engine.classify_many(list(grids[:5]), timeout=30.0)
+            assert engine.stats()["queue_depth"] == 0
+            assert registry.counter("serve.shed_total").value == 5
+            # The queue is untouched: a fitting group still serves whole.
+            assert len(engine.classify_many(list(grids[:4]), timeout=30.0)) == 4
+        finally:
+            engine.close()
+        assert backend.batch_sizes == [4]
+
+    def test_lone_request_flushes_immediately(self, grids):
+        registry = MetricsRegistry()
+        engine = _stub_engine(_StubBackend(), registry, max_batch_size=8)
+        try:
+            engine.classify(grids[0], timeout=30.0)
+        finally:
+            engine.close()  # joins the lane: its counters are final
+        counts = registry.snapshot()["counters"]
+        assert counts["serve.batch.flush.immediate"] == 1
+        assert counts["serve.batch.flush.deadline"] == 0
+
+
+def _compile_counter(name):
+    from repro.obs.metrics import default_registry
+
+    return default_registry().counter(name).value
+
+
+class TestCompileBeforeServe:
+    @staticmethod
+    def _model(seed):
+        return SelectiveNet(
+            NUM_CLASSES,
+            BackboneConfig(
+                input_size=SIZE, conv_channels=(4, 4), conv_kernels=(3, 3),
+                fc_units=16, seed=seed,
+            ),
+        )
+
+    def test_every_batch_size_served_on_one_compile(self, grids):
+        from repro.nn.compile import compiled_for
+
+        model = self._model(21)
+        misses = _compile_counter("compile.cache_misses")
+        graphs = _compile_counter("compile.graphs")
+        registry = MetricsRegistry()
+        config = ServeConfig(max_batch_size=8, cache_bytes=0)
+        with ServeEngine(model, config, registry=registry) as engine:
+            # Compiled at construction, before any request.
+            assert _compile_counter("compile.cache_misses") == misses + 1
+            for k in range(1, 9):
+                engine.classify_many(list(grids[:k]), timeout=60.0)
+        sizes = registry.histogram("serve.batch.size")
+        assert (sizes.count, sizes.sum) == (8, sum(range(1, 9)))
+        assert _compile_counter("compile.cache_misses") == misses + 1
+        assert _compile_counter("compile.graphs") == graphs + 1
+        (graph,) = compiled_for(model).graphs.values()
+        assert graph.capacity == 8
+
+    def test_first_request_after_swap_compiles_nothing(self, tmp_path, grids):
+        from repro.resilience.chaos import ChaosPlan, active_plan, raise_error
+        from repro.resilience.checkpoint import CheckpointManager
+        from repro.serve.engine import SwapFailed
+
+        manager = CheckpointManager(str(tmp_path), keep=0, registry=MetricsRegistry())
+        checkpoint = str(manager.save(epoch=0, model=self._model(23)))
+        config = ServeConfig(max_batch_size=8, cache_bytes=0)
+        with ServeEngine(self._model(22), config, registry=MetricsRegistry()) as engine:
+            engine.classify(grids[0], timeout=60.0)
+            # The candidate compiles before the commit point: a swap
+            # that fails at the commit has already compiled it.
+            plan = ChaosPlan()
+            plan.inject("serve.swap.commit", raise_error(RuntimeError("chaos")))
+            misses = _compile_counter("compile.cache_misses")
+            with active_plan(plan), pytest.raises(SwapFailed):
+                engine.swap_model(checkpoint)
+            assert _compile_counter("compile.cache_misses") == misses + 1
+
+            engine.swap_model(checkpoint)
+            swapped = _compile_counter("compile.cache_misses")
+            assert swapped == misses + 2
+            result = engine.classify(grids[0], timeout=60.0)
+            engine.classify_many(list(grids[:8]), timeout=60.0)
+        assert result.generation == 2
+        assert _compile_counter("compile.cache_misses") == swapped
 
 
 class TestValidationAndLifecycle:
