@@ -156,6 +156,24 @@ if t1 < 0.95:
     sys.exit("FAIL: threaded backend on 1 thread regresses vs numpy backend")
 PY
 
+echo "== committed BENCH_train.json schema + provenance gate =="
+python - benchmarks/perf/BENCH_train.json <<'PY'
+import json, sys
+with open(sys.argv[1]) as handle:
+    suite = json.load(handle)
+if suite.get("schema") != 1 or suite.get("suite") != "train":
+    sys.exit("FAIL: BENCH_train.json is not a schema-1 train suite")
+if suite.get("smoke"):
+    sys.exit("FAIL: committed BENCH_train.json must be a full-mode run")
+if not (suite.get("provenance") or {}).get("git_sha"):
+    sys.exit("FAIL: BENCH_train.json provenance lacks a git_sha")
+cases = {case["name"]: case for case in suite["cases"]}
+if "train_epoch_cnn" not in cases:
+    sys.exit("FAIL: BENCH_train.json is missing case 'train_epoch_cnn'")
+rate = cases["train_epoch_cnn"]["metrics"]["samples_per_s"]
+print(f"train_epoch_cnn: {rate:.1f} samples/s ({suite['provenance']['git_sha']})")
+PY
+
 echo "== disarmed-tracing overhead gate (< 1%) =="
 python - "$smoke_dir/BENCH_obs.json" <<'PY'
 import json, sys

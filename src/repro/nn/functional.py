@@ -6,19 +6,25 @@ nearest-neighbour upsampling as tape-aware operations on
 im2col/col2im reduction to matrix multiplication, which is the fastest
 strategy available in pure numpy.
 
-All spatial tensors use the NCHW layout: ``(batch, channels, height,
-width)``.
+All spatial tensors have the NCHW shape ``(batch, channels, height,
+width)``; their memory order may differ.  A convolution's output is an
+NCHW view of its GEMM's ``(N*H*W, C)`` rows (channels-last in memory),
+and on the tape it stays in that order: ReLU, max-pool and
+:func:`col2im` write their results in their input's memory order, and
+the conv backward takes a gradient already in row order as a zero-copy
+GEMM operand.  So nothing in a conv → ReLU → max-pool stage is copied
+to NCHW order, forward or backward; the next conv's im2col packs its
+input from whatever order it arrives in.
 
 Every operator has two execution paths:
 
 * the **reference tape path**, taken whenever gradients must flow
   (grad enabled and some input requires grad): allocates fresh arrays
   and wires a backward closure into the tape;
-* the **inference fast path**, taken otherwise: builds no closures,
-  skips backward-only bookkeeping (pooling argmax), and — inside
-  :class:`~repro.nn.tensor.inference_mode` — reuses process-wide
-  im2col/GEMM scratch buffers so a steady-state serving loop performs
-  no large allocations per batch.
+* the **inference fast path**, taken otherwise: builds no closures
+  and — inside :class:`~repro.nn.tensor.inference_mode` — reuses
+  process-wide im2col/GEMM scratch buffers so a steady-state serving
+  loop performs no large allocations per batch.
 
 Unfolding (both paths) goes through a cached **im2col index map**: a
 read-only gather-index matrix keyed by ``(shape, kernel, stride,
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -375,10 +381,15 @@ def col2im(
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add columns back into an image.
 
-    ``out_padded``, when given, must be a ``(N, C, H + 2*ph, W + 2*pw)``
-    buffer; it is zeroed and used as the accumulation target, and for
-    nonzero padding the returned array is a view into it — callers that
-    pass scratch here must consume the result before the next call.
+    Taps are added in ``(i, j)`` order into a channels-last padded
+    buffer, the row order of ``cols`` itself, so each tap reads its
+    channels at a stride of ``kh*kw`` elements.  The result is an NCHW
+    view of that buffer (channels-last in memory).
+
+    ``out_padded``, when given, must be a ``(N, H + 2*ph, W + 2*pw, C)``
+    buffer; it is zeroed and used as the accumulation target, and the
+    returned array is a view into it — callers that pass scratch here
+    must consume the result before the next call.
     """
     n, c, h, w = x_shape
     kh, kw = kernel
@@ -388,45 +399,37 @@ def col2im(
     out_w = conv_output_size(w, kw, sw, pw)
 
     if out_padded is None:
-        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+        padded = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=cols.dtype)
     else:
         padded = out_padded
         padded.fill(0)
-    reshaped = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    # reshaped: (N, C, kh, kw, out_h, out_w)
+    taps = cols.reshape(n, out_h, out_w, c, kh, kw)
     for i in range(kh):
         i_end = i + sh * out_h
         for j in range(kw):
             j_end = j + sw * out_w
-            padded[:, :, i:i_end:sh, j:j_end:sw] += reshaped[:, :, i, j]
-    if ph or pw:
-        return padded[:, :, ph:h + ph, pw:w + pw]
-    return padded
+            padded[:, i:i_end:sh, j:j_end:sw] += taps[..., i, j]
+    return padded[:, ph:h + ph, pw:w + pw].transpose(0, 3, 1, 2)
 
 
-def _strided_windows(
-    x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int]
-) -> np.ndarray:
-    """Read-only sliding-window view ``(N, C, oh, ow, kh, kw)`` of ``x``."""
-    n, c, h, w = x.shape
+def _window_taps(
+    shape: Tuple[int, ...], kernel: Tuple[int, int], stride: Tuple[int, int]
+) -> List[Tuple[object, slice, slice]]:
+    """Index of each window tap ``(i, j)``, in row-major window order.
+
+    ``x[taps[k]]`` is the ``(N, C, oh, ow)`` view of tap ``k`` of every
+    window, so a pooling op is ``kh*kw`` strided-slice passes over ``x``
+    in its own memory order.
+    """
     kh, kw = kernel
     sh, sw = stride
-    out_h = (h - kh) // sh + 1
-    out_w = (w - kw) // sw + 1
-    strides = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * sh,
-            strides[3] * sw,
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
-    )
+    out_h = (shape[2] - kh) // sh + 1
+    out_w = (shape[3] - kw) // sw + 1
+    return [
+        (Ellipsis, slice(i, i + out_h * sh, sh), slice(j, j + out_w * sw, sw))
+        for i in range(kh)
+        for j in range(kw)
+    ]
 
 
 def _pad_input(
@@ -589,15 +592,14 @@ def conv2d(
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
-        # grad: (N, C_out, oh, ow) -> (N*oh*ow, C_out)
-        if use_scratch:
+        # grad: (N, C_out, oh, ow) -> (N*oh*ow, C_out); a zero-copy view
+        # when grad is already in the GEMM's row order.
+        grad_rows = grad.transpose(0, 2, 3, 1)
+        if use_scratch and not grad_rows.flags.c_contiguous:
             grad_mat = scratch.get("grad_mat", (rows, c_out), grad.dtype)
-            np.copyto(
-                grad_mat.reshape(n, out_h, out_w, c_out),
-                grad.transpose(0, 2, 3, 1),
-            )
+            np.copyto(grad_mat.reshape(n, out_h, out_w, c_out), grad_rows)
         else:
-            grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, c_out)
+            grad_mat = grad_rows.reshape(rows, c_out)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=0))
         if weight.requires_grad:
@@ -613,7 +615,7 @@ def conv2d(
                 np.matmul(grad_mat, w_mat, out=grad_cols)
                 padded = scratch.get(
                     "col2im",
-                    (n, c_in, h + 2 * padding[0], w + 2 * padding[1]),
+                    (n, h + 2 * padding[0], w + 2 * padding[1], c_in),
                     grad.dtype,
                 )
                 grad_x = col2im(
@@ -806,95 +808,78 @@ def max_pool2d(x: Tensor, kernel: IntPair = 2, stride: IntPair = None) -> Tensor
     Window geometry follows the paper: every conv layer is followed by a
     2x2 max-pool.  Inputs whose spatial size is not divisible by the
     stride are truncated (floor semantics), matching common frameworks.
+
+    When recording, the window max is ``kh*kw`` strided-slice
+    ``np.maximum`` passes written in the input's memory order, and
+    backward routes each window's gradient to its first maximum in
+    row-major window order (argmax's tie rule), again in the input's
+    order.  A cell shared by overlapping windows sums their gradients
+    in ascending window order, as ``np.add.at`` would.  Routing is exact
+    for finite values: a window whose maximum is NaN passes no gradient,
+    and a non-finite gradient also reaches its window's other cells as
+    NaN (the step is non-finite either way).
     """
     kernel = _pair(kernel)
     if stride is None:
         stride = kernel
     stride = _pair(stride)
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    out_h = (h - kh) // sh + 1
-    out_w = (w - kw) // sw + 1
-
     if not _recording(x):
-        # Fast path: slice-wise window max, no argmax bookkeeping (only
-        # backward needs the winner coordinates).
+        # Fast path: C-contiguous output, no routing bookkeeping.
         return Tensor(_pool_max_slices(x.data, kernel, stride))
-    windows = _strided_windows(x.data, kernel, stride)
-    flat = windows.reshape(n, c, out_h, out_w, kh * kw)
-    argmax = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
+    data = x.data
+    taps = _window_taps(data.shape, kernel, stride)
+    out_data = data[taps[0]].copy(order="K")
+    for tap in taps[1:]:
+        np.maximum(out_data, data[tap], out=out_data)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        if (sh, sw) == (kh, kw):
-            # Non-overlapping windows: every input cell belongs to at
-            # most one window, so the winner scatter is a plain
-            # put_along_axis into per-window slots — far cheaper than
-            # the general np.add.at gather-scatter below.
-            slots = np.zeros((n, c, out_h, out_w, kh * kw), dtype=grad.dtype)
-            np.put_along_axis(slots, argmax[..., None], grad[..., None], axis=-1)
-            block = (
-                slots.reshape(n, c, out_h, out_w, kh, kw)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, out_h * kh, out_w * kw)
-            )
-            if block.shape[2:] == (h, w):
-                grad_x = block
-            else:  # floor-truncated tail rows/cols received no gradient
-                grad_x = np.zeros_like(x.data)
-                grad_x[:, :, : out_h * kh, : out_w * kw] = block
-            x._accumulate(grad_x)
-            return
-        grad_x = np.zeros_like(x.data)
-        # Decode flat window argmax back to input coordinates.
-        ki, kj = np.unravel_index(argmax, (kh, kw))
-        n_idx, c_idx, i_idx, j_idx = np.indices(argmax.shape)
-        rows = i_idx * sh + ki
-        cols = j_idx * sw + kj
-        np.add.at(grad_x, (n_idx, c_idx, rows, cols), grad)
+        hits = []
+        unrouted = None  # windows whose first maximum is still ahead
+        for tap in taps:
+            hit = data[tap] == out_data
+            if unrouted is None:
+                unrouted = ~hit
+            else:
+                hit &= unrouted
+                unrouted ^= hit
+            hits.append(hit)
+        grad_x = np.zeros_like(data)
+        # Later taps belong to earlier windows of a shared cell.
+        for tap, hit in zip(reversed(taps), reversed(hits)):
+            grad_x[tap] += grad * hit
         x._accumulate(grad_x)
 
     return Tensor._make(out_data, (x,), backward)
 
 
 def avg_pool2d(x: Tensor, kernel: IntPair = 2, stride: IntPair = None) -> Tensor:
-    """Average pooling; used by ablation variants of the architecture."""
+    """Average pooling; used by ablation variants of the architecture.
+
+    Tape and inference share one slice-wise accumulation, so both
+    return the same bits.
+    """
     kernel = _pair(kernel)
     if stride is None:
         stride = kernel
     stride = _pair(stride)
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    out_h = (h - kh) // sh + 1
-    out_w = (w - kw) // sw + 1
-
-    scale = x.data.dtype.type(1.0 / (kh * kw))
+    data = x.data
+    taps = _window_taps(data.shape, kernel, stride)
+    scale = data.dtype.type(1.0 / len(taps))
+    out_data = data[taps[0]].copy()
+    for tap in taps[1:]:
+        out_data += data[tap]
+    out_data *= scale
     if not _recording(x):
-        # Fast path: slice-wise accumulation, same rationale as max-pool.
-        total: Optional[np.ndarray] = None
-        for i in range(kh):
-            for j in range(kw):
-                piece = x.data[:, :, i:i + out_h * sh:sh, j:j + out_w * sw:sw]
-                if total is None:
-                    total = np.ascontiguousarray(piece)
-                else:
-                    total += piece
-        total *= scale
-        return Tensor(total)
-    windows = _strided_windows(x.data, kernel, stride)
-    out_data = windows.mean(axis=(-1, -2), dtype=x.data.dtype)
+        return Tensor(out_data)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        grad_x = np.zeros_like(x.data)
-        for i in range(kh):
-            for j in range(kw):
-                grad_x[:, :, i:i + out_h * sh:sh, j:j + out_w * sw:sw] += grad * scale
+        grad_x = np.zeros_like(data)
+        for tap in taps:
+            grad_x[tap] += grad * scale
         x._accumulate(grad_x)
 
     return Tensor._make(out_data, (x,), backward)

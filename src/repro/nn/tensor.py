@@ -106,12 +106,11 @@ class inference_mode(no_grad):
     Inside this context, no backward closures are ever constructed, and
     the spatial operators in :mod:`repro.nn.functional` are allowed to
 
-    * reuse process-wide im2col/col2im scratch buffers instead of
-      allocating fresh ones per call,
+    * reuse process-wide im2col/GEMM scratch buffers instead of
+      allocating fresh ones per call, and
     * fuse conv → bias → ReLU into a single in-place pass
       (:class:`~repro.nn.layers.container.Sequential` performs the
-      pairing), and
-    * skip the argmax bookkeeping in pooling that only backward needs.
+      pairing).
 
     The numerical results are identical to the reference tape path up
     to floating-point associativity (the parity tests in
@@ -491,11 +490,12 @@ class Tensor:
         return self ** 0.5
 
     def relu(self) -> "Tensor":
+        # One pass in the input's memory order; ReLU(-inf) is 0 on both
+        # paths and the tape retains only the mask.
+        out_data = np.maximum(self.data, 0)
         if not self._recording():
-            # Fast path: single in-register pass, no mask retained.
-            return Tensor(np.maximum(self.data, 0))
-        mask = self.data > 0
-        out_data = self.data * mask
+            return Tensor(out_data)
+        mask = out_data > 0
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

@@ -1,12 +1,21 @@
 """Tests for the autograd Tensor."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn.tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack
+from repro.nn.tensor import (
+    Tensor,
+    concatenate,
+    inference_mode,
+    is_grad_enabled,
+    no_grad,
+    stack,
+)
 
 
 def tensor_from(values, requires_grad=True):
@@ -137,6 +146,18 @@ class TestNonlinearities:
         x = tensor_from([-1.0, 2.0])
         x.relu().sum().backward()
         np.testing.assert_allclose(x.grad, [0.0, 1.0])
+
+    def test_relu_tape_matches_inference_bitwise(self):
+        values = [-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf, np.nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = tensor_from(values)
+            tape = x.relu()
+            with inference_mode():
+                fast = tensor_from(values, requires_grad=False).relu()
+            tape.backward(np.ones(len(values), dtype=np.float32))
+        assert tape.data.tobytes() == fast.data.tobytes()
+        np.testing.assert_array_equal(x.grad, [0, 0, 0, 0, 1, 1, 0])
 
     def test_leaky_relu_slope(self):
         x = tensor_from([-2.0, 2.0])
