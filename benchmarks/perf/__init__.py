@@ -1,9 +1,9 @@
-"""Wall-clock micro-benchmarks for the repro.nn inference fast path.
+"""Wall-clock micro-benchmarks for repro.nn inference and training.
 
 Unlike the artifact benchmarks one directory up (which regenerate paper
 tables), this package measures *performance*: conv forward kernels, the
-Table-I CNN forward on the reference tape path vs. the
-:class:`~repro.nn.tensor.inference_mode` fast path, SelectiveNet
+Table-I CNN forward on the reference tape path vs. the same forward
+under :class:`~repro.nn.tensor.inference_mode` (no tape), SelectiveNet
 end-to-end prediction, and one training epoch.
 
 Run it as a module::

@@ -2,9 +2,9 @@
 
 The headline case is ``cnn_forward`` — the Table-I CNN forward on a
 batch, timed on the reference tape path (gradients recorded) and again
-under :class:`~repro.nn.tensor.inference_mode` (tape-free, scratch
-buffers, fused conv→ReLU→pool).  Its ``metrics.speedup_median`` is the
-number the fast path is held to (>= 2x at the full workload).
+under :class:`~repro.nn.tensor.inference_mode` (the same forward with
+no tape).  ``conv_forward_inference.speedup_median`` is gated at >= 1x
+by ``scripts/check.sh``: eager inference must not lose to the tape.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from repro import nn
 from repro.core.cnn import BackboneConfig, WaferCNN
 from repro.core.selective import SelectiveNet
-from repro.nn import functional as F
 
 from .harness import CaseResult, run_case
 
@@ -24,7 +23,7 @@ __all__ = ["run_infer_suite"]
 
 
 def _conv_cases(repeats: int, smoke: bool) -> List[CaseResult]:
-    """Single Conv2D forward: tape path vs. tape-free fast path."""
+    """Single Conv2D forward: tape path vs. tape-free eager path."""
     batch, size = (8, 32) if smoke else (64, 64)
     rng = np.random.default_rng(0)
     layer = nn.Conv2D(1, 64, 5, padding="same", rng=rng)
@@ -43,15 +42,15 @@ def _conv_cases(repeats: int, smoke: bool) -> List[CaseResult]:
         with nn.inference_mode():
             layer(x_plain)
 
-    fused = run_case(
+    inference = run_case(
         "conv_forward_inference",
         fast,
         repeats=repeats,
         params=params,
         metrics={"speedup_median": tape.wall_s_median},
     )
-    fused.metrics["speedup_median"] = tape.wall_s_median / fused.wall_s_median
-    return [tape, fused]
+    inference.metrics["speedup_median"] = tape.wall_s_median / inference.wall_s_median
+    return [tape, inference]
 
 
 def _cnn_cases(repeats: int, smoke: bool) -> List[CaseResult]:
@@ -105,7 +104,6 @@ def run_infer_suite(smoke: bool = False, repeats: int = 5) -> List[CaseResult]:
     """All inference cases; ``smoke=True`` shrinks workloads to seconds."""
     if smoke:
         repeats = min(repeats, 2)
-    F.clear_scratch()
     cases = []
     cases.extend(_conv_cases(repeats, smoke))
     cases.extend(_cnn_cases(repeats, smoke))

@@ -129,24 +129,17 @@ for name, case in cases.items():
         sys.exit(f"FAIL: {name} is not stamped with backend=threaded")
 conv = cases["conv_forward_compiled"]["metrics"]["speedup_vs_tape"]
 cnn = cases["cnn_forward_compiled"]["metrics"]["speedup_vs_tape"]
-vs_fused = cases["cnn_forward_compiled"]["metrics"]["speedup_vs_fused"]
 infer_cases = {case["name"]: case for case in infer["cases"]}
 eager_conv = infer_cases["conv_forward_inference"]["metrics"]["speedup_median"]
-# The CNN gate compares compiled against the fused baseline *measured
-# back-to-back in the same artifact* (speedup_vs_fused): cross-file
-# ratios swing with machine load, same-run ratios do not.
 print(f"compiled conv vs tape: {conv:.2f}x (gate: >= 1.0)")
-print(f"eager fused conv vs tape: {eager_conv:.2f}x (gate: >= 1.0)")
+print(f"eager conv vs tape: {eager_conv:.2f}x (gate: >= 1.0)")
 print(f"compiled CNN vs tape: {cnn:.2f}x (gate: >= 2.0)")
-print(f"compiled CNN vs same-run fused baseline: {vs_fused:.2f}x (gate: >= 0.95)")
 if conv < 1.0:
     sys.exit("FAIL: compiled single-conv loses to the tape path")
 if eager_conv < 1.0:
     sys.exit("FAIL: eager conv inference regression is back (< 1.0x vs tape)")
 if cnn < 2.0:
     sys.exit("FAIL: compiled CNN lost the fused-class speedup (< 2x vs tape)")
-if vs_fused < 0.95:
-    sys.exit("FAIL: compiled CNN is slower than the same-run fused baseline")
 # 1-thread no-regression gate: with one worker the threaded backend
 # runs the identical tile sequence inline, so parallelism being
 # unavailable must cost (almost) nothing vs the numpy backend.

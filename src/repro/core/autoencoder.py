@@ -102,7 +102,7 @@ class ConvAutoencoder(nn.Module):
     # ------------------------------------------------------------------
     def _stream(self, fn, inputs: np.ndarray, item_shape: Tuple[int, ...],
                 batch_size: int) -> np.ndarray:
-        """Run ``fn`` chunk-wise on the inference fast path.
+        """Run ``fn`` chunk-wise with no tape.
 
         Writes into a preallocated ``(N,) + item_shape`` output so peak
         memory stays fixed regardless of ``len(inputs)``.

@@ -125,29 +125,19 @@ class WaferCNN(nn.Module):
     def predict_proba(self, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Softmax class probabilities for a ``(N, 1, H, W)`` array.
 
-        Streams fixed-size chunks through the
-        :class:`~repro.nn.tensor.inference_mode` fast path into a
+        Streams fixed-size chunks through the compiled graph (or its
+        bit-identical eager twin when the graph cannot run) into a
         preallocated output, so peak memory does not grow with ``N``.
         """
         count = len(inputs)
         probabilities = np.empty((count, self.num_classes), dtype=self.head.weight.dtype)
-        with nn.inference_mode():
-            was_training = self.training
-            self.eval()
-            compiled = compiled_for(self)
-            for start in range(0, count, batch_size):
-                stop = min(start + batch_size, count)
-                chunk = inputs[start:stop]
-                # Compiled and eager paths are bit-identical (pinned by
-                # tests/compile/), so which one serves a chunk is purely
-                # a performance decision.
-                outputs = compiled.try_run(chunk)
-                if outputs is not None:
-                    probabilities[start:stop] = outputs[0]
-                    continue
-                logits = self.forward(nn.Tensor(chunk))
-                probabilities[start:stop] = logits.softmax(axis=-1).data
-            self.train(was_training)
+        was_training = self.training
+        self.eval()
+        compiled = compiled_for(self)
+        for start in range(0, count, batch_size):
+            stop = min(start + batch_size, count)
+            probabilities[start:stop] = compiled(inputs[start:stop])[0]
+        self.train(was_training)
         return probabilities
 
     def predict(self, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
@@ -155,7 +145,12 @@ class WaferCNN(nn.Module):
         return self.predict_proba(inputs, batch_size=batch_size).argmax(axis=1)
 
 
-@register_graph_factory(WaferCNN)
+def _wafer_cnn_eager(model: WaferCNN, x: nn.Tensor):
+    """Eager twin of :func:`_wafer_cnn_graph`."""
+    return (model(x).softmax(axis=-1).data,)
+
+
+@register_graph_factory(WaferCNN, eager=_wafer_cnn_eager)
 def _wafer_cnn_graph(model: WaferCNN, input_shape, dtype):
     """Lazy graph of one :meth:`WaferCNN.predict_proba` chunk:
     backbone → head → softmax, single ``probabilities`` output."""

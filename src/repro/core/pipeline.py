@@ -123,8 +123,8 @@ class SelectiveWaferClassifier:
     ) -> SelectivePrediction:
         """Selective inference over ``(N, 1, H, W)`` inputs.
 
-        Runs chunk-wise (``batch_size`` samples at a time) on the
-        inference fast path, so memory stays fixed for large ``N``.
+        Runs chunk-wise (``batch_size`` samples at a time) through the
+        compiled model, so memory stays fixed for large ``N``.
         """
         self._require_fitted()
         return self.model.predict_selective(

@@ -148,37 +148,23 @@ class SelectiveNet(nn.Module):
         Selection scores are pre-sigmoid logits (see
         :class:`SelectivePrediction` for why).
 
-        Runs on the :class:`~repro.nn.tensor.inference_mode` fast path
-        with fixed memory: outputs are written into preallocated
-        arrays chunk by chunk, and the per-batch conv scratch buffers
-        are reused across chunks, so peak memory is independent of
-        ``len(inputs)`` (beyond the outputs themselves).
+        Runs chunk by chunk through the compiled graph (or its
+        bit-identical eager twin when the graph cannot run, so served
+        decisions never depend on which arm ran) into preallocated
+        outputs, so peak memory is independent of ``len(inputs)``
+        (beyond the outputs themselves).
         """
         count = len(inputs)
         dtype = self.prediction_head.weight.dtype
         probabilities = np.empty((count, self.num_classes), dtype=dtype)
         scores = np.empty((count,), dtype=dtype)
-        with nn.inference_mode():
-            was_training = self.training
-            self.eval()
-            compiled = compiled_for(self)
-            for start in range(0, count, batch_size):
-                stop = min(start + batch_size, count)
-                chunk = inputs[start:stop]
-                # Bit-identical to the eager path below (pinned by
-                # tests/compile/), so served decisions do not depend on
-                # whether a chunk was compiled.
-                outputs = compiled.try_run(chunk)
-                if outputs is not None:
-                    probabilities[start:stop] = outputs[0]
-                    scores[start:stop] = outputs[1]
-                    continue
-                features = self.backbone(nn.Tensor(chunk))
-                logits = self.prediction_head(features)
-                selection_logit = self.selection_head(features).reshape(-1)
-                probabilities[start:stop] = logits.softmax(axis=-1).data
-                scores[start:stop] = selection_logit.data
-            self.train(was_training)
+        was_training = self.training
+        self.eval()
+        compiled = compiled_for(self)
+        for start in range(0, count, batch_size):
+            stop = min(start + batch_size, count)
+            probabilities[start:stop], scores[start:stop] = compiled(inputs[start:stop])
+        self.train(was_training)
         return probabilities, scores
 
     def predict_selective(
@@ -206,7 +192,15 @@ class SelectiveNet(nn.Module):
         )
 
 
-@register_graph_factory(SelectiveNet)
+def _selective_net_eager(model: SelectiveNet, x: nn.Tensor):
+    """Eager twin of :func:`_selective_net_graph`."""
+    features = model.backbone(x)
+    logits = model.prediction_head(features)
+    scores = model.selection_head(features).reshape(-1)
+    return logits.softmax(axis=-1).data, scores.data
+
+
+@register_graph_factory(SelectiveNet, eager=_selective_net_eager)
 def _selective_net_graph(model: SelectiveNet, input_shape, dtype):
     """Lazy graph of one :meth:`SelectiveNet.predict_batched` chunk.
 

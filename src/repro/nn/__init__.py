@@ -46,7 +46,7 @@ from .layers import (
 )
 from .losses import binary_cross_entropy, cross_entropy, mse_loss, nll_loss, one_hot
 from .optim import SGD, Adam, ConstantLR, CosineLR, ExponentialLR, RMSProp, StepLR
-from .functional import free_inference_scratch, train_scratch
+from .functional import train_scratch
 from .serialization import load_model, load_optimizer, save_model, save_optimizer
 from .tensor import (
     Tensor,
@@ -55,7 +55,6 @@ from .tensor import (
     get_default_dtype,
     inference_mode,
     is_grad_enabled,
-    is_inference_mode,
     no_grad,
     set_default_dtype,
     stack,
@@ -66,7 +65,6 @@ __all__ = [
     "no_grad",
     "inference_mode",
     "is_grad_enabled",
-    "is_inference_mode",
     "default_dtype",
     "get_default_dtype",
     "set_default_dtype",
@@ -113,6 +111,5 @@ __all__ = [
     "save_optimizer",
     "load_optimizer",
     "train_scratch",
-    "free_inference_scratch",
     "load_model",
 ]

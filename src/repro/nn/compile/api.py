@@ -6,14 +6,15 @@ The contract, end to end:
   live model — parameters are *bound by reference* (re-read every run),
   so optimizer steps and ``load_state_dict`` are picked up without
   recompiling.
-* Compiled outputs are **bit-identical** to the eager
-  :class:`~repro.nn.tensor.inference_mode` outputs for the same inputs
-  (pinned by the parity test wall).
+* Compiled outputs are **bit-identical** to the plain eager forward
+  (the tape's forward with recording off) for the same inputs, in
+  values and memory layout (pinned by the parity test wall).
 * Anything the compiler does not cover — unknown layer types, layer
   subclasses, training-mode dropout/batch-norm, hooked modules — makes
   :meth:`CompiledModule.try_run` return ``None`` and bumps the
   ``compile.fallbacks`` counter; it never raises at the call site.
-  Callers keep their eager path as the fallback arm.
+  Calling the :class:`CompiledModule` falls back to the graph's eager
+  twin, so both arms compute the same function.
 
 One graph is cached on the :class:`CompiledModule` per ``(per-sample
 shape, dtype, backend)``: batch size is not part of the key.  The graph
@@ -25,7 +26,8 @@ ramping through sizes compiles O(log n) times, and one that reserves
 its largest batch up front (:meth:`CompiledModule.reserve`, as the
 serving engine does) compiles once.  Model classes outside
 :mod:`repro.nn` (e.g. :class:`repro.core.selective.SelectiveNet`) plug
-in whole-model graphs via :func:`register_graph_factory`.
+in whole-model graphs, each with its eager twin, via
+:func:`register_graph_factory`.
 
 Telemetry (``repro.obs`` default registry):
 
@@ -49,7 +51,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from ..layers.base import Module
-from ..tensor import _as_array
+from ..tensor import Tensor, _as_array, no_grad
 from .backend import get_backend
 from .executor import CompiledGraph
 from .fuse import fuse_graph
@@ -192,31 +194,45 @@ def active_backend_info() -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # Whole-model graph factories
 # ----------------------------------------------------------------------
-#: ``factory(model, input_shape, dtype) -> Graph`` keyed by exact type.
+#: ``factory(model, input_shape, dtype) -> Graph``.
 GraphFactory = Callable[[object, Tuple[int, ...], np.dtype], Graph]
 
-_GRAPH_FACTORIES: Dict[type, GraphFactory] = {}
+#: ``eager(model, x) -> outputs``: a factory graph's outputs computed
+#: eagerly from the tensor ``x``, as plain arrays in output order.
+EagerFn = Callable[[object, Tensor], Tuple[np.ndarray, ...]]
+
+#: Exact model type -> (graph factory, its eager twin).
+_GRAPH_FACTORIES: Dict[type, Tuple[GraphFactory, EagerFn]] = {}
 
 
-def register_graph_factory(model_type: type):
+def register_graph_factory(model_type: type, *, eager: EagerFn):
     """Register a whole-model graph builder for an exact model type.
 
     Used by model classes whose inference output is not simply
     ``forward(x)`` — e.g. SelectiveNet's two-headed
-    ``(probabilities, selection_scores)``.
+    ``(probabilities, selection_scores)``.  ``eager`` computes the same
+    outputs without compiling; :meth:`CompiledModule.__call__` runs it
+    whenever the graph cannot run, so both arms return the same thing.
     """
 
     def decorator(factory: GraphFactory) -> GraphFactory:
-        _GRAPH_FACTORIES[model_type] = factory
+        _GRAPH_FACTORIES[model_type] = (factory, eager)
         return factory
 
     return decorator
 
 
+def _forward_outputs(model, x: Tensor) -> Tuple[np.ndarray, ...]:
+    result = model(x)
+    if isinstance(result, tuple):
+        return tuple(t.data for t in result)
+    return (result.data,)
+
+
 def _build_graph(model, input_shape: Tuple[int, ...], dtype) -> Graph:
-    factory = _GRAPH_FACTORIES.get(type(model))
-    if factory is not None:
-        return factory(model, input_shape, dtype)
+    registered = _GRAPH_FACTORIES.get(type(model))
+    if registered is not None:
+        return registered[0](model, input_shape, dtype)
     if isinstance(model, Module):
         # Structural trace of forward; exact-type dispatch inside raises
         # UnsupportedOpError for anything unknown (including subclasses).
@@ -341,22 +357,19 @@ class CompiledModule:
     def __call__(self, x) -> Tuple[np.ndarray, ...]:
         """Run the model's compiled inference function on ``x``.
 
-        Falls back to eager ``model(x)`` (under no tape) when the model
-        is not compilable; either way the result is the tuple of plain
-        output arrays the traced graph defines (for a plain ``Module``,
-        the forward output).
+        When the graph cannot run, computes the same function eagerly
+        (under no tape): the registered factory's eager twin, or
+        ``model(x)`` for a plain ``Module``.  Either way the result is
+        the tuple of plain output arrays the graph defines.
         """
-        data = x.data if hasattr(x, "data") else _as_array(x)
+        data = x.data if isinstance(x, Tensor) else _as_array(x)
         outputs = self.try_run(data)
         if outputs is not None:
             return outputs
-        from ..tensor import Tensor, inference_mode
-
-        with inference_mode():
-            result = self.model(Tensor(data))
-        if isinstance(result, tuple):
-            return tuple(t.data for t in result)
-        return (result.data,)
+        registered = _GRAPH_FACTORIES.get(type(self.model))
+        eager = _forward_outputs if registered is None else registered[1]
+        with no_grad():
+            return eager(self.model, Tensor(data))
 
     # -- bookkeeping ----------------------------------------------------
     @property

@@ -13,11 +13,11 @@ Backends register by name in a process-wide table
 BLAS-batched implementation is a registration, not a rewrite of the
 compiler: trace, fusion, and planning are backend-agnostic.
 
-The stock :class:`NumpyBackend` mirrors the eager inference fast paths
-*operation for operation* — same gather maps, same GEMM call shapes,
-same in-place bias/activation sequence, same NHWC pooling reduction —
-so compiled outputs are bit-identical to eager ``inference_mode``
-outputs (pinned by ``tests/compile/test_compile_parity.py``).
+The stock :class:`NumpyBackend` mirrors the plain eager forward (the
+tape's forward with recording off) *operation for operation* — same
+gather maps, same GEMM call shapes, same bias/activation arithmetic,
+same window-tap pooling passes — so compiled outputs are bit-identical
+to eager outputs (pinned by ``tests/compile/test_compile_parity.py``).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class Backend:
         freshly-owned array (often a zero-copy layout view) to its
         consumers through the run environment instead of filling a
         preallocated buffer.  This is how a conv kernel avoids the
-        NHWC→NCHW materialization copy the eager fast path never pays.
+        NHWC→NCHW materialization copy the eager conv never pays.
         """
         return False
 
@@ -122,13 +122,12 @@ def _is_conv_kernel(kernel: Kernel) -> bool:
 
 
 class NumpyBackend(Backend):
-    """Reference interpreter: the eager numpy fast paths, arena-hosted.
+    """Reference interpreter: the eager numpy forward, arena-hosted.
 
-    Every lowering below replays the exact numpy call sequence of the
-    corresponding eager inference path, because bit-identical parity is
-    part of the compiled path's contract.  Change one only together
-    with its eager twin (and the parity wall will tell you if you
-    forget).
+    Every lowering below replays the numpy arithmetic of the
+    corresponding eager op, because bit-identical parity is part of the
+    compiled path's contract.  Change one only together with its eager
+    twin (and the parity wall will tell you if you forget).
     """
 
     name = "numpy"
@@ -157,9 +156,8 @@ class NumpyBackend(Backend):
             # Pooled convs GEMM into arena scratch (the pooling max
             # allocates the small surviving array).  Unpooled convs
             # GEMM into a fresh per-run buffer whose transposed view
-            # *is* the published output — mirroring the eager fast
-            # path's allocation behaviour exactly — so they want no
-            # arena-hosted GEMM scratch.
+            # *is* the published output, as the eager conv's is, so
+            # they want no arena-hosted GEMM scratch.
             requests.append(("gemm", n * out_hw * root.shape[1] * item))
         return requests
 
@@ -190,14 +188,19 @@ class NumpyBackend(Backend):
     ) -> Callable[[dict], None]:
         root = kernel.ops[0]
         if kernel.kind == "gemm" and root.kind == "conv2d":
-            return self._lower_conv(kernel, program, get, out, scratch)
+            return self._lower_conv(kernel, get, out, scratch)
         if kernel.kind == "gemm" and root.kind == "matmul":
             return self._lower_matmul(kernel, get, out)
         if kernel.kind == "elementwise":
             return self._lower_elementwise_chain(kernel, get, out)
+        if root.kind in ("maxpool", "avgpool"):
+            taps = F._window_taps(
+                program.graph.op(root.inputs[0]).shape,
+                root.params["kernel"], root.params["stride"],
+            )
+            pool = self._lower_maxpool if root.kind == "maxpool" else self._lower_avgpool
+            return pool(taps, get(root.inputs[0]), out)
         single = {
-            "maxpool": self._lower_maxpool,
-            "avgpool": self._lower_avgpool,
             "upsample": self._lower_upsample,
             "softmax": self._lower_softmax,
             "log_softmax": self._lower_log_softmax,
@@ -210,7 +213,6 @@ class NumpyBackend(Backend):
     def _lower_conv(
         self,
         kernel: Kernel,
-        program: FusedProgram,
         get: Callable[[int], Getter],
         out: Getter,
         scratch: Dict[str, np.ndarray],
@@ -233,17 +235,15 @@ class NumpyBackend(Backend):
         cols3 = scratch["cols"].view(dt).reshape((capacity,) + index.shape)
         pool_hw = kernel.pool[0].params["kernel"] if kernel.pool else None
         out_id = kernel.output
-        # A pooled graph output escapes in eager's contiguous NCHW layout.
-        copy_out = pool_hw is not None and out_id in program.graph.output_ids
         gemm = None
         if "gemm" in scratch:
             gemm = scratch["gemm"].view(dt).reshape(capacity * out_hw, c_out)
 
         # The output is *published*, not copied out (hosts_output):
-        # pooled convs hand over the pooling reduction's fresh array,
-        # unpooled convs a transposed view of a fresh GEMM buffer —
-        # the exact objects (and allocations) of the eager fast path,
-        # with no NCHW materialization copy in either case.
+        # pooled convs hand over the NHWC-transposed view of the pooling
+        # reduction's fresh array, unpooled convs a transposed view of a
+        # fresh GEMM buffer — channels-last in memory, like the eager
+        # conv and max-pool results, with no NCHW materialization copy.
         def run(env: dict) -> None:
             x = get_x(env)
             n = len(x)
@@ -265,8 +265,7 @@ class NumpyBackend(Backend):
             if pool_hw is not None:
                 qh, qw = pool_hw
                 nhwc = buf.reshape(n, out_h // qh, qh, out_w // qw, qw, c_out)
-                pooled = nhwc.max(axis=(2, 4)).transpose(0, 3, 1, 2)
-                env[out_id] = pooled.copy() if copy_out else pooled
+                env[out_id] = nhwc.max(axis=(2, 4)).transpose(0, 3, 1, 2)
             else:
                 env[out_id] = buf.reshape(n, out_h, out_w, c_out).transpose(
                     0, 3, 1, 2
@@ -404,46 +403,30 @@ class NumpyBackend(Backend):
         return run
 
     # -- Singleton kernels ---------------------------------------------
+    # Both pools replay their F twin's window-tap passes, accumulating
+    # into the planned buffer instead of a fresh array.
     def _lower_maxpool(
-        self, op: LazyOp, get_x: Getter, out: Getter
+        self, taps: List[tuple], get_x: Getter, out: Getter
     ) -> Callable[[dict], None]:
-        kh, kw = op.params["kernel"]
-        sh, sw = op.params["stride"]
-        out_h, out_w = op.shape[2], op.shape[3]
-
         def run(env: dict) -> None:
             x = get_x(env)
             target = out(env)
-            # Same slice-wise reduction as F._pool_max_slices, with the
-            # accumulator hosted in the arena instead of a fresh array.
-            np.copyto(target, x[:, :, 0:out_h * sh:sh, 0:out_w * sw:sw])
-            for i in range(kh):
-                for j in range(kw):
-                    if i == 0 and j == 0:
-                        continue
-                    piece = x[:, :, i:i + out_h * sh:sh, j:j + out_w * sw:sw]
-                    np.maximum(target, piece, out=target)
+            np.copyto(target, x[taps[0]])
+            for tap in taps[1:]:
+                np.maximum(target, x[tap], out=target)
 
         return run
 
     def _lower_avgpool(
-        self, op: LazyOp, get_x: Getter, out: Getter
+        self, taps: List[tuple], get_x: Getter, out: Getter
     ) -> Callable[[dict], None]:
-        kh, kw = op.params["kernel"]
-        sh, sw = op.params["stride"]
-        out_h, out_w = op.shape[2], op.shape[3]
-
         def run(env: dict) -> None:
             x = get_x(env)
             target = out(env)
-            scale = x.dtype.type(1.0 / (kh * kw))
-            np.copyto(target, x[:, :, 0:out_h * sh:sh, 0:out_w * sw:sw])
-            for i in range(kh):
-                for j in range(kw):
-                    if i == 0 and j == 0:
-                        continue
-                    target += x[:, :, i:i + out_h * sh:sh, j:j + out_w * sw:sw]
-            target *= scale
+            np.copyto(target, x[taps[0]])
+            for tap in taps[1:]:
+                target += x[tap]
+            target *= x.dtype.type(1.0 / len(taps))
 
         return run
 
@@ -470,7 +453,7 @@ class NumpyBackend(Backend):
         def run(env: dict) -> None:
             x = get_x(env)
             target = out(env)
-            # Mirrors Tensor.softmax's inference fast path exactly.
+            # Mirrors Tensor.softmax's untaped forward exactly.
             np.subtract(x, x.max(axis=axis, keepdims=True), out=target)
             np.exp(target, out=target)
             target /= target.sum(axis=axis, keepdims=True)

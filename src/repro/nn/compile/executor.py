@@ -16,6 +16,9 @@ escape to the caller, like eager results), return the outputs.
 Everything intermediate lives in the arena at planner-assigned offsets,
 so steady-state runs perform no large allocations beyond the outputs
 themselves.  Runs of one graph are serialized (they share the arena).
+Every value is laid out in the memory order the eager forward leaves
+it in (:func:`_channels_last`), so outputs match eager's strides as
+well as its values.
 
 :meth:`CompiledGraph.release` drops the arena (and the kernel closures
 viewing it) so an idle server can return the memory; the next run
@@ -28,16 +31,41 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from .backend import BATCH, Backend
 from .fuse import FusedProgram
-from .ir import Graph, UnsupportedOpError
+from .ir import ELEMENTWISE_KINDS, Graph, UnsupportedOpError
 from .plan import ArenaPlan
 
 __all__ = ["CompiledGraph"]
+
+#: Op kinds whose eager result keeps its input's memory order.
+_ORDER_KEEPING = ELEMENTWISE_KINDS | {"maxpool", "softmax", "log_softmax"}
+
+
+def _channels_last(graph: Graph) -> Set[int]:
+    """Ids of the values the eager forward holds channels-last in memory.
+
+    An eager conv returns an NCHW view of its ``(N*H*W, C)`` GEMM rows;
+    elementwise ops, max-pool and softmax keep their input's memory
+    order; every other op returns C-contiguous data.
+    """
+    nhwc: Set[int] = set()
+    for op in graph.ops:
+        if op.kind == "conv2d" or (op.kind in _ORDER_KEEPING and op.inputs[0] in nhwc):
+            nhwc.add(op.id)
+    return nhwc
+
+
+def _shaped(flat: np.ndarray, shape: Tuple[int, ...], channels_last: bool) -> np.ndarray:
+    """``flat`` viewed as ``shape``, channels-last in memory if asked."""
+    if channels_last:
+        n, c, h, w = shape
+        return flat.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+    return flat.reshape(shape)
 
 
 def _arena_gauge():
@@ -101,15 +129,15 @@ class CompiledGraph:
 
     def _materialize(self) -> None:
         graph, program, plan = self.graph, self.program, self.plan
+        nhwc = _channels_last(graph)
         arena = np.empty((plan.total_bytes,), dtype=np.uint8)
         views: Dict[int, np.ndarray] = {}
         for root, slot in plan.slots.items():
             op = graph.op(root)
             nbytes = int(np.prod(op.shape, dtype=np.int64)) * np.dtype(op.dtype).itemsize
-            views[root] = (
-                arena[slot.offset:slot.offset + nbytes]
-                .view(np.dtype(op.dtype))
-                .reshape(op.shape)
+            views[root] = _shaped(
+                arena[slot.offset:slot.offset + nbytes].view(np.dtype(op.dtype)),
+                op.shape, root in nhwc,
             )
 
         # Every value carries the batch on its leading axis, so a run of
@@ -137,13 +165,15 @@ class CompiledGraph:
             if static is not None:
                 return lambda env, _v=static: _v[:env[BATCH]]
             op = graph.op(root)
-            tail, dt = op.shape[1:], np.dtype(op.dtype)
+            tail, dt, last = op.shape[1:], np.dtype(op.dtype), root in nhwc
+            size = int(np.prod(tail, dtype=np.int64))
 
-            def getter(env: dict, _r=root, _t=tail, _d=dt) -> np.ndarray:
-                buf = env.get(_r)
+            def getter(env: dict) -> np.ndarray:
+                buf = env.get(root)
                 if buf is None:
-                    buf = np.empty((env[BATCH],) + _t, dtype=_d)
-                    env[_r] = buf
+                    n = env[BATCH]
+                    buf = _shaped(np.empty(n * size, dtype=dt), (n,) + tail, last)
+                    env[root] = buf
                 return buf
 
             return getter

@@ -1,16 +1,15 @@
 """Graph fusion: group :class:`~.ir.LazyOp` nodes into kernels.
 
-This generalizes the hand-written eager conv→bias→ReLU→pool fusion to
-*arbitrary* elementwise chains behind any GEMM producer:
+Fusion groups *arbitrary* elementwise chains behind any GEMM producer:
 
 * a ``conv2d`` or ``matmul`` absorbs every following single-consumer
   elementwise op (``bias_add``, ``relu``, ``sigmoid``, ``affine``, …)
   into one kernel — the chain runs in place on the GEMM output while it
   is still in the GEMM's natural layout;
 * a conv-rooted kernel additionally absorbs a trailing non-overlapping
-  ``maxpool`` that tiles its output exactly (the same condition the
-  eager ``Sequential`` fast path checks), so the full-size activation
-  never materializes in NCHW;
+  ``maxpool`` that tiles its output exactly, reducing the windows in
+  the GEMM's channels-last rows, so the full-size activation is never
+  written a second time;
 * elementwise ops with no producer to ride fuse with each other into a
   single chain kernel;
 * ``reshape`` becomes a zero-copy alias of its input buffer;

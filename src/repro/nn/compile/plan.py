@@ -11,10 +11,8 @@ every batch of the same per-sample geometry.  The plan is made at a
 batch *capacity*; a run of ``n <= capacity`` rows uses the leading-axis
 prefix of every planned range.
 
-This subsumes the eager path's ad-hoc scratch pools
-(:class:`repro.nn.functional._ScratchPool`) on the compiled path: conv
-column matrices and GEMM outputs are just arena intervals with
-kernel-local lifetimes.
+Conv column matrices, padded images and GEMM outputs are just arena
+intervals with kernel-local lifetimes.
 
 Alignment is 64 bytes so every planned view is SIMD/BLAS friendly
 regardless of dtype.

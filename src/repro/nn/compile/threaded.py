@@ -173,10 +173,16 @@ _PROBE_LOCK = threading.Lock()
 
 
 def gemm_slicing_bit_identical(
-    m: int, k: int, n: int, dtype, bounds: Tuple[int, ...]
+    m: int, k: int, n: int, dtype, bounds: Tuple[int, ...],
+    b_transposed: bool = False,
 ) -> bool:
     """True if row-slicing an ``(m, k) @ (k, n)`` GEMM at ``bounds``
     reproduces the full-size GEMM bit for bit on this machine's BLAS.
+
+    ``b_transposed`` says the kernel's ``(k, n)`` operand is the
+    transpose of a C-contiguous ``(n, k)`` array (a conv's filters), so
+    the probe makes the same BLAS call as the kernel: a transposed
+    operand selects other BLAS code paths, which can slice differently.
 
     Checked empirically with seeded gaussian operands: if the sliced
     path takes a different BLAS code path (different k-blocking or a
@@ -186,7 +192,7 @@ def gemm_slicing_bit_identical(
     cached — one probe per distinct GEMM geometry per process.
     """
     dt = np.dtype(dtype)
-    key = (int(m), int(k), int(n), dt.str, tuple(bounds))
+    key = (int(m), int(k), int(n), dt.str, tuple(bounds), bool(b_transposed))
     with _PROBE_LOCK:
         cached = _PROBE_CACHE.get(key)
     if cached is not None:
@@ -200,7 +206,10 @@ def gemm_slicing_bit_identical(
         ).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
         a = rng.standard_normal((m, k)).astype(dt, copy=False)
-        b = rng.standard_normal((k, n)).astype(dt, copy=False)
+        if b_transposed:
+            b = rng.standard_normal((n, k)).astype(dt, copy=False).T
+        else:
+            b = rng.standard_normal((k, n)).astype(dt, copy=False)
         full = a @ b
         sliced = np.empty_like(full)
         for start, stop in zip(bounds[:-1], bounds[1:]):
@@ -279,7 +288,7 @@ class ThreadedBackend(NumpyBackend):
         root = kernel.ops[0]
         gemm = None
         if kernel.kind == "gemm" and root.kind == "conv2d":
-            tiled, gemm = self._conv_tiles(kernel, program, get, scratch)
+            tiled, gemm = self._conv_tiles(kernel, get, scratch)
         elif kernel.kind == "gemm" and root.kind == "matmul":
             tiled, gemm = self._matmul_tiles(kernel, program, get, out)
         else:
@@ -313,20 +322,21 @@ class ThreadedBackend(NumpyBackend):
         kernel: Kernel,
         program: FusedProgram,
         n: int,
-        gemm: Optional[Tuple[int, int, int]],
+        gemm: Optional[Tuple[int, int, int, bool]],
     ) -> Optional[Tuple[int, ...]]:
         """Tile bounds for ``kernel`` at ``n`` rows, or ``None`` (serial).
 
-        ``gemm`` is ``(gemm rows per leading row, inner dim, columns)``
-        for GEMM-rooted kernels, whose sliced GEMM must pass the probe.
+        ``gemm`` is ``(gemm rows per leading row, inner dim, columns,
+        weight operand transposed)`` for GEMM-rooted kernels, whose
+        sliced GEMM must pass the probe.
         """
         partition = partition_kernel(kernel, program, rows=n)
         parallel = partition is not None and partition.num_tiles > 1
         if parallel and gemm is not None:
-            per_row, inner, cols = gemm
+            per_row, inner, cols, b_transposed = gemm
             parallel = gemm_slicing_bit_identical(
                 n * per_row, inner, cols, kernel.ops[0].dtype,
-                partition.scaled(per_row).bounds,
+                partition.scaled(per_row).bounds, b_transposed,
             )
         self._mark(parallel)
         return partition.bounds if parallel else None
@@ -338,7 +348,7 @@ class ThreadedBackend(NumpyBackend):
         program: FusedProgram,
         get: Callable[[int], Getter],
         out: Getter,
-    ) -> Tuple[TiledRun, Tuple[int, int, int]]:
+    ) -> Tuple[TiledRun, Tuple[int, int, int, bool]]:
         root = kernel.ops[0]
         get_x = get(root.inputs[0])
         get_w = get(root.inputs[1])
@@ -357,15 +367,14 @@ class ThreadedBackend(NumpyBackend):
             _dispatch(pool, tile, env, bounds)
 
         inner = program.graph.op(root.inputs[1]).shape[0]
-        return run, (1, inner, root.shape[1])
+        return run, (1, inner, root.shape[1], False)
 
     def _conv_tiles(
         self,
         kernel: Kernel,
-        program: FusedProgram,
         get: Callable[[int], Getter],
         scratch: Dict[str, np.ndarray],
-    ) -> Tuple[TiledRun, Tuple[int, int, int]]:
+    ) -> Tuple[TiledRun, Tuple[int, int, int, bool]]:
         """Batch-partitioned conv: pad / im2col / GEMM / chain / pool per
         batch tile, into disjoint slices of the same arena scratch and
         the same published output the serial lowering would use.
@@ -390,7 +399,6 @@ class ThreadedBackend(NumpyBackend):
         cols3 = scratch["cols"].view(dt).reshape((capacity,) + index.shape)
         pool_hw = kernel.pool[0].params["kernel"] if kernel.pool else None
         out_id = kernel.output
-        copy_out = pool_hw is not None and out_id in program.graph.output_ids
         gemm = None
         if "gemm" in scratch:
             gemm = scratch["gemm"].view(dt).reshape(capacity, out_hw, c_out)
@@ -421,8 +429,7 @@ class ThreadedBackend(NumpyBackend):
         # Hosted output (hosts_output is inherited): both shapes publish
         # the NHWC-strided transpose of one fresh buffer — the same
         # values *and strides* the serial lowering publishes (pooled:
-        # the pooling reduction's array, copied to NCHW as a graph
-        # output; unpooled: the GEMM buffer).
+        # the pooling reduction's array; unpooled: the GEMM buffer).
         def run(env: dict, bounds: Tuple[int, ...], pool: ThreadPoolExecutor) -> None:
             n = env[BATCH]
             pooled = None
@@ -437,10 +444,8 @@ class ThreadedBackend(NumpyBackend):
                     0, 3, 1, 2
                 )
             _dispatch(pool, tile, env, bounds, buf3, pooled)
-            if copy_out:
-                env[out_id] = env[out_id].copy()
 
-        return run, (out_hw, features, c_out)
+        return run, (out_hw, features, c_out, True)
 
     # -- sliceable non-GEMM kernels -------------------------------------
     def _sliced_tiles(

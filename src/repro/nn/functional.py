@@ -16,31 +16,24 @@ GEMM operand.  So nothing in a conv → ReLU → max-pool stage is copied
 to NCHW order, forward or backward; the next conv's im2col packs its
 input from whatever order it arrives in.
 
-Every operator has two execution paths:
+Every operator computes its forward once.  When gradients must flow
+(grad enabled and some input requires grad) it also wires a backward
+closure into the tape; otherwise it returns the same result with no
+closure.  So eager inference is the tape's forward without the tape,
+and it is the one eager twin the compiled backends
+(:mod:`repro.nn.compile`) must match.
 
-* the **reference tape path**, taken whenever gradients must flow
-  (grad enabled and some input requires grad): allocates fresh arrays
-  and wires a backward closure into the tape;
-* the **inference fast path**, taken otherwise: builds no closures
-  and — inside :class:`~repro.nn.tensor.inference_mode` — reuses
-  process-wide im2col/GEMM scratch buffers so a steady-state serving
-  loop performs no large allocations per batch.
-
-Unfolding (both paths) goes through a cached **im2col index map**: a
-read-only gather-index matrix keyed by ``(shape, kernel, stride,
-padding)`` that turns the window extraction into a single ``np.take``.
-The map cache is LRU-bounded by a byte budget
-(:func:`set_index_cache_budget`) so a long-running server seeing many
-input geometries cannot grow it without limit.
-The tape path additionally supports per-layer :class:`LayerScratch`
-buffers, consulted only inside the :class:`train_scratch` context, so
-a strict forward → backward → step training loop performs no large
-per-batch allocations either (see :class:`train_scratch` for the
-aliasing contract).
-
-The two paths are numerically equivalent (pinned by
-``tests/nn/test_parity.py``); scratch buffers never escape an
-operator, so returned arrays are always freshly owned.
+Unfolding goes through a cached **im2col index map**: a read-only
+gather-index matrix keyed by ``(shape, kernel, stride, padding)`` that
+turns the window extraction into a single ``np.take``.  The map cache
+is LRU-bounded by a byte budget (:func:`set_index_cache_budget`) so a
+long-running server seeing many input geometries cannot grow it
+without limit.  When recording, convolutions also support per-layer
+:class:`LayerScratch` buffers, consulted only inside the
+:class:`train_scratch` context, so a strict forward → backward → step
+training loop performs no large per-batch allocations (see
+:class:`train_scratch` for the aliasing contract).  Scratch buffers
+never escape an operator, so returned arrays are always freshly owned.
 """
 
 from __future__ import annotations
@@ -51,22 +44,17 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .tensor import Tensor, is_grad_enabled, is_inference_mode
+from .tensor import Tensor, is_grad_enabled
 
 __all__ = [
     "im2col",
     "col2im",
     "conv2d",
-    "conv2d_relu",
-    "conv2d_relu_pool",
     "conv_transpose2d",
     "max_pool2d",
     "avg_pool2d",
     "upsample2d",
     "conv_output_size",
-    "clear_scratch",
-    "scratch_nbytes",
-    "free_inference_scratch",
     "LayerScratch",
     "train_scratch",
     "is_train_scratch_enabled",
@@ -90,61 +78,6 @@ def _recording(*tensors: Optional[Tensor]) -> bool:
     return is_grad_enabled() and any(
         t is not None and t.requires_grad for t in tensors
     )
-
-
-class _ScratchPool:
-    """Reusable scratch arrays keyed by ``(shape, dtype)``.
-
-    Only consulted on the inference fast path, and only for buffers
-    that are fully consumed before the operator returns (im2col column
-    matrices, GEMM outputs, padded images).  Returned tensors always
-    own fresh memory, so a buffer can be handed out again on the very
-    next call without aliasing anything the caller can still see.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: Dict[Tuple[Tuple[int, ...], str], np.ndarray] = {}
-
-    def get(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        key = (shape, np.dtype(dtype).str)
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            buffer = np.empty(shape, dtype=dtype)
-            self._buffers[key] = buffer
-        return buffer
-
-    def clear(self) -> None:
-        self._buffers.clear()
-
-    @property
-    def nbytes(self) -> int:
-        return sum(b.nbytes for b in self._buffers.values())
-
-
-_scratch = _ScratchPool()
-
-
-def clear_scratch() -> None:
-    """Release every cached inference scratch buffer."""
-    _scratch.clear()
-
-
-def scratch_nbytes() -> int:
-    """Total bytes currently held by the inference scratch pool."""
-    return _scratch.nbytes
-
-
-def free_inference_scratch() -> int:
-    """Release the inference scratch pool; returns the bytes freed.
-
-    The pool regrows lazily on the next :class:`~repro.nn.tensor
-    .inference_mode` forward, so this is safe to call whenever a
-    serving loop goes idle — it trades the next batch's allocations
-    for a zero steady-state footprint between traffic bursts.
-    """
-    freed = _scratch.nbytes
-    _scratch.clear()
-    return freed
 
 
 class _TrainScratchSwitch(threading.local):
@@ -432,109 +365,6 @@ def _window_taps(
     ]
 
 
-def _pad_input(
-    x: np.ndarray, padding: Tuple[int, int], pool: Optional[_ScratchPool]
-) -> np.ndarray:
-    """Zero-pad NCHW input, through scratch when a pool is provided."""
-    ph, pw = padding
-    if not (ph or pw):
-        return x
-    if pool is None:
-        return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    n, c, h, w = x.shape
-    padded = pool.get((n, c, h + 2 * ph, w + 2 * pw), x.dtype)
-    padded.fill(0)
-    padded[:, :, ph:ph + h, pw:pw + w] = x
-    return padded
-
-
-def _pool_max_slices(
-    x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int]
-) -> np.ndarray:
-    """Window max via ``kh*kw`` strided-slice ``np.maximum`` passes.
-
-    An order of magnitude faster than reducing over the trailing axes
-    of an ``as_strided`` window view, which numpy executes as a slow
-    small-stride gather.  Works on NCHW (spatial = last two axes).
-    """
-    kh, kw = kernel
-    sh, sw = stride
-    out_h = (x.shape[2] - kh) // sh + 1
-    out_w = (x.shape[3] - kw) // sw + 1
-    result: Optional[np.ndarray] = None
-    for i in range(kh):
-        for j in range(kw):
-            piece = x[:, :, i:i + out_h * sh:sh, j:j + out_w * sw:sw]
-            if result is None:
-                result = np.ascontiguousarray(piece)
-            else:
-                np.maximum(result, piece, out=result)
-    return result
-
-
-def _conv2d_forward(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: Optional[np.ndarray],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    activation: Optional[str] = None,
-    pool_kernel: Optional[Tuple[int, int]] = None,
-) -> np.ndarray:
-    """Tape-free convolution forward, optionally fused with bias+ReLU
-    and a non-overlapping max-pool.
-
-    Under :func:`~repro.nn.tensor.is_inference_mode`, the im2col column
-    matrix lives in the scratch pool; bias add and ReLU run in place on
-    the GEMM output.  A fused ``pool_kernel`` (stride == kernel, evenly
-    dividing the conv output) is applied in the GEMM's natural NHWC
-    layout, so only the pooled result — 1/4th of the activation for a
-    2x2 pool — pays the transpose back to NCHW; only then does the GEMM
-    output itself live in scratch.  Unpooled results are returned as a
-    transposed view of a freshly allocated GEMM output (never scratch),
-    so a standalone conv performs strictly less work than the tape path.
-    """
-    pool = _scratch if is_inference_mode() else None
-    n, c_in, h, w = x.shape
-    c_out, _, kh, kw = weight.shape
-    out_h = conv_output_size(h, kh, stride[0], padding[0])
-    out_w = conv_output_size(w, kw, stride[1], padding[1])
-
-    index = _im2col_index(c_in, h, w, (kh, kw), stride, padding)
-    padded = _pad_input(x, padding, pool)
-    if not padded.flags.c_contiguous:
-        padded = np.ascontiguousarray(padded)
-    flat = padded.reshape(n, -1)
-    rows, features = n * out_h * out_w, c_in * kh * kw
-    if pool is None:
-        cols3 = np.take(flat, index, axis=1, mode="clip")
-    else:
-        cols3 = pool.get((n,) + index.shape, x.dtype)
-        np.take(flat, index, axis=1, mode="clip", out=cols3)
-    if pool is not None and pool_kernel is not None:
-        # Only the pooled path keeps the GEMM output in scratch: the
-        # pooled result is a fresh copy anyway, so the full-size
-        # activation never escapes.  Unpooled outputs escape as tensor
-        # data, so they are allocated fresh and returned as a transposed
-        # view — paying neither a scratch round-trip nor the extra
-        # full-activation copy the tape path avoids.
-        gemm_out = pool.get((rows, c_out), x.dtype)
-    else:
-        gemm_out = np.empty((rows, c_out), dtype=x.dtype)
-    cols = cols3.reshape(rows, features)
-    np.matmul(cols, weight.reshape(c_out, -1).T, out=gemm_out)
-    if bias is not None:
-        gemm_out += bias
-    if activation == "relu":
-        np.maximum(gemm_out, 0, out=gemm_out)
-    if pool_kernel is not None:
-        ph, pw = pool_kernel
-        nhwc = gemm_out.reshape(n, out_h // ph, ph, out_w // pw, pw, c_out)
-        pooled = nhwc.max(axis=(2, 4))
-        return pooled.transpose(0, 3, 1, 2).copy()
-    return gemm_out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
-
-
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -566,17 +396,12 @@ def conv2d(
     c_out, c_in_w, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: input has {c_in}, weight expects {c_in_w}")
-    if not _recording(x, weight, bias):
-        return Tensor(
-            _conv2d_forward(
-                x.data, weight.data, None if bias is None else bias.data,
-                stride, padding,
-            )
-        )
     out_h = conv_output_size(h, kh, stride[0], padding[0])
     out_w = conv_output_size(w, kw, stride[1], padding[1])
     rows, features = n * out_h * out_w, c_in * kh * kw
-    use_scratch = scratch is not None and _TrainScratchState.enabled
+    recording = _recording(x, weight, bias)
+    # Scratch columns must live until backward: only recorded calls use it.
+    use_scratch = recording and scratch is not None and _TrainScratchState.enabled
 
     if use_scratch:
         cols_buf = scratch.get("cols", (n, out_h * out_w, features), x.data.dtype)
@@ -588,6 +413,8 @@ def conv2d(
     if bias is not None:
         out += bias.data
     out_data = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+    if not recording:
+        return Tensor(out_data)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -631,87 +458,6 @@ def conv2d(
     return Tensor._make(out_data, parents, backward)
 
 
-def conv2d_relu(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor = None,
-    stride: IntPair = 1,
-    padding: IntPair = 0,
-    scratch: Optional[LayerScratch] = None,
-) -> Tensor:
-    """Fused conv → bias → ReLU.
-
-    On the inference fast path the bias add and rectification happen in
-    place on the GEMM output, saving two full activation-sized passes
-    and allocations per layer.  When gradients are required this
-    composes :func:`conv2d` with ``relu()`` so backward stays exact —
-    callers may use it unconditionally.
-    """
-    if _recording(x, weight, bias):
-        return conv2d(
-            x, weight, bias, stride=stride, padding=padding, scratch=scratch
-        ).relu()
-    stride = _pair(stride)
-    padding = _pair(padding)
-    if x.shape[1] != weight.shape[1]:
-        raise ValueError(
-            f"channel mismatch: input has {x.shape[1]}, weight expects {weight.shape[1]}"
-        )
-    return Tensor(
-        _conv2d_forward(
-            x.data, weight.data, None if bias is None else bias.data,
-            stride, padding, activation="relu",
-        )
-    )
-
-
-def conv2d_relu_pool(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor = None,
-    stride: IntPair = 1,
-    padding: IntPair = 0,
-    pool_kernel: IntPair = 2,
-    pool_stride: IntPair = None,
-    scratch: Optional[LayerScratch] = None,
-) -> Tensor:
-    """Fused conv → bias → ReLU → max-pool (the backbone's repeated stage).
-
-    On the inference fast path, pooling runs in the GEMM's natural NHWC
-    layout before the single transpose back to NCHW, so the full-size
-    pre-pool activation never materializes in NCHW at all.  Requires a
-    non-overlapping pool that evenly divides the conv output; callers
-    with other geometry should compose :func:`conv2d_relu` and
-    :func:`max_pool2d` instead (Sequential checks this).  When
-    gradients are required this composes the reference ops, so backward
-    stays exact.
-    """
-    pool_kernel = _pair(pool_kernel)
-    pool_stride = pool_kernel if pool_stride is None else _pair(pool_stride)
-    if pool_stride != pool_kernel:
-        raise ValueError("fused pooling requires pool_stride == pool_kernel")
-    if _recording(x, weight, bias):
-        out = conv2d(
-            x, weight, bias, stride=stride, padding=padding, scratch=scratch
-        ).relu()
-        return max_pool2d(out, pool_kernel, pool_stride)
-    stride = _pair(stride)
-    padding = _pair(padding)
-    out_h = conv_output_size(x.shape[2], weight.shape[2], stride[0], padding[0])
-    out_w = conv_output_size(x.shape[3], weight.shape[3], stride[1], padding[1])
-    if out_h % pool_kernel[0] or out_w % pool_kernel[1]:
-        raise ValueError(
-            f"fused pooling requires the pool {pool_kernel} to evenly divide "
-            f"the conv output ({out_h}, {out_w})"
-        )
-    return Tensor(
-        _conv2d_forward(
-            x.data, weight.data, None if bias is None else bias.data,
-            stride, padding, activation="relu", pool_kernel=pool_kernel,
-        )
-    )
-
-
 def conv_transpose2d(
     x: Tensor,
     weight: Tensor,
@@ -748,24 +494,14 @@ def conv_transpose2d(
     out_h = (h - 1) * stride[0] - 2 * padding[0] + kh
     out_w = (w - 1) * stride[1] - 2 * padding[1] + kw
 
-    recording = _recording(x, weight, bias)
-    pool = _scratch if (not recording and is_inference_mode()) else None
     w_mat = weight.data.reshape(c_in, c_out * kh * kw)  # (C_in, C_out*kh*kw)
     x_mat = x.data.transpose(0, 2, 3, 1).reshape(-1, c_in)  # (N*h*w, C_in)
-    if pool is None:
-        cols = x_mat @ w_mat  # (N*h*w, C_out*kh*kw)
-    else:
-        cols = pool.get((x_mat.shape[0], c_out * kh * kw), x.data.dtype)
-        np.matmul(x_mat, w_mat, out=cols)
+    cols = x_mat @ w_mat  # (N*h*w, C_out*kh*kw)
     out_data = col2im(cols, (n, c_out, out_h, out_w), (kh, kw), stride, padding)
-    if not recording:
-        if padding != (0, 0):
-            out_data = np.ascontiguousarray(out_data)
-        if bias is not None:
-            out_data += bias.data.reshape(1, c_out, 1, 1)
-        return Tensor(out_data)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
+    if not _recording(x, weight, bias):
+        return Tensor(out_data)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -809,28 +545,27 @@ def max_pool2d(x: Tensor, kernel: IntPair = 2, stride: IntPair = None) -> Tensor
     2x2 max-pool.  Inputs whose spatial size is not divisible by the
     stride are truncated (floor semantics), matching common frameworks.
 
-    When recording, the window max is ``kh*kw`` strided-slice
-    ``np.maximum`` passes written in the input's memory order, and
-    backward routes each window's gradient to its first maximum in
-    row-major window order (argmax's tie rule), again in the input's
-    order.  A cell shared by overlapping windows sums their gradients
-    in ascending window order, as ``np.add.at`` would.  Routing is exact
-    for finite values: a window whose maximum is NaN passes no gradient,
-    and a non-finite gradient also reaches its window's other cells as
-    NaN (the step is non-finite either way).
+    The window max is ``kh*kw`` strided-slice ``np.maximum`` passes
+    written in the input's memory order.  When recording, backward
+    routes each window's gradient to its first maximum in row-major
+    window order (argmax's tie rule), again in the input's order.  A
+    cell shared by overlapping windows sums their gradients in
+    ascending window order, as ``np.add.at`` would.  Routing is exact
+    for finite values: a window whose maximum is NaN passes no
+    gradient, and a non-finite gradient also reaches its window's other
+    cells as NaN (the step is non-finite either way).
     """
     kernel = _pair(kernel)
     if stride is None:
         stride = kernel
     stride = _pair(stride)
-    if not _recording(x):
-        # Fast path: C-contiguous output, no routing bookkeeping.
-        return Tensor(_pool_max_slices(x.data, kernel, stride))
     data = x.data
     taps = _window_taps(data.shape, kernel, stride)
     out_data = data[taps[0]].copy(order="K")
     for tap in taps[1:]:
         np.maximum(out_data, data[tap], out=out_data)
+    if not _recording(x):
+        return Tensor(out_data)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:

@@ -4,28 +4,14 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .. import functional as F
-from ..tensor import Tensor, is_inference_mode
-from .activations import ReLU
+from ..tensor import Tensor
 from .base import Module
-from .conv import Conv2D
-from .pooling import MaxPool2D
 
 __all__ = ["Sequential"]
 
 
-def _hooked(*modules: Module) -> bool:
-    return any(m.__dict__.get("_hooks") for m in modules)
-
-
 class Sequential(Module):
     """Chain of modules applied in order.
-
-    Under :class:`~repro.nn.tensor.inference_mode`, a ``Conv2D``
-    directly followed by a ``ReLU`` is executed as one fused
-    conv → bias → ReLU pass (:meth:`Conv2D.forward_fused`), skipping
-    the intermediate pre-activation allocation.  Fusion is disabled for
-    pairs that carry timing hooks so per-layer profiling stays exact.
 
     >>> model = Sequential(Conv2D(1, 8, 3), ReLU(), Flatten())  # doctest: +SKIP
     """
@@ -37,50 +23,9 @@ class Sequential(Module):
         self._layers = list(modules)
 
     def forward(self, x: Tensor) -> Tensor:
-        if is_inference_mode():
-            return self._forward_inference(x)
         for layer in self._layers:
             x = layer(x)
         return x
-
-    def _forward_inference(self, x: Tensor) -> Tensor:
-        layers = self._layers
-        count = len(layers)
-        index = 0
-        while index < count:
-            layer = layers[index]
-            if (
-                index + 1 < count
-                and isinstance(layer, Conv2D)
-                and type(layers[index + 1]) is ReLU
-                and not _hooked(layer, layers[index + 1])
-            ):
-                pool = layers[index + 2] if index + 2 < count else None
-                if (
-                    type(pool) is MaxPool2D
-                    and pool.stride == pool.kernel_size
-                    and not _hooked(pool)
-                    and self._pool_divides(layer, pool, x)
-                ):
-                    x = F.conv2d_relu_pool(
-                        x, layer.weight, layer.bias,
-                        stride=layer.stride, padding=layer.padding,
-                        pool_kernel=pool.kernel_size,
-                    )
-                    index += 3
-                else:
-                    x = layer.forward_fused(x)
-                    index += 2
-            else:
-                x = layer(x)
-                index += 1
-        return x
-
-    @staticmethod
-    def _pool_divides(conv: Conv2D, pool: MaxPool2D, x: Tensor) -> bool:
-        """Whether ``pool`` tiles ``conv``'s output exactly (fusable)."""
-        out_h, out_w = conv.output_shape((x.shape[2], x.shape[3]))
-        return out_h % pool.kernel_size[0] == 0 and out_w % pool.kernel_size[1] == 0
 
     def __iter__(self) -> Iterator[Module]:
         return iter(self._layers)

@@ -72,19 +72,6 @@ class Conv2D(Module):
             stride=self.stride, padding=self.padding, scratch=self._scratch,
         )
 
-    def forward_fused(self, x: Tensor) -> Tensor:
-        """Conv → bias → ReLU in one pass (see :func:`F.conv2d_relu`).
-
-        :class:`~repro.nn.layers.container.Sequential` routes a
-        ``Conv2D`` directly followed by a ``ReLU`` through this method
-        under :class:`~repro.nn.tensor.inference_mode`; the fusion is
-        gradient-exact when recording, so it is safe to call anywhere.
-        """
-        return F.conv2d_relu(
-            x, self.weight, self.bias,
-            stride=self.stride, padding=self.padding, scratch=self._scratch,
-        )
-
     def output_shape(self, input_shape: Tuple[int, int]) -> Tuple[int, int]:
         """Spatial output shape for a given ``(H, W)`` input."""
         h, w = input_shape

@@ -42,7 +42,6 @@ __all__ = [
     "no_grad",
     "inference_mode",
     "is_grad_enabled",
-    "is_inference_mode",
     "get_default_dtype",
     "set_default_dtype",
     "default_dtype",
@@ -64,15 +63,7 @@ class _GradModeState(threading.local):
     enabled = True
 
 
-class _InferenceModeState(threading.local):
-    """Per-thread switch for the serving fast path (``inference_mode``);
-    every thread starts with it off."""
-
-    active = False
-
-
 _GradMode = _GradModeState()
-_InferenceMode = _InferenceModeState()
 
 
 class _DtypeState:
@@ -100,47 +91,14 @@ class no_grad:
         _GradMode.enabled = self._prev
 
 
-class inference_mode(no_grad):
-    """The serving fast path: ``no_grad`` plus layout/fusion optimizations.
-
-    Inside this context, no backward closures are ever constructed, and
-    the spatial operators in :mod:`repro.nn.functional` are allowed to
-
-    * reuse process-wide im2col/GEMM scratch buffers instead of
-      allocating fresh ones per call, and
-    * fuse conv → bias → ReLU into a single in-place pass
-      (:class:`~repro.nn.layers.container.Sequential` performs the
-      pairing).
-
-    The numerical results are identical to the reference tape path up
-    to floating-point associativity (the parity tests in
-    ``tests/nn/test_parity.py`` pin this down); only speed and memory
-    behaviour differ.  Every batched ``predict`` in :mod:`repro.core`
-    runs under this context.
-
-    Like ``no_grad``, the mode is per thread: it applies to the thread
-    that enters it and leaves every other thread's mode alone.
-    """
-
-    def __enter__(self) -> "inference_mode":
-        super().__enter__()
-        self._prev_inference = _InferenceMode.active
-        _InferenceMode.active = True
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _InferenceMode.active = self._prev_inference
-        super().__exit__(*exc)
+#: The spelling every batched ``predict`` uses; eager inference is the
+#: tape's forward with recording off, so this is exactly ``no_grad``.
+inference_mode = no_grad
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations are currently being recorded on the tape."""
     return _GradMode.enabled
-
-
-def is_inference_mode() -> bool:
-    """Return whether the :class:`inference_mode` fast path is active."""
-    return _InferenceMode.active
 
 
 def get_default_dtype() -> np.dtype:

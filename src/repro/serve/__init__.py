@@ -1,9 +1,9 @@
 """``repro.serve`` — high-throughput online inference engine.
 
-Turns the single-forward speedups of the nn fast path and the process
-machinery of :mod:`repro.parallel` into *serving throughput* for the
-paper's deployment setting (a fab classifying a continuous wafer
-stream, Sec. I / Fig. 1).  Four cooperating pieces:
+Turns the single-forward speed of the compiled nn forward and the
+process machinery of :mod:`repro.parallel` into *serving throughput*
+for the paper's deployment setting (a fab classifying a continuous
+wafer stream, Sec. I / Fig. 1).  Four cooperating pieces:
 
 * :mod:`~repro.serve.batcher` — :class:`MicroBatcher`, work-conserving
   micro-batching (a free lane takes everything pending) with an opt-in

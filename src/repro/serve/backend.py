@@ -25,7 +25,6 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from ..nn import Module
-from ..nn import functional as F
 from ..nn.compile import compiled_for, release_compiled
 from ..obs.flight import dump_flight, record_flight_event
 from ..obs.trace import current_tracer, remote_span
@@ -110,8 +109,7 @@ class InProcessBackend:
         return self._infer_fn(inputs)
 
     def reclaim(self) -> None:
-        """Free inference scratch and compiled arenas between bursts."""
-        F.free_inference_scratch()
+        """Release compiled arenas between bursts."""
         release_compiled()
 
     def close(self) -> None:
@@ -184,7 +182,6 @@ def _replica_worker(rank, num_workers, pipe, payload) -> None:
                 pipe.send(("pong", rank))
                 continue
             if message[0] == "reclaim":
-                F.free_inference_scratch()
                 release_compiled()
                 continue
             if message[0] == "telemetry":
@@ -382,8 +379,7 @@ class ReplicaPoolBackend:
         self._m_restarts.inc()
 
     def reclaim(self) -> None:
-        """Free inference scratch and arenas in parent and replicas."""
-        F.free_inference_scratch()
+        """Release compiled arenas in parent and replicas."""
         release_compiled()
         try:
             self._pool.broadcast(("reclaim",))

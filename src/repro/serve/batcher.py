@@ -169,7 +169,7 @@ class MicroBatcher:
         """Block until a batch is ready; return its values.
 
         Returns ``None`` when ``timeout`` elapses with nothing pending
-        (an *idle* tick — callers use it to reclaim scratch memory) or
+        (an *idle* tick — callers use it to reclaim memory) or
         when the batcher is closed and drained.
         """
         result = self.get_batch_with_reason(timeout)

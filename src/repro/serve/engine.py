@@ -24,9 +24,9 @@ Every lane (model replica) has a dedicated runner thread, so N
 replicas keep N batches in flight.  The engine records queue depth,
 cache hit counters, per-request latency and per-batch size/compute
 histograms into a :class:`repro.obs.MetricsRegistry`, per-batch spans
-into per-lane :class:`repro.obs.TimerTree`\\ s, and frees the nn
-inference scratch (parent *and* replicas) after ``idle_reclaim_s`` of
-silence so memory is reclaimed between traffic bursts.
+into per-lane :class:`repro.obs.TimerTree`\\ s, and releases the
+compiled-graph arenas (parent *and* replicas) after ``idle_reclaim_s``
+of silence so memory is reclaimed between traffic bursts.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class ServeConfig:
         Override of the model's acceptance threshold ``tau`` (selection
         logit); ``None`` uses ``model.threshold``.
     idle_reclaim_s:
-        Idle seconds after which inference scratch is freed and memory
+        Idle seconds after which compiled arenas are released and memory
         gauges refreshed.
     breaker_failures:
         Consecutive backend failures on one lane that open its circuit
@@ -1016,7 +1016,7 @@ class ServeEngine:
         record_flight_event("serve_fallback", lane=lane, batch=len(inputs))
         if batch_span is not None:
             batch_span.event("fallback", lane=lane)
-        # predict_batched shares inference scratch; one lane at a time.
+        # predict_batched toggles the model's eval mode; one lane at a time.
         with self._fallback_lock:
             return gen.fallback_infer(inputs)
 
@@ -1063,7 +1063,7 @@ class ServeEngine:
         return summarize_snapshot(self.telemetry_snapshot())
 
     def _idle_reclaim(self, gen: _Generation) -> None:
-        """Free inference scratch once per idle period (all lanes race)."""
+        """Release compiled arenas once per idle period (all lanes race)."""
         with self._idle_lock:
             if self._reclaimed:
                 return
@@ -1074,4 +1074,3 @@ class ServeEngine:
     def _publish_memory_gauges(self) -> None:
         """Mirror nn memory introspection into the registry."""
         self._registry.gauge("nn.index_cache_nbytes").set(F.index_cache_nbytes())
-        self._registry.gauge("nn.inference_scratch_nbytes").set(F.scratch_nbytes())

@@ -3,10 +3,10 @@
 A :class:`CompiledModule` keys its graph on the per-sample shape, dtype
 and backend, plans it at a batch *capacity*, and runs any ``n <=
 capacity`` on leading-axis prefixes of one arena.  The contract this
-wall pins: at every ``n`` the compiled outputs equal eager
-``inference_mode`` at ``n`` bit for bit, in values *and* strides, on
-the numpy backend and on the threaded backend at 1 and 4 threads —
-from a single compile per backend.
+wall pins, on random stacks from :mod:`.stacks`: at every ``n`` the
+compiled outputs equal the eager forward at ``n`` bit for bit, in values
+*and* memory layout, on the numpy backend and on the threaded backend
+at 1 and 4 threads — from a single compile per backend.
 """
 
 import sys
@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.nn.compile import compile_module, configure_threads, eager_only, thread_count
+from repro.nn.compile import compile_module, configure_threads, thread_count
 from repro.obs.metrics import default_registry
 
-from .test_compile_parity import DTYPES, STACKS
+from .stacks import DTYPES, assert_same_array, build, eager_forward, named_stack, stacks
 
 BACKENDS = (("numpy", None), ("threaded", 1), ("threaded", 4))
 
@@ -33,46 +33,37 @@ def _restore_threads():
     configure_threads(previous)
 
 
-def _eager(model, x):
-    with eager_only(), nn.inference_mode():
-        return model(nn.Tensor(x)).data
-
-
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    stack=st.sampled_from(sorted(STACKS)),
+    stack=stacks(),
     capacity=st.integers(1, 64),
     dtype=st.sampled_from(DTYPES),
     seed=st.integers(0, 2**16),
 )
 def test_every_batch_size_matches_eager(stack, capacity, dtype, seed):
+    layers, sample_shape = stack
     with nn.default_dtype(dtype):
-        model, shape = STACKS[stack](np.random.default_rng(3))
-        model.eval()
         rng = np.random.default_rng(seed)
-        xs = rng.normal(size=(capacity,) + tuple(shape[1:])).astype(dtype)
+        model = build(layers, sample_shape, rng)
+        xs = rng.normal(size=(capacity,) + sample_shape).astype(dtype)
         modules = {name: compile_module(model, backend=name) for name in ("numpy", "threaded")}
         for compiled in modules.values():
             assert compiled.reserve(xs, capacity)
         for n in range(1, capacity + 1):
             x = xs[capacity - n:]  # a different slice of the data per n
-            expected = _eager(model, x)
+            expected = eager_forward(model, x)
             for name, threads in BACKENDS:
                 if threads is not None:
                     configure_threads(threads)
                 (got,) = modules[name].try_run(x)
-                assert got.dtype == expected.dtype
-                assert got.shape == expected.shape
-                assert got.strides == expected.strides, (name, threads, n)
-                np.testing.assert_array_equal(got, expected)
+                assert_same_array(got, expected)
         for compiled in modules.values():
             (graph,) = compiled.graphs.values()
             assert graph.capacity == capacity
 
 
 def test_reserve_compiles_once_and_runs_hit():
-    model, shape = STACKS["conv_relu_maxpool"](np.random.default_rng(3))
-    model.eval()
+    model, shape = named_stack("conv_relu_maxpool")
     registry = default_registry()
     misses = registry.counter("compile.cache_misses").value
     graphs = registry.counter("compile.graphs").value
@@ -86,8 +77,7 @@ def test_reserve_compiles_once_and_runs_hit():
 
 
 def test_larger_batch_grows_capacity_and_releases_outgrown_arena():
-    model, shape = STACKS["dense_log_softmax"](np.random.default_rng(3))
-    model.eval()
+    model, shape = named_stack("dense_log_softmax")
     rng = np.random.default_rng(8)
     gauge = default_registry().gauge("compile.arena_bytes")
     before = gauge.value
@@ -95,7 +85,7 @@ def test_larger_batch_grows_capacity_and_releases_outgrown_arena():
     for n, capacity in ((3, 3), (2, 3), (4, 6), (5, 6), (20, 20)):
         x = rng.normal(size=(n,) + tuple(shape[1:])).astype(np.float32)
         (out,) = compiled.try_run(x)
-        np.testing.assert_array_equal(out, _eager(model, x))
+        assert_same_array(out, eager_forward(model, x))
         (graph,) = compiled.graphs.values()
         assert graph.capacity == capacity
     # Outgrown arenas were released: only the live graph's is counted.
@@ -105,8 +95,7 @@ def test_larger_batch_grows_capacity_and_releases_outgrown_arena():
 
 
 def test_empty_batch_falls_back():
-    model, shape = STACKS["dense_log_softmax"](np.random.default_rng(3))
-    model.eval()
+    model, shape = named_stack("dense_log_softmax")
     compiled = compile_module(model)
     assert compiled.try_run(np.zeros((0,) + tuple(shape[1:]), dtype=np.float32)) is None
     assert not compiled.graphs
@@ -115,10 +104,9 @@ def test_empty_batch_falls_back():
 def test_concurrent_runs_of_every_size_share_one_arena_safely():
     """Every batch size runs on one arena, so concurrent callers of one
     graph must never interleave inside it."""
-    model, shape = STACKS["conv_relu_maxpool"](np.random.default_rng(3))
-    model.eval()
+    model, shape = named_stack("conv_relu_maxpool")
     xs = np.random.default_rng(12).normal(size=(16,) + tuple(shape[1:])).astype(np.float32)
-    expected = {n: _eager(model, xs[:n]) for n in (1, 3, 8, 16)}
+    expected = {n: eager_forward(model, xs[:n]) for n in (1, 3, 8, 16)}
     compiled = compile_module(model)
     assert compiled.reserve(xs, 16)
     errors = []

@@ -1,9 +1,9 @@
 """Fallback semantics: anything uncovered returns ``None``, never raises.
 
-Callers (``predict_proba``, ``predict_batched``, serve replicas) keep
-their eager path as the fallback arm, so ``try_run`` degrading to
-``None`` — with the ``compile.fallbacks`` counter bumped — is the whole
-failure contract.  These tests also pin the compile telemetry counters.
+``try_run`` degrading to ``None`` — with the ``compile.fallbacks``
+counter bumped — is the whole failure contract; calling the
+``CompiledModule`` then runs the same function eagerly.  These tests
+also pin the compile telemetry counters.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 
 from repro import nn
 from repro.core.cnn import BackboneConfig, WaferCNN
+from repro.core.selective import SelectiveNet
 from repro.nn.compile import (
     CompiledModule,
     backend_names,
@@ -21,6 +22,8 @@ from repro.nn.compile import (
     set_enabled,
 )
 from repro.obs.metrics import default_registry, reset_default_registry
+
+from .stacks import DTYPE_IDS, DTYPES, assert_same_array
 
 
 @pytest.fixture(autouse=True)
@@ -135,6 +138,29 @@ def test_call_falls_back_to_eager_result():
     x = np.arange(4, dtype=np.float32).reshape(2, 2)
     (result,) = compiled(x)
     np.testing.assert_array_equal(result, x * 2.0)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
+@pytest.mark.parametrize("model_type", [WaferCNN, SelectiveNet], ids=lambda t: t.__name__)
+def test_call_falls_back_to_the_graph_function(model_type, dtype):
+    """A factory-built graph's fallback is its eager twin, not forward:
+    WaferCNN gives probabilities and SelectiveNet (probabilities,
+    pre-sigmoid scores) either way."""
+    with nn.default_dtype(dtype):
+        config = BackboneConfig(
+            input_size=16, conv_channels=(4, 4), conv_kernels=(3, 3),
+            fc_units=16, seed=3,
+        )
+        model = model_type(4, config=config)
+        model.eval()
+        x = np.random.default_rng(2).normal(size=(5, 1, 16, 16)).astype(dtype)
+        compiled = compile_module(model)
+        expected = compiled(x)
+        with eager_only():
+            fallback = compiled(x)
+    assert len(fallback) == len(expected)
+    for got, want in zip(fallback, expected):
+        assert_same_array(got, want)
 
 
 def test_compiled_module_refuses_pickling():

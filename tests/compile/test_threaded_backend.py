@@ -5,8 +5,8 @@ parallelism: same numbers, bit for bit, at every pool size.  This wall
 pins that from four sides —
 
 * parity: threaded outputs == numpy-backend outputs for float32 and
-  float64 across every stack of the compile parity wall (batches are
-  scaled up so kernels genuinely split into multiple tiles);
+  float64 on the named and random stacks of :mod:`.stacks` (batches
+  are scaled up so kernels genuinely split into multiple tiles);
 * determinism: a 1-thread and a 4-thread run of the same compiled
   module are *byte*-identical;
 * partition safety: hypothesis drives :func:`partition_rows` and
@@ -20,7 +20,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import nn
@@ -47,7 +47,7 @@ from repro.nn.compile.threaded import clamped_threads
 from repro.nn.compile.trace import trace_module
 from repro.obs.metrics import default_registry
 
-from .test_compile_parity import DTYPES, STACKS, assert_bit_identical
+from .stacks import DTYPE_IDS, DTYPES, NAMED, assert_same_array, build, named_stack, stacks
 
 #: Batch multiplier pushing the parity stacks over MIN_TILE_WORK, so
 #: the wall exercises genuinely tiled kernels, not the serial fallback.
@@ -67,9 +67,7 @@ def _restore_compile_policy():
 
 def _scaled_stack(name, dtype):
     with nn.default_dtype(dtype):
-        model, shape = STACKS[name](np.random.default_rng(3))
-        model.eval()
-    shape = (shape[0] * BATCH_SCALE,) + tuple(shape[1:])
+        model, shape = named_stack(name, batch_scale=BATCH_SCALE)
     x = np.random.default_rng(4).normal(size=shape).astype(dtype)
     return model, x
 
@@ -89,18 +87,44 @@ def test_threaded_backend_is_registered():
     assert get_backend("threaded").name == "threaded"
 
 
-@pytest.mark.parametrize("dtype", DTYPES, ids=["float32", "float64"])
-@pytest.mark.parametrize("stack", sorted(STACKS), ids=sorted(STACKS))
-def test_threaded_matches_numpy_backend(stack, dtype):
+def _check_threaded(model, x, dtype):
     configure_threads(4)
-    model, x = _scaled_stack(stack, dtype)
     with nn.default_dtype(dtype):
         expected = _outputs(model, x, "numpy")
         actual = _outputs(model, x, "threaded")
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
-        assert_bit_identical(got, want)
-        assert got.strides == want.strides
+        assert_same_array(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
+@pytest.mark.parametrize("stack", sorted(NAMED), ids=sorted(NAMED))
+def test_threaded_matches_numpy_backend(stack, dtype):
+    model, x = _scaled_stack(stack, dtype)
+    _check_threaded(model, x, dtype)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stack=stacks(),
+    batch=st.integers(16, 96),
+    dtype=st.sampled_from(DTYPES),
+    seed=st.integers(0, 2**16),
+)
+# The GEMM probe once certified row slices of this conv with a
+# C-contiguous weight operand while the conv passes a transposed one;
+# OpenBLAS then sliced the real GEMM differently.
+@example(
+    stack=((("conv", 6, 1, 1, 0), ("relu",), ("conv", 6, 5, 2, 0), ("relu",)), (1, 6, 11)),
+    batch=73, dtype=np.float32, seed=0,
+)
+def test_threaded_matches_numpy_backend_on_random_stacks(stack, batch, dtype, seed):
+    layers, sample_shape = stack
+    with nn.default_dtype(dtype):
+        rng = np.random.default_rng(seed)
+        model = build(layers, sample_shape, rng)
+    x = rng.normal(size=(batch,) + sample_shape).astype(dtype)
+    _check_threaded(model, x, dtype)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -116,7 +140,7 @@ def test_wafer_cnn_parity_at_every_pool_size(threads):
     expected = _outputs(model, x, "numpy")
     actual = _outputs(model, x, "threaded")
     for got, want in zip(actual, expected):
-        assert_bit_identical(got, want)
+        assert_same_array(got, want)
 
 
 def test_one_and_four_thread_runs_byte_identical():
@@ -170,7 +194,7 @@ def test_probe_refusal_falls_back_to_serial(monkeypatch):
     actual = _outputs(model, x, "threaded")
     after = default_registry().snapshot()["counters"]
     for got, want in zip(actual, expected):
-        assert_bit_identical(got, want)
+        assert_same_array(got, want)
     assert after.get("compile.threads.kernels_serial", 0) > before.get(
         "compile.threads.kernels_serial", 0
     )
@@ -216,9 +240,7 @@ def test_scaled_partition_preserves_cover():
 
 
 def test_plan_partitions_match_kernel_axes():
-    model, shape = STACKS["conv_relu_maxpool"](np.random.default_rng(3))
-    model.eval()
-    shape = (shape[0] * BATCH_SCALE,) + tuple(shape[1:])
+    model, shape = named_stack("conv_relu_maxpool", batch_scale=BATCH_SCALE)
     graph = trace_module(model, shape, np.dtype(np.float32))
     program = fuse_graph(graph)
     partitions = plan_partitions(program)
@@ -236,8 +258,7 @@ def test_plan_partitions_match_kernel_axes():
 def test_env_var_selects_backend(monkeypatch):
     monkeypatch.setenv(BACKEND_ENV_VAR, "threaded")
     assert resolve_backend_name() == "threaded"
-    model, _ = STACKS["dense_log_softmax"](np.random.default_rng(3))
-    model.eval()
+    model, _ = named_stack("dense_log_softmax")
     assert compile_module(model).backend_name == "threaded"
 
 
@@ -260,8 +281,7 @@ def test_explicit_arg_beats_default_and_env(monkeypatch):
 def test_compiled_for_cache_is_per_backend():
     """Switching backends mid-process must never serve the other
     backend's plan (regression for the per-backend cache key)."""
-    model, _ = STACKS["dense_log_softmax"](np.random.default_rng(3))
-    model.eval()
+    model, _ = named_stack("dense_log_softmax")
     numpy_compiled = compiled_for(model, backend="numpy")
     threaded_compiled = compiled_for(model, backend="threaded")
     assert numpy_compiled is not threaded_compiled

@@ -1,8 +1,8 @@
-"""Grad, inference and train-scratch modes are per thread.
+"""Grad mode and the train-scratch switch are per thread.
 
-A serving lane runs every batch inside ``inference_mode``; a training
-thread beside it (a shadow retrain, a benchmark harness) must keep
-recording its tape and keep its own scratch switch.
+A serving lane runs every batch inside ``inference_mode`` (grad off); a
+training thread beside it (a shadow retrain, a benchmark harness) must
+keep recording its tape and keep its own scratch switch.
 """
 
 import threading
@@ -20,7 +20,6 @@ from repro.nn import functional as F
 def _modes():
     return {
         "grad": nn.is_grad_enabled(),
-        "inference": nn.is_inference_mode(),
         "train_scratch": F.is_train_scratch_enabled(),
     }
 
@@ -31,8 +30,8 @@ def test_new_threads_start_with_grad_on_and_inference_off():
         thread = threading.Thread(target=lambda: seen.update(_modes()))
         thread.start()
         thread.join()
-        assert _modes() == {"grad": False, "inference": True, "train_scratch": True}
-    assert seen == {"grad": True, "inference": False, "train_scratch": False}
+        assert _modes() == {"grad": False, "train_scratch": True}
+    assert seen == {"grad": True, "train_scratch": False}
     assert _modes() == seen
 
 
