@@ -121,6 +121,18 @@ def _is_conv_kernel(kernel: Kernel) -> bool:
     return kernel.kind == "gemm" and kernel.ops[0].kind == "conv2d"
 
 
+def narrowing_conv(kernel: Kernel) -> bool:
+    """True for a conv kernel that runs as a transposed convolution
+    (:func:`repro.nn.functional.narrows`), as its eager twin does."""
+    if not _is_conv_kernel(kernel):
+        return False
+    root = kernel.ops[0]
+    return F.narrows(
+        root.params["input_chw"][0], root.shape[1], root.params["kernel"],
+        root.params["stride"], root.params["padding"],
+    )
+
+
 class NumpyBackend(Backend):
     """Reference interpreter: the eager numpy forward, arena-hosted.
 
@@ -144,21 +156,26 @@ class NumpyBackend(Backend):
         n, c_in, h, w = self._conv_input_shape(kernel, root)
         kh, kw = self._conv_kernel_hw(root)
         ph, pw = root.params["padding"]
+        c_out = root.shape[1]
         item = _itemsize(root)
-        requests: List[Tuple[str, int]] = []
-        if ph or pw:
-            requests.append(
-                ("padded", n * c_in * (h + 2 * ph) * (w + 2 * pw) * item)
-            )
         out_hw = root.shape[2] * root.shape[3]
-        requests.append(("cols", n * out_hw * c_in * kh * kw * item))
+        requests: List[Tuple[str, int]] = []
+        if narrowing_conv(kernel):
+            # The transposed-conv GEMM's (N*H*W, C_out*kh*kw) columns.
+            requests.append(("cols", n * h * w * c_out * kh * kw * item))
+        else:
+            if ph or pw:
+                requests.append(
+                    ("padded", n * c_in * (h + 2 * ph) * (w + 2 * pw) * item)
+                )
+            requests.append(("cols", n * out_hw * c_in * kh * kw * item))
         if kernel.pool:
-            # Pooled convs GEMM into arena scratch (the pooling max
+            # Pooled convs fill arena GEMM rows (the pooling max
             # allocates the small surviving array).  Unpooled convs
-            # GEMM into a fresh per-run buffer whose transposed view
+            # fill a fresh per-run buffer whose transposed view
             # *is* the published output, as the eager conv's is, so
             # they want no arena-hosted GEMM scratch.
-            requests.append(("gemm", n * out_hw * root.shape[1] * item))
+            requests.append(("gemm", n * out_hw * c_out * item))
         return requests
 
     def hosts_output(self, kernel: Kernel, program: FusedProgram) -> bool:
@@ -218,21 +235,17 @@ class NumpyBackend(Backend):
         scratch: Dict[str, np.ndarray],
     ) -> Callable[[dict], None]:
         root = kernel.ops[0]
-        capacity, c_in, h, w = self._conv_input_shape(kernel, root)
-        kh, kw = self._conv_kernel_hw(root)
-        stride = root.params["stride"]
-        ph, pw = root.params["padding"]
+        capacity = self._conv_input_shape(kernel, root)[0]
         c_out, out_h, out_w = root.shape[1], root.shape[2], root.shape[3]
-        out_hw, features = out_h * out_w, c_in * kh * kw
-        index = F._im2col_index(c_in, h, w, (kh, kw), stride, (ph, pw))
+        out_hw = out_h * out_w
         get_x = get(root.inputs[0])
         get_w = get(root.inputs[1])
         chain = self._chain_appliers(kernel.ops[1:], get, channels_last=True)
         dt = np.dtype(root.dtype)
-        padded = scratch.get("padded")
-        if padded is not None:
-            padded = padded.view(dt).reshape(capacity, c_in, h + 2 * ph, w + 2 * pw)
-        cols3 = scratch["cols"].view(dt).reshape((capacity,) + index.shape)
+        if narrowing_conv(kernel):
+            conv = self._transposed_conv_rows(kernel, scratch)
+        else:
+            conv = self._im2col_conv_rows(kernel, scratch)
         pool_hw = kernel.pool[0].params["kernel"] if kernel.pool else None
         out_id = kernel.output
         gemm = None
@@ -248,18 +261,8 @@ class NumpyBackend(Backend):
             x = get_x(env)
             n = len(x)
             rows = n * out_hw
-            if padded is not None:
-                pad = padded[:n]
-                pad.fill(0)
-                pad[:, :, ph:ph + h, pw:pw + w] = x
-                flat = pad.reshape(n, -1)
-            else:
-                flat = x.reshape(n, -1)
-            np.take(flat, index, axis=1, mode="clip", out=cols3[:n])
-            cols = cols3[:n].reshape(rows, features)
-            weight = get_w(env)
             buf = gemm[:rows] if gemm is not None else np.empty((rows, c_out), dtype=dt)
-            np.matmul(cols, weight.reshape(c_out, -1).T, out=buf)
+            conv(x, get_w(env), buf)
             for apply in chain:
                 apply(buf, env)
             if pool_hw is not None:
@@ -272,6 +275,73 @@ class NumpyBackend(Backend):
                 )
 
         return run
+
+    def _im2col_conv_rows(
+        self, kernel: Kernel, scratch: Dict[str, np.ndarray]
+    ) -> Callable[..., None]:
+        """``conv(x, weight, buf, start=0)`` filling ``buf``
+        ``(N*oh*ow, C_out)`` with the im2col GEMM of eager
+        :func:`~repro.nn.functional.conv2d`; ``x`` is batch rows
+        ``start:start+N`` and uses those rows of the arena scratch."""
+        root = kernel.ops[0]
+        capacity, c_in, h, w = self._conv_input_shape(kernel, root)
+        kh, kw = self._conv_kernel_hw(root)
+        ph, pw = root.params["padding"]
+        c_out = root.shape[1]
+        index = F._im2col_index(
+            c_in, h, w, (kh, kw), root.params["stride"], (ph, pw)
+        )
+        dt = np.dtype(root.dtype)
+        padded = scratch.get("padded")
+        if padded is not None:
+            padded = padded.view(dt).reshape(capacity, c_in, h + 2 * ph, w + 2 * pw)
+        cols3 = scratch["cols"].view(dt).reshape((capacity,) + index.shape)
+
+        def conv(
+            x: np.ndarray, weight: np.ndarray, buf: np.ndarray, start: int = 0
+        ) -> None:
+            n = len(x)
+            rows = slice(start, start + n)
+            if padded is not None:
+                pad = padded[rows]
+                pad.fill(0)
+                pad[:, :, ph:ph + h, pw:pw + w] = x
+                flat = pad.reshape(n, -1)
+            else:
+                flat = x.reshape(n, -1)
+            np.take(flat, index, axis=1, mode="clip", out=cols3[rows])
+            cols = cols3[rows].reshape(len(buf), index.shape[1])
+            np.matmul(cols, weight.reshape(c_out, -1).T, out=buf)
+
+        return conv
+
+    def _transposed_conv_rows(
+        self, kernel: Kernel, scratch: Dict[str, np.ndarray]
+    ) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
+        """``conv(x, weight, buf)`` for a narrowing conv: the transposed
+        GEMM and ``col2im`` of eager
+        :func:`~repro.nn.functional._transposed_conv`, the columns in
+        arena scratch and the image in ``buf``."""
+        root = kernel.ops[0]
+        capacity, c_in, h, w = self._conv_input_shape(kernel, root)
+        kh, kw = self._conv_kernel_hw(root)
+        ph, pw = root.params["padding"]
+        c_out, out_h, out_w = root.shape[1], root.shape[2], root.shape[3]
+        padding = (kh - 1 - ph, kw - 1 - pw)
+        dt = np.dtype(root.dtype)
+        cols2 = scratch["cols"].view(dt).reshape(capacity * h * w, c_out * kh * kw)
+
+        def conv(x: np.ndarray, weight: np.ndarray, buf: np.ndarray) -> None:
+            n = len(x)
+            cols = cols2[:n * h * w]
+            x_mat = x.transpose(0, 2, 3, 1).reshape(-1, c_in)
+            np.matmul(x_mat, F._flipped_filters(weight), out=cols)
+            F.col2im(
+                cols, (n, c_out, out_h, out_w), (kh, kw), (1, 1), padding,
+                out=buf.reshape(n, out_h, out_w, c_out),
+            )
+
+        return conv
 
     def _lower_matmul(
         self, kernel: Kernel, get: Callable[[int], Getter], out: Getter

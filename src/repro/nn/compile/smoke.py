@@ -1,6 +1,7 @@
 """Compiler smoke check: ``python -m repro.nn.compile.smoke``.
 
-Builds a small Table-I-shaped CNN and a SelectiveNet, compiles each
+Builds a small Table-I-shaped CNN and a SelectiveNet whose second conv
+narrows (8 -> 4 channels, the transposed-conv route), compiles each
 once at a batch capacity of 16, runs it at batch sizes 1, 5 and 16,
 and asserts the compiled outputs are **bit-identical** to the eager
 ``inference_mode`` outputs at every size — and that each model
@@ -62,8 +63,9 @@ def run_smoke(backend: Optional[str] = None, threads: Sequence[int] = (1, 4)) ->
     )
 
     backend = resolve_backend_name(backend)
+    # The 8 -> 4 conv narrows, so it runs the transposed-conv lowering.
     config = BackboneConfig(
-        input_size=32, conv_channels=(8, 8), conv_kernels=(5, 3), fc_units=32, seed=3
+        input_size=32, conv_channels=(8, 4), conv_kernels=(5, 3), fc_units=32, seed=3
     )
     rng = np.random.default_rng(99)
     x = rng.normal(size=(CAPACITY, 1, 32, 32)).astype(np.float32)

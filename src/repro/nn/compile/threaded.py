@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .backend import BATCH, Getter, NumpyBackend, register_backend
+from .backend import BATCH, Getter, NumpyBackend, narrowing_conv, register_backend
 from .fuse import FusedProgram, Kernel
 from .plan import partition_kernel
 
@@ -282,7 +282,8 @@ class ThreadedBackend(NumpyBackend):
         scratch: Dict[str, np.ndarray],
     ) -> Callable[[dict], None]:
         serial = super().lower(kernel, program, get, out, scratch)
-        if partition_kernel(kernel, program) is None:
+        # Narrowing convs run their transposed-conv lowering serially.
+        if partition_kernel(kernel, program) is None or narrowing_conv(kernel):
             self._mark(parallel=False)
             return serial
         root = kernel.ops[0]
@@ -375,28 +376,20 @@ class ThreadedBackend(NumpyBackend):
         get: Callable[[int], Getter],
         scratch: Dict[str, np.ndarray],
     ) -> Tuple[TiledRun, Tuple[int, int, int, bool]]:
-        """Batch-partitioned conv: pad / im2col / GEMM / chain / pool per
-        batch tile, into disjoint slices of the same arena scratch and
-        the same published output the serial lowering would use.
+        """Batch-partitioned conv: the serial lowering's pad / im2col /
+        GEMM, then chain / pool, per batch tile, into disjoint slices of
+        the same arena scratch and the same published output.
         """
         root = kernel.ops[0]
-        capacity, c_in, h, w = self._conv_input_shape(kernel, root)
+        capacity, c_in, _, _ = self._conv_input_shape(kernel, root)
         kh, kw = self._conv_kernel_hw(root)
-        stride = root.params["stride"]
-        ph, pw = root.params["padding"]
         c_out, out_h, out_w = root.shape[1], root.shape[2], root.shape[3]
-        out_hw, features = out_h * out_w, c_in * kh * kw
-        from .. import functional as F
-
-        index = F._im2col_index(c_in, h, w, (kh, kw), stride, (ph, pw))
+        out_hw = out_h * out_w
+        conv = self._im2col_conv_rows(kernel, scratch)
         get_x = get(root.inputs[0])
         get_w = get(root.inputs[1])
         chain = self._chain_appliers(kernel.ops[1:], get, channels_last=True)
         dt = np.dtype(root.dtype)
-        padded = scratch.get("padded")
-        if padded is not None:
-            padded = padded.view(dt).reshape(capacity, c_in, h + 2 * ph, w + 2 * pw)
-        cols3 = scratch["cols"].view(dt).reshape((capacity,) + index.shape)
         pool_hw = kernel.pool[0].params["kernel"] if kernel.pool else None
         out_id = kernel.output
         gemm = None
@@ -407,18 +400,8 @@ class ThreadedBackend(NumpyBackend):
             env: dict, b0: int, b1: int, buf3: np.ndarray, pooled: Optional[np.ndarray]
         ) -> None:
             nb = b1 - b0
-            x = get_x(env)[b0:b1]
-            if padded is not None:
-                pad = padded[b0:b1]
-                pad.fill(0)
-                pad[:, :, ph:ph + h, pw:pw + w] = x
-                flat = pad.reshape(nb, -1)
-            else:
-                flat = x.reshape(nb, -1)
-            np.take(flat, index, axis=1, mode="clip", out=cols3[b0:b1])
-            cols = cols3[b0:b1].reshape(nb * out_hw, features)
             buf = buf3[b0:b1].reshape(nb * out_hw, c_out)
-            np.matmul(cols, get_w(env).reshape(c_out, -1).T, out=buf)
+            conv(get_x(env)[b0:b1], get_w(env), buf, b0)
             for apply in chain:
                 apply(buf, env)
             if pooled is not None:
@@ -445,7 +428,7 @@ class ThreadedBackend(NumpyBackend):
                 )
             _dispatch(pool, tile, env, bounds, buf3, pooled)
 
-        return run, (out_hw, features, c_out, True)
+        return run, (out_hw, c_in * kh * kw, c_out, True)
 
     # -- sliceable non-GEMM kernels -------------------------------------
     def _sliced_tiles(

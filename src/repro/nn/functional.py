@@ -2,9 +2,14 @@
 
 Implements 2-D convolution, transposed convolution, max pooling, and
 nearest-neighbour upsampling as tape-aware operations on
-:class:`~repro.nn.tensor.Tensor`.  Convolution uses the classic
-im2col/col2im reduction to matrix multiplication, which is the fastest
-strategy available in pure numpy.
+:class:`~repro.nn.tensor.Tensor`.  Convolution reduces to matrix
+multiplication through im2col/col2im, the fastest strategy available in
+pure numpy, and gathers columns from its narrower side: a convolution
+with fewer output than input channels (:func:`narrows`) runs as the
+transposed convolution of its flipped filters, whose GEMM materialises
+``C_out*kh*kw`` columns instead of ``C_in*kh*kw``.  That rule reads
+layer geometry only, so tape, eager and compiled runs of a layer take
+the same route at every batch size.
 
 All spatial tensors have the NCHW shape ``(batch, channels, height,
 width)``; their memory order may differ.  A convolution's output is an
@@ -28,12 +33,14 @@ gather-index matrix keyed by ``(shape, kernel, stride, padding)`` that
 turns the window extraction into a single ``np.take``.  The map cache
 is LRU-bounded by a byte budget (:func:`set_index_cache_budget`) so a
 long-running server seeing many input geometries cannot grow it
-without limit.  When recording, convolutions also support per-layer
-:class:`LayerScratch` buffers, consulted only inside the
-:class:`train_scratch` context, so a strict forward → backward → step
-training loop performs no large per-batch allocations (see
-:class:`train_scratch` for the aliasing contract).  Scratch buffers
-never escape an operator, so returned arrays are always freshly owned.
+without limit; it is shared by every thread, under one lock.  When
+recording, convolutions also support per-layer :class:`LayerScratch`
+buffers, consulted only inside the :class:`train_scratch` context, so
+a strict forward → backward → step training loop reuses its im2col
+columns and backward work buffers (a narrowing layer's forward
+allocates, as ``conv_transpose2d``'s does; see :class:`train_scratch`
+for the aliasing contract).  Scratch buffers never escape an operator,
+so returned arrays are always freshly owned.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ __all__ = [
     "avg_pool2d",
     "upsample2d",
     "conv_output_size",
+    "narrows",
     "LayerScratch",
     "train_scratch",
     "is_train_scratch_enabled",
@@ -162,7 +170,12 @@ class LayerScratch:
 
 #: Read-only im2col gather maps keyed by (C, H, W, kernel, stride, pad),
 #: in LRU order (oldest first) under the :func:`index_cache_budget`.
+#: Every conv in every thread (a training thread beside serve lanes)
+#: reads it, so lookup, insert and evict hold :data:`_INDEX_LOCK`, and
+#: :data:`_INDEX_CACHE_NBYTES` keeps the byte total without iterating.
 _INDEX_CACHE: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
+_INDEX_LOCK = threading.Lock()
+_INDEX_CACHE_NBYTES = 0
 
 #: Byte budget for cached gather maps.  A fixed-geometry training loop
 #: needs a few MB; the budget only matters for long-running servers
@@ -174,13 +187,15 @@ _INDEX_CACHE_BUDGET = 64 * 1024 * 1024
 def _evict_index_cache() -> None:
     """Drop least-recently-used gather maps until under budget.
 
-    The newest entry is never evicted even if it alone exceeds the
-    budget — the caller is about to use it, and evicted arrays stay
-    alive for any in-flight reference anyway (eviction only drops the
-    cache's own reference).
+    The caller holds :data:`_INDEX_LOCK`.  The newest entry is never
+    evicted even if it alone exceeds the budget — the caller is about
+    to use it, and evicted arrays stay alive for any in-flight
+    reference anyway (eviction only drops the cache's own reference).
     """
-    while len(_INDEX_CACHE) > 1 and index_cache_nbytes() > _INDEX_CACHE_BUDGET:
-        _INDEX_CACHE.popitem(last=False)
+    global _INDEX_CACHE_NBYTES
+    while len(_INDEX_CACHE) > 1 and _INDEX_CACHE_NBYTES > _INDEX_CACHE_BUDGET:
+        _, index = _INDEX_CACHE.popitem(last=False)
+        _INDEX_CACHE_NBYTES -= index.nbytes
 
 
 def _im2col_index(
@@ -200,39 +215,45 @@ def _im2col_index(
     per-geometry; caching makes repeated convolutions of the same shape
     (every training step) index-computation free.
     """
+    global _INDEX_CACHE_NBYTES
     key = (c, h, w, kernel, stride, padding)
-    cached = _INDEX_CACHE.get(key)
-    if cached is not None:
-        _INDEX_CACHE.move_to_end(key)
-        return cached
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    padded_h, padded_w = h + 2 * ph, w + 2 * pw
-    out_h = conv_output_size(h, kh, sh, ph)
-    out_w = conv_output_size(w, kw, sw, pw)
-    rows = (np.arange(out_h) * sh)[:, None, None, None] * padded_w
-    cols = (np.arange(out_w) * sw)[None, :, None, None]
-    krow = (np.arange(kh) * padded_w)[None, None, :, None]
-    kcol = np.arange(kw)[None, None, None, :]
-    spatial = (rows + cols + krow + kcol).reshape(out_h * out_w, kh * kw)
-    channel = (np.arange(c) * (padded_h * padded_w))[None, :, None]
-    index = (spatial[:, None, :] + channel).reshape(out_h * out_w, c * kh * kw)
-    index = np.ascontiguousarray(index, dtype=np.intp)
-    index.setflags(write=False)
-    _INDEX_CACHE[key] = index
-    _evict_index_cache()
-    return index
+    with _INDEX_LOCK:
+        cached = _INDEX_CACHE.get(key)
+        if cached is not None:
+            _INDEX_CACHE.move_to_end(key)
+            return cached
+        kh, kw = kernel
+        sh, sw = stride
+        ph, pw = padding
+        padded_h, padded_w = h + 2 * ph, w + 2 * pw
+        out_h = conv_output_size(h, kh, sh, ph)
+        out_w = conv_output_size(w, kw, sw, pw)
+        rows = (np.arange(out_h) * sh)[:, None, None, None] * padded_w
+        cols = (np.arange(out_w) * sw)[None, :, None, None]
+        krow = (np.arange(kh) * padded_w)[None, None, :, None]
+        kcol = np.arange(kw)[None, None, None, :]
+        spatial = (rows + cols + krow + kcol).reshape(out_h * out_w, kh * kw)
+        channel = (np.arange(c) * (padded_h * padded_w))[None, :, None]
+        index = (spatial[:, None, :] + channel).reshape(out_h * out_w, c * kh * kw)
+        index = np.ascontiguousarray(index, dtype=np.intp)
+        index.setflags(write=False)
+        _INDEX_CACHE[key] = index
+        _INDEX_CACHE_NBYTES += index.nbytes
+        _evict_index_cache()
+        return index
 
 
 def clear_index_cache() -> None:
     """Release every cached im2col gather map."""
-    _INDEX_CACHE.clear()
+    global _INDEX_CACHE_NBYTES
+    with _INDEX_LOCK:
+        _INDEX_CACHE.clear()
+        _INDEX_CACHE_NBYTES = 0
 
 
 def index_cache_nbytes() -> int:
     """Total bytes currently held by cached im2col gather maps."""
-    return sum(index.nbytes for index in _INDEX_CACHE.values())
+    return _INDEX_CACHE_NBYTES
 
 
 def index_cache_budget() -> int:
@@ -249,15 +270,46 @@ def set_index_cache_budget(nbytes: int) -> int:
     global _INDEX_CACHE_BUDGET
     if nbytes < 0:
         raise ValueError("budget must be non-negative")
-    previous = _INDEX_CACHE_BUDGET
-    _INDEX_CACHE_BUDGET = int(nbytes)
-    _evict_index_cache()
+    with _INDEX_LOCK:
+        previous = _INDEX_CACHE_BUDGET
+        _INDEX_CACHE_BUDGET = int(nbytes)
+        _evict_index_cache()
     return previous
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution along one axis."""
     return (size + 2 * padding - kernel) // stride + 1
+
+
+def narrows(
+    c_in: int, c_out: int, kernel: IntPair, stride: IntPair, padding: IntPair
+) -> bool:
+    """Whether a convolution runs as a transposed convolution.
+
+    At stride 1, ``conv2d(x, w, padding=p)`` equals
+    ``conv_transpose2d(x, flip(w)ᵀ, padding=k-1-p)``, whose GEMM
+    materialises ``C_out*kh*kw`` columns instead of im2col's
+    ``C_in*kh*kw``.  So a layer with fewer output than input channels
+    takes that route, when its padding keeps the transposed padding
+    non-negative.  The rule reads layer geometry only, never the batch
+    size, so one compiled graph and the eager forward take the same
+    route at every batch size.
+    """
+    kernel, stride, padding = _pair(kernel), _pair(stride), _pair(padding)
+    return (
+        c_out < c_in
+        and stride == (1, 1)
+        and padding[0] <= kernel[0] - 1
+        and padding[1] <= kernel[1] - 1
+    )
+
+
+def _flipped_filters(weight: np.ndarray) -> np.ndarray:
+    """The ``(C_in, C_out*kh*kw)`` transposed-conv filters ``flip(w)ᵀ``
+    of conv filters ``weight`` ``(C_out, C_in, kh, kw)``."""
+    transposed = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(transposed).reshape(weight.shape[1], -1)
 
 
 def im2col(
@@ -304,24 +356,45 @@ def im2col(
     return cols.reshape(n * index.shape[0], index.shape[1])
 
 
+def _tap_span(
+    tap: int, stride: int, pad: int, windows: int, size: int
+) -> Optional[Tuple[slice, slice]]:
+    """``(image, window)`` slices of one kernel tap along one axis.
+
+    Window ``o`` reads image position ``tap + stride*o - pad``; the
+    slices keep the windows whose position lands inside ``[0, size)``,
+    or ``None`` when none does.
+    """
+    first = max(0, -((tap - pad) // stride))
+    stop = min(windows, (size - 1 + pad - tap) // stride + 1)
+    if stop <= first:
+        return None
+    start = tap + stride * first - pad
+    end = tap + stride * (stop - 1) - pad + 1
+    return slice(start, end, stride), slice(first, stop)
+
+
 def col2im(
     cols: np.ndarray,
     x_shape: Tuple[int, int, int, int],
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-    out_padded: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add columns back into an image.
 
-    Taps are added in ``(i, j)`` order into a channels-last padded
-    buffer, the row order of ``cols`` itself, so each tap reads its
-    channels at a stride of ``kh*kw`` elements.  The result is an NCHW
-    view of that buffer (channels-last in memory).
+    Taps are added in ``(i, j)`` order into a channels-last
+    ``(N, H, W, C)`` buffer, the row order of ``cols`` itself, so each
+    tap reads its channels at a stride of ``kh*kw`` elements.  Each tap
+    is clipped to the windows that land inside the image, so the
+    padding border is never materialised, and every pixel sums the same
+    values in the same order a padded buffer would.  The result is the
+    NCHW view of that buffer: compact and channels-last in memory.
 
-    ``out_padded``, when given, must be a ``(N, H + 2*ph, W + 2*pw, C)``
+    ``out``, when given, must be a C-contiguous ``(N, H, W, C)``
     buffer; it is zeroed and used as the accumulation target, and the
-    returned array is a view into it — callers that pass scratch here
+    returned array is a view of it — callers that pass scratch here
     must consume the result before the next call.
     """
     n, c, h, w = x_shape
@@ -331,18 +404,20 @@ def col2im(
     out_h = conv_output_size(h, kh, sh, ph)
     out_w = conv_output_size(w, kw, sw, pw)
 
-    if out_padded is None:
-        padded = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=cols.dtype)
+    if out is None:
+        out = np.zeros((n, h, w, c), dtype=cols.dtype)
     else:
-        padded = out_padded
-        padded.fill(0)
+        out.fill(0)
     taps = cols.reshape(n, out_h, out_w, c, kh, kw)
-    for i in range(kh):
-        i_end = i + sh * out_h
-        for j in range(kw):
-            j_end = j + sw * out_w
-            padded[:, i:i_end:sh, j:j_end:sw] += taps[..., i, j]
-    return padded[:, ph:h + ph, pw:w + pw].transpose(0, 3, 1, 2)
+    row_spans = [_tap_span(i, sh, ph, out_h, h) for i in range(kh)]
+    col_spans = [_tap_span(j, sw, pw, out_w, w) for j in range(kw)]
+    for i, row_span in enumerate(row_spans):
+        for j, col_span in enumerate(col_spans):
+            if row_span is None or col_span is None:
+                continue
+            (rows, window_rows), (columns, window_cols) = row_span, col_span
+            out[:, rows, columns] += taps[:, window_rows, window_cols, :, i, j]
+    return out.transpose(0, 3, 1, 2)
 
 
 def _window_taps(
@@ -375,6 +450,12 @@ def conv2d(
 ) -> Tensor:
     """2-D cross-correlation (the deep-learning "convolution").
 
+    A layer that :func:`narrows` (fewer output than input channels, at
+    stride 1) runs as the transposed convolution of its flipped filters,
+    gathering ``C_out*kh*kw`` columns (:func:`_transposed_conv`); every
+    other layer GEMMs im2col's ``C_in*kh*kw`` columns.  Either way the
+    output is a compact channels-last NCHW view.
+
     Parameters
     ----------
     x:
@@ -396,6 +477,11 @@ def conv2d(
     c_out, c_in_w, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: input has {c_in}, weight expects {c_in_w}")
+    if narrows(c_in, c_out, (kh, kw), stride, padding):
+        transposed_padding = (kh - 1 - padding[0], kw - 1 - padding[1])
+        return _transposed_conv(
+            x, weight, bias, stride, transposed_padding, scratch, flipped=True
+        )
     out_h = conv_output_size(h, kh, stride[0], padding[0])
     out_w = conv_output_size(w, kw, stride[1], padding[1])
     rows, features = n * out_h * out_w, c_in * kh * kw
@@ -440,15 +526,8 @@ def conv2d(
             if use_scratch:
                 grad_cols = scratch.get("grad_cols", (rows, features), grad.dtype)
                 np.matmul(grad_mat, w_mat, out=grad_cols)
-                padded = scratch.get(
-                    "col2im",
-                    (n, h + 2 * padding[0], w + 2 * padding[1], c_in),
-                    grad.dtype,
-                )
-                grad_x = col2im(
-                    grad_cols, x.shape, (kh, kw), stride, padding,
-                    out_padded=padded,
-                )
+                image = scratch.get("col2im", (n, h, w, c_in), grad.dtype)
+                grad_x = col2im(grad_cols, x.shape, (kh, kw), stride, padding, out=image)
             else:
                 grad_cols = grad_mat @ w_mat  # (N*oh*ow, C*kh*kw)
                 grad_x = col2im(grad_cols, x.shape, (kh, kw), stride, padding)
@@ -469,7 +548,9 @@ def conv_transpose2d(
     """2-D transposed convolution ("deconvolution").
 
     The forward pass is the adjoint of :func:`conv2d` with the same
-    geometry, so it is implemented directly with :func:`col2im`.
+    geometry, so it is implemented directly with :func:`col2im`
+    (:func:`_transposed_conv`, the kernel narrowing convolutions also
+    run on).
 
     Parameters
     ----------
@@ -485,21 +566,53 @@ def conv_transpose2d(
         forward ``col2im`` output always stays freshly allocated — it
         escapes as tensor data.
     """
-    stride = _pair(stride)
-    padding = _pair(padding)
+    if x.shape[1] != weight.shape[0]:
+        raise ValueError(
+            f"channel mismatch: input has {x.shape[1]}, weight expects {weight.shape[0]}"
+        )
+    return _transposed_conv(
+        x, weight, bias, _pair(stride), _pair(padding), scratch, flipped=False
+    )
+
+
+def _transposed_conv(
+    x: Tensor,
+    weight: Tensor,
+    bias: Optional[Tensor],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+    scratch: Optional[LayerScratch],
+    flipped: bool,
+) -> Tensor:
+    """The transposed-convolution kernel of :func:`conv_transpose2d`
+    and of every convolution that :func:`narrows`.
+
+    ``weight`` holds transposed-conv filters ``(C_in, C_out, kh, kw)``,
+    or with ``flipped`` conv filters ``(C_out, C_in, kh, kw)`` whose
+    transposed-conv filters are ``flip(w)ᵀ`` (:func:`_flipped_filters`);
+    ``stride`` and ``padding`` are the transposed convolution's.  The
+    forward is one GEMM of the channels-last input rows
+    ``(N*H*W, C_in)`` with the ``(C_in, C_out*kh*kw)`` filter matrix,
+    then :func:`col2im` into a compact channels-last output.  The
+    backward im2col-s the output gradient (``C_out*kh*kw`` columns); its
+    GEMMs give the filter gradient, mapped back to ``weight``'s layout,
+    and the input gradient already in channels-last rows.
+    """
     n, c_in, h, w = x.shape
-    c_in_w, c_out, kh, kw = weight.shape
-    if c_in != c_in_w:
-        raise ValueError(f"channel mismatch: input has {c_in}, weight expects {c_in_w}")
+    if flipped:
+        c_out, _, kh, kw = weight.shape
+        w_mat = _flipped_filters(weight.data)
+    else:
+        _, c_out, kh, kw = weight.shape
+        w_mat = weight.data.reshape(c_in, c_out * kh * kw)
     out_h = (h - 1) * stride[0] - 2 * padding[0] + kh
     out_w = (w - 1) * stride[1] - 2 * padding[1] + kw
 
-    w_mat = weight.data.reshape(c_in, c_out * kh * kw)  # (C_in, C_out*kh*kw)
     x_mat = x.data.transpose(0, 2, 3, 1).reshape(-1, c_in)  # (N*h*w, C_in)
     cols = x_mat @ w_mat  # (N*h*w, C_out*kh*kw)
     out_data = col2im(cols, (n, c_out, out_h, out_w), (kh, kw), stride, padding)
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
+        out_data += bias.data.reshape(1, c_out, 1, 1)
     if not _recording(x, weight, bias):
         return Tensor(out_data)
 
@@ -510,6 +623,8 @@ def conv_transpose2d(
     def backward(grad: np.ndarray) -> None:
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
+        if not (weight.requires_grad or x.requires_grad):
+            return
         if use_scratch:
             cols_buf = scratch.get(
                 "grad_cols", (n, h * w, c_out * kh * kw), grad.dtype
@@ -526,7 +641,10 @@ def conv_transpose2d(
                 np.matmul(x_mat.T, grad_cols, out=grad_w)
             else:
                 grad_w = x_mat.T @ grad_cols  # (C_in, C_out*kh*kw)
-            weight._accumulate(grad_w.reshape(weight.shape))
+            grad_w = grad_w.reshape(c_in, c_out, kh, kw)
+            if flipped:
+                grad_w = grad_w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            weight._accumulate(grad_w)
         if x.requires_grad:
             if use_scratch:
                 grad_x = scratch.get("grad_x", (n * h * w, c_in), grad.dtype)

@@ -5,12 +5,17 @@ and ``col2im``: the max-pool gathers every window through an
 ``as_strided`` view, takes ``argmax`` (first maximum wins), and scatters
 the gradient with ``put_along_axis`` (tiled windows) or ``np.add.at``
 (overlapping windows); ``col2im`` adds the taps into a channels-first
-padded buffer.
+padded buffer.  ``conv2d`` is the im2col convolution every layer ran
+before narrowing layers moved to the transposed-conv kernel: one GEMM of
+the ``C_in*kh*kw`` im2col columns forward, and the reference ``col2im``
+for the input gradient.
 
-Signatures match :func:`repro.nn.functional.max_pool2d` and
-:func:`repro.nn.functional.col2im`, so a test can patch them into
+Signatures match :func:`repro.nn.functional.max_pool2d`,
+:func:`repro.nn.functional.col2im` and
+:func:`repro.nn.functional.conv2d`, so a test can patch them into
 :mod:`repro.nn.functional` and train through them.  The reference
-``col2im`` ignores ``out_padded`` and allocates its own buffer.
+``col2im`` ignores ``out`` and the reference ``conv2d`` ignores
+``scratch``; both allocate their own buffers.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn.functional import IntPair, _pair, conv_output_size
+from repro.nn.functional import IntPair, _pair, conv_output_size, im2col
 from repro.nn.tensor import Tensor
 
 
@@ -96,7 +101,7 @@ def col2im(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-    out_padded: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Adjoint of ``im2col``, accumulated channels-first."""
     n, c, h, w = x_shape
@@ -115,3 +120,38 @@ def col2im(
     if ph or pw:
         return padded[:, :, ph:h + ph, pw:w + pw]
     return padded
+
+
+def conv2d(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor = None,
+    stride: IntPair = 1,
+    padding: IntPair = 0,
+    scratch=None,
+) -> Tensor:
+    """Recording im2col convolution, whatever the channel counts."""
+    stride, padding = _pair(stride), _pair(padding)
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = weight.shape
+    out_h = conv_output_size(h, kh, stride[0], padding[0])
+    out_w = conv_output_size(w, kw, stride[1], padding[1])
+    rows = n * out_h * out_w
+    cols = im2col(x.data, (kh, kw), stride, padding)  # (rows, C_in*kh*kw)
+    w_mat = weight.data.reshape(c_out, -1)
+    out = cols @ w_mat.T
+    if bias is not None:
+        out += bias.data
+    out_data = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(grad: np.ndarray) -> None:
+        grad_mat = grad.transpose(0, 2, 3, 1).reshape(rows, c_out)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad_mat.sum(axis=0))
+        if weight.requires_grad:
+            weight._accumulate((grad_mat.T @ cols).reshape(weight.shape))
+        if x.requires_grad:
+            x._accumulate(col2im(grad_mat @ w_mat, x.shape, (kh, kw), stride, padding))
+
+    return Tensor._make(out_data, parents, backward)

@@ -1,5 +1,8 @@
 """Tests for conv/pool/upsample functional ops."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -239,6 +242,61 @@ class TestIndexCacheBudget:
         finally:
             F.set_index_cache_budget(previous)
             F.clear_index_cache()
+
+    def test_concurrent_lookups_and_byte_reads(self):
+        """Two conv threads hitting, inserting and evicting maps while a
+        third reads the byte total (a serve lane's memory gauge beside a
+        training thread) must neither raise nor let the total drift."""
+        geometries = [(h, pad) for h in range(6, 12) for pad in range(3)]
+        F.clear_index_cache()
+        for h, pad in geometries:
+            F._im2col_index(2, h, h, (3, 3), (1, 1), (pad, pad))
+        # Room for about half of the maps: lookups keep evicting.
+        previous = F.set_index_cache_budget(F.index_cache_nbytes() // 2)
+        switch = sys.getswitchinterval()
+        errors = []
+        done = threading.Event()
+
+        def convs(order):
+            try:
+                for _ in range(150):
+                    for h, pad in order:
+                        F._im2col_index(2, h, h, (3, 3), (1, 1), (pad, pad))
+            except Exception as exc:  # pragma: no cover - the failure mode
+                errors.append(exc)
+
+        def gauge():
+            try:
+                while not done.is_set():
+                    F.index_cache_nbytes()
+            except Exception as exc:  # pragma: no cover - the failure mode
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=convs, args=(geometries,)),
+            threading.Thread(target=convs, args=(geometries[::-1],)),
+        ]
+        reader = threading.Thread(target=gauge, daemon=True)
+        sys.setswitchinterval(1e-6)
+        try:
+            reader.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            done.set()
+            sys.setswitchinterval(switch)
+            F.set_index_cache_budget(previous)
+        reader.join()
+        try:
+            assert errors == []
+            assert F.index_cache_nbytes() == sum(
+                index.nbytes for index in F._INDEX_CACHE.values()
+            )
+        finally:
+            F.clear_index_cache()
+        assert F.index_cache_nbytes() == 0
 
     def test_set_budget_returns_previous_and_validates(self):
         previous = F.index_cache_budget()

@@ -37,6 +37,32 @@ LAYER_CASES = [
         "train",
     ),
     ("conv_nobias", lambda rng: nn.Conv2D(2, 3, 3, bias=False, rng=rng), (2, 2, 5, 5), "train"),
+    # C_out < C_in: these run as transposed convs of the flipped filters.
+    ("conv_narrow", lambda rng: nn.Conv2D(3, 2, 3, rng=rng), (2, 3, 5, 5), "train"),
+    (
+        "conv_narrow_same",
+        lambda rng: nn.Conv2D(4, 2, 3, padding="same", rng=rng),
+        (2, 4, 5, 5),
+        "train",
+    ),
+    (
+        "conv_narrow_rect",
+        lambda rng: nn.Conv2D(3, 2, (3, 2), padding=(1, 0), rng=rng),
+        (2, 3, 5, 4),
+        "train",
+    ),
+    (
+        "conv_narrow_nobias",
+        lambda rng: nn.Conv2D(3, 2, 3, padding=1, bias=False, rng=rng),
+        (2, 3, 4, 4),
+        "train",
+    ),
+    (
+        "conv_narrow_to_one_5x5",
+        lambda rng: nn.Conv2D(3, 1, 5, padding="same", rng=rng),
+        (2, 3, 6, 6),
+        "train",
+    ),
     ("convtranspose", lambda rng: nn.ConvTranspose2D(2, 3, 3, rng=rng), (2, 2, 4, 4), "train"),
     (
         "convtranspose_strided",
