@@ -22,8 +22,8 @@ bench:
 bench-perf:
 	PYTHONPATH=$(PYTHONPATH) python -m benchmarks.perf --out-dir benchmarks/perf
 
-# The compile suite measures both registered backends: the numpy
-# baseline plus the threaded backend's 1/2/4-thread scaling curve.
+# The compile suite measures compiled inference against the tape and
+# eager paths, plus the cost of one cold compile.
 bench-compile:
 	PYTHONPATH=$(PYTHONPATH) python -m benchmarks.perf --suite compile --out-dir benchmarks/perf
 

@@ -14,15 +14,6 @@ The acceptance set (gated by ``scripts/check.sh`` via the committed
 records the planner/fusion telemetry (kernel count, ops fused, arena
 bytes, arena reuse ratio) so compile-time regressions and planner
 quality are visible in the committed artifact.
-
-The thread-scaling section (``*_threaded_t{1,2,4}``) measures the
-threaded backend against a same-run numpy-backend baseline on the
-compiled CNN and a single conv; ``scripts/check.sh`` gates
-``cnn_forward_threaded_t1.speedup_vs_numpy >= 0.95`` — with one worker
-the threaded backend degenerates to the serial tile sequence, so
-parallelism being unavailable must cost nothing.  Multi-thread points
-are the scaling curve; on a single-CPU container they measure
-scheduling overhead, not speedup (flagged in machine_info warnings).
 """
 
 from __future__ import annotations
@@ -34,13 +25,7 @@ import numpy as np
 from repro import nn
 from repro.core.cnn import BackboneConfig, WaferCNN
 from repro.core.selective import SelectiveNet
-from repro.nn.compile import (
-    compiled_for,
-    configure_threads,
-    eager_only,
-    get_backend,
-    thread_count,
-)
+from repro.nn.compile import NumpyBackend, compiled_for, eager_only
 from repro.nn.compile.api import _build_graph
 from repro.nn.compile.executor import CompiledGraph
 from repro.nn.compile.fuse import fuse_graph
@@ -153,7 +138,7 @@ def _compile_cold_case(repeats: int, smoke: bool) -> CaseResult:
     model = WaferCNN(num_classes=9, config=config)
     model.eval()
     shape = (batch, 1, size, size)
-    backend = get_backend("numpy")
+    backend = NumpyBackend()
 
     def compile_once() -> CompiledGraph:
         graph = _build_graph(model, shape, np.dtype(np.float32))
@@ -178,67 +163,6 @@ def _compile_cold_case(repeats: int, smoke: bool) -> CaseResult:
     return case
 
 
-#: Pool sizes of the committed thread-scaling curve.
-SCALING_THREADS = (1, 2, 4)
-
-
-def _thread_scaling_cases(repeats: int, smoke: bool) -> List[CaseResult]:
-    """Threaded backend vs a same-run numpy baseline at 1/2/4 threads.
-
-    Both backends execute the *same* compiled graphs (the partition
-    plan does not depend on the pool size), so every point is the cost
-    of threading alone.  The baseline is measured in this run for the
-    same reason the fused-parity case is: cross-file ratios swing with
-    machine load, same-run ratios do not.
-    """
-    batch, size = (8, 32) if smoke else (64, 64)
-    rng = np.random.default_rng(3)
-    config = BackboneConfig(input_size=size)
-    model = WaferCNN(num_classes=9, config=config)
-    model.eval()
-    x_cnn = rng.normal(size=(batch, 1, size, size)).astype(np.float32)
-    conv = nn.Conv2D(1, 64, 5, padding="same", rng=rng)
-    conv.eval()
-    x_conv = rng.normal(size=(batch, 1, size, size)).astype(np.float32)
-
-    workloads = [
-        ("cnn_forward", model, x_cnn, {"arch": "table1"}),
-        ("conv_forward", conv, x_conv, {"filters": 64, "kernel": 5}),
-    ]
-    cases: List[CaseResult] = []
-    previous = thread_count()
-    try:
-        for stem, module, x, extra in workloads:
-            base_params = {"batch": batch, "input_size": size, **extra}
-            baseline_compiled = compiled_for(module, backend="numpy")
-            assert baseline_compiled.try_run(x) is not None
-            baseline = run_case(
-                f"{stem}_compiled_numpy",
-                lambda c=baseline_compiled: c.try_run(x),
-                repeats=repeats,
-                params={**base_params, "backend": "numpy", "threads": 1},
-            )
-            cases.append(baseline)
-            threaded_compiled = compiled_for(module, backend="threaded")
-            for threads in SCALING_THREADS:
-                configure_threads(threads)
-                assert threaded_compiled.try_run(x) is not None
-                case = run_case(
-                    f"{stem}_threaded_t{threads}",
-                    lambda c=threaded_compiled: c.try_run(x),
-                    repeats=repeats,
-                    params={**base_params, "backend": "threaded",
-                            "threads": threads},
-                )
-                case.metrics["speedup_vs_numpy"] = (
-                    baseline.wall_s_median / case.wall_s_median
-                )
-                cases.append(case)
-    finally:
-        configure_threads(previous)
-    return cases
-
-
 def run_compile_suite(smoke: bool = False, repeats: int = 5) -> List[CaseResult]:
     """All compiler cases; ``smoke=True`` shrinks workloads to seconds."""
     if smoke:
@@ -248,5 +172,4 @@ def run_compile_suite(smoke: bool = False, repeats: int = 5) -> List[CaseResult]
     cases.extend(_cnn_cases(repeats, smoke))
     cases.extend(_selective_cases(repeats, smoke))
     cases.append(_compile_cold_case(repeats, smoke))
-    cases.extend(_thread_scaling_cases(repeats, smoke))
     return cases

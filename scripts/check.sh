@@ -18,9 +18,6 @@ python -m pytest -x -q
 echo "== compiler smoke (compiled-vs-eager bit identity) =="
 timeout 240 python -m repro.nn.compile.smoke
 
-echo "== threaded-backend smoke (bit identity at 1 and 4 threads) =="
-timeout 240 python -m repro.nn.compile.smoke --backend threaded
-
 echo "== compiler tests (parity wall + fallback + planner properties) =="
 timeout 300 python -m pytest tests/compile -q
 
@@ -113,20 +110,9 @@ if suite.get("smoke"):
 if not suite.get("provenance"):
     sys.exit("FAIL: BENCH_compile.json is missing its provenance block")
 cases = {case["name"]: case for case in suite["cases"]}
-for name in (
-    "conv_forward_compiled", "cnn_forward_compiled", "compile_cold",
-    "cnn_forward_compiled_numpy", "cnn_forward_threaded_t1",
-    "cnn_forward_threaded_t2", "cnn_forward_threaded_t4",
-    "conv_forward_threaded_t1",
-):
+for name in ("conv_forward_compiled", "cnn_forward_compiled", "compile_cold"):
     if name not in cases:
         sys.exit(f"FAIL: BENCH_compile.json is missing case {name!r}")
-compile_prov = (suite["provenance"].get("machine") or {}).get("compile")
-if not compile_prov or "backend" not in compile_prov or "threads" not in compile_prov:
-    sys.exit("FAIL: provenance lacks the compile backend/threads stamp")
-for name, case in cases.items():
-    if "_threaded_t" in name and case["params"].get("backend") != "threaded":
-        sys.exit(f"FAIL: {name} is not stamped with backend=threaded")
 conv = cases["conv_forward_compiled"]["metrics"]["speedup_vs_tape"]
 cnn = cases["cnn_forward_compiled"]["metrics"]["speedup_vs_tape"]
 infer_cases = {case["name"]: case for case in infer["cases"]}
@@ -140,13 +126,6 @@ if eager_conv < 1.0:
     sys.exit("FAIL: eager conv inference regression is back (< 1.0x vs tape)")
 if cnn < 2.0:
     sys.exit("FAIL: compiled CNN lost the fused-class speedup (< 2x vs tape)")
-# 1-thread no-regression gate: with one worker the threaded backend
-# runs the identical tile sequence inline, so parallelism being
-# unavailable must cost (almost) nothing vs the numpy backend.
-t1 = cases["cnn_forward_threaded_t1"]["metrics"]["speedup_vs_numpy"]
-print(f"threaded backend (1 thread) vs numpy backend: {t1:.2f}x (gate: >= 0.95)")
-if t1 < 0.95:
-    sys.exit("FAIL: threaded backend on 1 thread regresses vs numpy backend")
 PY
 
 echo "== committed BENCH_train.json schema + provenance gate =="

@@ -15,9 +15,11 @@ Entry points:
   compiler does not cover;
 * :func:`compiled_for` — process-local cached wrapper, used by the
   model predict paths and the serving engine;
-* :func:`register_tracer` / :func:`register_graph_factory` /
-  :func:`register_backend` — the three extension seams (new layers,
-  new whole-model graphs, new execution backends).
+* :func:`register_tracer` / :func:`register_graph_factory` — the two
+  extension seams (new layers, new whole-model graphs).
+
+Every graph runs on :class:`NumpyBackend`, which replays the eager
+forward's numpy calls over one planned arena.
 
 Smoke check: ``python -m repro.nn.compile.smoke``.
 """
@@ -28,39 +30,20 @@ import sys
 import types
 
 from .api import (
-    BACKEND_ENV_VAR,
     CompiledModule,
-    active_backend_info,
     compile_module,
     compiled_for,
-    default_backend_name,
     eager_only,
     is_enabled,
     register_graph_factory,
     release_compiled,
-    resolve_backend_name,
-    set_default_backend,
     set_enabled,
 )
-from .backend import (
-    Backend,
-    NumpyBackend,
-    backend_names,
-    get_backend,
-    register_backend,
-)
+from .backend import NumpyBackend
 from .executor import CompiledGraph
 from .fuse import FusedProgram, Kernel, fuse_graph
 from .ir import Graph, GraphBuilder, LazyOp, ModuleStateError, UnsupportedOpError
-from .plan import (
-    ArenaPlan,
-    KernelPartition,
-    Slot,
-    partition_rows,
-    plan_buffers,
-    plan_partitions,
-)
-from .threaded import ThreadedBackend, configure_threads, thread_count
+from .plan import ArenaPlan, Slot, plan_buffers
 from .trace import register_tracer, trace_call, trace_module
 
 __all__ = [
@@ -86,23 +69,8 @@ __all__ = [
     "ArenaPlan",
     "Slot",
     "plan_buffers",
-    "Backend",
     "NumpyBackend",
-    "ThreadedBackend",
-    "register_backend",
-    "get_backend",
-    "backend_names",
     "CompiledGraph",
-    "KernelPartition",
-    "partition_rows",
-    "plan_partitions",
-    "configure_threads",
-    "thread_count",
-    "resolve_backend_name",
-    "set_default_backend",
-    "default_backend_name",
-    "active_backend_info",
-    "BACKEND_ENV_VAR",
 ]
 
 
@@ -111,8 +79,8 @@ class _CallableModule(types.ModuleType):
     (so ``python -m repro.nn.compile.smoke`` and submodule imports still
     resolve normally)."""
 
-    def __call__(self, model, backend=None) -> CompiledModule:
-        return compile_module(model, backend=backend)
+    def __call__(self, model) -> CompiledModule:
+        return compile_module(model)
 
 
 sys.modules[__name__].__class__ = _CallableModule

@@ -17,7 +17,7 @@ The contract, end to end:
   twin, so both arms compute the same function.
 
 One graph is cached on the :class:`CompiledModule` per ``(per-sample
-shape, dtype, backend)``: batch size is not part of the key.  The graph
+shape, dtype)``: batch size is not part of the key.  The graph
 is planned at a batch *capacity* and runs any batch of up to that many
 rows on leading-axis prefixes of one arena (bit-identical to eager at
 every size).  A larger batch grows the capacity geometrically — at
@@ -42,7 +42,6 @@ Telemetry (``repro.obs`` default registry):
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from contextlib import contextmanager
@@ -52,7 +51,7 @@ import numpy as np
 
 from ..layers.base import Module
 from ..tensor import Tensor, _as_array, no_grad
-from .backend import get_backend
+from .backend import NumpyBackend
 from .executor import CompiledGraph
 from .fuse import fuse_graph
 from .ir import Graph, ModuleStateError, UnsupportedOpError
@@ -68,15 +67,10 @@ __all__ = [
     "is_enabled",
     "eager_only",
     "release_compiled",
-    "resolve_backend_name",
-    "set_default_backend",
-    "default_backend_name",
-    "active_backend_info",
-    "BACKEND_ENV_VAR",
 ]
 
-#: Environment variable selecting the compile backend process-wide.
-BACKEND_ENV_VAR = "REPRO_COMPILE_BACKEND"
+#: The stateless backend every graph is planned and lowered with.
+_BACKEND = NumpyBackend()
 
 
 _default_registry = None
@@ -123,72 +117,6 @@ def eager_only():
         yield
     finally:
         set_enabled(previous)
-
-
-# ----------------------------------------------------------------------
-# Backend selection policy
-# ----------------------------------------------------------------------
-class _BackendPolicy:
-    #: Process-wide default set by :func:`set_default_backend`
-    #: (e.g. by a serve replica at startup); ``None`` defers to the env.
-    override: Optional[str] = None
-    lock = threading.Lock()
-
-
-def set_default_backend(name: Optional[str]) -> Optional[str]:
-    """Set the process default backend; returns the previous override.
-
-    ``None`` clears the override, deferring to ``REPRO_COMPILE_BACKEND``
-    and then ``"numpy"``.  Validates eagerly — a typo should fail here,
-    at configuration time, not inside some later predict call.
-    """
-    if name is not None:
-        get_backend(name)  # raises KeyError for unknown names
-    with _BackendPolicy.lock:
-        previous = _BackendPolicy.override
-        _BackendPolicy.override = name
-    return previous
-
-
-def resolve_backend_name(backend: Optional[str] = None) -> str:
-    """The backend a compile entry point should use.
-
-    Resolution order: explicit argument > process default
-    (:func:`set_default_backend`) > ``REPRO_COMPILE_BACKEND`` env var >
-    ``"numpy"``.  The result is always a *registered* name — an unknown
-    value anywhere in the chain raises ``KeyError`` listing the
-    registered backends, so a misconfigured deployment fails loudly
-    instead of silently serving the wrong backend.
-    """
-    name = backend
-    if name is None:
-        name = _BackendPolicy.override
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR) or None
-    if name is None:
-        name = "numpy"
-    get_backend(name)  # validate; raises KeyError with the known names
-    return name
-
-
-def default_backend_name() -> str:
-    """What :func:`compiled_for` would pick with no explicit argument."""
-    return resolve_backend_name(None)
-
-
-def active_backend_info() -> Dict[str, object]:
-    """Provenance block: the resolved backend and its thread group.
-
-    Stamped into ``machine_info()`` so every ``BENCH_*.json`` records
-    which backend (and how many compile threads) produced its numbers.
-    """
-    from .threaded import thread_count
-
-    name = default_backend_name()
-    return {
-        "backend": name,
-        "threads": thread_count() if name == "threaded" else 1,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -251,29 +179,24 @@ class CompiledModule:
     use, which keeps compiled state process-local by construction.
     """
 
-    def __init__(self, model, backend: Optional[str] = None) -> None:
+    def __init__(self, model) -> None:
         self.model = model
-        self.backend_name = resolve_backend_name(backend)
         self._graphs: Dict[Tuple, CompiledGraph] = {}
         self._unsupported: set = set()
         self._lock = threading.Lock()
 
     # -- compilation ----------------------------------------------------
     def _key(self, x: np.ndarray) -> Tuple:
-        return (tuple(x.shape[1:]), x.dtype.str, self.backend_name)
+        return (tuple(x.shape[1:]), x.dtype.str)
 
     def _compile(self, shape: Tuple[int, ...], dtype) -> CompiledGraph:
         graph = _build_graph(self.model, shape, dtype)
         program = fuse_graph(graph)
-        backend = get_backend(self.backend_name)
-        plan = plan_buffers(program, backend)
-        compiled = CompiledGraph(program, plan, backend)
+        plan = plan_buffers(program, _BACKEND)
+        compiled = CompiledGraph(program, plan, _BACKEND)
         registry = _metrics()
         registry.counter("compile.graphs").inc()
         registry.counter("compile.kernels_fused").inc(compiled.ops_fused)
-        # Numeric flag per backend name (the registry holds no strings);
-        # repro.obs.top lists the set flags as the active backends.
-        registry.gauge(f"compile.active.{self.backend_name}").set(1)
         return compiled
 
     def _graph_for(self, x: np.ndarray, rows: int) -> Optional[CompiledGraph]:
@@ -388,55 +311,31 @@ class CompiledModule:
         )
 
 
-def compile_module(model, backend: Optional[str] = None) -> CompiledModule:
-    """Compile ``model`` for repeated inference (the ``nn.compile`` call).
-
-    ``backend=None`` resolves through the selection policy
-    (:func:`resolve_backend_name`): process default, then the
-    ``REPRO_COMPILE_BACKEND`` environment variable, then ``"numpy"``.
-    """
-    return CompiledModule(model, backend=backend)
+def compile_module(model) -> CompiledModule:
+    """Compile ``model`` for repeated inference (the ``nn.compile`` call)."""
+    return CompiledModule(model)
 
 
-#: Per-(model, backend) compiled wrappers, created on demand by the
-#: predict paths.  Weakly keyed on the model so dropping it drops its
-#: compiled graphs; the inner dict keys on the *resolved* backend name,
-#: so switching backends mid-process keeps one wrapper per backend and
-#: can never serve a plan compiled for the other backend's partition
-#: metadata (each wrapper's graphs are keyed per backend too).  Never
-#: pickled (each process builds its own).
+#: Per-model compiled wrappers, created on demand by the predict paths.
+#: Weakly keyed on the model so dropping it drops its compiled graphs.
+#: Never pickled (each process builds its own).
 _MODULE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _MODULE_CACHE_LOCK = threading.Lock()
 
 
-def compiled_for(model, backend: Optional[str] = None) -> CompiledModule:
-    """The process-local :class:`CompiledModule` for ``model``.
-
-    One cached wrapper per (model, resolved backend name); repeated
-    calls with the same resolution return the same object.
-    """
-    name = resolve_backend_name(backend)
+def compiled_for(model) -> CompiledModule:
+    """The process-local :class:`CompiledModule` for ``model``: one
+    cached wrapper per model, so repeated calls return the same object."""
     with _MODULE_CACHE_LOCK:
-        per_backend = _MODULE_CACHE.get(model)
-        if per_backend is None:
-            per_backend = {}
-            _MODULE_CACHE[model] = per_backend
-        compiled = per_backend.get(name)
+        compiled = _MODULE_CACHE.get(model)
         if compiled is None:
-            compiled = CompiledModule(model, backend=name)
-            per_backend[name] = compiled
+            compiled = CompiledModule(model)
+            _MODULE_CACHE[model] = compiled
         return compiled
 
 
 def release_compiled() -> int:
     """Release every cached compiled arena (serve reclaim hook)."""
-    freed = 0
     with _MODULE_CACHE_LOCK:
-        modules = [
-            compiled
-            for per_backend in _MODULE_CACHE.values()
-            for compiled in per_backend.values()
-        ]
-    for compiled in modules:
-        freed += compiled.release()
-    return freed
+        modules = list(_MODULE_CACHE.values())
+    return sum(compiled.release() for compiled in modules)

@@ -1,23 +1,24 @@
-"""Pluggable execution backends for compiled graphs.
+"""The execution backend of compiled graphs: :class:`NumpyBackend`.
 
-A backend answers two questions per fused kernel:
+It answers three questions per fused kernel:
 
-* :meth:`Backend.scratch_requests` — how many bytes of kernel-private
-  scratch it wants (the planner carves these out of the shared arena
-  with kernel-only lifetimes);
-* :meth:`Backend.lower` — a Python closure executing the kernel against
-  the run environment.
+* :meth:`NumpyBackend.scratch_requests` — how many bytes of
+  kernel-private scratch it wants (the planner carves these out of the
+  shared arena with kernel-only lifetimes);
+* :meth:`NumpyBackend.hosts_output` — whether the lowering publishes
+  the kernel's output itself instead of filling a planned arena slot;
+* :meth:`NumpyBackend.lower` — a Python closure executing the kernel
+  against the run environment.
 
-Backends register by name in a process-wide table
-(:func:`register_backend` / :func:`get_backend`), so a threaded or
-BLAS-batched implementation is a registration, not a rewrite of the
-compiler: trace, fusion, and planning are backend-agnostic.
+Trace, fusion and planning know nothing of how kernels execute; the
+compiler hands one module-level instance to the planner and the
+executor (:mod:`repro.nn.compile.api`).
 
-The stock :class:`NumpyBackend` mirrors the plain eager forward (the
-tape's forward with recording off) *operation for operation* — same
-gather maps, same GEMM call shapes, same bias/activation arithmetic,
-same window-tap pooling passes — so compiled outputs are bit-identical
-to eager outputs (pinned by ``tests/compile/test_compile_parity.py``).
+The backend mirrors the plain eager forward (the tape's forward with
+recording off) *operation for operation* — same gather maps, same GEMM
+call shapes, same bias/activation arithmetic, same window-tap pooling
+passes — so compiled outputs are bit-identical to eager outputs (pinned
+by ``tests/compile/test_compile_parity.py``).
 """
 
 from __future__ import annotations
@@ -30,10 +31,7 @@ from .. import functional as F
 from .fuse import FusedProgram, Kernel
 from .ir import LazyOp, UnsupportedOpError
 
-__all__ = [
-    "BATCH", "Backend", "NumpyBackend", "register_backend", "get_backend",
-    "backend_names",
-]
+__all__ = ["BATCH", "NumpyBackend"]
 
 #: ``getter(env) -> ndarray`` — resolves one graph value for this run.
 Getter = Callable[[dict], np.ndarray]
@@ -45,83 +43,20 @@ Getter = Callable[[dict], np.ndarray]
 BATCH = "n"
 
 
-class Backend:
-    """Interface a compiled-graph execution backend implements."""
-
-    name = "abstract"
-
-    def scratch_requests(
-        self, kernel: Kernel, program: FusedProgram
-    ) -> List[Tuple[str, int]]:
-        """``(tag, nbytes)`` scratch wanted while ``kernel`` runs."""
-        raise NotImplementedError
-
-    def hosts_output(self, kernel: Kernel, program: FusedProgram) -> bool:
-        """True if the lowering publishes ``env[kernel.output]`` itself.
-
-        Hosted outputs get no planned arena slot: the kernel hands a
-        freshly-owned array (often a zero-copy layout view) to its
-        consumers through the run environment instead of filling a
-        preallocated buffer.  This is how a conv kernel avoids the
-        NHWC→NCHW materialization copy the eager conv never pays.
-        """
-        return False
-
-    def lower(
-        self,
-        kernel: Kernel,
-        program: FusedProgram,
-        get: Callable[[int], Getter],
-        out: Getter,
-        scratch: Dict[str, np.ndarray],
-    ) -> Callable[[dict], None]:
-        """Return a closure that executes ``kernel`` for one run.
-
-        ``out(env)`` yields the kernel's output buffer: an arena view
-        for planned intermediates, allocated-on-first-use (and
-        published into ``env``) for graph outputs.  Kernels for which
-        :meth:`hosts_output` is true ignore ``out`` and assign
-        ``env[kernel.output]`` themselves.  ``scratch`` is sized for
-        the planned capacity; a run uses its leading-axis prefix.
-        """
-        raise NotImplementedError
-
-
-_BACKENDS: Dict[str, Backend] = {}
-
-
-def register_backend(backend: Backend) -> Backend:
-    """Register ``backend`` under ``backend.name`` (latest wins)."""
-    _BACKENDS[backend.name] = backend
-    return backend
-
-
-def get_backend(name: str) -> Backend:
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown backend {name!r}; registered: {sorted(_BACKENDS)}"
-        ) from None
-
-
-def backend_names() -> List[str]:
-    return sorted(_BACKENDS)
-
-
 def _itemsize(op: LazyOp) -> int:
     return int(np.dtype(op.dtype).itemsize)
 
 
-def _numel(op: LazyOp) -> int:
-    return int(np.prod(op.shape, dtype=np.int64))
+def _conv_input_shape(root: LazyOp) -> Tuple[int, ...]:
+    """A conv's planned (capacity) batch, plus the traced (C_in, H, W)."""
+    return (root.shape[0],) + root.params["input_chw"]
 
 
 def _is_conv_kernel(kernel: Kernel) -> bool:
     return kernel.kind == "gemm" and kernel.ops[0].kind == "conv2d"
 
 
-def narrowing_conv(kernel: Kernel) -> bool:
+def _narrowing_conv(kernel: Kernel) -> bool:
     """True for a conv kernel that runs as a transposed convolution
     (:func:`repro.nn.functional.narrows`), as its eager twin does."""
     if not _is_conv_kernel(kernel):
@@ -133,16 +68,15 @@ def narrowing_conv(kernel: Kernel) -> bool:
     )
 
 
-class NumpyBackend(Backend):
-    """Reference interpreter: the eager numpy forward, arena-hosted.
+class NumpyBackend:
+    """The eager numpy forward, arena-hosted.
 
     Every lowering below replays the numpy arithmetic of the
     corresponding eager op, because bit-identical parity is part of the
     compiled path's contract.  Change one only together with its eager
-    twin (and the parity wall will tell you if you forget).
+    twin (and the parity wall will tell you if you forget).  The class
+    holds no state, so one instance serves every graph.
     """
-
-    name = "numpy"
 
     # ------------------------------------------------------------------
     # Scratch sizing
@@ -150,17 +84,18 @@ class NumpyBackend(Backend):
     def scratch_requests(
         self, kernel: Kernel, program: FusedProgram
     ) -> List[Tuple[str, int]]:
+        """``(tag, nbytes)`` scratch wanted while ``kernel`` runs."""
         root = kernel.ops[0]
         if root.kind != "conv2d":
             return []
-        n, c_in, h, w = self._conv_input_shape(kernel, root)
-        kh, kw = self._conv_kernel_hw(root)
+        n, c_in, h, w = _conv_input_shape(root)
+        kh, kw = root.params["kernel"]
         ph, pw = root.params["padding"]
         c_out = root.shape[1]
         item = _itemsize(root)
         out_hw = root.shape[2] * root.shape[3]
         requests: List[Tuple[str, int]] = []
-        if narrowing_conv(kernel):
+        if _narrowing_conv(kernel):
             # The transposed-conv GEMM's (N*H*W, C_out*kh*kw) columns.
             requests.append(("cols", n * h * w * c_out * kh * kw * item))
         else:
@@ -179,18 +114,16 @@ class NumpyBackend(Backend):
         return requests
 
     def hosts_output(self, kernel: Kernel, program: FusedProgram) -> bool:
-        # Conv kernels publish NHWC-strided views of freshly-owned
-        # arrays (see _lower_conv) rather than materializing NCHW.
+        """True if the lowering publishes ``env[kernel.output]`` itself.
+
+        Hosted outputs get no planned arena slot: the kernel hands a
+        freshly-owned array to its consumers through the run
+        environment instead of filling a preallocated buffer.  Conv
+        kernels publish NHWC-strided views (see :meth:`_lower_conv`), so
+        they skip the NCHW materialization copy the eager conv never
+        pays.
+        """
         return _is_conv_kernel(kernel)
-
-    @staticmethod
-    def _conv_input_shape(kernel: Kernel, root: LazyOp) -> Tuple[int, ...]:
-        # Planned (capacity) batch, plus the traced (C_in, H, W).
-        return (root.shape[0],) + root.params["input_chw"]
-
-    @staticmethod
-    def _conv_kernel_hw(root: LazyOp) -> Tuple[int, int]:
-        return root.params["kernel"]
 
     # ------------------------------------------------------------------
     # Lowering
@@ -203,6 +136,15 @@ class NumpyBackend(Backend):
         out: Getter,
         scratch: Dict[str, np.ndarray],
     ) -> Callable[[dict], None]:
+        """Return a closure that executes ``kernel`` for one run.
+
+        ``out(env)`` yields the kernel's output buffer: an arena view
+        for planned intermediates, allocated-on-first-use (and
+        published into ``env``) for graph outputs.  Kernels for which
+        :meth:`hosts_output` is true ignore ``out`` and assign
+        ``env[kernel.output]`` themselves.  ``scratch`` is sized for
+        the planned capacity; a run uses its leading-axis prefix.
+        """
         root = kernel.ops[0]
         if kernel.kind == "gemm" and root.kind == "conv2d":
             return self._lower_conv(kernel, get, out, scratch)
@@ -235,14 +177,14 @@ class NumpyBackend(Backend):
         scratch: Dict[str, np.ndarray],
     ) -> Callable[[dict], None]:
         root = kernel.ops[0]
-        capacity = self._conv_input_shape(kernel, root)[0]
+        capacity = root.shape[0]
         c_out, out_h, out_w = root.shape[1], root.shape[2], root.shape[3]
         out_hw = out_h * out_w
         get_x = get(root.inputs[0])
         get_w = get(root.inputs[1])
         chain = self._chain_appliers(kernel.ops[1:], get, channels_last=True)
         dt = np.dtype(root.dtype)
-        if narrowing_conv(kernel):
+        if _narrowing_conv(kernel):
             conv = self._transposed_conv_rows(kernel, scratch)
         else:
             conv = self._im2col_conv_rows(kernel, scratch)
@@ -278,14 +220,13 @@ class NumpyBackend(Backend):
 
     def _im2col_conv_rows(
         self, kernel: Kernel, scratch: Dict[str, np.ndarray]
-    ) -> Callable[..., None]:
-        """``conv(x, weight, buf, start=0)`` filling ``buf``
-        ``(N*oh*ow, C_out)`` with the im2col GEMM of eager
-        :func:`~repro.nn.functional.conv2d`; ``x`` is batch rows
-        ``start:start+N`` and uses those rows of the arena scratch."""
+    ) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
+        """``conv(x, weight, buf)`` filling ``buf`` ``(N*oh*ow, C_out)``
+        with the im2col GEMM of eager :func:`~repro.nn.functional.conv2d`,
+        the padded image and columns in arena scratch."""
         root = kernel.ops[0]
-        capacity, c_in, h, w = self._conv_input_shape(kernel, root)
-        kh, kw = self._conv_kernel_hw(root)
+        capacity, c_in, h, w = _conv_input_shape(root)
+        kh, kw = root.params["kernel"]
         ph, pw = root.params["padding"]
         c_out = root.shape[1]
         index = F._im2col_index(
@@ -297,20 +238,17 @@ class NumpyBackend(Backend):
             padded = padded.view(dt).reshape(capacity, c_in, h + 2 * ph, w + 2 * pw)
         cols3 = scratch["cols"].view(dt).reshape((capacity,) + index.shape)
 
-        def conv(
-            x: np.ndarray, weight: np.ndarray, buf: np.ndarray, start: int = 0
-        ) -> None:
+        def conv(x: np.ndarray, weight: np.ndarray, buf: np.ndarray) -> None:
             n = len(x)
-            rows = slice(start, start + n)
             if padded is not None:
-                pad = padded[rows]
+                pad = padded[:n]
                 pad.fill(0)
                 pad[:, :, ph:ph + h, pw:pw + w] = x
                 flat = pad.reshape(n, -1)
             else:
                 flat = x.reshape(n, -1)
-            np.take(flat, index, axis=1, mode="clip", out=cols3[rows])
-            cols = cols3[rows].reshape(len(buf), index.shape[1])
+            np.take(flat, index, axis=1, mode="clip", out=cols3[:n])
+            cols = cols3[:n].reshape(len(buf), index.shape[1])
             np.matmul(cols, weight.reshape(c_out, -1).T, out=buf)
 
         return conv
@@ -323,8 +261,8 @@ class NumpyBackend(Backend):
         :func:`~repro.nn.functional._transposed_conv`, the columns in
         arena scratch and the image in ``buf``."""
         root = kernel.ops[0]
-        capacity, c_in, h, w = self._conv_input_shape(kernel, root)
-        kh, kw = self._conv_kernel_hw(root)
+        capacity, c_in, h, w = _conv_input_shape(root)
+        kh, kw = root.params["kernel"]
         ph, pw = root.params["padding"]
         c_out, out_h, out_w = root.shape[1], root.shape[2], root.shape[3]
         padding = (kh - 1 - ph, kw - 1 - pw)
@@ -554,5 +492,3 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
         np.exp(clipped) / (1.0 + np.exp(clipped)),
     ).astype(x.dtype)
 
-
-register_backend(NumpyBackend())

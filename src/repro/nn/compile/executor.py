@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .backend import BATCH, Backend
+from .backend import BATCH, NumpyBackend
 from .fuse import FusedProgram
 from .ir import ELEMENTWISE_KINDS, Graph, UnsupportedOpError
 from .plan import ArenaPlan
@@ -81,7 +81,7 @@ class CompiledGraph:
         self,
         program: FusedProgram,
         plan: ArenaPlan,
-        backend: Backend,
+        backend: NumpyBackend,
     ) -> None:
         self.program = program
         self.graph: Graph = program.graph

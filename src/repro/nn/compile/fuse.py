@@ -16,7 +16,7 @@ Fusion groups *arbitrary* elementwise chains behind any GEMM producer:
 * everything else lowers to a singleton kernel.
 
 The output is a :class:`FusedProgram` — the unit the buffer planner
-(:mod:`repro.nn.compile.plan`) and backends lower.
+(:mod:`repro.nn.compile.plan`) and the backend lower.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ and a ``source`` ref naming the layer it came from — without computing
 anything.  Tracing (:mod:`repro.nn.compile.trace`) builds the graph
 from a module tree; lowering turns it into fused kernels
 (:mod:`repro.nn.compile.fuse`), an arena plan
-(:mod:`repro.nn.compile.plan`), and finally backend callables
+(:mod:`repro.nn.compile.plan`), and finally the backend's callables
 (:mod:`repro.nn.compile.backend`).
 
 Value ids are just op ids: every op produces exactly one value.  Leaf

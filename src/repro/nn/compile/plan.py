@@ -21,39 +21,15 @@ regardless of dtype.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .fuse import FusedProgram, Kernel
+from .fuse import FusedProgram
 
-__all__ = [
-    "Slot",
-    "ArenaPlan",
-    "plan_buffers",
-    "ALIGN",
-    "KernelPartition",
-    "partition_rows",
-    "partition_kernel",
-    "plan_partitions",
-    "MIN_TILE_WORK",
-    "MAX_TILES",
-]
+__all__ = ["Slot", "ArenaPlan", "plan_buffers", "ALIGN"]
 
 ALIGN = 64
-
-#: Minimum scalar-operation work (a flop proxy) one tile must carry
-#: before a kernel is split at all — below this the dispatch overhead
-#: of even a second tile exceeds the compute it would offload, so small
-#: kernels stay serial by plan, not by runtime heuristic.
-MIN_TILE_WORK = 1 << 17
-
-#: Fixed tile-count ceiling.  The partition is part of the *plan*, not
-#: of the thread pool: the same bounds are produced whatever the pool
-#: size, so all multi-worker runs execute identical tile sequences
-#: (determinism) and a pool larger than MAX_TILES simply leaves workers
-#: idle rather than changing the numbers.
-MAX_TILES = 16
 
 
 @dataclass(frozen=True)
@@ -133,9 +109,11 @@ class _FreeList:
 def plan_buffers(program: FusedProgram, backend) -> ArenaPlan:
     """Liveness-analyze ``program`` and pack it into one arena.
 
-    ``backend`` supplies per-kernel scratch requests via
-    ``backend.scratch_requests(kernel, program)`` — scratch lives only
-    for its kernel's index, so consecutive kernels share the same bytes.
+    ``backend`` (the :class:`~repro.nn.compile.backend.NumpyBackend`
+    that will lower the kernels) supplies per-kernel scratch requests
+    via ``backend.scratch_requests(kernel, program)`` — scratch lives
+    only for its kernel's index, so consecutive kernels share the same
+    bytes.
     """
     graph = program.graph
     kernels = program.kernels
@@ -189,129 +167,3 @@ def plan_buffers(program: FusedProgram, backend) -> ArenaPlan:
 
     plan.total_bytes = free.high_water
     return plan
-
-
-# ----------------------------------------------------------------------
-# Row partitioning (threaded backend metadata)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class KernelPartition:
-    """Fixed-order row partition of one kernel's leading axis.
-
-    ``bounds`` is a monotone tuple ``(0, ..., axis_size)``; tile ``i``
-    covers rows ``[bounds[i], bounds[i+1])``.  Tiles are disjoint and
-    cover the axis exactly once (pinned by a hypothesis property test),
-    so tile writes into one shared output buffer never overlap and the
-    union of tiles is the whole kernel.
-    """
-
-    axis_size: int
-    bounds: Tuple[int, ...]
-
-    @property
-    def num_tiles(self) -> int:
-        return len(self.bounds) - 1
-
-    @property
-    def ranges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(zip(self.bounds[:-1], self.bounds[1:]))
-
-    def scaled(self, factor: int) -> "KernelPartition":
-        """The same partition with every bound multiplied by ``factor``.
-
-        Used to convert a conv kernel's batch partition into GEMM-row
-        coordinates (``rows = batch * out_h * out_w``).
-        """
-        return KernelPartition(
-            axis_size=self.axis_size * factor,
-            bounds=tuple(b * factor for b in self.bounds),
-        )
-
-
-def partition_rows(
-    axis_size: int,
-    work_per_row: int,
-    min_tile_work: int = MIN_TILE_WORK,
-    max_tiles: int = MAX_TILES,
-) -> KernelPartition:
-    """Deterministically partition ``axis_size`` rows into tiles.
-
-    The tile count depends only on the kernel's total work and the two
-    module constants — never on the thread count — and the bounds are
-    the canonical even integer split, so every process planning the
-    same graph produces byte-identical partitions.
-    """
-    if axis_size <= 0:
-        return KernelPartition(axis_size=max(axis_size, 0), bounds=(0, max(axis_size, 0)))
-    total_work = axis_size * max(work_per_row, 1)
-    tiles = min(total_work // max(min_tile_work, 1), max_tiles, axis_size)
-    tiles = max(int(tiles), 1)
-    bounds = tuple(i * axis_size // tiles for i in range(tiles + 1))
-    return KernelPartition(axis_size=axis_size, bounds=bounds)
-
-
-def _kernel_row_work(
-    kernel: Kernel, program: FusedProgram, rows: Optional[int] = None
-) -> Tuple[int, int]:
-    """``(axis_size, work_per_row)`` for partitioning one kernel.
-
-    The leading axis is the batch/rows dimension of the kernel's output
-    (``rows`` overrides its planned size with a run's batch size);
-    work per row is a scalar-operation (flop) proxy — GEMM rows weigh
-    their inner dimension, elementwise rows weigh their chain length —
-    so GEMM-heavy kernels split readily while cheap elementwise kernels
-    stay serial unless they are genuinely large.
-    """
-    root = kernel.ops[0]
-    if not root.shape:
-        return 0, 0
-    axis = int(root.shape[0]) if rows is None else int(rows)
-    per_row = int(np.prod(root.shape[1:], dtype=np.int64))
-    if root.kind == "conv2d":
-        c_in, _, _ = root.params["input_chw"]
-        kh, kw = root.params["kernel"]
-        per_row *= c_in * kh * kw
-    elif root.kind == "matmul":
-        weight = program.graph.op(root.inputs[1])
-        per_row *= int(weight.shape[0])
-    else:
-        per_row *= len(kernel.ops) + len(kernel.pool)
-    return axis, per_row
-
-
-def partition_kernel(
-    kernel: Kernel, program: FusedProgram, rows: Optional[int] = None
-) -> Optional[KernelPartition]:
-    """The partition for ``kernel`` at ``rows`` leading-axis rows (the
-    planned capacity by default), or ``None`` if it must stay serial
-    for correctness (not merely for size).
-
-    Softmax-family kernels reduce along a recorded axis; they partition
-    only when that axis is not the leading one, so every reduction stays
-    entirely inside a single tile (no cross-tile reduction trees are
-    ever needed — fan-in order is the serial order by construction).
-    """
-    root = kernel.ops[0]
-    if root.kind in ("softmax", "log_softmax"):
-        axis = root.params["axis"] % len(root.shape)
-        if axis == 0:
-            return None
-    axis_size, per_row = _kernel_row_work(kernel, program, rows)
-    if axis_size <= 0:
-        return None
-    return partition_rows(axis_size, per_row)
-
-
-def plan_partitions(program: FusedProgram) -> Dict[int, KernelPartition]:
-    """Partition metadata for every kernel of ``program``.
-
-    Keyed by kernel index.  Kernels that must stay serial are simply
-    absent; kernels present with ``num_tiles == 1`` fell under the
-    min-work threshold.
-    """
-    partitions: Dict[int, KernelPartition] = {}
-    for index, kernel in enumerate(program.kernels):
-        partition = partition_kernel(kernel, program)
-        if partition is not None:
-            partitions[index] = partition
-    return partitions

@@ -19,9 +19,8 @@ The pillars, one per module:
 * :mod:`repro.obs.top` — a terminal ops console for live QPS, latency
   quantiles, shed/hit/abstain rates, and breaker state
   (``python -m repro.obs.top``);
-* :mod:`repro.obs.timing` / :mod:`repro.obs.profile` — hierarchical
-  span timers and per-layer forward/backward profiling built on
-  ``nn.Module.register_hook``;
+* :mod:`repro.obs.profile` — per-layer forward/backward profiling
+  built on ``nn.Module.register_hook``;
 * :mod:`repro.obs.monitor` — :class:`SelectiveMonitor`, rolling
   coverage/abstention telemetry with concept-shift alert hooks.
 
@@ -55,7 +54,6 @@ from .metrics import (
 )
 from .monitor import CoverageAlert, SelectiveMonitor
 from .profile import LayerProfiler, LayerStats, profile_model
-from .timing import TimerNode, TimerTree
 from .trace import (
     Span,
     TraceContext,
@@ -108,6 +106,4 @@ __all__ = [
     "LayerProfiler",
     "LayerStats",
     "profile_model",
-    "TimerNode",
-    "TimerTree",
 ]

@@ -100,12 +100,6 @@ def machine_info() -> Dict[str, Any]:
     was itself multi-threaded.  ``warnings`` makes the single-core
     caveat machine-readable instead of prose-only (parallel/serving
     scaling curves measure protocol overhead, not speedup, on one CPU).
-
-    The ``compile`` block records the active compile backend and its
-    thread-group size, so a thread-scaling curve in ``BENCH_*.json`` is
-    attributable to the backend that produced it; a second warning
-    flags compile thread counts above the physical core count (those
-    curves measure scheduling overhead, not speedup).
     """
     import numpy as np
 
@@ -118,22 +112,6 @@ def machine_info() -> Dict[str, Any]:
             "single-CPU machine: worker/replica scaling cases measure "
             "protocol overhead, not parallel speedup"
         )
-    try:
-        from ..nn.compile import active_backend_info
-
-        compile_info: Optional[Dict[str, Any]] = dict(active_backend_info())
-    except Exception:  # pragma: no cover - compile subsystem unavailable
-        compile_info = None
-    if (
-        compile_info is not None
-        and cpu_count is not None
-        and int(compile_info.get("threads", 1)) > cpu_count
-    ):
-        warnings.append(
-            f"compile thread count ({compile_info['threads']}) exceeds "
-            f"physical cores ({cpu_count}): threaded-backend scaling "
-            "cases measure scheduling overhead, not parallel speedup"
-        )
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
@@ -142,7 +120,6 @@ def machine_info() -> Dict[str, Any]:
         "cpu_count": cpu_count,
         "git_sha": _git_sha(),
         "warnings": warnings,
-        "compile": compile_info,
         "env": {var: os.environ.get(var) for var in BLAS_ENV_VARS},
     }
 

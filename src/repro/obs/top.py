@@ -4,7 +4,8 @@ Reads metric snapshots — straight from a registry, or from the JSON
 file a :class:`~repro.obs.export.SnapshotWriter` keeps fresh — and
 renders the numbers an operator watches during a run of the selective
 classifier: live QPS, p50/p99 latency, shed / cache-hit / abstain
-rates, what flushed each batch, and per-lane circuit-breaker state.  Rates are computed from
+rates, what flushed each batch, per-lane circuit-breaker state and the
+compiled-graph cache.  Rates are computed from
 **deltas between consecutive snapshots**, so the console shows current
 behaviour, not lifetime averages.
 
@@ -66,7 +67,6 @@ def compute_rates(
     abstained = _delta(now, before, "serve.abstained_total")
     gw_requests = _delta(now, before, "gateway.requests_total")
     gw_rejected = _delta(now, before, "gateway.rejected_total")
-    tiles = _delta(now, before, "compile.threads.tiles")
     flushes = {
         name[len(_FLUSH_PREFIX):]: _delta(now, before, name)
         for name in sorted(now)
@@ -81,8 +81,6 @@ def compute_rates(
         "gateway_qps": gw_requests / dt_s if dt_s > 0 else None,
         "gateway_requests": gw_requests,
         "gateway_reject_rate": _ratio(gw_rejected, gw_requests),
-        "compile_tiles": tiles,
-        "compile_tiles_per_s": tiles / dt_s if dt_s > 0 else None,
         "flushes": flushes,
     }
 
@@ -162,18 +160,9 @@ def render(
             lines.append(f"    {lane:<28} {state}{marker}")
     counters = curr.get("counters", {})
     gauges = curr.get("gauges", {})
-    backends = sorted(
-        name[len("compile.active."):]
-        for name, value in gauges.items()
-        if name.startswith("compile.active.") and value
-    )
-    if backends or counters.get("compile.graphs"):
-        pool = gauges.get("compile.threads.pool_size", 1)
-        tiles_s = rates["compile_tiles_per_s"]
-        tiles = f"{tiles_s:8.1f}" if tiles_s is not None else "      --"
+    if counters.get("compile.graphs"):
         lines.append(
-            f"  compile      {'+'.join(backends) or 'numpy':<10}"
-            f" pool {pool:.0f}  tiles/s {tiles}"
+            f"  compile      graphs {counters['compile.graphs']:.0f}"
             f"  cache {counters.get('compile.cache_hits', 0):.0f}/"
             f"{counters.get('compile.cache_misses', 0):.0f} hit/miss"
         )
@@ -232,12 +221,9 @@ def _demo_frames() -> List[Dict[str, Any]]:
     registry.gauge("serve.lane0.breaker_state").set(0)
     registry.gauge("serve.lane1.breaker_state").set(2)
     registry.gauge("serve.queue_depth").set(4)
-    registry.gauge("compile.active.threaded").set(1)
-    registry.gauge("compile.threads.pool_size").set(4)
     registry.counter("compile.graphs").inc(2)
     registry.counter("compile.cache_hits").inc(198)
     registry.counter("compile.cache_misses").inc(2)
-    compile_tiles = registry.counter("compile.threads.tiles")
     registry.gauge("serve.generation").set(2)
     registry.counter("stream.promotes").inc(1)
     registry.counter("stream.rollbacks").inc(1)
@@ -250,7 +236,6 @@ def _demo_frames() -> List[Dict[str, Any]]:
     size = registry.counter("serve.batch.flush.size")
     frames = []
     for frame in range(3):
-        compile_tiles.inc(360)
         immediate.inc(60)
         size.inc(frame)
         for i in range(200):

@@ -9,7 +9,10 @@ Every worker pins the BLAS threadpools to one thread: with N processes
 each spinning the default OpenBLAS pool the machine oversubscribes
 N x cores threads and throughput collapses.  The parent's environment
 is only modified while the children are being spawned (they inherit
-it), then restored.
+it), then restored.  The environment only reaches a BLAS that has not
+been loaded yet; a forked worker inherits the OpenBLAS numpy loaded in
+the parent, already sized, so :func:`pin_blas_threads` also calls that
+library's own thread-count setter.
 
 Supervision primitives (used by the resilient engine and serve
 backends): :meth:`WorkerPool.recv` raises :class:`WorkerCrashed` on a
@@ -23,6 +26,7 @@ block exit forever.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing as mp
 import os
 import time
@@ -83,10 +87,52 @@ class blas_single_thread:
                 os.environ[var] = value
 
 
+#: Thread-count setters an OpenBLAS build may export, in lookup order
+#: (numpy's bundled ILP64 build first).
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads",
+)
+
+
+def _loaded_openblas() -> List[ctypes.CDLL]:
+    """Every OpenBLAS library mapped into this process (Linux; ``[]``
+    where ``/proc/self/maps`` is unavailable)."""
+    try:
+        with open("/proc/self/maps", "r", encoding="utf-8") as maps:
+            fields = [line.split(None, 5) for line in maps]
+    except OSError:
+        return []
+    paths = sorted({
+        parts[5].strip() for parts in fields
+        if len(parts) == 6 and "openblas" in os.path.basename(parts[5]).lower()
+    })
+    libraries = []
+    for path in paths:
+        try:
+            libraries.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    return libraries
+
+
 def pin_blas_threads() -> None:
-    """Pin BLAS threadpools to one thread (called inside each worker)."""
+    """Pin BLAS threadpools to one thread (called inside each worker).
+
+    Sets the env vars for BLAS builds loaded later, and tells every
+    already-loaded OpenBLAS through the first setter it exports among
+    :data:`_OPENBLAS_SETTERS` (none found: the env vars are all there is).
+    """
     for var in BLAS_ENV_VARS:
         os.environ[var] = "1"
+    for library in _loaded_openblas():
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
 
 
 def parallel_supported(num_workers: int) -> bool:

@@ -14,7 +14,7 @@ wafer stream, Sec. I / Fig. 1).  Four cooperating pieces:
 * :mod:`~repro.serve.backend` — one in-process lane or N model
   replicas in worker processes fed through a shared-memory arena;
 * :mod:`~repro.serve.engine` — :class:`ServeEngine`, tying the three
-  together with obs metrics, per-batch timer spans, and idle-time
+  together with obs metrics, per-batch tracer spans, and idle-time
   scratch reclamation;
 * :mod:`~repro.serve.gateway` — :class:`Gateway`, the asyncio traffic
   front door: length-prefixed JSON-over-TCP

@@ -20,7 +20,7 @@ fan-out across replicas falls out of the lane count.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -122,26 +122,6 @@ class InProcessBackend:
         self.close()
 
 
-def _configure_compile(
-    backend_name: Optional[str], threads: Optional[int], lanes: int
-) -> None:
-    """Apply the serve compile policy inside one replica process.
-
-    ``set_default_backend`` routes every ``compiled_for`` call of this
-    process to the configured backend; ``configure_threads`` sizes its
-    compile pool, clamped so the threads × replicas topology never
-    oversubscribes the machine — each replica's BLAS is already pinned
-    to a single thread (:data:`repro.parallel.BLAS_ENV_VARS`), so the
-    compile pool is the only per-replica parallelism to budget.
-    """
-    from ..nn.compile import set_default_backend
-    from ..nn.compile.threaded import clamped_threads, configure_threads
-
-    if backend_name is not None:
-        set_default_backend(backend_name)
-    configure_threads(clamped_threads(threads, lanes))
-
-
 def _replica_worker(rank, num_workers, pipe, payload) -> None:
     """Worker loop: bind the rank's arena slots, serve infer requests.
 
@@ -160,8 +140,7 @@ def _replica_worker(rank, num_workers, pipe, payload) -> None:
     from ..obs.aggregate import mergeable_snapshot
     from ..obs.metrics import MetricsRegistry
 
-    model, handle, max_batch, compile_cfg = payload
-    _configure_compile(compile_cfg[0], compile_cfg[1], num_workers)
+    model, handle, max_batch = payload
     infer_fn = model_infer_fn(model)
     registry = MetricsRegistry()
     m_batches = registry.counter("serve.worker.batches")
@@ -245,8 +224,6 @@ class ReplicaPoolBackend:
         restarts: int = 2,
         registry=None,
         aggregator=None,
-        compile_backend: Optional[str] = None,
-        compile_threads: Optional[int] = None,
     ) -> None:
         if num_replicas < 2:
             raise ValueError("ReplicaPoolBackend needs >= 2 replicas")
@@ -276,12 +253,7 @@ class ReplicaPoolBackend:
             self._pool = WorkerPool(
                 num_replicas,
                 _replica_worker,
-                payload=(
-                    model,
-                    self._arena.handle(),
-                    max_batch,
-                    (compile_backend, compile_threads),
-                ),
+                payload=(model, self._arena.handle(), max_batch),
                 timeout=timeout,
             )
         except BaseException:
@@ -407,27 +379,17 @@ def make_backend(
     restarts: int = 2,
     registry=None,
     aggregator=None,
-    compile_backend: Optional[str] = None,
-    compile_threads: Optional[int] = None,
 ):
     """Replica pool when possible, in-process fallback otherwise.
 
     Either way the model is compiled for ``max_batch`` wafers before the
     backend is returned (in each replica process for the pool).
-    ``compile_backend`` / ``compile_threads`` configure the compiled
-    inference path per replica process (see :class:`ServeConfig`); on
-    the in-process fallback they apply to this process — but only when
-    explicitly set, so serving with defaults never clobbers a global
-    compile policy the host application already chose.
     """
     if num_replicas > 1 and parallel_supported(num_replicas):
         return ReplicaPoolBackend(
             model, num_replicas, max_batch, input_hw, num_classes,
             timeout=timeout, restarts=restarts, registry=registry,
-            aggregator=aggregator, compile_backend=compile_backend,
-            compile_threads=compile_threads,
+            aggregator=aggregator,
         )
-    if compile_backend is not None or compile_threads is not None:
-        _configure_compile(compile_backend, compile_threads, lanes=1)
     reserve_compiled(model, max_batch, input_hw)
     return InProcessBackend(model_infer_fn(model))

@@ -22,9 +22,9 @@ it serves — at construction, and inside :meth:`ServeEngine.swap_model`
 before the commit — so a request never waits on a compile either.
 Every lane (model replica) has a dedicated runner thread, so N
 replicas keep N batches in flight.  The engine records queue depth,
-cache hit counters, per-request latency and per-batch size/compute
+cache hit counters, per-request latency and per-batch size/compute/total
 histograms into a :class:`repro.obs.MetricsRegistry`, per-batch spans
-into per-lane :class:`repro.obs.TimerTree`\\ s, and releases the
+into the armed :class:`repro.obs.Tracer` (if any), and releases the
 compiled-graph arenas (parent *and* replicas) after ``idle_reclaim_s``
 of silence so memory is reclaimed between traffic bursts.
 """
@@ -47,7 +47,6 @@ from ..nn import functional as F
 from ..obs.aggregate import FleetAggregator, mergeable_snapshot, summarize_snapshot
 from ..obs.flight import dump_flight, record_flight_event
 from ..obs.metrics import MetricsRegistry, default_registry
-from ..obs.timing import TimerTree
 from ..obs.top import BREAKER_STATE_CODES
 from ..obs.trace import current_tracer
 from ..resilience.breaker import CircuitBreaker
@@ -147,16 +146,6 @@ class ServeConfig:
         Seconds an open breaker waits before allowing the probe.
     replica_restarts:
         Per-lane respawn budget of the replica pool backend.
-    compile_backend:
-        Compile backend name (``"numpy"`` / ``"threaded"``) every
-        replica process selects as its default at start-up; ``None``
-        leaves the process/env resolution
-        (:data:`repro.nn.compile.BACKEND_ENV_VAR`) untouched.
-    compile_threads:
-        Requested per-replica compile thread-group size.  The effective
-        size is clamped so ``threads × replicas`` never exceeds the
-        machine's cores (replica BLAS is already pinned to one thread);
-        ``None`` clamps the env/default resolution instead.
     """
 
     max_batch_size: int = 64
@@ -171,8 +160,6 @@ class ServeConfig:
     breaker_failures: int = 3
     breaker_reset_s: float = 5.0
     replica_restarts: int = 2
-    compile_backend: Optional[str] = None
-    compile_threads: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_latency_ms < 0:
@@ -185,13 +172,6 @@ class ServeConfig:
             raise ValueError("breaker_reset_s must be positive")
         if self.replica_restarts < 0:
             raise ValueError("replica_restarts must be non-negative")
-        if self.compile_backend is not None:
-            from ..nn.compile import resolve_backend_name
-
-            # Fail at config time, not inside a forked replica.
-            resolve_backend_name(self.compile_backend)
-        if self.compile_threads is not None and self.compile_threads < 1:
-            raise ValueError("compile_threads must be >= 1")
 
 
 @dataclass
@@ -424,10 +404,6 @@ class ServeEngine:
         )
         self._generation_gauge.set(1)
 
-        #: One span tree per lane; TimerTree is single-threaded.
-        self.timers: Tuple[TimerTree, ...] = tuple(
-            TimerTree() for _ in range(num_lanes)
-        )
         self._idle_lock = threading.Lock()
         self._reclaimed = True  # nothing to free before the first batch
         self._closed = False
@@ -474,8 +450,6 @@ class ServeEngine:
             restarts=self.config.replica_restarts,
             registry=self._registry,
             aggregator=self.fleet,
-            compile_backend=self.config.compile_backend,
-            compile_threads=self.config.compile_threads,
         )
 
     def _make_breakers(self, num_lanes: int) -> Tuple[CircuitBreaker, ...]:
@@ -772,13 +746,6 @@ class ServeEngine:
             "cache": self.cache.stats() if self.cache is not None else None,
         }
 
-    def timer_report(self, min_seconds: float = 0.0) -> str:
-        """Per-lane span report (batch / infer / complete)."""
-        blocks = []
-        for lane, tree in enumerate(self.timers):
-            blocks.append(f"lane {lane}\n{tree.format_report(min_seconds)}")
-        return "\n\n".join(blocks)
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Drain pending requests, stop runners, shut the backend down."""
@@ -834,7 +801,6 @@ class ServeEngine:
         )
 
     def _run_lane(self, lane: int) -> None:
-        tree = self.timers[lane]
         staging = None
         if self._input_hw is not None:
             h, w = self._input_hw
@@ -869,7 +835,7 @@ class ServeEngine:
             # generation; the swap drains on this lease).
             gen = self._lease()
             try:
-                self._process(lane, tree, batch, staging, flush_reason, gen)
+                self._process(lane, batch, staging, flush_reason, gen)
             except BaseException as error:  # keep the lane alive
                 self._errors.inc()
                 for request in batch:
@@ -878,7 +844,7 @@ class ServeEngine:
                 self._release(gen)
 
     def _process(
-        self, lane: int, tree: TimerTree, batch, staging, flush_reason, gen: _Generation
+        self, lane: int, batch, staging, flush_reason, gen: _Generation
     ) -> None:
         batch_started = time.monotonic()
         # One probe per batch; `request.trace` is only ever non-None
@@ -905,42 +871,37 @@ class ServeEngine:
                 tracer.end(
                     queue_span, duration_s=batch_started - request.submitted_at
                 )
-        with tree.span("batch"):
-            count = len(batch)
-            if staging is None:
-                inputs = np.stack([request.tensor for request in batch])
-            else:
-                inputs = staging[:count]
-                for i, request in enumerate(batch):
-                    inputs[i] = request.tensor
-            with tree.span("infer"):
-                compute_started = time.monotonic()
-                probabilities, scores = self._infer(lane, inputs, batch_span, gen)
-                compute_s = time.monotonic() - compute_started
-            with tree.span("complete"):
-                completed = time.monotonic()
-                # A swap that committed while this batch was in flight
-                # cleared the cache for the *new* generation; writing
-                # this (old-generation) batch back would repollute it.
-                cacheable = (
-                    self.cache is not None and gen is self._generation
+        count = len(batch)
+        if staging is None:
+            inputs = np.stack([request.tensor for request in batch])
+        else:
+            inputs = staging[:count]
+            for i, request in enumerate(batch):
+                inputs[i] = request.tensor
+        compute_started = time.monotonic()
+        probabilities, scores = self._infer(lane, inputs, batch_span, gen)
+        completed = time.monotonic()
+        compute_s = completed - compute_started
+        # A swap that committed while this batch was in flight cleared
+        # the cache for the *new* generation; writing this
+        # (old-generation) batch back would repollute it.
+        cacheable = self.cache is not None and gen is self._generation
+        for i, request in enumerate(batch):
+            score = float(scores[i])
+            if cacheable and request.key is not None:
+                self.cache.put(request.key, probabilities[i], score)
+            latency = completed - request.submitted_at
+            request.future._set(self._finish(
+                probabilities[i], score, cached=False,
+                latency_s=latency, gen=gen,
+            ))
+            self._latency.observe(latency)
+            if request.trace is not None and tracer is not None:
+                respond = tracer.start_span(
+                    "serve.respond", parent=request.trace.context,
                 )
-                for i, request in enumerate(batch):
-                    score = float(scores[i])
-                    if cacheable and request.key is not None:
-                        self.cache.put(request.key, probabilities[i], score)
-                    latency = completed - request.submitted_at
-                    request.future._set(self._finish(
-                        probabilities[i], score, cached=False,
-                        latency_s=latency, gen=gen,
-                    ))
-                    self._latency.observe(latency)
-                    if request.trace is not None and tracer is not None:
-                        respond = tracer.start_span(
-                            "serve.respond", parent=request.trace.context,
-                        )
-                        tracer.end(respond)
-                        tracer.end(request.trace, duration_s=latency)
+                tracer.end(respond)
+                tracer.end(request.trace, duration_s=latency)
         if batch_span is not None:
             tracer.end(batch_span)
         self._flush_counters[flush_reason].inc()

@@ -113,10 +113,10 @@ def build(layers, sample_shape, rng=None):
     return model
 
 
-def named_stack(name, batch_scale=1):
+def named_stack(name):
     """``(model, input_shape)`` of the named regression stack."""
     layers, sample_shape, batch = NAMED[name]
-    return build(layers, sample_shape), (batch * batch_scale,) + sample_shape
+    return build(layers, sample_shape), (batch,) + sample_shape
 
 
 def _conv_specs(shape):

@@ -1,36 +1,25 @@
 """Batch-size independence wall: one graph per model serves every n.
 
-A :class:`CompiledModule` keys its graph on the per-sample shape, dtype
-and backend, plans it at a batch *capacity*, and runs any ``n <=
-capacity`` on leading-axis prefixes of one arena.  The contract this
-wall pins, on random stacks from :mod:`.stacks`: at every ``n`` the
-compiled outputs equal the eager forward at ``n`` bit for bit, in values
-*and* memory layout, on the numpy backend and on the threaded backend
-at 1 and 4 threads — from a single compile per backend.
+A :class:`CompiledModule` keys its graph on the per-sample shape and
+dtype, plans it at a batch *capacity*, and runs any ``n <= capacity``
+on leading-axis prefixes of one arena.  The contract this wall pins, on
+random stacks from :mod:`.stacks`: at every ``n`` the compiled outputs
+equal the eager forward at ``n`` bit for bit, in values *and* memory
+layout — from a single compile.
 """
 
 import sys
 import threading
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.nn.compile import compile_module, configure_threads, thread_count
+from repro.nn.compile import compile_module
 from repro.obs.metrics import default_registry
 
 from .stacks import DTYPES, assert_same_array, build, eager_forward, named_stack, stacks
-
-BACKENDS = (("numpy", None), ("threaded", 1), ("threaded", 4))
-
-
-@pytest.fixture(autouse=True)
-def _restore_threads():
-    previous = thread_count()
-    yield
-    configure_threads(previous)
 
 
 @settings(max_examples=300, deadline=None)
@@ -46,20 +35,14 @@ def test_every_batch_size_matches_eager(stack, capacity, dtype, seed):
         rng = np.random.default_rng(seed)
         model = build(layers, sample_shape, rng)
         xs = rng.normal(size=(capacity,) + sample_shape).astype(dtype)
-        modules = {name: compile_module(model, backend=name) for name in ("numpy", "threaded")}
-        for compiled in modules.values():
-            assert compiled.reserve(xs, capacity)
+        compiled = compile_module(model)
+        assert compiled.reserve(xs, capacity)
         for n in range(1, capacity + 1):
             x = xs[capacity - n:]  # a different slice of the data per n
-            expected = eager_forward(model, x)
-            for name, threads in BACKENDS:
-                if threads is not None:
-                    configure_threads(threads)
-                (got,) = modules[name].try_run(x)
-                assert_same_array(got, expected)
-        for compiled in modules.values():
-            (graph,) = compiled.graphs.values()
-            assert graph.capacity == capacity
+            (got,) = compiled.try_run(x)
+            assert_same_array(got, eager_forward(model, x))
+        (graph,) = compiled.graphs.values()
+        assert graph.capacity == capacity
 
 
 def test_reserve_compiles_once_and_runs_hit():

@@ -14,10 +14,8 @@ from repro.core.cnn import BackboneConfig, WaferCNN
 from repro.core.selective import SelectiveNet
 from repro.nn.compile import (
     CompiledModule,
-    backend_names,
     compile_module,
     eager_only,
-    get_backend,
     is_enabled,
     set_enabled,
 )
@@ -169,12 +167,6 @@ def test_compiled_module_refuses_pickling():
     compiled = compile_module(_simple_model())
     with pytest.raises(TypeError):
         pickle.dumps(compiled)
-
-
-def test_unknown_backend_name_is_an_error():
-    with pytest.raises(KeyError):
-        get_backend("not-a-backend")
-    assert "numpy" in backend_names()
 
 
 # ----------------------------------------------------------------------

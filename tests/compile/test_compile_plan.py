@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.nn.compile import eager_only, get_backend
+from repro.nn.compile import NumpyBackend, eager_only
 from repro.nn.compile.executor import CompiledGraph
 from repro.nn.compile.fuse import fuse_graph
 from repro.nn.compile.plan import ALIGN, plan_buffers
 from repro.nn.compile.trace import trace_module
+
+BACKEND = NumpyBackend()
 
 
 @st.composite
@@ -78,12 +80,11 @@ def test_plan_liveness_disjoint_and_runs_bit_identical(stack):
     model, shape = stack
     graph = trace_module(model, shape, np.dtype(np.float32))
     program = fuse_graph(graph)
-    backend = get_backend("numpy")
-    plan = plan_buffers(program, backend)
+    plan = plan_buffers(program, BACKEND)
 
     _assert_disjoint_liveness(plan)
 
-    compiled = CompiledGraph(program, plan, backend)
+    compiled = CompiledGraph(program, plan, BACKEND)
     x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
     (result,) = compiled.run(x)
     with eager_only(), nn.inference_mode():
@@ -101,7 +102,7 @@ def test_planner_reuses_bytes_across_kernels():
     model.eval()
     graph = trace_module(model, (4, 1, 16, 16), np.dtype(np.float32))
     program = fuse_graph(graph)
-    plan = plan_buffers(program, get_backend("numpy"))
+    plan = plan_buffers(program, BACKEND)
     assert plan.total_bytes < plan.peak_naive_bytes
 
 
@@ -114,7 +115,7 @@ def test_plan_intervals_cover_all_slots():
     model.eval()
     graph = trace_module(model, (2, 1, 8, 8), np.dtype(np.float32))
     program = fuse_graph(graph)
-    plan = plan_buffers(program, get_backend("numpy"))
+    plan = plan_buffers(program, BACKEND)
     assert set(plan.intervals) == set(plan.slots)
     for birth, death in plan.intervals.values():
         assert 0 <= birth <= death < len(program.kernels)

@@ -81,6 +81,17 @@ class TestRender:
         assert "flushes      immediate 15  size 2" in render(curr, prev)
         assert "flushes" not in render(prev, prev)
 
+    def test_compile_row_from_counters(self):
+        snapshot = _snapshot()
+        assert "compile" not in render(snapshot)
+        snapshot["counters"].update({
+            "compile.graphs": 2, "compile.cache_hits": 198,
+            "compile.cache_misses": 2,
+        })
+        (row,) = [line for line in render(snapshot).splitlines()
+                  if line.strip().startswith("compile")]
+        assert row.split() == ["compile", "graphs", "2", "cache", "198/2", "hit/miss"]
+
     def test_renders_empty_snapshot(self):
         frame = render({"counters": {}, "gauges": {}, "histograms": {}})
         assert "repro.obs.top" in frame

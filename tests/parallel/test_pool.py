@@ -1,5 +1,6 @@
 """Worker pool: parallel_map semantics, supervision, BLAS pinning."""
 
+import ctypes
 import os
 import time
 
@@ -60,7 +61,49 @@ class TestParallelMap:
         assert parallel_map(_square, [], num_workers=4) == []
 
 
+#: Thread-count getters an OpenBLAS build may export.
+_OPENBLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads",
+)
+
+
+def _openblas_threads():
+    """Threads the first OpenBLAS mapped into this process reports
+    (``None``: none with a getter is loaded)."""
+    try:
+        with open("/proc/self/maps", "r", encoding="utf-8") as maps:
+            fields = [line.split(None, 5) for line in maps]
+    except OSError:
+        return None
+    paths = {parts[5].strip() for parts in fields
+             if len(parts) == 6 and "openblas" in parts[5].lower()}
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        for name in _OPENBLAS_GETTERS:
+            getter = getattr(library, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+
+
+def _blas_threads_worker(rank, num_workers, pipe, payload):
+    pipe.send(("threads", _openblas_threads()))
+    while pipe.recv()[0] != "stop":
+        pass
+
+
 class TestBlasPinning:
+    def test_worker_blas_reports_one_thread(self):
+        """A forked worker inherits the OpenBLAS numpy loaded in the
+        parent, already sized; the pin must reach that library."""
+        if _openblas_threads() is None:
+            pytest.skip("no OpenBLAS with a thread-count getter is loaded")
+        with WorkerPool(1, _blas_threads_worker, timeout=30.0) as pool:
+            assert pool.recv(0) == ("threads", 1)
+
     def test_context_sets_and_restores(self):
         var = BLAS_ENV_VARS[0]
         before = os.environ.get(var)
