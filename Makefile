@@ -5,7 +5,7 @@
 
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test chaos bench bench-perf bench-compile bench-parallel bench-serve bench-resilience bench-obs bench-gateway bench-stream stream-smoke loadgen-smoke profile clean
+.PHONY: check test chaos bench bench-perf bench-compile bench-parallel bench-serve bench-obs stream-smoke profile clean
 
 check:
 	sh scripts/check.sh
@@ -33,25 +33,13 @@ bench-parallel:
 bench-serve:
 	PYTHONPATH=$(PYTHONPATH) python -m benchmarks.perf --suite serve --out-dir benchmarks/perf
 
-bench-resilience:
-	PYTHONPATH=$(PYTHONPATH) python -m benchmarks.perf --suite resilience --out-dir benchmarks/perf
-
 bench-obs:
 	PYTHONPATH=$(PYTHONPATH) python -m benchmarks.perf --suite obs --out-dir benchmarks/perf
-
-bench-gateway:
-	PYTHONPATH=$(PYTHONPATH) python -m benchmarks.perf --suite gateway --out-dir benchmarks/perf
-
-bench-stream:
-	PYTHONPATH=$(PYTHONPATH) python -m benchmarks.perf --suite stream --out-dir benchmarks/perf
 
 # End-to-end continual-ops scenario: drift detect -> label queue ->
 # shadow retrain -> atomic promote, with poison-rollback + chaos legs.
 stream-smoke:
 	PYTHONPATH=$(PYTHONPATH) python -m repro.stream.smoke
-
-loadgen-smoke:
-	PYTHONPATH=$(PYTHONPATH) python -m repro.serve.loadgen --smoke
 
 profile:
 	PYTHONPATH=$(PYTHONPATH) python -m pytest benchmarks/ --benchmark-only -q -s --profile

@@ -1,11 +1,12 @@
 """CLI entry point: ``python -m benchmarks.perf [--smoke] [--out-dir D]``.
 
-Runs the inference, training, parallel, serving, resilience,
-observability, and gateway suites and writes ``BENCH_infer.json``,
-``BENCH_train.json``, ``BENCH_parallel.json``, ``BENCH_serve.json``,
-``BENCH_resilience.json``, ``BENCH_obs.json``, and
-``BENCH_gateway.json`` into ``--out-dir`` (default: this package's
-directory, where the committed baselines live).
+Runs the inference, compile, training, parallel, serving and
+observability suites and writes ``BENCH_infer.json``,
+``BENCH_compile.json``, ``BENCH_train.json``, ``BENCH_parallel.json``,
+``BENCH_serve.json`` and ``BENCH_obs.json`` into ``--out-dir``
+(default: this package's directory, where the committed baselines
+live).  Open-loop gateway load and the continual-operations loop are
+measured end to end by the repository benchmark (``fabbench``).
 """
 
 from __future__ import annotations
@@ -15,13 +16,10 @@ import os
 import sys
 
 from .bench_compile import run_compile_suite
-from .bench_gateway import run_gateway_suite
 from .bench_infer import run_infer_suite
 from .bench_obs import run_obs_suite
 from .bench_parallel import run_parallel_suite
-from .bench_resilience import run_resilience_suite
 from .bench_serve import run_serve_suite
-from .bench_stream import run_stream_suite
 from .bench_train import run_train_suite
 from .harness import write_suite
 
@@ -45,10 +43,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--suite",
-        choices=[
-            "infer", "compile", "train", "parallel", "serve", "resilience",
-            "obs", "gateway", "stream", "all",
-        ],
+        choices=["infer", "compile", "train", "parallel", "serve", "obs", "all"],
         default="all",
         help="which suite(s) to run",
     )
@@ -85,49 +80,12 @@ def main(argv=None) -> int:
             os.path.join(args.out_dir, "BENCH_serve.json"), "serve", cases, smoke=args.smoke
         )
         _report(path, cases)
-    if args.suite in ("resilience", "all"):
-        cases = run_resilience_suite(smoke=args.smoke, repeats=min(args.repeats, 3))
-        path = write_suite(
-            os.path.join(args.out_dir, "BENCH_resilience.json"),
-            "resilience", cases, smoke=args.smoke,
-        )
-        _report(path, cases)
     if args.suite in ("obs", "all"):
         cases = run_obs_suite(smoke=args.smoke, repeats=min(args.repeats, 3))
         path = write_suite(
             os.path.join(args.out_dir, "BENCH_obs.json"), "obs", cases, smoke=args.smoke
         )
         _report(path, cases)
-    if args.suite in ("gateway", "all"):
-        # Open-loop sweep: its own schema (repro.serve.loadgen), not
-        # the closed-loop case schema — reported by the loadgen CLI.
-        path = os.path.join(args.out_dir, "BENCH_gateway.json")
-        payload = run_gateway_suite(smoke=args.smoke, out_path=path)
-        print(f"wrote {path}")
-        for entry in payload["sweep"]:
-            overall = entry["overall"]
-            print(
-                f"  {entry['name']:28s} offered={entry['offered_qps']:.0f}qps"
-                f"  goodput={overall['goodput_qps']:.0f}qps"
-                f"  shed={100 * overall['shed_rate']:.1f}%"
-            )
-    if args.suite in ("stream", "all"):
-        # Continual-operations scenario: its own schema (scenario
-        # payload + swap timing), validated on write.
-        path = os.path.join(args.out_dir, "BENCH_stream.json")
-        payload = run_stream_suite(smoke=args.smoke, out_path=path)
-        scenario = payload["scenario"]
-        print(f"wrote {path}")
-        print(
-            f"  scenario seed={scenario['seed']}"
-            f"  time_to_detect={scenario['time_to_detect']} steps"
-            f"  time_to_recover={scenario['time_to_recover']} steps"
-            f"  labels={scenario['label_stats']['total_submitted']}"
-        )
-        print(
-            f"  swap_model median="
-            f"{payload['swap']['swap_wall_s_median'] * 1e3:.2f} ms"
-        )
     return 0
 
 

@@ -113,11 +113,6 @@ class TrainConfig:
     checkpoint_every: int = 1
     #: Retention bound passed to the checkpoint manager (0 keeps all).
     keep_checkpoints: int = 3
-    #: Publish checkpoints on a background thread (state is snapshotted
-    #: synchronously, so the training trajectory is unchanged).  Cuts
-    #: the ``checkpoint_every=1`` wall-clock tax; ``fit`` still joins
-    #: every in-flight save before returning or rolling back.
-    checkpoint_async: bool = False
     #: Watchdog bound on the pre-clip global gradient L2 norm; ``None``
     #: disables the explosion check (non-finite values always trip).
     grad_norm_limit: Optional[float] = None
@@ -345,10 +340,6 @@ class Trainer:
             if self._engine is not None:
                 self._engine.shutdown()
                 self._engine = None
-            if self._checkpoints is not None:
-                # Join in-flight async publishes: fit() returning means
-                # every checkpoint it reported is durable on disk.
-                self._checkpoints.wait_pending()
         if self.run_logger is not None and self.history.epochs:
             final = self.history.final
             self.run_logger.log(
@@ -396,7 +387,7 @@ class Trainer:
     def _save_checkpoint(
         self, epoch: int, best_val: float, epochs_without_improvement: int
     ) -> None:
-        result = self._checkpoints.save(
+        path = self._checkpoints.save(
             epoch,
             model=self.model,
             optimizer=self.optimizer,
@@ -405,9 +396,7 @@ class Trainer:
                 "best_val": float(best_val) if np.isfinite(best_val) else None,
                 "epochs_without_improvement": int(epochs_without_improvement),
             },
-            async_=self.config.checkpoint_async,
         )
-        path = result if isinstance(result, str) else result.path
         chaos_point("train.checkpoint.saved", path=path, epoch=epoch)
 
     def _rollback(self, trip: _WatchdogTrip, rollbacks: int) -> Dict[str, Any]:
@@ -440,9 +429,6 @@ class Trainer:
                 f"training diverged ({trip.reason}) after exhausting "
                 f"{self.config.max_rollbacks} rollback(s)"
             )
-        # Async publishes may still be in flight; rollback must only
-        # consider durable checkpoints.
-        self._checkpoints.wait_pending()
         path = self._checkpoints.latest_valid()
         if path is None:
             raise RuntimeError(

@@ -168,15 +168,8 @@ class BatchIterator:
     Yields ``(inputs, labels, weights)`` with inputs already converted
     to normalized ``(B, 1, H, W)`` float tensors.
 
-    Two hot-loop shortcuts:
-
-    * unweighted datasets skip the per-batch weight gather and slice
-      one shared all-ones vector instead;
-    * ``prefetch=True`` stages the next batch's fancy-index gather on a
-      background thread while the caller computes on the current batch
-      (the gather releases the GIL inside numpy, so it genuinely
-      overlaps the training step).  Batch order and contents are
-      identical either way.
+    Unweighted datasets skip the per-batch weight gather and slice one
+    shared all-ones vector instead.
     """
 
     def __init__(
@@ -186,7 +179,6 @@ class BatchIterator:
         rng: Optional[np.random.Generator] = None,
         shuffle: bool = True,
         drop_last: bool = False,
-        prefetch: bool = False,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -195,7 +187,6 @@ class BatchIterator:
         self.rng = rng if rng is not None else np.random.default_rng()
         self.shuffle = shuffle
         self.drop_last = drop_last
-        self.prefetch = prefetch
         # Tensor conversion is cheap but not free; cache once.
         self._tensors = dataset.tensors()
         # All-ones fast path: without explicit sample weights, one
@@ -209,39 +200,15 @@ class BatchIterator:
             return n // self.batch_size
         return (n + self.batch_size - 1) // self.batch_size
 
-    def _gather(
-        self, batch: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        weights = (
-            self._weights[: len(batch)] if self._uniform else self._weights[batch]
-        )
-        return (self._tensors[batch], self.dataset.labels[batch], weights)
-
-    def _batches(self, order: np.ndarray) -> Iterator[np.ndarray]:
-        for start in range(0, len(order), self.batch_size):
-            batch = order[start:start + self.batch_size]
-            if self.drop_last and len(batch) < self.batch_size:
-                return
-            yield batch
-
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         order = np.arange(len(self.dataset))
         if self.shuffle:
             order = self.rng.permutation(order)
-        if not self.prefetch:
-            for batch in self._batches(order):
-                yield self._gather(batch)
-            return
-        # Double-buffer: gather batch k+1 on a worker thread while the
-        # consumer computes on batch k.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=1) as executor:
-            pending = None
-            for batch in self._batches(order):
-                staged = executor.submit(self._gather, batch)
-                if pending is not None:
-                    yield pending.result()
-                pending = staged
-            if pending is not None:
-                yield pending.result()
+        for start in range(0, len(order), self.batch_size):
+            batch = order[start:start + self.batch_size]
+            if self.drop_last and len(batch) < self.batch_size:
+                return
+            weights = (
+                self._weights[: len(batch)] if self._uniform else self._weights[batch]
+            )
+            yield self._tensors[batch], self.dataset.labels[batch], weights

@@ -41,7 +41,7 @@ from .atomic import (
 )
 from .breaker import CircuitBreaker
 from .chaos import ChaosPlan, activate, active_plan, chaos_point, deactivate
-from .checkpoint import AsyncSaveHandle, CheckpointManager, validate_checkpoint
+from .checkpoint import CheckpointManager, validate_checkpoint
 from .retry import RetryPolicy
 from .watchdog import TrainingWatchdog
 
@@ -58,7 +58,6 @@ __all__ = [
     "CircuitBreaker",
     "TrainingWatchdog",
     "CheckpointManager",
-    "AsyncSaveHandle",
     "validate_checkpoint",
     "ChaosPlan",
     "chaos_point",

@@ -16,14 +16,11 @@ Verified manifests are memoized by ``(path, mtime_ns, size)`` so the
 shadow-retrain loop can poll ``latest_valid()`` every stream step
 without re-reading checkpoint bytes.
 
-:meth:`CheckpointManager.save` also has an asynchronous mode
-(``async_=True``): the model / optimizer / RNG state is *snapshotted
-synchronously* (so training may mutate parameters immediately after
-the call returns) while staging, fsync and the atomic publish rename
-run on a background thread.  The returned :class:`AsyncSaveHandle`
-joins the publish; a crash at any point before the rename leaves
-``latest_valid()`` on the previous checkpoint (chaos point
-``checkpoint.async.publish``).
+:meth:`CheckpointManager.save` is synchronous: it returns once the
+checkpoint is durable.  A fault injected at the pre-rename chaos point
+``checkpoint.publish`` leaves only the staging directory, which the
+failed save removes, so ``latest_valid()`` stays on the previous
+checkpoint.
 """
 
 from __future__ import annotations
@@ -35,8 +32,6 @@ import re
 import shutil
 import threading
 from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from .atomic import (
     IntegrityError,
@@ -50,7 +45,6 @@ from .atomic import (
 from .chaos import chaos_point
 
 __all__ = [
-    "AsyncSaveHandle",
     "CheckpointManager",
     "IntegrityError",
     "validate_checkpoint",
@@ -107,44 +101,6 @@ def _manifest_stamp(path: str) -> Optional[Tuple[int, int]]:
     return (st.st_mtime_ns, st.st_size)
 
 
-class AsyncSaveHandle:
-    """Join handle for one in-flight asynchronous checkpoint publish."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._done = threading.Event()
-        self._error: Optional[BaseException] = None
-
-    def _finish(self, error: Optional[BaseException] = None) -> None:
-        self._error = error
-        self._done.set()
-
-    def done(self) -> bool:
-        """True once the publish finished (successfully or not)."""
-        return self._done.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> str:
-        """Block until the checkpoint is durable; returns its path.
-
-        Re-raises whatever the background writer raised, so a failed
-        publish surfaces on the caller's thread instead of vanishing.
-        """
-        if not self._done.wait(timeout):
-            raise TimeoutError(f"async checkpoint save of {self.path} still running")
-        if self._error is not None:
-            raise self._error
-        return self.path
-
-
-def _copy_state(state: Dict[str, Any]) -> Dict[str, Any]:
-    """Deep-copy array values so later training steps can't mutate the
-    snapshot while the background writer serializes it."""
-    out: Dict[str, Any] = {}
-    for key, value in state.items():
-        out[key] = value.copy() if isinstance(value, np.ndarray) else value
-    return out
-
-
 class CheckpointManager:
     """Owns one checkpoint directory tree and its retention policy.
 
@@ -167,17 +123,13 @@ class CheckpointManager:
         self.keep = int(keep)
         reg = _registry(registry)
         self._saves = reg.counter("train.checkpoint.saves")
-        self._async_saves = reg.counter("train.checkpoint.async_saves")
         self._corrupt_skipped = reg.counter("train.checkpoint.corrupt_skipped")
         self._verify_hits = reg.counter("train.checkpoint.verify_cache_hits")
         # (path -> (manifest stamp, state)) for checkpoints that passed
         # CRC verification; consulted by validate()/latest_valid().
         self._verified: Dict[str, Tuple[Tuple[int, int], Dict[str, Any]]] = {}
-        # Serializes the write/publish phase across the caller thread
-        # and background async writers.
+        # Serializes the write/publish phase across saving threads.
         self._write_lock = threading.Lock()
-        self._pending: List[AsyncSaveHandle] = []
-        self._pending_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def save(
@@ -187,61 +139,22 @@ class CheckpointManager:
         optimizer=None,
         rng=None,
         extra: Optional[Dict[str, Any]] = None,
-        async_: bool = False,
-    ):
-        """Write one complete checkpoint for ``epoch``.
+    ) -> str:
+        """Write one complete checkpoint for ``epoch``; returns its path.
 
         ``rng`` is a ``numpy.random.Generator`` whose bit-generator
         state is captured so a resumed run consumes the exact same
-        shuffle stream as the uninterrupted one.
-
-        With ``async_=False`` (default) blocks until the checkpoint is
-        durable and returns its path.  With ``async_=True`` the state
-        is snapshotted before returning, the disk work happens on a
-        daemon thread, and an :class:`AsyncSaveHandle` is returned;
-        call :meth:`AsyncSaveHandle.wait` (or
-        :meth:`wait_pending`) before depending on durability.
+        shuffle stream as the uninterrupted one.  Blocks until the
+        checkpoint is durable.
         """
-        model_state = None if model is None else _copy_state(model.state_dict())
-        opt_state = None if optimizer is None else _copy_state(optimizer.state_dict())
+        epoch = int(epoch)
+        final = os.path.join(self.directory, f"ckpt-{epoch:05d}")
         state_payload = {
             "schema": STATE_SCHEMA,
-            "epoch": int(epoch),
+            "epoch": epoch,
             "rng_state": None if rng is None else rng.bit_generator.state,
             "extra": extra or {},
         }
-        final = os.path.join(self.directory, f"ckpt-{epoch:05d}")
-        if not async_:
-            self._write_and_publish(final, model_state, opt_state, state_payload, async_=False)
-            return final
-
-        handle = AsyncSaveHandle(final)
-        with self._pending_lock:
-            self._pending.append(handle)
-
-        def _writer() -> None:
-            try:
-                self._write_and_publish(final, model_state, opt_state, state_payload, async_=True)
-            except BaseException as exc:  # surfaced via handle.wait()
-                handle._finish(exc)
-            else:
-                handle._finish()
-
-        thread = threading.Thread(
-            target=_writer, name=f"ckpt-async-{epoch:05d}", daemon=True
-        )
-        thread.start()
-        return handle
-
-    def _write_and_publish(
-        self,
-        final: str,
-        model_state: Optional[Dict[str, Any]],
-        opt_state: Optional[Dict[str, Any]],
-        state_payload: Dict[str, Any],
-        async_: bool,
-    ) -> None:
-        epoch = int(state_payload["epoch"])
         with self._write_lock:
             staging = f"{final}.tmp.{os.getpid()}"
             if os.path.isdir(staging):  # stale orphan from a crashed save
@@ -249,11 +162,13 @@ class CheckpointManager:
             os.makedirs(staging)
             try:
                 members: List[str] = []
-                if model_state is not None:
-                    atomic_savez(os.path.join(staging, _MODEL_FILE), **model_state)
+                if model is not None:
+                    atomic_savez(os.path.join(staging, _MODEL_FILE), **model.state_dict())
                     members.append(_MODEL_FILE)
-                if opt_state is not None:
-                    atomic_savez(os.path.join(staging, _OPTIMIZER_FILE), **opt_state)
+                if optimizer is not None:
+                    atomic_savez(
+                        os.path.join(staging, _OPTIMIZER_FILE), **optimizer.state_dict()
+                    )
                     members.append(_OPTIMIZER_FILE)
                 atomic_write_text(
                     os.path.join(staging, _STATE_FILE),
@@ -261,11 +176,10 @@ class CheckpointManager:
                 )
                 members.append(_STATE_FILE)
                 write_manifest(staging, members, extra={"epoch": epoch})
-                if async_:
-                    # A kill here must leave only the staging dir — the
-                    # previous latest_valid() stays intact (chaos smoke
-                    # pins this).
-                    chaos_point("checkpoint.async.publish", path=final, epoch=epoch)
+                # A fault here must leave only the staging dir — the
+                # previous latest_valid() stays intact (the checkpoint
+                # chaos tests pin this).
+                chaos_point("checkpoint.publish", path=final, epoch=epoch)
                 # Publish: move any previous same-epoch checkpoint aside
                 # (rollback re-runs epochs), then one atomic rename.
                 if os.path.isdir(final):
@@ -277,31 +191,8 @@ class CheckpointManager:
                 shutil.rmtree(staging, ignore_errors=True)
                 raise
             self._saves.inc()
-            if async_:
-                self._async_saves.inc()
             self._prune()
-
-    def wait_pending(self, timeout: Optional[float] = None) -> List[str]:
-        """Join every outstanding async save; returns their paths.
-
-        Raises the first writer error encountered (after waiting on
-        all of them), so callers that rely on durability — rollback,
-        resume, end of ``fit`` — never proceed past a silently failed
-        publish.
-        """
-        with self._pending_lock:
-            pending, self._pending = self._pending, []
-        paths: List[str] = []
-        first_error: Optional[BaseException] = None
-        for handle in pending:
-            try:
-                paths.append(handle.wait(timeout))
-            except BaseException as exc:
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return paths
+        return final
 
     # ------------------------------------------------------------------
     def checkpoints(self) -> List[str]:

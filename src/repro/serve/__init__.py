@@ -20,9 +20,10 @@ wafer stream, Sec. I / Fig. 1).  Four cooperating pieces:
   front door: length-prefixed JSON-over-TCP
   (:mod:`~repro.serve.protocol`), per-tenant token-bucket admission
   (:mod:`~repro.serve.admission`), and typed shed reasons end to end;
-* :mod:`~repro.serve.loadgen` — open-loop traffic generation (seeded
-  Poisson / bursty arrivals, replayable JSONL traces) and the
-  saturation sweep behind ``BENCH_gateway.json``.
+* :mod:`~repro.serve.loadgen` — seeded Poisson / bursty traffic
+  traces, replayable as JSONL, and their deterministic admission
+  replay.  Live open-loop load is measured by the repository
+  benchmark (``fabbench``, workload ``serve_frontdoor``).
 
 >>> from repro.serve import ServeConfig, ServeEngine
 >>> engine = ServeEngine(model, ServeConfig(max_batch_size=32))   # doctest: +SKIP

@@ -29,8 +29,8 @@ Request lifecycle (one trace when tracing is armed)::
 
 The in-process path (:class:`InProcessGatewayClient` /
 :meth:`Gateway.handle_message`) runs the identical code minus the
-socket, so tests and the load generator exercise the same admission,
-shed, and trace logic the TCP path serves.
+socket, so tests exercise the same admission, shed, and trace logic
+the TCP path serves.
 """
 
 from __future__ import annotations
@@ -477,7 +477,7 @@ def _resolve(future, result, error) -> None:
 # Clients
 # ----------------------------------------------------------------------
 class InProcessGatewayClient:
-    """Zero-socket client: the loopback for tests and the load generator.
+    """Zero-socket client: the loopback for tests.
 
     Speaks the same message dicts as the wire (optionally round-tripped
     through the byte codec with ``strict=True``) against
@@ -509,8 +509,8 @@ class TCPGatewayClient:
     """Pipelining TCP client: many requests in flight on one connection.
 
     A background reader task demultiplexes response frames by request
-    id, so :meth:`request` coroutines resolve out of order — exactly
-    what the open-loop load generator needs.
+    id, so :meth:`request` coroutines resolve out of order — what
+    open-loop traffic needs.
     """
 
     def __init__(self, reader, writer, max_frame_bytes: int) -> None:

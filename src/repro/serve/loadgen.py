@@ -1,14 +1,6 @@
-"""Open-loop traffic generator and saturation harness for the gateway.
+"""Seeded gateway traffic traces and their deterministic admission replay.
 
-Closed-loop clients (``bench_serve``'s threads) wait for each answer
-before sending the next request, so they can never overload the system
-— saturation behaviour is invisible to them.  This module generates
-**open-loop** traffic: arrivals fire on a schedule drawn from a seeded
-stochastic process, regardless of how the system is coping, which is
-how real fab tools behave and the only way to measure shed rate and
-tail latency under overload.
-
-Three cooperating pieces:
+Two pieces:
 
 * **arrival processes** — :func:`poisson_trace` (memoryless, the
   classic open-loop model) and :func:`bursty_trace` (on/off modulated
@@ -20,64 +12,44 @@ Three cooperating pieces:
   under a :class:`~repro.serve.admission.ManualClock` pinned to the
   trace's own timestamps.  Same trace, same policy → byte-identical
   admit/shed decisions (:func:`decision_digest`), independent of wall
-  clock, load, or host;
-* **the live runner** — :func:`run_open_loop` drives a gateway client
-  (in-process or TCP) from a trace and tallies per-tenant
-  QPS / p50 / p99 / shed-by-reason.
+  clock, load, or host.
 
-``python -m repro.serve.loadgen`` sweeps a calibrated rate ladder and
-writes a schema-versioned ``BENCH_gateway.json`` (shared
-:func:`repro.obs.export.provenance` block); ``--smoke`` shrinks the
-sweep and gates on zero shed at the calibrated sustainable rate plus
-replay determinism — that tier runs in ``scripts/check.sh``.
+Live open-loop load against a running gateway is the repository
+benchmark's job (``fabbench``, workload ``serve_frontdoor``): its
+generator times each request from its due time, and it refuses to
+record a run whose lateness or thread count is out of bounds.  The
+gateway's saturation shape is pinned without a wall clock in
+``tests/serve/test_gateway.py`` by driving these traces through a
+``ManualClock`` gateway.
 """
 
 from __future__ import annotations
 
-import argparse
-import asyncio
 import hashlib
 import json
-import os
-import sys
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs.metrics import MetricsRegistry
 from .admission import AdmissionController, ManualClock, TenantPolicy
-from .batcher import SHED_REASONS
-from .engine import ServeConfig, ServeEngine
-from .gateway import Gateway, GatewayConfig, InProcessGatewayClient, TCPGatewayClient
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
-    "BENCH_GATEWAY_SCHEMA_VERSION",
     "Arrival",
     "poisson_trace",
     "bursty_trace",
     "save_trace",
     "load_trace",
+    "trace_digest",
     "replay_admission",
     "decision_digest",
-    "run_open_loop",
-    "run_sweep",
-    "validate_gateway_suite",
-    "main",
 ]
 
 TRACE_SCHEMA_VERSION = 1
-BENCH_GATEWAY_SCHEMA_VERSION = 1
 
 #: Default multi-tenant mix: two fabs on one screening stage.
 DEFAULT_TENANTS: Dict[str, float] = {"fab-a": 0.7, "fab-b": 0.3}
-
-#: Fraction of the measured saturated QPS called "sustainable".  The
-#: margin absorbs gateway/event-loop overhead and timer jitter so the
-#: zero-shed gate at 1x sustainable is robust on slow CI machines.
-SUSTAINABLE_MARGIN = 0.4
 
 
 @dataclass(frozen=True)
@@ -253,524 +225,3 @@ def replay_admission(
 
 def decision_digest(decisions: bytes) -> str:
     return hashlib.sha256(decisions).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# Live open-loop runner
-# ----------------------------------------------------------------------
-@dataclass
-class TenantTally:
-    sent: int = 0
-    admitted: int = 0
-    rejected: Dict[str, int] = field(default_factory=dict)
-    invalid: int = 0
-    latencies_s: List[float] = field(default_factory=list)
-
-    def record(self, response: Dict[str, Any], latency_s: float) -> None:
-        self.sent += 1
-        if response.get("ok"):
-            self.admitted += 1
-            self.latencies_s.append(latency_s)
-            return
-        error = response.get("error", {})
-        reason = error.get("reason")
-        if error.get("type") == "Overloaded" and reason:
-            self.rejected[reason] = self.rejected.get(reason, 0) + 1
-        else:
-            self.invalid += 1
-
-    def summary(self, duration_s: float) -> Dict[str, Any]:
-        shed = sum(self.rejected.values())
-        latencies = np.array(self.latencies_s, dtype=np.float64)
-        return {
-            "sent": self.sent,
-            "admitted": self.admitted,
-            "shed": shed,
-            "invalid": self.invalid,
-            "shed_rate": shed / self.sent if self.sent else 0.0,
-            "rejected_by_reason": dict(sorted(self.rejected.items())),
-            "offered_qps": self.sent / duration_s if duration_s > 0 else 0.0,
-            "goodput_qps": self.admitted / duration_s if duration_s > 0 else 0.0,
-            "client_p50_ms": (
-                float(np.percentile(latencies, 50)) * 1e3 if len(latencies) else None
-            ),
-            "client_p99_ms": (
-                float(np.percentile(latencies, 99)) * 1e3 if len(latencies) else None
-            ),
-        }
-
-
-async def run_open_loop(
-    client,
-    arrivals: Sequence[Arrival],
-    grids: np.ndarray,
-    request_timeout_s: float = 60.0,
-) -> Dict[str, Any]:
-    """Fire a trace open-loop at a gateway client; tally the outcomes.
-
-    Arrivals are scheduled at their trace offsets relative to the
-    runner's start and **never wait for earlier responses** — the
-    defining property of open-loop load.  On a busy event loop the
-    actual send times slip late; the tallies report achieved offered
-    rate alongside the trace's nominal one.
-    """
-    loop = asyncio.get_running_loop()
-    started = loop.time()
-    tallies: Dict[str, TenantTally] = {}
-    tasks: List[asyncio.Task] = []
-
-    async def fire(arrival: Arrival) -> None:
-        tally = tallies.setdefault(arrival.tenant, TenantTally())
-        sent_at = time.perf_counter()
-        try:
-            response = await client.request(
-                grids[arrival.grid_id], tenant=arrival.tenant
-            )
-        except (ConnectionError, asyncio.TimeoutError, asyncio.CancelledError):
-            # Cancelled means still unanswered when the harness hit its
-            # timeout: tallied like a timeout so sent == arrivals.
-            tally.sent += 1
-            tally.invalid += 1
-            return
-        tally.record(response, time.perf_counter() - sent_at)
-
-    for arrival in arrivals:
-        delay = arrival.t - (loop.time() - started)
-        if delay > 0:
-            await asyncio.sleep(delay)
-        tasks.append(asyncio.ensure_future(fire(arrival)))
-    if tasks:
-        _, pending = await asyncio.wait(tasks, timeout=request_timeout_s)
-        # Whatever is still unanswered at the harness timeout gets
-        # cancelled and counted (fire() tallies the cancellation), so
-        # no task outlives the runner into loop shutdown.
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-    wall_s = loop.time() - started
-
-    overall = TenantTally()
-    for tally in tallies.values():
-        overall.sent += tally.sent
-        overall.admitted += tally.admitted
-        overall.invalid += tally.invalid
-        overall.latencies_s.extend(tally.latencies_s)
-        for reason, count in tally.rejected.items():
-            overall.rejected[reason] = overall.rejected.get(reason, 0) + count
-    return {
-        "wall_s": wall_s,
-        "overall": overall.summary(wall_s),
-        "tenants": {
-            name: tally.summary(wall_s)
-            for name, tally in sorted(tallies.items())
-        },
-    }
-
-
-# ----------------------------------------------------------------------
-# Calibration + sweep
-# ----------------------------------------------------------------------
-def _tiny_model(size: int, channels, fc_units: int):
-    from ..core.cnn import BackboneConfig
-    from ..core.selective import SelectiveNet
-
-    return SelectiveNet(
-        4,
-        BackboneConfig(
-            input_size=size, conv_channels=channels,
-            conv_kernels=tuple(3 for _ in channels), fc_units=fc_units, seed=11,
-        ),
-    )
-
-
-def _grids(count: int, size: int, seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 3, size=(count, size, size)).astype(np.uint8)
-
-
-def calibrate_saturated_qps(engine: ServeEngine, grids: np.ndarray) -> float:
-    """Measured batched throughput: the ceiling the rate ladder scales."""
-    engine.classify_many(list(grids), timeout=120.0)  # warm (scratch, caches)
-    started = time.perf_counter()
-    engine.classify_many(list(grids), timeout=120.0)
-    elapsed = time.perf_counter() - started
-    return len(grids) / elapsed
-
-
-def _tenant_policies(
-    tenants: Dict[str, float], contract_qps: float, burst_s: float = 0.1
-) -> Dict[str, TenantPolicy]:
-    """Split one contracted rate across tenants by traffic weight.
-
-    ``burst_s`` is deliberately small (100 ms of contracted rate): a
-    large burst credit lets an overload ride free long enough to
-    backlog the engine queue, pushing admitted-request p99 past the
-    SLA bound before shedding kicks in.
-    """
-    total = sum(tenants.values())
-    policies = {}
-    for name, weight in tenants.items():
-        rate = contract_qps * weight / total
-        policies[name] = TenantPolicy(
-            refill_per_s=rate, burst=max(4.0, rate * burst_s)
-        )
-    return policies
-
-
-def _sla_bound_s(registry: MetricsRegistry, config: ServeConfig) -> Optional[float]:
-    """The admitted-request SLA bound for open-loop traffic.
-
-    ``bench_serve``'s closed-loop bound is deadline + one worst batch
-    span; an open-loop arrival can additionally land behind a batch
-    already in flight, so the bound here is deadline + **two** worst
-    batch spans — wait out the batch ahead, then ride your own.
-    """
-    total = registry.histogram("serve.batch.total_s")
-    if total.count == 0:
-        return None
-    return config.max_latency_ms / 1000.0 + 2.0 * total.quantile(1.0)
-
-
-def run_sweep(
-    smoke: bool = False,
-    seed: int = 7,
-    out_path: Optional[str] = None,
-    tenants: Optional[Dict[str, float]] = None,
-    sustainable_cap_qps: Optional[float] = None,
-    duration_s: Optional[float] = None,
-) -> Dict[str, Any]:
-    """Calibrate, sweep a rate ladder, and build the suite payload.
-
-    The ladder is three Poisson rates at 1x / 2x / 4x of the calibrated
-    sustainable rate plus one bursty entry at 2x: the 1x entry is the
-    zero-shed contract gate, the upper rungs drive the gateway to
-    saturation where admission control must shed the excess and keep
-    the latency of *admitted* requests inside the serve SLA bound.
-    """
-    from ..obs.export import provenance
-
-    tenants = tenants or dict(DEFAULT_TENANTS)
-    if smoke:
-        size, channels, fc = 16, (4, 4), 16
-        duration = duration_s if duration_s is not None else 0.8
-        cap = sustainable_cap_qps if sustainable_cap_qps is not None else 300.0
-    else:
-        size, channels, fc = 16, (8, 8), 32
-        duration = duration_s if duration_s is not None else 3.0
-        cap = sustainable_cap_qps if sustainable_cap_qps is not None else 800.0
-    model = _tiny_model(size, channels, fc)
-    grid_pool = 64
-    grids = _grids(grid_pool, size, seed=seed)
-
-    # Calibrate on a throwaway engine so sweep entries start cold-warm
-    # symmetric (each entry gets its own engine+gateway below).
-    registry = MetricsRegistry()
-    serve_config = ServeConfig(
-        max_batch_size=32, max_latency_ms=5.0, queue_limit=256, cache_bytes=0,
-    )
-    with ServeEngine(model, serve_config, registry=registry) as engine:
-        measured_qps = calibrate_saturated_qps(engine, grids)
-    sustainable_qps = min(SUSTAINABLE_MARGIN * measured_qps, cap)
-
-    # Contract: tenants jointly entitled to 1.5x sustainable, so the 1x
-    # rung never bucket-sheds and the upper rungs shed mostly at the
-    # bucket — the admission layer, not the engine queue, absorbs the
-    # overload and admitted latency stays inside the serve SLA bound.
-    contract_qps = 1.5 * sustainable_qps
-    policies = _tenant_policies(tenants, contract_qps)
-
-    entries: List[Dict[str, Any]] = []
-    ladder = [
-        ("poisson", 1.0, False),
-        ("poisson", 2.0, True),
-        ("poisson", 4.0, True),
-        ("bursty", 2.0, True),
-    ]
-    decision_digests = []
-    for process, multiplier, expect_shed in ladder:
-        rate = multiplier * sustainable_qps
-        if process == "poisson":
-            arrivals = poisson_trace(
-                rate, duration, seed=seed + int(multiplier * 10),
-                tenants=tenants, grid_pool=grid_pool,
-            )
-        else:
-            arrivals = bursty_trace(
-                2.0 * rate, duration, seed=seed + 100,
-                period_s=0.25, duty=0.5, tenants=tenants, grid_pool=grid_pool,
-            )
-        # The deterministic wall: replay the trace's admission twice
-        # under the virtual clock; digests must agree.
-        default_policy = TenantPolicy(
-            refill_per_s=contract_qps / max(1, len(tenants)), burst=8.0
-        )
-        first = replay_admission(arrivals, default_policy, policies)
-        second = replay_admission(arrivals, default_policy, policies)
-        digest = decision_digest(first)
-        replay_ok = digest == decision_digest(second)
-        decision_digests.append(digest)
-
-        registry = MetricsRegistry()
-        engine = ServeEngine(model, serve_config, registry=registry)
-        gateway = Gateway(
-            engine,
-            GatewayConfig(
-                max_inflight=4 * serve_config.queue_limit,
-                default_rate_per_s=default_policy.refill_per_s,
-                default_burst=default_policy.burst,
-                per_tenant=policies,
-            ),
-            registry=registry,
-        )
-        client = InProcessGatewayClient(gateway)
-        try:
-            outcome = asyncio.run(run_open_loop(client, arrivals, grids))
-        finally:
-            engine.close()
-        latency = registry.histogram("serve.latency_s")
-        bound_s = _sla_bound_s(registry, serve_config)
-        server_p99 = latency.quantile(0.99) if latency.count else None
-        entries.append({
-            "name": f"{process}_{multiplier:g}x",
-            "arrival_process": process,
-            "rate_multiplier": multiplier,
-            "offered_qps": rate,
-            "arrivals": len(arrivals),
-            "duration_s": duration,
-            "expect_shed": expect_shed,
-            "trace_digest": trace_digest(arrivals),
-            "decision_digest": digest,
-            "decision_replay_identical": replay_ok,
-            "overall": outcome["overall"],
-            "tenants": outcome["tenants"],
-            "server_p50_ms": (
-                latency.quantile(0.50) * 1e3 if latency.count else None
-            ),
-            "server_p99_ms": server_p99 * 1e3 if server_p99 is not None else None,
-            "sla_bound_ms": bound_s * 1e3 if bound_s is not None else None,
-            "p99_within_bound": (
-                bool(server_p99 <= bound_s)
-                if server_p99 is not None and bound_s is not None else None
-            ),
-        })
-
-    payload = {
-        "schema": BENCH_GATEWAY_SCHEMA_VERSION,
-        "suite": "gateway",
-        "smoke": smoke,
-        "created_unix": time.time(),
-        "provenance": provenance(),
-        "calibration": {
-            "measured_saturated_qps": measured_qps,
-            "sustainable_qps": sustainable_qps,
-            "sustainable_margin": SUSTAINABLE_MARGIN,
-            "contract_qps": contract_qps,
-            "cap_qps": cap,
-        },
-        "workload": {
-            "input_size": size,
-            "conv_channels": list(channels),
-            "fc_units": fc,
-            "tenants": tenants,
-            "grid_pool": grid_pool,
-            "seed": seed,
-            "transport": "inproc",
-            "serve": {
-                "max_batch_size": serve_config.max_batch_size,
-                "max_latency_ms": serve_config.max_latency_ms,
-                "queue_limit": serve_config.queue_limit,
-            },
-        },
-        "sweep": entries,
-    }
-    if out_path:
-        directory = os.path.dirname(out_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return payload
-
-
-# ----------------------------------------------------------------------
-# Schema gate
-# ----------------------------------------------------------------------
-_ENTRY_KEYS = {
-    "name", "arrival_process", "rate_multiplier", "offered_qps", "arrivals",
-    "duration_s", "expect_shed", "trace_digest", "decision_digest",
-    "decision_replay_identical", "overall", "tenants", "server_p50_ms",
-    "server_p99_ms", "sla_bound_ms", "p99_within_bound",
-}
-_TALLY_KEYS = {
-    "sent", "admitted", "shed", "invalid", "shed_rate", "rejected_by_reason",
-    "offered_qps", "goodput_qps", "client_p50_ms", "client_p99_ms",
-}
-
-
-def validate_gateway_suite(payload: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` on any schema drift in a gateway suite."""
-    problems: List[str] = []
-    if payload.get("schema") != BENCH_GATEWAY_SCHEMA_VERSION:
-        problems.append(
-            f"schema {payload.get('schema')!r} != {BENCH_GATEWAY_SCHEMA_VERSION}"
-        )
-    if payload.get("suite") != "gateway":
-        problems.append(f"suite {payload.get('suite')!r} != 'gateway'")
-    for key in ("provenance", "calibration", "workload", "sweep"):
-        if key not in payload:
-            problems.append(f"missing top-level key {key!r}")
-    sweep = payload.get("sweep") or []
-    if len(sweep) < 3:
-        problems.append(f"sweep has {len(sweep)} entries, need >= 3 rates")
-    for entry in sweep:
-        missing = _ENTRY_KEYS - set(entry)
-        if missing:
-            problems.append(f"entry {entry.get('name')!r} missing {sorted(missing)}")
-            continue
-        for scope, tally in [("overall", entry["overall"])] + [
-            (f"tenant {name}", t) for name, t in entry["tenants"].items()
-        ]:
-            tally_missing = _TALLY_KEYS - set(tally)
-            if tally_missing:
-                problems.append(
-                    f"entry {entry['name']!r} {scope} missing {sorted(tally_missing)}"
-                )
-        for reason in entry["overall"].get("rejected_by_reason", {}):
-            if reason not in SHED_REASONS:
-                problems.append(
-                    f"entry {entry['name']!r} has unknown shed reason {reason!r}"
-                )
-    if problems:
-        raise ValueError(
-            "BENCH_gateway.json schema drift:\n  " + "\n  ".join(problems)
-        )
-
-
-def _gate(payload: Dict[str, Any]) -> List[str]:
-    """The smoke-tier acceptance checks; returns failure messages."""
-    failures: List[str] = []
-    try:
-        validate_gateway_suite(payload)
-    except ValueError as exc:
-        failures.append(str(exc))
-        return failures
-    for entry in payload["sweep"]:
-        if not entry["decision_replay_identical"]:
-            failures.append(
-                f"{entry['name']}: admission replay is not deterministic"
-            )
-        if not entry["expect_shed"] and entry["overall"]["shed"] > 0:
-            failures.append(
-                f"{entry['name']}: shed {entry['overall']['shed']} requests at "
-                "the calibrated sustainable rate (expected zero)"
-            )
-    return failures
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-def _report(payload: Dict[str, Any]) -> None:
-    cal = payload["calibration"]
-    print(
-        f"calibration: saturated {cal['measured_saturated_qps']:.0f} qps, "
-        f"sustainable {cal['sustainable_qps']:.0f} qps "
-        f"(margin {cal['sustainable_margin']:g}, cap {cal['cap_qps']:g})"
-    )
-    for entry in payload["sweep"]:
-        overall = entry["overall"]
-        p99 = entry["server_p99_ms"]
-        bound = entry["sla_bound_ms"]
-        print(
-            f"  {entry['name']:>12s}  offered {entry['offered_qps']:7.0f} qps"
-            f"  goodput {overall['goodput_qps']:7.0f} qps"
-            f"  shed {100 * overall['shed_rate']:5.1f}%"
-            f"  p99 {p99:7.2f} ms" if p99 is not None else
-            f"  {entry['name']:>12s}  offered {entry['offered_qps']:7.0f} qps (no latency)",
-        )
-        if p99 is not None and bound is not None:
-            status = "within" if entry["p99_within_bound"] else "OVER"
-            print(f"{'':16s}SLA bound {bound:7.2f} ms ({status})")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve.loadgen",
-        description="Open-loop gateway load generator and saturation sweep.",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="shrunken sweep + acceptance gates (the scripts/check.sh tier)",
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write BENCH_gateway.json here (default: no file in --smoke, "
-        "benchmarks/perf/BENCH_gateway.json otherwise)",
-    )
-    parser.add_argument(
-        "--validate", metavar="PATH", default=None,
-        help="validate an existing BENCH_gateway.json against the current "
-        "schema and exit",
-    )
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--duration", type=float, default=None,
-        help="seconds per sweep entry (default 0.8 smoke / 3.0 full)",
-    )
-    parser.add_argument(
-        "--save-trace", metavar="PATH", default=None,
-        help="also save the 1x sustainable trace as replayable JSONL",
-    )
-    args = parser.parse_args(argv)
-
-    if args.validate:
-        with open(args.validate, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        try:
-            validate_gateway_suite(payload)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 1
-        print(f"{args.validate}: schema v{payload['schema']} OK "
-              f"({len(payload['sweep'])} sweep entries)")
-        return 0
-
-    out_path = args.out
-    if out_path is None and not args.smoke:
-        out_path = os.path.join("benchmarks", "perf", "BENCH_gateway.json")
-    payload = run_sweep(
-        smoke=args.smoke, seed=args.seed, out_path=out_path,
-        duration_s=args.duration,
-    )
-    _report(payload)
-    if out_path:
-        print(f"wrote {out_path}")
-
-    if args.save_trace:
-        entry = payload["sweep"][0]
-        arrivals = poisson_trace(
-            entry["offered_qps"], entry["duration_s"],
-            seed=args.seed + 10, grid_pool=payload["workload"]["grid_pool"],
-        )
-        save_trace(args.save_trace, arrivals, meta={"seed": args.seed + 10})
-        reloaded, _ = load_trace(args.save_trace)
-        if reloaded != arrivals:
-            print("FAIL: trace JSONL round-trip diverged", file=sys.stderr)
-            return 1
-        print(f"saved replayable trace: {args.save_trace}")
-
-    if args.smoke:
-        failures = _gate(payload)
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print("loadgen smoke: schema + determinism + zero-shed-at-"
-              "sustainable OK")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -26,8 +26,9 @@ loop around those two facts:
   time-to-recover, and label budget spent, with poisoned-retrain and
   chaos-at-every-swap-point legs.
 
-``python -m repro.stream.smoke`` asserts the whole loop; the committed
-benchmark lives at ``benchmarks/perf/BENCH_stream.json``.
+``python -m repro.stream.smoke`` asserts the whole loop; the
+repository benchmark (``fabbench``, workload ``drift_retrain``)
+measures it beside live traffic.
 """
 
 from .queue import HumanLabelQueue, LabeledWafer, OracleLabeler

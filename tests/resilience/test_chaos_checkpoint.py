@@ -125,6 +125,9 @@ class TestCorruptResume:
 
 class TestAsyncPublishFault:
     def test_failed_async_publish_keeps_previous_latest_valid(self, tmp_path):
+        """A fault at the pre-rename publish point fails the save itself:
+        the previous checkpoint stays ``latest_valid()`` and no staging
+        directory is left behind."""
         from repro.obs.metrics import MetricsRegistry
 
         model, _ = make_trainer()
@@ -134,29 +137,10 @@ class TestAsyncPublishFault:
         first = manager.save(epoch=1, model=model)
 
         plan = ChaosPlan()
-        plan.inject("checkpoint.async.publish", raise_error(OSError("disk full")))
+        plan.inject("checkpoint.publish", raise_error(OSError("disk full")))
         with active_plan(plan):
-            handle = manager.save(epoch=2, model=model, async_=True)
             with pytest.raises(OSError, match="disk full"):
-                handle.wait(timeout=60)
+                manager.save(epoch=2, model=model)
 
-        # The fault landed before the atomic rename: epoch 2 never
-        # published, epoch 1 is still the latest valid checkpoint, and
-        # the staging directory was cleaned up.
         assert manager.latest_valid() == first
         assert sorted(os.listdir(tmp_path)) == ["ckpt-00001"]
-
-    def test_wait_pending_surfaces_the_writer_error(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-
-        model, _ = make_trainer()
-        manager = CheckpointManager(
-            str(tmp_path), keep=0, registry=MetricsRegistry()
-        )
-        plan = ChaosPlan()
-        plan.inject("checkpoint.async.publish", raise_error(OSError("torn")))
-        with active_plan(plan):
-            manager.save(epoch=1, model=model, async_=True)
-            with pytest.raises(OSError, match="torn"):
-                manager.wait_pending(timeout=60)
-        assert manager.latest_valid() is None

@@ -8,6 +8,10 @@ Covers the acceptance contract of the serving front door:
   machine-readable ``reason`` (``queue_full`` / ``bucket_exhausted`` /
   ``breaker_open``) — and the cached and fallback paths keep serving
   instead of shedding;
+* under seeded traffic at multiples of a tenant contract, a
+  ``ManualClock`` gateway makes exactly the trace's replayed admission
+  decisions: no shed within the contract, only ``bucket_exhausted``
+  sheds beyond it;
 * a gateway-originated trace is one tree: ``gateway.request`` →
   admission → engine spans → a ``replica.forward`` recorded in a
   different process.
@@ -41,9 +45,16 @@ from repro.serve.gateway import (
     InProcessGatewayClient,
     TCPGatewayClient,
 )
+from repro.serve.loadgen import bursty_trace, poisson_trace, replay_admission
 
 SIZE = 16
 NUM_CLASSES = 4
+
+#: Saturation contract: 200 wafers/s joint, split by traffic share, and
+#: a burst credit of 0.1 s of each tenant's rate.
+CONTRACT_QPS = 200.0
+TENANT_SHARES = {"fab-a": 0.7, "fab-b": 0.3}
+BURST_S = 0.1
 
 needs_parallel = pytest.mark.skipif(
     not parallel_supported(2), reason="parallel execution unavailable"
@@ -229,6 +240,77 @@ class TestTypedSheds:
         assert registry.counter(
             "gateway.rejected.bucket_exhausted"
         ).value == 2
+
+    @pytest.mark.parametrize(
+        "process, multiplier",
+        [("poisson", 0.5), ("poisson", 2.0), ("poisson", 4.0), ("bursty", 2.0)],
+        ids=["poisson_0.5x", "poisson_2x", "poisson_4x", "bursty_2x"],
+    )
+    def test_saturation_sheds_exactly_the_excess(
+        self, model, grids, process, multiplier
+    ):
+        """1 s of seeded traffic at a multiple of the contract, each
+        arrival admitted at its own ``ManualClock`` reading: the gateway
+        makes exactly the decisions of the trace's admission replay,
+        sheds nothing within the contract, sheds the excess beyond it as
+        ``bucket_exhausted`` only, and lets no more reach the engine than
+        the contract's tokens allow."""
+        rate, duration_s = multiplier * CONTRACT_QPS, 1.0
+        if process == "poisson":
+            trace = poisson_trace(
+                rate, duration_s, seed=7, tenants=TENANT_SHARES,
+                grid_pool=len(grids),
+            )
+        else:
+            # On for half of each period at twice the mean rate.
+            trace = bursty_trace(
+                2.0 * rate, duration_s, seed=7, tenants=TENANT_SHARES,
+                grid_pool=len(grids),
+            )
+        policies = {
+            tenant: TenantPolicy(
+                refill_per_s=CONTRACT_QPS * share,
+                burst=BURST_S * CONTRACT_QPS * share,
+            )
+            for tenant, share in TENANT_SHARES.items()
+        }
+        # In-flight and engine-queue bounds above the trace length: the
+        # token buckets are the only thing that may shed.
+        config = GatewayConfig(max_inflight=len(trace) + 1, per_tenant=policies)
+        registry = MetricsRegistry()
+        clock = ManualClock()
+        with _engine(model, registry, queue_limit=len(trace) + 1) as engine:
+            gateway = Gateway(engine, config, registry=registry, clock=clock)
+            client = InProcessGatewayClient(gateway)
+
+            async def scenario():
+                pending = []
+                for arrival in trace:
+                    clock.set(arrival.t)
+                    pending.append(asyncio.ensure_future(client.request(
+                        grids[arrival.grid_id], tenant=arrival.tenant
+                    )))
+                    await asyncio.sleep(0)  # admitted at this clock reading
+                return await asyncio.gather(*pending)
+
+            responses = asyncio.run(scenario())
+
+        decisions = bytes(1 if r["ok"] else 0 for r in responses)
+        assert decisions == replay_admission(
+            trace, config.default_policy(), policies
+        )
+        shed = [r["error"] for r in responses if not r["ok"]]
+        assert all(
+            error["type"] == "Overloaded"
+            and error["reason"] == SHED_BUCKET_EXHAUSTED
+            for error in shed
+        )
+        assert bool(shed) == (multiplier > 1.0)
+        admitted = len(trace) - len(shed)
+        assert registry.counter("serve.requests_total").value == admitted
+        assert admitted <= CONTRACT_QPS * duration_s + sum(
+            policy.burst for policy in policies.values()
+        )
 
     def test_inflight_bound_sheds_queue_full(self, grids):
         registry = MetricsRegistry()

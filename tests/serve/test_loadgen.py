@@ -1,40 +1,22 @@
-"""Load-generator wall: trace determinism, replay, and saturation.
+"""Traffic-trace wall: arrival processes, persistence and replay.
 
-The open-loop harness is itself part of the test surface: its traces
-must be reproducible artifacts (same seed → same JSONL bytes → same
-admission decisions), and the saturation behaviour it measures is the
-acceptance contract — at 2x the sustainable rate the gateway sheds the
-excess with typed reasons while the latency of *admitted* requests
-stays inside the serve SLA bound and goodput holds.
+Traces are reproducible artifacts: same seed → same JSONL bytes → same
+admission decisions.  The gateway's saturation shape under these
+traces is pinned in ``test_gateway.py::TestTypedSheds``.
 """
 
-import asyncio
 import json
-import time
 
-import numpy as np
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.serve import ServeConfig, ServeEngine
 from repro.serve.admission import TenantPolicy
-from repro.serve.gateway import Gateway, GatewayConfig, InProcessGatewayClient
 from repro.serve.loadgen import (
-    Arrival,
-    _grids,
-    _sla_bound_s,
-    _tiny_model,
     bursty_trace,
-    calibrate_saturated_qps,
-    decision_digest,
     load_trace,
     poisson_trace,
     replay_admission,
-    run_open_loop,
-    run_sweep,
     save_trace,
     trace_digest,
-    validate_gateway_suite,
 )
 
 
@@ -114,144 +96,3 @@ class TestTracePersistence:
         path.write_text('{"schema": 99, "kind": "other"}\n')
         with pytest.raises(ValueError):
             load_trace(str(path))
-
-
-class TestOpenLoopRunner:
-    @pytest.fixture(scope="class")
-    def served(self):
-        model = _tiny_model(16, (4, 4), 16)
-        registry = MetricsRegistry()
-        engine = ServeEngine(
-            model,
-            ServeConfig(
-                max_batch_size=16, max_latency_ms=2.0, queue_limit=128,
-                cache_bytes=0,
-            ),
-            registry=registry,
-        )
-        gateway = Gateway(engine, registry=registry)
-        yield gateway, registry
-        engine.close()
-
-    def test_tallies_cover_every_arrival(self, served):
-        gateway, _ = served
-        grids = _grids(8, 16)
-        trace = poisson_trace(
-            150.0, 0.4, seed=3, tenants={"fab-a": 0.6, "fab-b": 0.4},
-            grid_pool=len(grids),
-        )
-        client = InProcessGatewayClient(gateway)
-        outcome = asyncio.run(run_open_loop(client, trace, grids))
-        overall = outcome["overall"]
-        assert overall["sent"] == len(trace)
-        assert overall["admitted"] + overall["shed"] + overall["invalid"] == (
-            overall["sent"]
-        )
-        per_tenant_sent = sum(
-            tally["sent"] for tally in outcome["tenants"].values()
-        )
-        assert per_tenant_sent == overall["sent"]
-        assert set(outcome["tenants"]) <= {"fab-a", "fab-b"}
-        assert overall["client_p50_ms"] is not None
-
-
-class TestSaturation:
-    def test_two_x_overload_sheds_typed_and_keeps_sla(self):
-        """Acceptance: open-loop at 2x the bucket contract sheds the
-        excess as ``bucket_exhausted``, keeps the p99 of *admitted*
-        requests within the deadline+batch SLA bound, and goodput does
-        not collapse."""
-        model = _tiny_model(16, (4, 4), 16)
-        registry = MetricsRegistry()
-        serve_config = ServeConfig(
-            max_batch_size=16, max_latency_ms=2.0, queue_limit=128,
-            cache_bytes=0,
-        )
-        grids = _grids(32, 16)
-        with ServeEngine(model, serve_config, registry=MetricsRegistry()) as probe:
-            measured = calibrate_saturated_qps(probe, grids)
-        sustainable = min(0.3 * measured, 250.0)
-
-        engine = ServeEngine(model, serve_config, registry=registry)
-        try:
-            gateway = Gateway(
-                engine,
-                GatewayConfig(per_tenant={
-                    "fab": TenantPolicy(
-                        refill_per_s=sustainable, burst=0.25 * sustainable
-                    ),
-                }),
-                registry=registry,
-            )
-            client = InProcessGatewayClient(gateway)
-            trace = poisson_trace(
-                2.0 * sustainable, 1.0, seed=17, tenants={"fab": 1.0},
-                grid_pool=len(grids),
-            )
-            outcome = asyncio.run(run_open_loop(client, trace, grids))
-        finally:
-            engine.close()
-
-        overall = outcome["overall"]
-        # Sheds the remainder, and every shed is typed.
-        assert overall["shed"] > 0
-        assert set(overall["rejected_by_reason"]) == {"bucket_exhausted"}
-        assert overall["invalid"] == 0
-        # Goodput holds near the contracted rate (generous floor: the
-        # single-core container runs loadgen and engine on one CPU).
-        assert overall["goodput_qps"] >= 0.4 * sustainable
-        # Admitted-request p99 (server-side histogram: only admitted
-        # requests are observed) within the deadline+batch bound, with
-        # 2x slack for CI timer noise.
-        bound_s = _sla_bound_s(registry, serve_config)
-        assert bound_s is not None
-        p99_s = registry.histogram("serve.latency_s").quantile(0.99)
-        assert p99_s <= 2.0 * bound_s
-
-
-class TestSweepSchema:
-    @pytest.fixture(scope="class")
-    def payload(self):
-        return run_sweep(
-            smoke=True, seed=5, duration_s=0.25, sustainable_cap_qps=120.0
-        )
-
-    def test_sweep_payload_passes_validation(self, payload):
-        validate_gateway_suite(payload)  # must not raise
-        assert len(payload["sweep"]) >= 3
-        assert payload["provenance"]["git_sha"]
-        names = [entry["name"] for entry in payload["sweep"]]
-        assert "poisson_1x" in names and "poisson_4x" in names
-
-    def test_sweep_is_replay_deterministic(self, payload):
-        for entry in payload["sweep"]:
-            assert entry["decision_replay_identical"] is True
-            assert len(entry["decision_digest"]) == 64
-
-    def test_no_shed_at_sustainable(self, payload):
-        sustainable = next(
-            entry for entry in payload["sweep"]
-            if entry["name"] == "poisson_1x"
-        )
-        assert sustainable["overall"]["shed"] == 0
-
-    def test_validation_catches_drift(self, payload):
-        broken = json.loads(json.dumps(payload))
-        del broken["sweep"][0]["decision_digest"]
-        with pytest.raises(ValueError, match="missing"):
-            validate_gateway_suite(broken)
-
-        wrong_version = json.loads(json.dumps(payload))
-        wrong_version["schema"] = 99
-        with pytest.raises(ValueError, match="schema"):
-            validate_gateway_suite(wrong_version)
-
-        bad_reason = json.loads(json.dumps(payload))
-        bad_reason["sweep"][0]["overall"]["rejected_by_reason"]["gremlins"] = 1
-        with pytest.raises(ValueError, match="unknown shed reason"):
-            validate_gateway_suite(bad_reason)
-
-        short = json.loads(json.dumps(payload))
-        short["sweep"] = short["sweep"][:2]
-        with pytest.raises(ValueError, match=">= 3"):
-            validate_gateway_suite(short)
