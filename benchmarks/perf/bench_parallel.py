@@ -3,17 +3,19 @@
 Three groups of cases:
 
 * ``train_step_w{N}`` — mean train-step wall-clock on the Table-I CNN
-  for 1 (serial), 2, and 4 workers, with ``speedup_vs_serial``;
+  for 1 (in-process), 2, and 4 workers, with ``speedup_vs_serial``;
+  every batch holds two 32-row shards, smoke included, and the suite
+  fails unless each worker count ends on the parameter bytes of w1;
 * ``train_epoch_scratch_{on,off}`` — the allocation-free hot loops
-  (cached im2col index maps, per-layer scratch, in-place optimizer)
-  against the same epoch with scratch disabled;
+  (per-layer scratch, in-place optimizer) against the same epoch with
+  scratch disabled, on one-shard batches (the only ones that use it);
 * ``augment_w{N}`` — per-class augmentation (auto-encoder training +
   synthetic generation, >= 2 minority classes) serial vs fanned out.
 
-Scaling caveat: data-parallel speedup requires physical cores.  On a
-single-CPU machine (see ``machine.cpu_count`` in the emitted JSON) the
-worker curves measure protocol overhead, not parallel speedup — the
-committed numbers are honest about that.
+A worker count above the usable cores (:func:`repro.parallel.usable_cores`)
+is refused, not recorded: it would measure oversubscription, not
+scaling.  ``machine.cpu_count`` in the emitted JSON says which counts
+could run.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from repro.core.augmentation import AugmentationConfig, augment_dataset
 from repro.core.cnn import BackboneConfig, WaferCNN
 from repro.core.trainer import TrainConfig, Trainer
 from repro.data.dataset import WaferDataset
+from repro import nn
 from repro.nn import functional as F
-from repro.parallel import parallel_supported
+from repro.parallel import parallel_supported, usable_cores
 
 from .harness import CaseResult, run_case
 
@@ -56,12 +59,26 @@ def _imbalanced_dataset(majority: int, minority: int, size: int, seed: int = 0) 
     return WaferDataset(grids=grids, labels=labels, class_names=("maj", "min_a", "min_b"))
 
 
+def _worker_counts(counts) -> List[int]:
+    """``counts`` that this machine can run: 1 always, more only up to
+    the usable cores and where multiprocessing works."""
+    allowed = []
+    for workers in counts:
+        if workers > 1 and (workers > usable_cores() or not parallel_supported(workers)):
+            print(f"bench_parallel: refusing {workers} workers "
+                  f"({usable_cores()} usable cores)")
+            continue
+        allowed.append(workers)
+    return allowed
+
+
 def _train_step_cases(smoke: bool, repeats: int) -> List[CaseResult]:
-    count, size, batch = (32, 32, 16) if smoke else (128, 64, 64)
+    count, size, batch = (64, 32, 64) if smoke else (128, 64, 64)
     num_classes = 4
     dataset = _synthetic_dataset(count, size, num_classes)
     config = BackboneConfig(input_size=size)
     steps = max(1, (count + batch - 1) // batch)
+    final_bytes = {}
 
     def one_epoch(num_workers: int):
         def run() -> None:
@@ -74,13 +91,12 @@ def _train_step_cases(smoke: bool, repeats: int) -> List[CaseResult]:
                 ),
             )
             trainer.fit(dataset)
+            final_bytes[num_workers] = [p.data.tobytes() for p in model.parameters()]
         return run
 
     cases: List[CaseResult] = []
     serial_step = None
-    for workers in (1, 2, 4):
-        if workers > 1 and not parallel_supported(workers):
-            continue
+    for workers in _worker_counts((1, 2, 4)):
         case = run_case(
             f"train_step_w{workers}",
             one_epoch(workers),
@@ -91,19 +107,23 @@ def _train_step_cases(smoke: bool, repeats: int) -> List[CaseResult]:
                 "arch": "table1", "num_workers": workers, "steps": steps,
             },
         )
+        if final_bytes[workers] != final_bytes[1]:
+            raise RuntimeError(
+                f"train_step_w{workers} ended on other parameter bytes than w1"
+            )
         step_s = case.wall_s_median / steps
         case.metrics["step_s"] = step_s
         case.metrics["samples_per_s"] = count / case.wall_s_median
         if workers == 1:
             serial_step = step_s
-        elif serial_step is not None:
+        else:
             case.metrics["speedup_vs_serial"] = serial_step / step_s
         cases.append(case)
     return cases
 
 
 def _scratch_cases(smoke: bool, repeats: int) -> List[CaseResult]:
-    count, size, batch = (32, 32, 16) if smoke else (128, 64, 64)
+    count, size, batch = (32, 32, 16) if smoke else (128, 64, 32)
     num_classes = 4
     dataset = _synthetic_dataset(count, size, num_classes)
     config = BackboneConfig(input_size=size)
@@ -117,27 +137,17 @@ def _scratch_cases(smoke: bool, repeats: int) -> List[CaseResult]:
         trainer.fit(dataset)
 
     def one_epoch_no_scratch() -> None:
-        # The trainer enables train_scratch internally; force it off by
-        # stubbing the context to measure the allocation-heavy path.
-        saved = F._TrainScratchState.enabled
-
-        class _Off:
-            def __enter__(self):
-                F._TrainScratchState.enabled = False
-                return self
-
-            def __exit__(self, *exc):
-                F._TrainScratchState.enabled = saved
-
+        # The trainer enables train_scratch internally; force it off.
         original = F.train_scratch
-        from repro import nn as nn_module
-        F.train_scratch = _Off  # type: ignore[assignment]
-        nn_module.train_scratch = _Off  # type: ignore[assignment]
+
+        def off(enabled: bool = True):
+            return original(False)
+
+        F.train_scratch = nn.train_scratch = off  # type: ignore[assignment]
         try:
             one_epoch()
         finally:
-            F.train_scratch = original  # type: ignore[assignment]
-            nn_module.train_scratch = original  # type: ignore[assignment]
+            F.train_scratch = nn.train_scratch = original  # type: ignore[assignment]
 
     params = {"samples": count, "input_size": size, "batch_size": batch, "arch": "table1"}
     on = run_case("train_epoch_scratch_on", one_epoch, repeats=repeats, warmup=1, params=params)
@@ -168,9 +178,7 @@ def _augment_cases(smoke: bool, repeats: int) -> List[CaseResult]:
 
     cases: List[CaseResult] = []
     serial = None
-    for workers in (1, 2):
-        if workers > 1 and not parallel_supported(workers):
-            continue
+    for workers in _worker_counts((1, 2)):
         case = run_case(
             f"augment_w{workers}",
             augment(workers),
@@ -184,7 +192,7 @@ def _augment_cases(smoke: bool, repeats: int) -> List[CaseResult]:
         )
         if workers == 1:
             serial = case.wall_s_median
-        elif serial is not None:
+        else:
             case.metrics["speedup_vs_serial"] = serial / case.wall_s_median
         cases.append(case)
     return cases

@@ -2,7 +2,9 @@
 
 Times the full epoch loop — forward, loss, backward, Adam step — on a
 synthetic dataset, as the baseline against which training-path
-regressions are judged.
+regressions are judged.  The trainer runs at its defaults, so a batch
+of 64 (two 32-row shards) trains on two workers where two cores are
+usable; ``params.workers`` records how many ran (0: in-process).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 from repro.core.cnn import BackboneConfig, WaferCNN
 from repro.core.trainer import TrainConfig, Trainer
 from repro.data.dataset import WaferDataset
+from repro.parallel import parallel_supported, shard_bounds
 
 from .harness import CaseResult, run_case
 
@@ -45,12 +48,17 @@ def run_train_suite(smoke: bool = False, repeats: int = 3) -> List[CaseResult]:
         )
         trainer.fit(dataset)
 
+    workers = min(TrainConfig(epochs=1).num_workers, len(shard_bounds(batch)))
     case = run_case(
         "train_epoch_cnn",
         one_epoch,
         repeats=repeats,
         warmup=0,
-        params={"samples": count, "input_size": size, "batch_size": batch, "arch": "table1"},
+        params={
+            "samples": count, "input_size": size, "batch_size": batch,
+            "arch": "table1",
+            "workers": workers if parallel_supported(workers) else 0,
+        },
     )
     case.metrics["samples_per_s"] = count / case.wall_s_median
     return [case]

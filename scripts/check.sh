@@ -103,8 +103,11 @@ if suite.get("schema") != 1 or suite.get("suite") != "train":
     sys.exit("FAIL: BENCH_train.json is not a schema-1 train suite")
 if suite.get("smoke"):
     sys.exit("FAIL: committed BENCH_train.json must be a full-mode run")
-if not (suite.get("provenance") or {}).get("git_sha"):
+sha = (suite.get("provenance") or {}).get("git_sha")
+if not sha:
     sys.exit("FAIL: BENCH_train.json provenance lacks a git_sha")
+if sha.endswith("+dirty"):
+    sys.exit(f"FAIL: BENCH_train.json was recorded from a dirty tree ({sha})")
 cases = {case["name"]: case for case in suite["cases"]}
 if "train_epoch_cnn" not in cases:
     sys.exit("FAIL: BENCH_train.json is missing case 'train_epoch_cnn'")

@@ -193,9 +193,11 @@ def augment_dataset(
 
     ``num_workers > 1`` fans the per-class work — each class trains its
     own auto-encoder, so the classes are embarrassingly parallel —
-    across processes via :func:`repro.parallel.parallel_map`.  Every
-    class uses an rng derived from ``config.seed + label``, so results
-    are identical for any worker count (including serial).
+    across processes via :func:`repro.parallel.parallel_map`, each class
+    to whichever worker is free.  Every class uses an rng derived from
+    ``config.seed + label``, and workers and the serial loop alike run
+    BLAS on one thread, so the synthetic maps are bit-identical for any
+    worker count (including serial).
     """
     from ..parallel import parallel_map
 

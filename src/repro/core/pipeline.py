@@ -79,13 +79,18 @@ class SelectiveWaferClassifier:
     ) -> "SelectiveWaferClassifier":
         """Augment (optionally), train, and (optionally) calibrate.
 
+        Augmentation and training both use ``train.num_workers``
+        processes; the fitted model does not depend on the count.
+
         With ``calibrate=True`` and a validation set, the acceptance
         threshold is adjusted post-training so the realized validation
         coverage meets ``target_coverage`` exactly.
         """
         self.class_names = train_data.class_names
         if self.augmentation is not None:
-            train_data = augment_dataset(train_data, self.augmentation)
+            train_data = augment_dataset(
+                train_data, self.augmentation, num_workers=self.train.num_workers
+            )
 
         backbone = self.backbone
         if backbone is None:
@@ -167,7 +172,9 @@ class FullCoverageWaferClassifier:
     ) -> "FullCoverageWaferClassifier":
         self.class_names = train_data.class_names
         if self.augmentation is not None:
-            train_data = augment_dataset(train_data, self.augmentation)
+            train_data = augment_dataset(
+                train_data, self.augmentation, num_workers=self.train.num_workers
+            )
         backbone = self.backbone
         if backbone is None:
             backbone = BackboneConfig(input_size=train_data.map_size, seed=self.train.seed)

@@ -19,8 +19,9 @@ Fault tolerance (see :mod:`repro.resilience`):
 * Data-parallel training survives worker loss: the engine retries /
   re-shards transparently, and on total pool degradation
   (:class:`~repro.parallel.ParallelUnavailable`) the trainer finishes
-  the *same batch* — and the rest of the run — on the serial path, so
-  no step is skipped or double-applied.
+  the *same batch* — and the rest of the run — in-process through
+  :func:`~repro.parallel.sharded_step`, so no step is skipped or
+  double-applied and the trajectory does not change by a bit.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ from .. import nn
 from ..data.dataset import BatchIterator, WaferDataset
 from ..obs.flight import dump_flight, record_flight_event
 from ..obs.trace import current_tracer
+from ..parallel.engine import (
+    DataParallelEngine,
+    ObjectiveSpec,
+    ParallelUnavailable,
+    shard_bounds,
+    sharded_step,
+)
+from ..parallel.pool import parallel_supported, usable_cores
 from ..resilience.chaos import chaos_point
 from ..resilience.retry import RetryPolicy
 from ..resilience.watchdog import TrainingWatchdog
@@ -97,12 +106,16 @@ class TrainConfig:
     seed: int = 0
     shuffle: bool = True
     verbose: bool = False
-    #: >1 enables synchronous data-parallel training: each mini-batch
-    #: is sharded across worker processes, gradients are combined, and
-    #: one optimizer step is applied — same trajectory as serial
-    #: training up to float summation order.  Silently falls back to
-    #: serial where multiprocessing is unavailable.
-    num_workers: int = 1
+    #: Worker processes for synchronous data-parallel training;
+    #: defaults to the usable cores.  Every mini-batch splits into
+    #: fixed shards of at most 32 rows (:func:`repro.parallel.shard_bounds`),
+    #: and their gradients are summed in shard order whether the shards
+    #: run in workers or in-process, so the worker count changes no
+    #: result bit (for models that draw no random numbers in forward,
+    #: i.e. without dropout).  A pool starts only when the batch size
+    #: gives at least two shards; one-shard batches, and everything
+    #: where multiprocessing is unavailable, run in-process.
+    num_workers: int = field(default_factory=usable_cores)
     #: Respawn budget per lost parallel worker (exponential backoff);
     #: 0 means a dead worker is never replaced and the pool shrinks.
     worker_retries: int = 2
@@ -286,7 +299,7 @@ class Trainer:
             while epoch <= self.config.epochs and not stop:
                 self._check_engine_health()
                 try:
-                    stats = self._run_epoch(epoch, batches, self._engine)
+                    stats = self._run_epoch(epoch, batches)
                 except _WatchdogTrip as trip:
                     state = self._rollback(trip, rollbacks)
                     rollbacks += 1
@@ -453,16 +466,14 @@ class Trainer:
         return state
 
     def _check_engine_health(self) -> None:
-        """Epoch-boundary heartbeat; drops to serial on pool loss."""
+        """Epoch-boundary heartbeat; drops to in-process on pool loss."""
         if self._engine is None:
             return
-        from ..parallel import ParallelUnavailable
-
         try:
             self._engine.health_check()
         except ParallelUnavailable:
             logger.warning(
-                "data-parallel pool degraded; continuing this run serially"
+                "data-parallel pool degraded; continuing this run in-process"
             )
             self._engine = None
 
@@ -470,44 +481,45 @@ class Trainer:
     def _selective_mode(self) -> bool:
         return isinstance(self.model, SelectiveNet) and self.config.target_coverage < 1.0
 
-    def _make_engine(self):
-        """Build the data-parallel engine, or None for serial training.
-
-        ``num_workers > 1`` on a platform without multiprocessing
-        support logs a warning and falls back to serial — results are
-        identical either way, only wall-clock differs.
-        """
-        if self.config.num_workers <= 1:
-            return None
-        from ..parallel import DataParallelEngine, ObjectiveSpec, parallel_supported
-
-        if not parallel_supported(self.config.num_workers):
-            logger.warning(
-                "num_workers=%d requested but parallel execution is "
-                "unavailable on this platform; training serially",
-                self.config.num_workers,
-            )
-            return None
-        objective = ObjectiveSpec(
+    def _objective(self) -> ObjectiveSpec:
+        return ObjectiveSpec(
             kind="selective" if self._selective_mode() else "cross_entropy",
             target_coverage=self.config.target_coverage,
             lam=self.config.lam,
             alpha=self.config.alpha,
             penalty_mode=self.config.penalty_mode,
         )
+
+    def _make_engine(self):
+        """Build the data-parallel engine, or None to train in-process.
+
+        Starts ``min(num_workers, shards per full batch)`` workers, and
+        none when that is below two or multiprocessing is unavailable
+        here — results are identical either way, only wall-clock
+        differs.
+        """
+        workers = min(
+            self.config.num_workers, len(shard_bounds(self.config.batch_size))
+        )
+        if workers < 2:
+            return None
+        if not parallel_supported(workers):
+            logger.info(
+                "parallel execution is unavailable here; training %d-worker "
+                "batches in-process", workers,
+            )
+            return None
         return DataParallelEngine(
             self.model,
-            objective,
-            num_workers=self.config.num_workers,
+            self._objective(),
+            num_workers=workers,
             max_batch=self.config.batch_size,
             retry=RetryPolicy(
                 max_retries=self.config.worker_retries, seed=self.config.seed
             ),
         )
 
-    def _run_epoch(self, epoch: int, batches: BatchIterator, engine=None) -> EpochStats:
-        from ..parallel.engine import ParallelUnavailable
-
+    def _run_epoch(self, epoch: int, batches: BatchIterator) -> EpochStats:
         self.model.train()
         started = time.perf_counter()
         tracer = current_tracer()
@@ -525,6 +537,7 @@ class Trainer:
         batch_count = 0
 
         selective = self._selective_mode()
+        objective = self._objective()
 
         with nn.train_scratch():
             for inputs, labels, weights in batches:
@@ -532,19 +545,24 @@ class Trainer:
                     "train.batch", epoch=epoch, inputs=inputs, labels=labels
                 )
                 step = None
-                if self._engine is not None:
+                # A one-shard batch runs the objective below in this
+                # process, whatever the worker count.
+                sharded = len(shard_bounds(len(labels))) > 1
+                if sharded and self._engine is not None:
                     try:
                         step = self._engine.train_step(inputs, labels, weights)
                     except ParallelUnavailable:
                         # The engine never published this batch's
-                        # gradients, so finishing it serially keeps the
-                        # trajectory intact — nothing skipped, nothing
-                        # double-applied.
+                        # gradients, so finishing it in-process keeps
+                        # the trajectory intact — nothing skipped,
+                        # nothing double-applied.
                         logger.warning(
                             "data-parallel pool lost mid-epoch; "
-                            "continuing this run serially"
+                            "continuing this run in-process"
                         )
                         self._engine = None
+                if sharded and step is None:
+                    step = sharded_step(self.model, objective, inputs, labels, weights)
                 if step is not None:
                     loss_value = step.loss
                     correct = step.correct

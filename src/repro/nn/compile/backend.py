@@ -208,9 +208,16 @@ class NumpyBackend:
             for apply in chain:
                 apply(buf, env)
             if pool_hw is not None:
+                # Eager max_pool2d's window taps, in its row-major order
+                # (F._window_taps), so even ties between -0 and +0 match.
                 qh, qw = pool_hw
                 nhwc = buf.reshape(n, out_h // qh, qh, out_w // qw, qw, c_out)
-                env[out_id] = nhwc.max(axis=(2, 4)).transpose(0, 3, 1, 2)
+                pooled = nhwc[:, :, 0, :, 0].copy()
+                for i in range(qh):
+                    for j in range(qw):
+                        if i or j:
+                            np.maximum(pooled, nhwc[:, :, i, :, j], out=pooled)
+                env[out_id] = pooled.transpose(0, 3, 1, 2)
             else:
                 env[out_id] = buf.reshape(n, out_h, out_w, c_out).transpose(
                     0, 3, 1, 2

@@ -112,13 +112,18 @@ class train_scratch:
     :class:`~repro.core.trainer.Trainer` and ``train_autoencoder``
     loops).  Running two forwards of the same layer before calling
     ``backward`` (e.g. gradient accumulation across batches) would
-    clobber the first forward's columns — leave the context disabled
-    for such schedules.  Like ``no_grad``, the switch is per thread.
+    clobber the first forward's columns — ``train_scratch(False)``
+    switches reuse off for such a schedule inside an enabled block.
+    Reuse changes no result bytes.  Like ``no_grad``, the switch is per
+    thread.
     """
+
+    def __init__(self, enabled: bool = True) -> None:
+        self._enabled = bool(enabled)
 
     def __enter__(self) -> "train_scratch":
         self._prev = _TrainScratchState.enabled
-        _TrainScratchState.enabled = True
+        _TrainScratchState.enabled = self._enabled
         return self
 
     def __exit__(self, *exc) -> None:

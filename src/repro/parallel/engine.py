@@ -1,30 +1,34 @@
 """Synchronous data-parallel training engine with worker supervision.
 
-Each step splits the mini-batch across N workers, runs forward/backward
-on the shards, and sums the shard gradients into the parent model's
-``param.grad`` — the parent then applies one ordinary optimizer step,
-so data-parallel training reproduces the serial trajectory (same seed,
-same batches, same updates) up to floating-point summation order.
+Every mini-batch splits into fixed shards of at most :data:`SHARD_ROWS`
+rows, chosen from its row count alone (:func:`shard_bounds`).  Worker
+``k`` of ``W`` runs forward/backward on shards ``k, k+W, ...``, and the
+parent sums the shard gradients *in shard order* into the model's
+``param.grad`` before it applies one ordinary optimizer step.
+:func:`sharded_step` runs the same per-shard functions in-process, in
+the same order and under the same one-thread BLAS pin as the workers,
+so the worker count — none included — cannot change a single bit of
+the trajectory.
 
 Exactness.  The SelectiveNet objective (Eq. 9) is *nonlinear* in batch
 statistics — coverage appears in a denominator and inside the penalty —
 so naively averaging per-shard losses would compute the gradient of a
 different function.  Instead every step runs a two-phase protocol:
 
-1. Workers forward their shard and report the three batch partial sums
+1. Workers forward their shards and report the three batch partial sums
    the objective depends on: ``U = sum(w*l*g)``, ``V = sum(g)``,
    ``W = sum(w*l)`` (per-sample CE ``l``, selection ``g``, weights
    ``w``).
-2. The parent combines them into the full-batch statistics and sends
-   back three scalar coefficients ``kU, kV, kW`` — the partial
-   derivatives of the objective with respect to those sums.  Each
-   worker then backpropagates the *linear* surrogate
-   ``kU*U_s + kV*V_s + kW*W_s`` of its own shard tensors.
+2. The parent combines them, in shard order, into the full-batch
+   statistics and sends back three scalar coefficients ``kU, kV, kW``
+   — the partial derivatives of the objective with respect to those
+   sums.  Each worker then backpropagates the *linear* surrogate
+   ``kU*U_s + kV*V_s + kW*W_s`` of each of its shards.
 
 By the chain rule the sum of the surrogate gradients equals the exact
 gradient of the full-batch objective; plain cross-entropy is the
 ``kU = kV = 0, kW = 1/N`` special case.  Parameters, batches, and the
-per-worker gradient slab all live in one shared-memory arena
+per-shard gradient slab all live in one shared-memory arena
 (:mod:`repro.parallel.shm`), so no ndarray is ever pickled after
 start-up; workers bind their model parameters directly onto the arena
 views, making the parent's post-step weights visible for free.
@@ -36,15 +40,15 @@ never a corrupted update:
 * A dead pipe, dead process, or missed per-call deadline surfaces as
   :class:`~repro.parallel.pool.WorkerCrashed`; the parent aborts the
   in-flight phase on the survivors (``abort``/``aborted`` handshake,
-  draining stale messages) and re-shards the same mini-batch across
-  whoever is left.
+  draining stale messages) and hands the same shards to whoever is
+  left, so a retried step sums the same bytes.
 * Lost workers are respawned under a bounded exponential-backoff
   :class:`~repro.resilience.RetryPolicy`; a respawn only rejoins the
   active set after answering a heartbeat ping.
 * When the active set degrades below two workers (data-parallel with
-  one shard is pure overhead) the engine shuts down and raises
+  one worker is pure overhead) the engine shuts down and raises
   :class:`ParallelUnavailable` — the trainer's signal to fall back to
-  the serial path.
+  :func:`sharded_step`.
 
 Every death, restart, and retried step increments a ``repro.obs``
 counter (``resilience.worker.deaths`` / ``.restarts``,
@@ -64,10 +68,13 @@ from ..obs.flight import dump_flight, record_flight_event
 from ..obs.trace import current_tracer, remote_span
 from ..resilience.chaos import chaos_point
 from ..resilience.retry import RetryPolicy
-from .pool import WorkerCrashed, WorkerPool, parallel_supported
+from .pool import WorkerCrashed, WorkerPool, parallel_supported, worker_blas
 from .shm import ArraySpec, ShmArena
 
 __all__ = [
+    "SHARD_ROWS",
+    "shard_bounds",
+    "sharded_step",
     "ObjectiveSpec",
     "StepStats",
     "DataParallelEngine",
@@ -128,17 +135,104 @@ class StepStats:
     correct: int
 
 
-def _shard_bounds(n: int, workers: int) -> List[Tuple[int, int]]:
-    """Contiguous, deterministic split of ``range(n)`` into ``workers``
-    near-equal shards (first ``n % workers`` shards get the extra)."""
-    base, rem = divmod(n, workers)
+#: Rows per gradient shard.  Fixed, so a batch's shards — and with them
+#: every floating-point sum of its step — depend on its row count
+#: alone.  A one-shard batch is not worth a worker pool: on the
+#: ``drift_retrain`` baseline fit (batch 16) two workers took
+#: 1.96-2.19 s against 1.60-2.06 s serial; at batch 64 (two shards)
+#: they gained about 55 %.
+SHARD_ROWS = 32
+
+
+def shard_bounds(n: int) -> List[Tuple[int, int]]:
+    """Contiguous split of ``range(n)`` into ``ceil(n / SHARD_ROWS)``
+    near-equal shards (the first ``n % count`` shards get the extra)."""
+    count = max(1, -(-n // SHARD_ROWS))
+    base, rem = divmod(n, count)
     bounds = []
     lo = 0
-    for rank in range(workers):
-        hi = lo + base + (1 if rank < rem else 0)
+    for index in range(count):
+        hi = lo + base + (1 if index < rem else 0)
         bounds.append((lo, hi))
         lo = hi
     return bounds
+
+
+def _forward_shard(model, spec: ObjectiveSpec, inputs, labels, weights):
+    """Forward one shard with its loss sums on the tape.
+
+    Returns ``(tape, partial)``: ``tape`` is the ``(U, V, W)`` sum
+    tensors (``U`` and ``V`` are ``None`` for cross-entropy), ``partial``
+    their values plus the shard's correct-prediction count.
+    """
+    from .. import nn
+    from ..nn.tensor import Tensor
+
+    x = Tensor(inputs)
+    if spec.kind == "selective":
+        logits, selection = model(x)
+    else:
+        outputs = model(x)
+        logits = outputs[0] if isinstance(outputs, tuple) else outputs
+        selection = None
+    per_sample = nn.cross_entropy(logits, labels, reduction="none")
+    # Same float32 weight cast as the serial objective.
+    per_sample = per_sample * Tensor(np.asarray(weights, dtype=np.float32))
+    w_sum = per_sample.sum()
+    if selection is not None:
+        u_sum = (per_sample * selection).sum()
+        v_sum = selection.sum()
+        partial = (float(u_sum.data), float(v_sum.data))
+    else:
+        u_sum = v_sum = None
+        partial = (0.0, 0.0)
+    correct = int((logits.data.argmax(axis=1) == labels).sum())
+    return (u_sum, v_sum, w_sum), partial + (float(w_sum.data), correct)
+
+
+def _backward_shard(model, params, tape, coefficients, row: np.ndarray) -> None:
+    """Backpropagate one shard's surrogate ``kU*U + kV*V + kW*W`` and
+    write the flat parameter gradient into ``row``."""
+    k_u, k_v, k_w = coefficients
+    u_sum, v_sum, w_sum = tape
+    model.zero_grad()
+    surrogate = k_w * w_sum
+    if u_sum is not None:
+        surrogate = surrogate + k_u * u_sum + k_v * v_sum
+    surrogate.backward()
+    offset = 0
+    for param in params:
+        size = param.data.size
+        if param.grad is None:
+            row[offset:offset + size] = 0
+        else:
+            row[offset:offset + size] = param.grad.reshape(-1)
+        offset += size
+
+
+def _reduce_partials(partials) -> Tuple[float, float, float, int]:
+    """``(U, V, W, correct)`` of the batch, summed in shard order."""
+    u = v = w = 0.0
+    correct = 0
+    for p_u, p_v, p_w, p_correct in partials:
+        u += p_u
+        v += p_v
+        w += p_w
+        correct += p_correct
+    return u, v, w, correct
+
+
+def _publish_grads(params, rows: np.ndarray, total: np.ndarray) -> None:
+    """Sum the shard gradient rows in shard order into ``total`` and
+    point every ``param.grad`` at its slice of it."""
+    np.copyto(total, rows[0])
+    for row in rows[1:]:
+        total += row
+    offset = 0
+    for param in params:
+        size = param.data.size
+        param.grad = total[offset:offset + size].reshape(param.data.shape)
+        offset += size
 
 
 def _coefficients(
@@ -178,6 +272,48 @@ def _batch_stats(
     return StepStats(
         loss=total, coverage=coverage, selective_risk=risk, correct=correct
     )
+
+
+def sharded_step(
+    model,
+    objective: ObjectiveSpec,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    weights: Optional[np.ndarray] = None,
+) -> StepStats:
+    """One step of the engine's protocol, run in this process.
+
+    The same shards, per-shard functions and shard-order sums as a
+    :class:`DataParallelEngine` step, under the one-thread BLAS pin the
+    workers run with, so ``param.grad`` and the statistics equal a step
+    on any number of workers bit for bit.  The caller applies the
+    optimizer step.
+    """
+    from ..nn import functional as F
+
+    n = int(inputs.shape[0])
+    if weights is None:
+        weights = np.ones((n,), dtype=np.float32)
+    bounds = shard_bounds(n)
+    params = list(model.parameters())
+    total = np.empty(sum(p.data.size for p in params), dtype=params[0].data.dtype)
+    rows = np.empty((len(bounds), total.size), dtype=total.dtype)
+    tapes, partials = [], []
+    # Holding several shards' tapes runs more than one forward per layer
+    # before a backward, which train_scratch's reuse does not allow.
+    with worker_blas(), F.train_scratch(len(bounds) == 1):
+        for lo, hi in bounds:
+            tape, partial = _forward_shard(
+                model, objective, inputs[lo:hi], labels[lo:hi], weights[lo:hi]
+            )
+            tapes.append(tape)
+            partials.append(partial)
+        u, v, w, correct = _reduce_partials(partials)
+        coefficients = _coefficients(objective, n, u, v, w)
+        for tape, row in zip(tapes, rows):
+            _backward_shard(model, params, tape, coefficients, row)
+    _publish_grads(params, rows, total)
+    return _batch_stats(objective, n, u, v, w, correct)
 
 
 class DataParallelEngine:
@@ -246,7 +382,7 @@ class DataParallelEngine:
             ArraySpec("params", (self._total_size,), np.dtype(param_dtype).str),
             ArraySpec(
                 "grads",
-                (self.num_workers, self._total_size),
+                (len(shard_bounds(capacity)), self._total_size),
                 np.dtype(param_dtype).str,
             ),
             ArraySpec(
@@ -343,10 +479,12 @@ class DataParallelEngine:
     def _step_once(self, n: int) -> StepStats:
         """One attempt at the two-phase protocol over the active set."""
         active = sorted(self._active)
-        bounds = _shard_bounds(n, len(active))
+        bounds = shard_bounds(n)
+        shards = [(index, lo, hi) for index, (lo, hi) in enumerate(bounds)]
         # Disarmed cost: one global read per step attempt.  Armed, the
-        # step span's context rides each shard dispatch and the workers'
-        # shard-forward span records come home with the partials.
+        # step span's context rides each dispatch and the workers'
+        # per-shard forward and backward span records come home with
+        # the partials and the acks.
         tracer = current_tracer()
         step_span = (
             tracer.start_span("parallel.step", n=n, workers=len(active))
@@ -355,9 +493,9 @@ class DataParallelEngine:
         ctx = tuple(step_span.context) if step_span is not None else None
         dead: List[int] = []
         delivered: List[int] = []
-        for rank, (lo, hi) in zip(active, bounds):
+        for k, rank in enumerate(active):
             try:
-                self._pool.send(rank, ("step", lo, hi, ctx))
+                self._pool.send(rank, ("step", shards[k::len(active)], ctx))
                 delivered.append(rank)
             except (BrokenPipeError, OSError):
                 dead.append(rank)
@@ -366,25 +504,23 @@ class DataParallelEngine:
                 tracer.end(step_span, status="error")
             raise _StepFailure(dead + self._abort_ranks(delivered))
 
-        partials = []
+        partials: List[tuple] = [()] * len(bounds)
+        records = []
         for rank in active:
             try:
-                partials.append(self._pool.recv(rank))
+                _, shard_partials, shard_records = self._pool.recv(rank)
             except WorkerCrashed:
                 dead.append(rank)
+                continue
+            for index, partial in shard_partials:
+                partials[index] = partial
+            records.extend(shard_records)
         if dead:
             survivors = [r for r in active if r not in dead]
             if step_span is not None:
                 tracer.end(step_span, status="error")
             raise _StepFailure(dead + self._abort_ranks(survivors))
-        if tracer is not None:
-            for p in partials:
-                if len(p) > 5 and p[5] is not None:
-                    tracer.ingest(p[5])
-        u = sum(p[1] for p in partials)
-        v = sum(p[2] for p in partials)
-        w = sum(p[3] for p in partials)
-        correct = sum(p[4] for p in partials)
+        u, v, w, correct = _reduce_partials(partials)
 
         k_u, k_v, k_w = _coefficients(self.objective, n, u, v, w)
         for rank in active:
@@ -395,7 +531,8 @@ class DataParallelEngine:
         if not dead:
             for rank in active:
                 try:
-                    self._pool.recv(rank)  # "done" ack: grad row complete
+                    # "done" ack: the worker's gradient rows are complete.
+                    records.extend(self._pool.recv(rank)[1])
                 except WorkerCrashed:
                     dead.append(rank)
         if dead:
@@ -404,16 +541,12 @@ class DataParallelEngine:
                 tracer.end(step_span, status="error")
             raise _StepFailure(dead + self._abort_ranks(survivors))
         if step_span is not None:
+            for record in records:
+                tracer.ingest(record)
             tracer.end(step_span)
 
-        grads = self._arena.view("grads")
-        np.sum(grads, axis=0, out=self._grad_total)
-        offset = 0
-        for param, size in zip(self._params, self._sizes):
-            param.grad = self._grad_total[offset:offset + size].reshape(
-                param.data.shape
-            )
-            offset += size
+        grads = self._arena.view("grads")[:len(bounds)]
+        _publish_grads(self._params, grads, self._grad_total)
         return _batch_stats(self.objective, n, u, v, w, correct)
 
     # ------------------------------------------------------------------
@@ -444,12 +577,10 @@ class DataParallelEngine:
         return casualties
 
     def _recover(self, dead: Sequence[int]) -> None:
-        """Process casualties: zero their gradient rows, log, and try
-        to respawn each under the retry policy's budget."""
-        grads = self._arena.view("grads")
+        """Process casualties: log them and try to respawn each under
+        the retry policy's budget."""
         for rank in sorted(set(dead)):
             self._active.discard(rank)
-            grads[rank].fill(0)
             self._m_deaths.inc()
             # The casualty's in-process registries are gone; keep its
             # last-published snapshot in the fleet totals.
@@ -562,9 +693,8 @@ def _engine_worker(rank: int, num_workers: int, pipe, payload) -> None:
     """
     import time as _time
 
-    from .. import nn
     from ..nn import functional as F
-    from ..nn.tensor import Tensor, set_default_dtype
+    from ..nn.tensor import set_default_dtype
     from ..obs.aggregate import mergeable_snapshot as _snapshot
     from ..obs.metrics import MetricsRegistry
 
@@ -577,6 +707,7 @@ def _engine_worker(rank: int, num_workers: int, pipe, payload) -> None:
     m_steps = registry.counter("parallel.worker.steps")
     m_items = registry.counter("parallel.worker.items")
     m_shard = registry.histogram("parallel.worker.shard_s")
+    m_backward = registry.histogram("parallel.worker.backward_s")
 
     params = list(model.parameters())
     sizes = [int(p.data.size) for p in params]
@@ -590,108 +721,81 @@ def _engine_worker(rank: int, num_workers: int, pipe, payload) -> None:
     inputs = arena.view("inputs")
     labels = arena.view("labels")
     weights = arena.view("weights")
-    grad_row = arena.view("grads")[rank]
+    grads = arena.view("grads")
+
+    def control(message) -> bool:
+        """Answer a control message; False when it was not one."""
+        tag = message[0]
+        if tag == "ping":
+            chaos_point("parallel.worker.ping", rank=rank)
+            pipe.send(("pong", rank))
+        elif tag == "telemetry":
+            pipe.send(("telemetry", rank, _snapshot(registry, f"rank{rank}")))
+        else:
+            return False
+        return True
 
     try:
-        # Strict forward -> backward lockstep, so per-layer scratch
-        # reuse is safe in the workers too.
-        scratch_guard = F.train_scratch()
-        scratch_guard.__enter__()
         while True:
             message = pipe.recv()
-            tag = message[0]
-            if tag == "stop":
+            if message[0] == "stop":
                 return
-            if tag == "ping":
-                chaos_point("parallel.worker.ping", rank=rank)
-                pipe.send(("pong", rank))
-                continue
-            if tag == "abort":  # nothing in flight — just acknowledge
+            if message[0] == "abort":  # nothing in flight — just acknowledge
                 pipe.send(("aborted",))
                 continue
-            if tag == "telemetry":
-                pipe.send(("telemetry", rank, _snapshot(registry, f"rank{rank}")))
+            if control(message):
                 continue
-            lo, hi = message[1], message[2]
-            ctx = message[3] if len(message) > 3 else None
-            chaos_point("parallel.worker.step", rank=rank, lo=lo, hi=hi)
-            if hi > lo:
-                shard_started = _time.perf_counter()
-                with remote_span(
-                    "parallel.shard", ctx, rank=rank, lo=lo, hi=hi
-                ) as shard_span:
-                    x = Tensor(inputs[lo:hi])
-                    if spec.kind == "selective":
-                        logits, selection = model(x)
-                    else:
-                        outputs = model(x)
-                        logits = outputs[0] if isinstance(outputs, tuple) else outputs
-                        selection = None
-                    per_sample = nn.cross_entropy(
-                        logits, labels[lo:hi], reduction="none"
-                    )
-                    # Same float32 weight cast as the serial objective.
-                    per_sample = per_sample * Tensor(
-                        np.asarray(weights[lo:hi], dtype=np.float32)
-                    )
-                    w_sum = per_sample.sum()
-                    if selection is not None:
-                        u_sum = (per_sample * selection).sum()
-                        v_sum = selection.sum()
-                    else:
-                        u_sum = v_sum = None
-                    correct = int(
-                        (logits.data.argmax(axis=1) == labels[lo:hi]).sum()
-                    )
-                m_steps.inc()
-                m_items.inc(hi - lo)
-                m_shard.observe(_time.perf_counter() - shard_started)
-                pipe.send((
-                    "partial",
-                    float(u_sum.data) if u_sum is not None else 0.0,
-                    float(v_sum.data) if v_sum is not None else 0.0,
-                    float(w_sum.data),
-                    correct,
-                    shard_span.to_record() if shard_span is not None else None,
-                ))
-            else:  # empty shard: stay in protocol lockstep
-                w_sum = u_sum = v_sum = None
-                pipe.send(("partial", 0.0, 0.0, 0.0, 0, None))
+            _, shards, ctx = message
+            chaos_point(
+                "parallel.worker.step", rank=rank,
+                shards=[index for index, _, _ in shards],
+            )
+            tapes, partials, records = [], [], []
+            # Holding several shards' tapes runs more than one forward
+            # per layer before a backward, which train_scratch's reuse
+            # does not allow; reuse changes no bytes either way.
+            with F.train_scratch(len(shards) == 1):
+                for index, lo, hi in shards:
+                    started = _time.perf_counter()
+                    with remote_span(
+                        "parallel.shard", ctx, rank=rank, shard=index, lo=lo, hi=hi
+                    ) as span:
+                        tape, partial = _forward_shard(
+                            model, spec, inputs[lo:hi], labels[lo:hi], weights[lo:hi]
+                        )
+                    m_steps.inc()
+                    m_items.inc(hi - lo)
+                    m_shard.observe(_time.perf_counter() - started)
+                    tapes.append(tape)
+                    partials.append((index, partial))
+                    if span is not None:
+                        records.append(span.to_record())
+            pipe.send(("partial", partials, records))
 
             # Phase 2: wait for the coefficients, servicing control
             # messages; "abort" drops the step and returns to top.
             while True:
                 message = pipe.recv()
-                tag = message[0]
-                if tag == "stop":
+                if message[0] == "stop":
                     return
-                if tag == "ping":
-                    chaos_point("parallel.worker.ping", rank=rank)
-                    pipe.send(("pong", rank))
-                    continue
-                if tag == "abort":
+                if message[0] == "abort":
                     pipe.send(("aborted",))
                     break
-                if tag == "telemetry":
-                    pipe.send(
-                        ("telemetry", rank, _snapshot(registry, f"rank{rank}"))
-                    )
+                if control(message):
                     continue
-                _, k_u, k_v, k_w = message
-                model.zero_grad()
-                if w_sum is not None:
-                    surrogate = k_w * w_sum
-                    if u_sum is not None:
-                        surrogate = surrogate + k_u * u_sum + k_v * v_sum
-                    surrogate.backward()
-                offset = 0
-                for param, size in zip(params, sizes):
-                    if param.grad is None:
-                        grad_row[offset:offset + size] = 0
-                    else:
-                        grad_row[offset:offset + size] = param.grad.reshape(-1)
-                    offset += size
-                pipe.send(("done",))
+                coefficients = message[1:]
+                records = []
+                for (index, _, _), tape in zip(shards, tapes):
+                    started = _time.perf_counter()
+                    with remote_span(
+                        "parallel.shard.backward", ctx, rank=rank, shard=index
+                    ) as span:
+                        _backward_shard(model, params, tape, coefficients, grads[index])
+                    m_backward.observe(_time.perf_counter() - started)
+                    if span is not None:
+                        records.append(span.to_record())
+                pipe.send(("done", records))
                 break
+            tapes.clear()  # release the step's activations before idling
     finally:
         arena.close()

@@ -12,7 +12,15 @@ is only modified while the children are being spawned (they inherit
 it), then restored.  The environment only reaches a BLAS that has not
 been loaded yet; a forked worker inherits the OpenBLAS numpy loaded in
 the parent, already sized, so :func:`pin_blas_threads` also calls that
-library's own thread-count setter.
+library's own thread-count setter.  :class:`worker_blas` does the
+same for a block of parent code and restores the thread count
+afterwards: OpenBLAS does not promise the same bytes at every thread
+count, so code that must match a worker bit for bit runs under it.
+
+Workers also pin their allocator (:func:`pin_allocator`): a worker
+forked from a parent that never trained would otherwise hand its
+freed heap back to the kernel after every step and fault it back in
+on the next.
 
 Supervision primitives (used by the resilient engine and serve
 backends): :meth:`WorkerPool.recv` raises :class:`WorkerCrashed` on a
@@ -29,17 +37,22 @@ from __future__ import annotations
 import ctypes
 import multiprocessing as mp
 import os
+import threading
 import time
 import traceback
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from multiprocessing.connection import wait as wait_ready
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .shm import HAVE_SHARED_MEMORY
 
 __all__ = [
     "BLAS_ENV_VARS",
     "blas_single_thread",
+    "worker_blas",
     "pin_blas_threads",
+    "pin_allocator",
     "parallel_supported",
+    "usable_cores",
     "WorkerCrashed",
     "WorkerPool",
     "parallel_map",
@@ -87,34 +100,61 @@ class blas_single_thread:
                 os.environ[var] = value
 
 
-#: Thread-count setters an OpenBLAS build may export, in lookup order
-#: (numpy's bundled ILP64 build first).
+#: Thread-count setters and matching getters an OpenBLAS build may
+#: export, in lookup order (numpy's bundled ILP64 build first).
 _OPENBLAS_SETTERS = (
     "scipy_openblas_set_num_threads64_",
     "scipy_openblas_set_num_threads",
     "openblas_set_num_threads",
 )
+_OPENBLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads",
+)
 
 
-def _loaded_openblas() -> List[ctypes.CDLL]:
-    """Every OpenBLAS library mapped into this process (Linux; ``[]``
-    where ``/proc/self/maps`` is unavailable)."""
+_controls: Optional[List[Tuple[Any, Any]]] = None
+
+
+def _openblas_controls() -> List[Tuple[Any, Any]]:
+    """``(setter, getter)`` of every OpenBLAS mapped into this process
+    (getter ``None`` when the build exports no matching one; ``[]``
+    where ``/proc/self/maps`` is unavailable).
+
+    Scanned once per process, at first use: numpy has loaded its
+    OpenBLAS by then, and a forked child inherits both the mapping and
+    this list.
+    """
+    global _controls
+    if _controls is not None:
+        return _controls
+    _controls = []
     try:
         with open("/proc/self/maps", "r", encoding="utf-8") as maps:
             fields = [line.split(None, 5) for line in maps]
     except OSError:
-        return []
+        return _controls
     paths = sorted({
         parts[5].strip() for parts in fields
         if len(parts) == 6 and "openblas" in os.path.basename(parts[5]).lower()
     })
-    libraries = []
     for path in paths:
         try:
-            libraries.append(ctypes.CDLL(path))
+            library = ctypes.CDLL(path)
         except OSError:
             continue
-    return libraries
+        for set_name, get_name in zip(_OPENBLAS_SETTERS, _OPENBLAS_GETTERS):
+            setter = getattr(library, set_name, None)
+            if setter is None:
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter = getattr(library, get_name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+            _controls.append((setter, getter))
+            break
+    return _controls
 
 
 def pin_blas_threads() -> None:
@@ -126,13 +166,86 @@ def pin_blas_threads() -> None:
     """
     for var in BLAS_ENV_VARS:
         os.environ[var] = "1"
-    for library in _loaded_openblas():
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(library, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
+    for setter, _ in _openblas_controls():
+        setter(1)
+
+
+class worker_blas:
+    """Context manager running a block on the BLAS a worker has: every
+    loaded OpenBLAS on one thread, restored on exit to the count its
+    getter reported.
+
+    OpenBLAS does not promise the same bytes at every thread count, so
+    in-process code that must match a worker bit for bit runs under
+    this.  The thread count is process-wide: other threads' BLAS calls
+    inside the block run on one thread too.  Uses may nest and overlap
+    across threads: the first entry saves, the last exit restores.
+    Where no OpenBLAS setter is found the block runs unchanged.
+    """
+
+    _lock = threading.Lock()
+    _depth = 0
+    _saved: List[Tuple[Any, int]] = []
+
+    def __enter__(self) -> "worker_blas":
+        cls = worker_blas
+        with cls._lock:
+            if cls._depth == 0:
+                controls = _openblas_controls()
+                cls._saved = [
+                    (setter, getter()) for setter, getter in controls
+                    if getter is not None
+                ]
+                for setter, _ in controls:
+                    setter(1)
+            cls._depth += 1
+        return self
+
+    def __exit__(self, *exc) -> None:
+        cls = worker_blas
+        with cls._lock:
+            cls._depth -= 1
+            if cls._depth == 0:
+                for setter, count in cls._saved:
+                    setter(count)
+
+
+#: glibc ``mallopt`` parameters (``malloc.h``) and the values workers
+#: pin: freed memory stays in the heap up to the trim threshold, and
+#: blocks below the mmap threshold (32 MiB is glibc's 64-bit maximum)
+#: come from the heap instead of a fresh mapping.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD_BYTES = 256 << 20
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+def pin_allocator() -> None:
+    """Keep a worker's freed heap for its next step (called inside each
+    worker, never in the parent).
+
+    glibc's default thresholds return a training step's freed
+    activations to the kernel, so each step faults them back in.  A
+    no-op where the C library exports no ``mallopt``.
+    """
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except OSError:
+        return
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity set where the
+    platform reports one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 def parallel_supported(num_workers: int) -> bool:
@@ -258,6 +371,18 @@ class WorkerPool:
         """One message from every worker, in rank order."""
         return [self.recv(rank, timeout) for rank in range(self.num_workers)]
 
+    def wait(self, ranks: Sequence[int], timeout: float) -> List[int]:
+        """The listed ranks that have a message waiting or have died,
+        blocking up to ``timeout`` seconds for the first (``[]``: none
+        did).  :meth:`recv` on a returned rank does not block for long:
+        it returns the message or raises :class:`WorkerCrashed`."""
+        handles = {}
+        for rank in ranks:
+            handles[self._pipes[rank]] = rank
+            handles[self._procs[rank].sentinel] = rank
+        ready = wait_ready(list(handles), timeout)
+        return sorted({handles[handle] for handle in ready})
+
     # ------------------------------------------------------------------
     # Supervision
     # ------------------------------------------------------------------
@@ -372,6 +497,7 @@ class WorkerPool:
 
 def _worker_entry(worker_fn, rank, num_workers, pipe, payload) -> None:
     pin_blas_threads()
+    pin_allocator()
     try:
         worker_fn(rank, num_workers, pipe, payload)
     except (EOFError, KeyboardInterrupt):  # pragma: no cover - shutdown races
@@ -416,38 +542,41 @@ def parallel_map(
     (bounding pipe buffering and balancing uneven item costs).  Falls
     back to a plain serial loop when :func:`parallel_supported` says
     multiprocessing is not available, so callers can use it
-    unconditionally.  ``fn`` must be picklable under spawn start
-    methods — define it at module top level.
+    unconditionally.  The loop runs under :class:`worker_blas`, so a
+    deterministic ``fn`` returns the same bytes for any worker count.
+    ``fn`` must be picklable under spawn start methods — define it at
+    module top level.
     """
     item_list = list(items)
     if not item_list:
         return []
     workers = min(num_workers, len(item_list))
     if not parallel_supported(workers):
-        return [fn(item) for item in item_list]
+        with worker_blas():
+            return [fn(item) for item in item_list]
 
     results: List[Any] = [None] * len(item_list)
     with WorkerPool(workers, _map_worker, payload=fn, timeout=timeout) as pool:
         cursor = 0
-        busy: List[Optional[int]] = [None] * workers
+        busy: List[int] = []
         for rank in range(workers):
             pool.send(rank, ("item", cursor, item_list[cursor]))
-            busy[rank] = cursor
+            busy.append(rank)
             cursor += 1
-        pending = len(item_list)
-        while pending:
-            for rank in range(workers):
-                if busy[rank] is None:
-                    continue
+        while busy:
+            ready = pool.wait(busy, timeout)
+            if not ready:
+                raise WorkerCrashed(
+                    f"parallel_map: no worker answered within {timeout}s", busy[0]
+                )
+            for rank in ready:
                 status, index, value = pool.recv(rank, timeout)
                 if status == "err":
                     raise RuntimeError(f"parallel_map item {index} failed:\n{value}")
                 results[index] = value
-                pending -= 1
                 if cursor < len(item_list):
                     pool.send(rank, ("item", cursor, item_list[cursor]))
-                    busy[rank] = cursor
                     cursor += 1
                 else:
-                    busy[rank] = None
+                    busy.remove(rank)
     return results

@@ -5,10 +5,11 @@ deterministic fault injection (:mod:`repro.resilience.chaos`) and exits
 non-zero unless every recovery contract holds:
 
 1. **Worker loss → serial fallback, exact trajectory.**  A worker of a
-   two-worker training pool is killed at its first step with no respawn
-   budget; the engine degrades, the trainer finishes the whole run on
-   the serial path, and the final weights are *bit-identical* to a
-   serial run with the same seed (no step was lost or double-applied).
+   two-worker training pool (batch 64 on 96 maps: two shards per full
+   batch) is killed at its first step with no respawn budget; the
+   engine degrades, the trainer finishes the whole run in-process, and
+   the final weights are *bit-identical* to a serial run with the same
+   seed (no step was lost or double-applied).
 2. **SIGKILL between checkpoints → resume matches uninterrupted.**  A
    training subprocess dies (``os._exit``) right after publishing its
    second checkpoint; ``fit(resume="auto")`` in a fresh process picks
@@ -63,10 +64,11 @@ def _make_trainer(
     worker_retries: int = 0,
     checkpoint_dir=None,
     epochs: int = 2,
+    batch_size: int = 16,
 ):
     model = WaferCNN(4, _backbone())
     config = TrainConfig(
-        epochs=epochs, batch_size=16, seed=3, num_workers=num_workers,
+        epochs=epochs, batch_size=batch_size, seed=3, num_workers=num_workers,
         worker_retries=worker_retries, checkpoint_dir=checkpoint_dir,
     )
     return model, Trainer(model, config)
@@ -94,12 +96,14 @@ def scenario_worker_loss() -> int:
             "parallel.worker.step", kill_process, token=token, rank=1
         )
         with active_plan(plan):
-            faulted, trainer = _make_trainer(num_workers=2, worker_retries=0)
-            trainer.fit(_tiny_dataset())
+            faulted, trainer = _make_trainer(
+                num_workers=2, worker_retries=0, batch_size=64
+            )
+            trainer.fit(_tiny_dataset(96))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    serial, trainer = _make_trainer(num_workers=1)
-    trainer.fit(_tiny_dataset())
+    serial, trainer = _make_trainer(num_workers=1, batch_size=64)
+    trainer.fit(_tiny_dataset(96))
     diff = _weights_equal(faulted, serial)
     deaths = default_registry().counter("resilience.worker.deaths").value
     if diff != 0.0:

@@ -14,6 +14,7 @@ from repro.parallel.pool import (
     blas_single_thread,
     parallel_map,
     parallel_supported,
+    worker_blas,
 )
 
 
@@ -23,6 +24,11 @@ def _square(x):
 
 def _scale_sum(arr):
     return float(np.asarray(arr).sum() * 2)
+
+
+def _sleep_pid(seconds):
+    time.sleep(seconds)
+    return os.getpid()
 
 
 def _explode(x):
@@ -59,6 +65,16 @@ class TestParallelMap:
 
     def test_empty_items(self):
         assert parallel_map(_square, [], num_workers=4) == []
+
+    def test_free_worker_takes_the_next_item(self):
+        """While one worker sleeps through a long item, the other
+        handles every short one instead of waiting its turn."""
+        if not parallel_supported(2):
+            pytest.skip("parallel execution unavailable")
+        pids = parallel_map(_sleep_pid, [0.6] + [0.05] * 6, num_workers=2)
+        long_pid, short_pids = pids[0], pids[1:]
+        assert long_pid not in short_pids
+        assert len(set(short_pids)) == 1
 
 
 #: Thread-count getters an OpenBLAS build may export.
@@ -103,6 +119,19 @@ class TestBlasPinning:
             pytest.skip("no OpenBLAS with a thread-count getter is loaded")
         with WorkerPool(1, _blas_threads_worker, timeout=30.0) as pool:
             assert pool.recv(0) == ("threads", 1)
+
+    def test_worker_blas_pins_the_parent_and_restores(self):
+        """The parent's own OpenBLAS runs one thread inside the block,
+        nested blocks included, and gets its thread count back after."""
+        before = _openblas_threads()
+        if before is None:
+            pytest.skip("no OpenBLAS with a thread-count getter is loaded")
+        with worker_blas():
+            assert _openblas_threads() == 1
+            with worker_blas():
+                assert _openblas_threads() == 1
+            assert _openblas_threads() == 1
+        assert _openblas_threads() == before
 
     def test_context_sets_and_restores(self):
         var = BLAS_ENV_VARS[0]

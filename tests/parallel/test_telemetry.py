@@ -35,7 +35,8 @@ def _model():
     )
 
 
-def _batch(n=8, seed=0):
+def _batch(n=64, seed=0):
+    """Two 32-row shards: one per worker of a two-worker engine."""
     rng = np.random.default_rng(seed)
     inputs = rng.normal(size=(n, 1, SIZE, SIZE)).astype(np.float32)
     labels = rng.integers(0, 4, size=(n,)).astype(np.int64)
@@ -55,7 +56,7 @@ class TestStepTracing:
     def test_step_and_shard_spans_form_one_trace(self):
         tracer = arm_tracing(recorder=False)
         engine = DataParallelEngine(
-            _model(), ObjectiveSpec(), num_workers=2, max_batch=16,
+            _model(), ObjectiveSpec(), num_workers=2, max_batch=64,
             registry=MetricsRegistry(),
         )
         try:
@@ -65,21 +66,25 @@ class TestStepTracing:
         spans = tracer.spans()
         steps = [r for r in spans if r["name"] == "parallel.step"]
         shards = [r for r in spans if r["name"] == "parallel.shard"]
+        backwards = [r for r in spans if r["name"] == "parallel.shard.backward"]
         assert len(steps) == 1
-        assert len(shards) == 2
+        assert len(shards) == 2 and len(backwards) == 2
         step = steps[0]
         assert step["attrs"]["workers"] == 2
-        for shard in shards:
+        for shard in shards + backwards:
             assert shard["parent_id"] == step["span_id"]
             assert shard["trace_id"] == step["trace_id"]
             assert shard["pid"] != os.getpid()  # recorded in the worker
-        assert {shard["attrs"]["rank"] for shard in shards} == {0, 1}
+        # Worker k takes shard k.
+        assert {(s["attrs"]["rank"], s["attrs"]["shard"]) for s in shards} == {
+            (0, 0), (1, 1)
+        }
         roots = span_tree(spans)
         assert len(roots) == 1 and roots[0]["name"] == "parallel.step"
 
     def test_disarmed_steps_ship_no_span_records(self):
         engine = DataParallelEngine(
-            _model(), ObjectiveSpec(), num_workers=2, max_batch=16,
+            _model(), ObjectiveSpec(), num_workers=2, max_batch=64,
             registry=MetricsRegistry(),
         )
         try:
@@ -91,7 +96,7 @@ class TestStepTracing:
     def test_fleet_merges_worker_step_counters(self):
         registry = MetricsRegistry()
         engine = DataParallelEngine(
-            _model(), ObjectiveSpec(), num_workers=2, max_batch=16,
+            _model(), ObjectiveSpec(), num_workers=2, max_batch=64,
             registry=registry,
         )
         try:
@@ -107,12 +112,13 @@ class TestStepTracing:
             for snapshot in sources.values()
         ]
         # Every sample of both steps was processed by exactly one worker.
-        assert sum(per_worker_items) == 16
+        assert sum(per_worker_items) == 128
         assert all(items > 0 for items in per_worker_items)
         merged = engine.telemetry_snapshot()
-        assert merged["counters"]["parallel.worker.items"] == 16
+        assert merged["counters"]["parallel.worker.items"] == 128
         assert merged["counters"]["parallel.worker.steps"] == 4
         assert merged["histograms"]["parallel.worker.shard_s"]["count"] == 4
+        assert merged["histograms"]["parallel.worker.backward_s"]["count"] == 4
 
 
 @needs_parallel

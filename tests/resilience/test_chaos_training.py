@@ -57,6 +57,12 @@ needs_parallel = pytest.mark.skipif(
 )
 
 
+#: Batch 64 on 96 maps: a two-shard batch (one shard per worker) and a
+#: one-shard tail per epoch.
+SHARDED = dict(batch_size=64)
+SHARDED_MAPS = 96
+
+
 class TestWorkerLoss:
     @needs_parallel
     def test_kill_and_respawn_matches_uninterrupted_parallel(self, tmp_path):
@@ -68,10 +74,12 @@ class TestWorkerLoss:
             "parallel.worker.step", kill_process, token=token, rank=1
         )
         with active_plan(plan):
-            faulted, trainer = make_trainer(num_workers=2, worker_retries=2)
-            trainer.fit(tiny_dataset())
-        baseline, trainer = make_trainer(num_workers=2, worker_retries=2)
-        trainer.fit(tiny_dataset())
+            faulted, trainer = make_trainer(
+                num_workers=2, worker_retries=2, **SHARDED
+            )
+            trainer.fit(tiny_dataset(SHARDED_MAPS))
+        baseline, trainer = make_trainer(num_workers=2, worker_retries=2, **SHARDED)
+        trainer.fit(tiny_dataset(SHARDED_MAPS))
         assert max_weight_diff(faulted, baseline) == 0.0
         assert restarts.value > before
 
@@ -86,11 +94,34 @@ class TestWorkerLoss:
             "parallel.worker.step", kill_process, token=token, rank=1
         )
         with active_plan(plan):
-            faulted, trainer = make_trainer(num_workers=2, worker_retries=0)
-            trainer.fit(tiny_dataset())
-        serial, trainer = make_trainer(num_workers=1)
-        trainer.fit(tiny_dataset())
+            faulted, trainer = make_trainer(
+                num_workers=2, worker_retries=0, **SHARDED
+            )
+            trainer.fit(tiny_dataset(SHARDED_MAPS))
+        serial, trainer = make_trainer(num_workers=1, **SHARDED)
+        trainer.fit(tiny_dataset(SHARDED_MAPS))
         assert max_weight_diff(faulted, serial) == 0.0
+        assert deaths.value > before
+
+    @needs_parallel
+    def test_degraded_mid_run_matches_uninterrupted_parallel(self, tmp_path):
+        """A worker dies at its second step with no respawn budget: the
+        run finishes in-process and still ends on the bytes of a run
+        whose two workers never faulted."""
+        deaths = default_registry().counter("resilience.worker.deaths")
+        before = deaths.value
+        token = make_token(str(tmp_path))
+        plan = ChaosPlan().inject(
+            "parallel.worker.step", kill_process, token=token, rank=1, after=1
+        )
+        with active_plan(plan):
+            faulted, trainer = make_trainer(
+                num_workers=2, worker_retries=0, **SHARDED
+            )
+            trainer.fit(tiny_dataset(SHARDED_MAPS))
+        baseline, trainer = make_trainer(num_workers=2, **SHARDED)
+        trainer.fit(tiny_dataset(SHARDED_MAPS))
+        assert max_weight_diff(faulted, baseline) == 0.0
         assert deaths.value > before
 
     @needs_parallel
