@@ -5,7 +5,7 @@
 
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test chaos bench bench-perf bench-compile bench-parallel bench-serve bench-obs stream-smoke profile clean
+.PHONY: check test chaos bench bench-perf bench-compile bench-parallel bench-obs stream-smoke profile clean
 
 check:
 	sh scripts/check.sh
@@ -29,9 +29,6 @@ bench-compile:
 
 bench-parallel:
 	PYTHONPATH=$(PYTHONPATH) python -m benchmarks.perf --suite parallel --out-dir benchmarks/perf
-
-bench-serve:
-	PYTHONPATH=$(PYTHONPATH) python -m benchmarks.perf --suite serve --out-dir benchmarks/perf
 
 bench-obs:
 	PYTHONPATH=$(PYTHONPATH) python -m benchmarks.perf --suite obs --out-dir benchmarks/perf

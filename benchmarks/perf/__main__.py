@@ -1,12 +1,12 @@
 """CLI entry point: ``python -m benchmarks.perf [--smoke] [--out-dir D]``.
 
-Runs the inference, compile, training, parallel, serving and
-observability suites and writes ``BENCH_infer.json``,
-``BENCH_compile.json``, ``BENCH_train.json``, ``BENCH_parallel.json``,
-``BENCH_serve.json`` and ``BENCH_obs.json`` into ``--out-dir``
-(default: this package's directory, where the committed baselines
-live).  Open-loop gateway load and the continual-operations loop are
-measured end to end by the repository benchmark (``fabbench``).
+Runs the inference, compile, training, parallel and observability
+suites and writes ``BENCH_infer.json``, ``BENCH_compile.json``,
+``BENCH_train.json``, ``BENCH_parallel.json`` and ``BENCH_obs.json``
+into ``--out-dir`` (default: this package's directory, where the
+committed baselines live).  Serving, open-loop gateway load and the
+continual-operations loop are measured end to end by the repository
+benchmark (``fabbench``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .bench_compile import run_compile_suite
 from .bench_infer import run_infer_suite
 from .bench_obs import run_obs_suite
 from .bench_parallel import run_parallel_suite
-from .bench_serve import run_serve_suite
 from .bench_train import run_train_suite
 from .harness import write_suite
 
@@ -43,7 +42,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--suite",
-        choices=["infer", "compile", "train", "parallel", "serve", "obs", "all"],
+        choices=["infer", "compile", "train", "parallel", "obs", "all"],
         default="all",
         help="which suite(s) to run",
     )
@@ -72,12 +71,6 @@ def main(argv=None) -> int:
         cases = run_parallel_suite(smoke=args.smoke, repeats=min(args.repeats, 3))
         path = write_suite(
             os.path.join(args.out_dir, "BENCH_parallel.json"), "parallel", cases, smoke=args.smoke
-        )
-        _report(path, cases)
-    if args.suite in ("serve", "all"):
-        cases = run_serve_suite(smoke=args.smoke, repeats=min(args.repeats, 3))
-        path = write_suite(
-            os.path.join(args.out_dir, "BENCH_serve.json"), "serve", cases, smoke=args.smoke
         )
         _report(path, cases)
     if args.suite in ("obs", "all"):

@@ -91,8 +91,7 @@ def _serve_case(
     name: str, model, grids, repeats: int, armed: bool
 ) -> CaseResult:
     config = ServeConfig(
-        max_batch_size=8, max_latency_ms=2.0, queue_limit=4 * len(grids),
-        cache_bytes=0, num_replicas=1,
+        max_batch_size=8, queue_limit=4 * len(grids), cache_bytes=0,
     )
     tracer = arm_tracing(capacity=4 * len(grids), recorder=False) if armed else None
     try:
@@ -107,8 +106,7 @@ def _serve_case(
                 name, run, repeats=repeats, warmup=1,
                 params={
                     "requests": len(grids), "input_size": grids.shape[1],
-                    "arch": ARCH, "max_batch_size": 8, "max_latency_ms": 2.0,
-                    "armed": armed,
+                    "arch": ARCH, "max_batch_size": 8, "armed": armed,
                 },
             )
     finally:

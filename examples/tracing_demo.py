@@ -1,14 +1,17 @@
 """Distributed tracing walkthrough: one wafer's journey, span by span.
 
 Arms the process tracer, serves a handful of wafers through the
-batching engine (across replica processes when the platform supports
-fork + shared memory, else on the in-process lane), then prints:
+batching engine's in-process lane, runs one two-worker data-parallel
+training step (when the platform supports fork + shared memory), then
+prints:
 
-1. the span tree of the first request — enqueue, queue-wait, batch
-   assembly, replica forward (worker process), respond;
-2. the fleet-merged telemetry (parent + every replica registry);
-3. a Prometheus rendering of the merged view;
-4. a flight-recorder dump of the most recent spans/events.
+1. the span tree of the first served request — enqueue, queue-wait,
+   batch assembly, respond;
+2. the span tree of the training step, whose shard spans were recorded
+   in the worker processes;
+3. the fleet-merged telemetry (parent + every worker registry);
+4. a Prometheus rendering of the merged view;
+5. a flight-recorder dump of the most recent spans/events.
 
 Tracing is off by default everywhere; a disarmed probe on the serve
 path costs ~40 ns per request, which is why the engine can afford to
@@ -24,6 +27,7 @@ import tempfile
 import numpy as np
 
 from repro.core import BackboneConfig
+from repro.core.cnn import WaferCNN
 from repro.core.selective import SelectiveNet
 from repro.obs import (
     MetricsRegistry,
@@ -31,66 +35,85 @@ from repro.obs import (
     disarm_tracing,
     dump_flight,
     format_span_tree,
+    mergeable_snapshot,
     set_flight_dump_dir,
+    summarize_snapshot,
 )
 from repro.obs.export import lint_prometheus, to_prometheus
 from repro.parallel import parallel_supported
+from repro.parallel.engine import DataParallelEngine, ObjectiveSpec
 from repro.serve import ServeConfig, ServeEngine
 
 SIZE = 32
 
 
-def main() -> None:
-    model = SelectiveNet(
-        4,
-        BackboneConfig(
-            input_size=SIZE, conv_channels=(8, 8), conv_kernels=(3, 3),
-            fc_units=32, seed=11,
-        ),
+def _backbone() -> BackboneConfig:
+    return BackboneConfig(
+        input_size=SIZE, conv_channels=(8, 8), conv_kernels=(3, 3),
+        fc_units=32, seed=11,
     )
+
+
+def main() -> None:
     rng = np.random.default_rng(0)
     wafers = rng.integers(0, 3, size=(8, SIZE, SIZE)).astype(np.uint8)
-
-    replicas = 2 if parallel_supported(2) else 1
-    lane = "2 replica processes" if replicas == 2 else "in-process lane"
-    print(f"== serving 8 wafers, traced, on {lane} ==")
 
     # ------------------------------------------------------------------
     # 1. Arm the tracer, serve, and walk the first request's trace.
     # ------------------------------------------------------------------
+    print("== serving 8 wafers, traced, on the in-process lane ==")
     flight_dir = tempfile.mkdtemp(prefix="repro-flight-")
     set_flight_dump_dir(flight_dir)
     tracer = arm_tracing()  # also feeds the flight recorder's ring
     registry = MetricsRegistry()
-    config = ServeConfig(
-        max_batch_size=4, max_latency_ms=5.0, cache_bytes=0,
-        num_replicas=replicas, worker_timeout_s=60.0,
-    )
-    with ServeEngine(model, config, registry=registry) as engine:
+    config = ServeConfig(max_batch_size=4, cache_bytes=0)
+    with ServeEngine(SelectiveNet(4, _backbone()), config, registry=registry) as engine:
         results = engine.classify_many(list(wafers), timeout=120.0)
     accepted = sum(1 for r in results if r.accepted)
     print(f"served {len(results)} wafers ({accepted} accepted)\n")
 
-    first_trace = tracer.trace_ids()[0]
-    spans = tracer.spans(first_trace)
     print("-- span tree of the first request --")
-    print(format_span_tree(spans))
-    pids = sorted({record["pid"] for record in spans})
-    print(f"processes in this trace: {pids}\n")
+    print(format_span_tree(tracer.spans(tracer.trace_ids()[0])))
+    print()
 
     # ------------------------------------------------------------------
-    # 2. Fleet-merged telemetry: parent counters + replica registries.
+    # 2. One training step on two workers: a trace across processes.
     # ------------------------------------------------------------------
-    print("-- fleet-merged counters --")
-    merged = engine.telemetry_snapshot()
-    for name, value in sorted(merged["counters"].items()):
-        print(f"  {name} = {value}")
-    print(f"  (sources: {sorted(engine.fleet.sources())})\n")
+    merged = mergeable_snapshot(registry, "parent")
+    if parallel_supported(2):
+        print("== one training step at batch 64 on 2 worker processes ==")
+        inputs = rng.normal(size=(64, 1, SIZE, SIZE)).astype(np.float32)
+        labels = rng.integers(0, 4, size=(64,)).astype(np.int64)
+        trainer = DataParallelEngine(
+            WaferCNN(4, _backbone()), ObjectiveSpec(), num_workers=2,
+            max_batch=64, registry=registry,
+        )
+        tracer.clear()
+        try:
+            trainer.train_step(inputs, labels)
+            trainer.poll_telemetry()
+            merged = trainer.telemetry_snapshot()
+        finally:
+            trainer.shutdown()
+        spans = tracer.spans(tracer.trace_ids()[0])
+        print(format_span_tree(spans))
+        pids = sorted({record["pid"] for record in spans})
+        print(f"processes in this trace: {pids}\n")
+
+        # --------------------------------------------------------------
+        # 3. Fleet-merged telemetry: parent counters + worker registries.
+        # --------------------------------------------------------------
+        print("-- fleet-merged counters --")
+        for name, value in sorted(merged["counters"].items()):
+            print(f"  {name} = {value}")
+        print(f"  (sources: {sorted(trainer.fleet.sources())})\n")
+    else:
+        print("(no fork + shared memory here: the cross-process step is skipped)\n")
 
     # ------------------------------------------------------------------
-    # 3. Prometheus rendering of the merged view.
+    # 4. Prometheus rendering of the merged view.
     # ------------------------------------------------------------------
-    text = to_prometheus(merged)
+    text = to_prometheus(summarize_snapshot(merged))
     problems = lint_prometheus(text)
     print("-- prometheus exposition (first 12 lines, lint "
           f"{'clean' if not problems else problems}) --")
@@ -98,7 +121,7 @@ def main() -> None:
     print()
 
     # ------------------------------------------------------------------
-    # 4. Flight-recorder dump: the black box you read after a fault.
+    # 5. Flight-recorder dump: the black box you read after a fault.
     # ------------------------------------------------------------------
     path = dump_flight("demo")
     with open(path) as handle:

@@ -24,13 +24,13 @@ timeout 300 python -m pytest tests/compile -q
 echo "== parallel training smoke (2 workers) =="
 timeout 240 python -m repro.parallel.smoke
 
-echo "== serving smoke (batcher + cache + replicas) =="
+echo "== serving smoke (batcher + cache) =="
 timeout 240 python -m repro.serve.smoke
 
-echo "== chaos smoke (worker loss, checkpoint resume, replica loss) =="
+echo "== chaos smoke (worker loss, checkpoint resume) =="
 timeout 300 python -m repro.resilience.smoke
 
-echo "== obs smoke (trace, fleet merge, exporters, flight recorder) =="
+echo "== obs smoke (serve trace, cross-process trace, fleet merge, exporters, flight recorder) =="
 timeout 240 python -m repro.obs.smoke
 
 echo "== prometheus exposition lint =="
@@ -59,7 +59,6 @@ test -s "$smoke_dir/BENCH_infer.json"
 test -s "$smoke_dir/BENCH_compile.json"
 test -s "$smoke_dir/BENCH_train.json"
 test -s "$smoke_dir/BENCH_parallel.json"
-test -s "$smoke_dir/BENCH_serve.json"
 test -s "$smoke_dir/BENCH_obs.json"
 
 echo "== committed BENCH_compile.json schema + acceptance gate =="

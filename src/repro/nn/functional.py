@@ -175,7 +175,7 @@ class LayerScratch:
 
 #: Read-only im2col gather maps keyed by (C, H, W, kernel, stride, pad),
 #: in LRU order (oldest first) under the :func:`index_cache_budget`.
-#: Every conv in every thread (a training thread beside serve lanes)
+#: Every conv in every thread (a training thread beside the serve runner)
 #: reads it, so lookup, insert and evict hold :data:`_INDEX_LOCK`, and
 #: :data:`_INDEX_CACHE_NBYTES` keeps the byte total without iterating.
 _INDEX_CACHE: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()

@@ -17,7 +17,7 @@ The pillars, one per module:
 * :mod:`repro.obs.export` — Prometheus-text / JSON exporters and the
   shared provenance block (``python -m repro.obs.export``);
 * :mod:`repro.obs.top` — a terminal ops console for live QPS, latency
-  quantiles, shed/hit/abstain rates, and breaker state
+  quantiles, shed/hit/abstain rates, and worker respawns
   (``python -m repro.obs.top``);
 * :mod:`repro.obs.profile` — per-layer forward/backward profiling
   built on ``nn.Module.register_hook``;

@@ -1,10 +1,10 @@
 """Cross-process telemetry aggregation: fleet-merged metric snapshots.
 
-A multi-process deployment (serve replicas, data-parallel workers) has
-one :class:`~repro.obs.metrics.MetricsRegistry` per process, and the
-parent's registry alone under-counts everything that happens inside
-workers.  This module defines the *mergeable snapshot* — the wire
-format workers ship to their supervisor — and the merge algebra:
+Data-parallel training runs in worker processes, each with its own
+:class:`~repro.obs.metrics.MetricsRegistry`, and the parent's registry
+alone under-counts everything that happens inside them.  This module
+defines the *mergeable snapshot* — the wire format workers ship to
+their supervisor — and the merge algebra:
 
 * **counters** add;
 * **gauges** are last-writer-wins (each snapshot carries a timestamp;
@@ -17,7 +17,7 @@ format workers ship to their supervisor — and the merge algebra:
   bounded relative error set by the bucket width.
 
 :class:`FleetAggregator` is the supervisor-side accumulator: workers
-``publish`` snapshots under a source key (``lane0``, ``rank1``); a
+``publish`` snapshots under a source key (``rank0``, ``rank1``); a
 worker that dies is ``retire``\\ d, folding its last-published snapshot
 into a permanent baseline so a respawned worker restarting its
 registries from zero never loses the fleet totals (the

@@ -98,8 +98,8 @@ def machine_info() -> Dict[str, Any]:
     The ``env`` block records the BLAS threadpool knobs: worker-scaling
     numbers are meaningless without knowing whether the serial baseline
     was itself multi-threaded.  ``warnings`` makes the single-core
-    caveat machine-readable instead of prose-only (parallel/serving
-    scaling curves measure protocol overhead, not speedup, on one CPU).
+    caveat machine-readable instead of prose-only (parallel scaling
+    curves measure protocol overhead, not speedup, on one CPU).
     """
     import numpy as np
 
@@ -109,7 +109,7 @@ def machine_info() -> Dict[str, Any]:
     warnings = []
     if cpu_count == 1:
         warnings.append(
-            "single-CPU machine: worker/replica scaling cases measure "
+            "single-CPU machine: worker scaling cases measure "
             "protocol overhead, not parallel speedup"
         )
     return {

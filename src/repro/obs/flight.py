@@ -3,8 +3,8 @@
 Production telemetry answers "how is the system doing"; the flight
 recorder answers "what were the last N things it did before it broke".
 It is a fixed-capacity in-memory ring that costs nothing until a fault
-path — watchdog rollback, worker crash, breaker-open, an injected
-chaos fault — asks for a dump, at which point the ring is written
+path — watchdog rollback, worker crash, an injected chaos fault —
+asks for a dump, at which point the ring is written
 atomically (via :mod:`repro.resilience.atomic`) as a provenance-stamped
 JSON file an operator can open cold.
 

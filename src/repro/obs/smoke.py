@@ -3,26 +3,26 @@
 Drives the obs v2 pillars end-to-end and exits non-zero unless every
 contract holds:
 
-1. **Distributed trace across processes.**  Requests served through a
-   two-replica :class:`~repro.serve.ServeEngine` with tracing armed
-   must yield, for one trace id, the full span chain
-   ``serve.request`` → ``serve.queue`` / ``serve.batch`` →
-   ``replica.forward`` → ``serve.respond`` with the replica span
-   carrying a *different* pid than the parent.
-2. **Fleet-merged telemetry.**  The engine's merged snapshot must show
-   worker-side counters (``serve.worker.items``) equal to the number
-   of inputs inferred by the replicas — numbers that only exist inside
-   the worker processes.
-3. **Exporters.**  The merged snapshot rendered as Prometheus text
+1. **Serve trace.**  Requests served by a
+   :class:`~repro.serve.ServeEngine` with tracing armed must yield the
+   span chain ``serve.request`` → ``serve.queue`` / ``serve.batch`` →
+   ``serve.respond``.
+2. **Distributed trace across processes.**  One two-worker
+   :class:`~repro.parallel.engine.DataParallelEngine` step at batch 64
+   (two 32-row shards) must yield one ``parallel.step`` trace whose
+   ``parallel.shard`` spans carry a worker's pid, not the parent's.
+3. **Fleet-merged telemetry.**  The engine's
+   ``telemetry_snapshot()`` must show ``parallel.worker.items == 64``
+   — a counter that only ever increments inside the workers.
+4. **Exporters.**  The merged snapshot rendered as Prometheus text
    must pass :func:`repro.obs.export.lint_prometheus` clean, and the
    ops console (:mod:`repro.obs.top`) must render a frame from it.
-4. **Flight recorder.**  With a dump directory configured, a recorded
+5. **Flight recorder.**  With a dump directory configured, a recorded
    fault event must produce an atomic, provenance-stamped dump file.
 
-On platforms without multiprocessing support the replica scenario
-degrades to the in-process lane (still traced end-to-end, minus the
-cross-pid assertion).  ``scripts/check.sh`` (and ``make check``) run
-this under a timeout.
+On platforms without multiprocessing support legs 2 and 3 are
+skipped.  ``scripts/check.sh`` (and ``make check``) run this under a
+timeout.
 """
 
 from __future__ import annotations
@@ -32,15 +32,16 @@ import os
 import shutil
 import sys
 import tempfile
-import time
+from typing import Optional
 
 import numpy as np
 
-from ..core.cnn import BackboneConfig
+from ..core.cnn import BackboneConfig, WaferCNN
 from ..core.selective import SelectiveNet
 from ..parallel import parallel_supported
+from ..parallel.engine import DataParallelEngine, ObjectiveSpec
 from ..serve import ServeConfig, ServeEngine
-from .aggregate import summarize_snapshot
+from .aggregate import mergeable_snapshot, summarize_snapshot
 from .export import lint_prometheus, to_prometheus
 from .flight import (
     record_flight_event,
@@ -53,69 +54,97 @@ from .top import render
 from .trace import arm_tracing, disarm_tracing, format_span_tree
 
 _SIZE = 16
+#: One step at this batch is two 32-row shards, one per worker.
+_BATCH = 64
 
 
-def _model() -> SelectiveNet:
-    return SelectiveNet(
-        4,
-        BackboneConfig(
-            input_size=_SIZE, conv_channels=(4, 4), conv_kernels=(3, 3),
-            fc_units=16, seed=11,
-        ),
+def _backbone() -> BackboneConfig:
+    return BackboneConfig(
+        input_size=_SIZE, conv_channels=(4, 4), conv_kernels=(3, 3),
+        fc_units=16, seed=11,
     )
 
 
-def main() -> int:
-    replicated = parallel_supported(2)
-    replicas = 2 if replicated else 1
-    model = _model()
+def _serve_trace(registry: MetricsRegistry) -> bool:
     rng = np.random.default_rng(0)
     grids = [
         rng.integers(0, 3, size=(_SIZE, _SIZE)).astype(np.uint8)
         for _ in range(8)
     ]
-
     tracer = arm_tracing(recorder=False)
-    config = ServeConfig(
-        max_batch_size=4, max_latency_ms=2.0, cache_bytes=0,
-        num_replicas=replicas, worker_timeout_s=60.0,
-    )
     try:
-        with ServeEngine(model, config, registry=MetricsRegistry()) as engine:
+        config = ServeConfig(max_batch_size=4, cache_bytes=0)
+        with ServeEngine(SelectiveNet(4, _backbone()), config, registry=registry) as engine:
             engine.classify_many(grids, timeout=120.0)
-            time.sleep(0.1)
+    finally:
+        disarm_tracing()
+    required = {"serve.request", "serve.queue", "serve.batch", "serve.respond"}
+    names = {span["name"] for span in tracer.spans()}
+    if not required <= names:
+        print(f"FAIL: serve trace incomplete; missing {sorted(required - names)}")
+        return False
+    print(format_span_tree(tracer.spans(tracer.trace_ids()[0])))
+    print("obs smoke: serve trace OK")
+    return True
+
+
+def _parallel_step(registry: MetricsRegistry) -> Optional[dict]:
+    """One traced two-worker step; the fleet-merged snapshot, or None."""
+    rng = np.random.default_rng(1)
+    inputs = rng.normal(size=(_BATCH, 1, _SIZE, _SIZE)).astype(np.float32)
+    labels = rng.integers(0, 4, size=(_BATCH,)).astype(np.int64)
+    engine = DataParallelEngine(
+        WaferCNN(4, _backbone()), ObjectiveSpec(), num_workers=2,
+        max_batch=_BATCH, registry=registry,
+    )
+    tracer = arm_tracing(recorder=False)
+    try:
+        engine.train_step(inputs, labels)
+        engine.poll_telemetry()
         snapshot = engine.telemetry_snapshot()
     finally:
         disarm_tracing()
+        engine.shutdown()
 
-    # 1. the span chain of one request, across processes when replicated
-    required = {"serve.request", "serve.queue", "serve.batch", "serve.respond"}
-    if replicated:
-        required.add("replica.forward")
-    names, pids = set(), set()
-    for trace_id in tracer.trace_ids():
-        for span in tracer.spans(trace_id):
-            names.add(span["name"])
-            pids.add(span["pid"])
-    if not required <= names:
-        print(f"FAIL: trace incomplete; missing {sorted(required - names)}")
-        return 1
-    if replicated and len(pids) < 2:
-        print("FAIL: all spans carry one pid; replica span never crossed over")
-        return 1
-    print(format_span_tree(tracer.spans(tracer.trace_ids()[0])))
-    print(f"obs smoke: trace across {len(pids)} process(es) OK")
+    # 2. one step trace whose shard spans were recorded in the workers
+    steps = [span for span in tracer.spans() if span["name"] == "parallel.step"]
+    if len(steps) != 1:
+        print(f"FAIL: expected one parallel.step trace, found {len(steps)}")
+        return None
+    spans = tracer.spans(steps[0]["trace_id"])
+    shard_pids = [span["pid"] for span in spans if span["name"] == "parallel.shard"]
+    if len(shard_pids) != 2 or os.getpid() in shard_pids:
+        print(f"FAIL: parallel.shard spans carry pids {shard_pids}; "
+              f"expected two from worker processes (parent {os.getpid()})")
+        return None
+    print(format_span_tree(spans))
+    print(f"obs smoke: trace across {len(set(shard_pids)) + 1} processes OK")
 
-    # 2. fleet merge shows worker-side numbers
-    if replicated:
-        items = snapshot["counters"].get("serve.worker.items", 0)
-        if items != len(grids):
-            print(f"FAIL: fleet-merged serve.worker.items = {items}, "
-                  f"expected {len(grids)}")
+    # 3. fleet merge shows worker-side numbers
+    items = snapshot["counters"].get("parallel.worker.items", 0)
+    if items != _BATCH:
+        print(f"FAIL: fleet-merged parallel.worker.items = {items}, "
+              f"expected {_BATCH}")
+        return None
+    print("obs smoke: fleet-merged worker counters OK")
+    return snapshot
+
+
+def main() -> int:
+    # One registry: the serve counters and the training workers'
+    # counters meet in the same fleet-merged snapshot.
+    registry = MetricsRegistry()
+    if not _serve_trace(registry):
+        return 1
+    if parallel_supported(2):
+        snapshot = _parallel_step(registry)
+        if snapshot is None:
             return 1
-        print("obs smoke: fleet-merged worker counters OK")
+    else:
+        print("obs smoke: parallel unsupported; cross-process legs SKIPPED")
+        snapshot = mergeable_snapshot(registry, "parent")
 
-    # 3. exporters: Prometheus lint + ops console frame
+    # 4. exporters: Prometheus lint + ops console frame
     summary = summarize_snapshot(snapshot)
     problems = lint_prometheus(to_prometheus(summary))
     if problems:
@@ -127,7 +156,7 @@ def main() -> int:
         return 1
     print("obs smoke: prometheus exposition + ops console OK")
 
-    # 4. flight recorder dump on a fault event
+    # 5. flight recorder dump on a fault event
     tmpdir = tempfile.mkdtemp(prefix="obs_smoke_flight_")
     try:
         reset_default_flight_recorder()
@@ -151,7 +180,8 @@ def main() -> int:
         shutil.rmtree(tmpdir, ignore_errors=True)
     print("obs smoke: flight recorder dump OK")
 
-    print("obs smoke OK (trace, fleet merge, exporters, flight recorder)")
+    print("obs smoke OK (serve trace, cross-process trace, fleet merge, "
+          "exporters, flight recorder)")
     return 0
 
 

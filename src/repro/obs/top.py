@@ -4,8 +4,8 @@ Reads metric snapshots — straight from a registry, or from the JSON
 file a :class:`~repro.obs.export.SnapshotWriter` keeps fresh — and
 renders the numbers an operator watches during a run of the selective
 classifier: live QPS, p50/p99 latency, shed / cache-hit / abstain
-rates, what flushed each batch, per-lane circuit-breaker state and the
-compiled-graph cache.  Rates are computed from
+rates, what flushed each batch, the compiled-graph cache, worker
+respawns and the continual-operations loop.  Rates are computed from
 **deltas between consecutive snapshots**, so the console shows current
 behaviour, not lifetime averages.
 
@@ -22,14 +22,9 @@ import argparse
 import json
 import sys
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-__all__ = ["BREAKER_STATE_CODES", "compute_rates", "render", "main"]
-
-#: Numeric encoding of breaker states published as gauges
-#: (``serve.lane<i>.breaker_state``): closed is healthy, open is shed.
-BREAKER_STATE_CODES = {"closed": 0, "half_open": 1, "open": 2}
-_STATE_NAMES = {code: name for name, code in BREAKER_STATE_CODES.items()}
+__all__ = ["compute_rates", "render", "main"]
 
 #: Per-reason batch flush counters (``serve.batch.flush.<reason>``).
 _FLUSH_PREFIX = "serve.batch.flush."
@@ -85,15 +80,6 @@ def compute_rates(
     }
 
 
-def _breaker_states(snapshot: Dict[str, Any]) -> List[Tuple[str, str]]:
-    states = []
-    for name, value in sorted(snapshot.get("gauges", {}).items()):
-        if name.endswith(".breaker_state"):
-            lane = name[: -len(".breaker_state")]
-            states.append((lane, _STATE_NAMES.get(int(value), f"?{value}")))
-    return states
-
-
 def _fmt_pct(value: Optional[float]) -> str:
     return f"{100.0 * value:6.2f}%" if value is not None else "     --"
 
@@ -138,7 +124,6 @@ def render(
             for reason in (
                 "gateway.rejected.queue_full",
                 "gateway.rejected.bucket_exhausted",
-                "gateway.rejected.breaker_open",
                 "gateway.rejected.invalid_input",
             )
             if counters.get(reason, 0)
@@ -152,12 +137,6 @@ def render(
         )
         if reasons:
             lines.append(f"    rejected:  {reasons}")
-    breakers = _breaker_states(curr)
-    if breakers:
-        lines.append("  breakers:")
-        for lane, state in breakers:
-            marker = "" if state == "closed" else "  <-- degraded"
-            lines.append(f"    {lane:<28} {state}{marker}")
     counters = curr.get("counters", {})
     gauges = curr.get("gauges", {})
     if counters.get("compile.graphs"):
@@ -167,11 +146,8 @@ def render(
             f"{counters.get('compile.cache_misses', 0):.0f} hit/miss"
         )
     respawns = counters.get("parallel.worker.respawns", 0)
-    restarts = counters.get("serve.replica.restarts", 0)
-    if respawns or restarts:
-        lines.append(
-            f"  respawns     {respawns:10.0f}   replica restarts {restarts:.0f}"
-        )
+    if respawns:
+        lines.append(f"  respawns     {respawns:10.0f}")
     generation = gauges.get("serve.generation")
     label_depth = gauges.get("stream.label_queue.depth")
     if (generation is not None and generation > 1) or label_depth is not None:
@@ -218,8 +194,6 @@ def _demo_frames() -> List[Dict[str, Any]]:
     accepted = registry.counter("serve.accepted_total")
     abstained = registry.counter("serve.abstained_total")
     registry.counter("serve.shed_total").inc(2)
-    registry.gauge("serve.lane0.breaker_state").set(0)
-    registry.gauge("serve.lane1.breaker_state").set(2)
     registry.gauge("serve.queue_depth").set(4)
     registry.counter("compile.graphs").inc(2)
     registry.counter("compile.cache_hits").inc(198)

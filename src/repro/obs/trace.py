@@ -182,7 +182,7 @@ class Span:
         return self
 
     def event(self, name: str, **data: Any) -> "Span":
-        """Attach a point-in-time event (retry, breaker trip, ...)."""
+        """Attach a point-in-time event (retry, shed, ...)."""
         self.events.append({"name": name, "ts": time.time(), "data": data})
         return self
 

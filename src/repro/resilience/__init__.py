@@ -16,8 +16,6 @@ fault, degrade to a safe path, recover, and surface it through
   epoch; ``latest_valid()`` skips corrupt checkpoints on resume.
 * :mod:`~repro.resilience.watchdog` — :class:`TrainingWatchdog`,
   NaN/Inf and gradient-explosion tripwire driving checkpoint rollback.
-* :mod:`~repro.resilience.breaker` — :class:`CircuitBreaker`, the
-  per-lane open/half-open/closed gate used by the serving engine.
 * :mod:`~repro.resilience.chaos` — deterministic fault injection
   (kill-worker, delay-heartbeat, truncate-checkpoint, poison-batch)
   through named fault points; ``python -m repro.resilience.smoke`` is
@@ -25,8 +23,8 @@ fault, degrade to a safe path, recover, and surface it through
 
 Consumers: ``repro.parallel`` (supervised workers, step retry, serial
 fallback), ``repro.core.trainer`` (crash-safe checkpoints, watchdog
-rollback, ``fit(resume="auto")``), ``repro.serve`` (breaker lanes,
-replica respawn, in-process fallback, input rejection).
+rollback, ``fit(resume="auto")``), ``repro.serve`` (input rejection,
+checkpoint-verified blue-green model swaps).
 """
 
 from .atomic import (
@@ -39,7 +37,6 @@ from .atomic import (
     verify_manifest,
     write_manifest,
 )
-from .breaker import CircuitBreaker
 from .chaos import ChaosPlan, activate, active_plan, chaos_point, deactivate
 from .checkpoint import CheckpointManager, validate_checkpoint
 from .retry import RetryPolicy
@@ -55,7 +52,6 @@ __all__ = [
     "write_manifest",
     "verify_manifest",
     "RetryPolicy",
-    "CircuitBreaker",
     "TrainingWatchdog",
     "CheckpointManager",
     "validate_checkpoint",

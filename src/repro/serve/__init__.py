@@ -1,21 +1,21 @@
 """``repro.serve`` — high-throughput online inference engine.
 
-Turns the single-forward speed of the compiled nn forward and the
-process machinery of :mod:`repro.parallel` into *serving throughput*
-for the paper's deployment setting (a fab classifying a continuous
-wafer stream, Sec. I / Fig. 1).  Four cooperating pieces:
+Turns the single-forward speed of the compiled nn forward into
+*serving throughput* for the paper's deployment setting (a fab
+classifying a continuous wafer stream, Sec. I / Fig. 1).  Cooperating
+pieces:
 
 * :mod:`~repro.serve.batcher` — :class:`MicroBatcher`, work-conserving
-  micro-batching (a free lane takes everything pending) with an opt-in
-  linger, plus explicit :class:`Overloaded` backpressure;
+  micro-batching (a free runner takes everything pending), plus
+  explicit :class:`Overloaded` backpressure;
 * :mod:`~repro.serve.cache` — :class:`ResultCache`, content-hash
   (byte-exact or dihedral-canonical) LRU result cache under a byte
   budget;
-* :mod:`~repro.serve.backend` — one in-process lane or N model
-  replicas in worker processes fed through a shared-memory arena;
+* :mod:`~repro.serve.backend` — :class:`InProcessBackend`, the model
+  compiled for the batch capacity and called on the runner thread;
 * :mod:`~repro.serve.engine` — :class:`ServeEngine`, tying the three
-  together with obs metrics, per-batch tracer spans, and idle-time
-  scratch reclamation;
+  together on one in-process lane with obs metrics, per-batch tracer
+  spans, blue-green model swaps, and idle-time arena reclamation;
 * :mod:`~repro.serve.gateway` — :class:`Gateway`, the asyncio traffic
   front door: length-prefixed JSON-over-TCP
   (:mod:`~repro.serve.protocol`), per-tenant token-bucket admission
@@ -35,9 +35,8 @@ wafer stream, Sec. I / Fig. 1).  Four cooperating pieces:
 """
 
 from .admission import AdmissionController, ManualClock, TenantPolicy, TokenBucket
-from .backend import InProcessBackend, ReplicaPoolBackend, make_backend, model_infer_fn
+from .backend import InProcessBackend, make_backend, model_infer_fn
 from .batcher import (
-    SHED_BREAKER_OPEN,
     SHED_BUCKET_EXHAUSTED,
     SHED_LABEL_BUDGET,
     SHED_LABEL_QUEUE_FULL,
@@ -69,7 +68,6 @@ __all__ = [
     "Overloaded",
     "SHED_QUEUE_FULL",
     "SHED_BUCKET_EXHAUSTED",
-    "SHED_BREAKER_OPEN",
     "SHED_LABEL_QUEUE_FULL",
     "SHED_LABEL_BUDGET",
     "SHED_REASONS",
@@ -81,7 +79,6 @@ __all__ = [
     "exact_key",
     "dihedral_key",
     "InProcessBackend",
-    "ReplicaPoolBackend",
     "make_backend",
     "model_infer_fn",
     "ServeConfig",

@@ -1,24 +1,16 @@
 """Work-conserving micro-batching queue.
 
-Requests accumulate in a bounded pending queue; a consumer (one per
-model replica) pulls them out in *batches*.  By default dispatch is
-**work-conserving**: a free consumer never idles while requests are
-pending — :meth:`MicroBatcher.get_batch` hands it everything pending,
-up to ``max_batch_size``, at once.  Batches form by themselves under
-load, because requests queue while every consumer is busy, and a lone
-request never waits for company.
-
-``max_latency_s > 0`` opts into a *linger*: a partial batch is held
-until ``max_latency_s`` has elapsed since its **oldest** request
-arrived, or until it fills up, whichever comes first.  This trades
-queueing latency for larger batches; it pays only when batching cuts
-the per-request compute by more than the linger costs.
+Requests accumulate in a bounded pending queue; the serving engine's
+runner pulls them out in *batches*.  Dispatch is **work-conserving**:
+a free consumer never idles while requests are pending —
+:meth:`MicroBatcher.get_batch` hands it everything pending, up to
+``max_batch_size``, at once.  Batches form by themselves under load,
+because requests queue while the forward is busy, and a lone request
+never waits for company.
 
 There is no dispatcher thread: :meth:`MicroBatcher.get_batch` itself
-performs any wait, so each consumer blocks directly on the shared
-condition variable.  Under a burst deeper than one batch, every
-consumer's size check trips immediately and full batches fan out to
-all replicas back-to-back.
+performs any wait, so the consumer blocks directly on the queue's
+condition variable.
 
 Backpressure is explicit: :meth:`put` raises :class:`Overloaded` when
 ``queue_limit`` requests are already pending, so callers shed load with
@@ -39,38 +31,32 @@ __all__ = [
     "MicroBatcher",
     "FLUSH_IMMEDIATE",
     "FLUSH_SIZE",
-    "FLUSH_DEADLINE",
     "FLUSH_CLOSE",
     "FLUSH_REASONS",
     "SHED_QUEUE_FULL",
     "SHED_BUCKET_EXHAUSTED",
-    "SHED_BREAKER_OPEN",
     "SHED_LABEL_QUEUE_FULL",
     "SHED_LABEL_BUDGET",
     "SHED_REASONS",
 ]
 
-#: Why a batch flushed: a free consumer took a partial batch without
-#: waiting (no linger configured), it filled up, it waited out the
-#: linger since its oldest request arrived, or the batcher was closed
-#: and is draining.  Surfaced per batch so traces and
-#: ``serve.batch.flush.*`` counters can attribute latency to the right
-#: trigger.
+#: Why a batch flushed: the consumer took a partial batch (everything
+#: pending), a full one, or the batcher was closed and is draining.
+#: Surfaced per batch so traces and ``serve.batch.flush.*`` counters
+#: can tell the triggers apart.
 FLUSH_IMMEDIATE = "immediate"
 FLUSH_SIZE = "size"
-FLUSH_DEADLINE = "deadline"
 FLUSH_CLOSE = "close"
-FLUSH_REASONS = (FLUSH_IMMEDIATE, FLUSH_SIZE, FLUSH_DEADLINE, FLUSH_CLOSE)
+FLUSH_REASONS = (FLUSH_IMMEDIATE, FLUSH_SIZE, FLUSH_CLOSE)
 
 
 #: Machine-readable shed reasons carried by :class:`Overloaded`.  Every
-#: layer that sheds names its trigger: the batcher's bounded queue, an
-#: admission-control token bucket (gateway), or an open circuit breaker
-#: with no fallback — so shed responses (and tests) can tell *which*
-#: backpressure mechanism fired without parsing message strings.
+#: layer that sheds names its trigger — the batcher's bounded queue or
+#: an admission-control token bucket (gateway) — so shed responses
+#: (and tests) can tell *which* backpressure mechanism fired without
+#: parsing message strings.
 SHED_QUEUE_FULL = "queue_full"
 SHED_BUCKET_EXHAUSTED = "bucket_exhausted"
-SHED_BREAKER_OPEN = "breaker_open"
 #: Continual-operations sheds (``repro.stream``): the bounded human
 #: label queue is at capacity, or the per-window labeling budget is
 #: already spent.
@@ -79,7 +65,6 @@ SHED_LABEL_BUDGET = "label_budget_exhausted"
 SHED_REASONS = (
     SHED_QUEUE_FULL,
     SHED_BUCKET_EXHAUSTED,
-    SHED_BREAKER_OPEN,
     SHED_LABEL_QUEUE_FULL,
     SHED_LABEL_BUDGET,
 )
@@ -105,33 +90,17 @@ class Overloaded(RuntimeError):
         return (type(self), (self.args[0] if self.args else "", self.reason))
 
 
-class _Item:
-    __slots__ = ("value", "enqueued_at")
-
-    def __init__(self, value: Any, enqueued_at: float) -> None:
-        self.value = value
-        self.enqueued_at = enqueued_at
-
-
 class MicroBatcher:
-    """Work-conserving batching queue with an opt-in linger (thread-safe)."""
+    """Work-conserving batching queue (thread-safe)."""
 
-    def __init__(
-        self,
-        max_batch_size: int = 64,
-        max_latency_s: float = 0.0,
-        queue_limit: int = 1024,
-    ) -> None:
+    def __init__(self, max_batch_size: int = 64, queue_limit: int = 1024) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_latency_s < 0:
-            raise ValueError("max_latency_s must be non-negative")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         self.max_batch_size = int(max_batch_size)
-        self.max_latency_s = float(max_latency_s)
         self.queue_limit = int(queue_limit)
-        self._pending: Deque[_Item] = deque()
+        self._pending: Deque[Any] = deque()
         self._closed = False
         self._cond = threading.Condition()
 
@@ -161,8 +130,7 @@ class MicroBatcher:
                     f"pending queue full ({self.queue_limit} requests)",
                     reason=SHED_QUEUE_FULL,
                 )
-            now = time.monotonic()
-            self._pending.extend(_Item(value, now) for value in values)
+            self._pending.extend(values)
             self._cond.notify_all()
 
     def get_batch(self, timeout: Optional[float] = None) -> Optional[List[Any]]:
@@ -185,7 +153,6 @@ class MicroBatcher:
         """
         wait_deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            # Phase 1: wait for the first pending request.
             while not self._pending:
                 if self._closed:
                     return None
@@ -196,36 +163,16 @@ class MicroBatcher:
                     if remaining <= 0:
                         return None
                     self._cond.wait(remaining)
-            # Phase 2: take what is pending now, or — with a linger —
-            # accumulate until full or the oldest request's deadline
-            # expires.  Another consumer may win the race and drain the
-            # queue while we wait — loop back to phase 1.
-            while True:
-                if not self._pending:
-                    return self.get_batch_with_reason(
-                        None if wait_deadline is None
-                        else max(0.0, wait_deadline - time.monotonic())
-                    )
-                if len(self._pending) >= self.max_batch_size:
-                    reason = FLUSH_SIZE
-                    break
-                if self._closed:
-                    reason = FLUSH_CLOSE
-                    break
-                if self.max_latency_s == 0:
-                    reason = FLUSH_IMMEDIATE
-                    break
-                flush_at = self._pending[0].enqueued_at + self.max_latency_s
-                remaining = flush_at - time.monotonic()
-                if remaining <= 0:
-                    reason = FLUSH_DEADLINE
-                    break
-                self._cond.wait(remaining)
+            if len(self._pending) >= self.max_batch_size:
+                reason = FLUSH_SIZE
+            elif self._closed:
+                reason = FLUSH_CLOSE
+            else:
+                reason = FLUSH_IMMEDIATE
             batch = [
-                self._pending.popleft().value
+                self._pending.popleft()
                 for _ in range(min(self.max_batch_size, len(self._pending)))
             ]
-            self._cond.notify_all()
             return batch, reason
 
     # ------------------------------------------------------------------

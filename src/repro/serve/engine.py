@@ -10,23 +10,25 @@ Request lifecycle::
 
     submit(grid) / classify_many(grids)
       ├─ cache hit  ──────────────────────────────► completed future
-      └─ cache miss ─► MicroBatcher (work-conserving, optional linger)
-                          └─► runner thread (one per backend lane)
+      └─ cache miss ─► MicroBatcher (work-conserving)
+                          └─► runner thread (one in-process lane)
                                 └─► backend.infer(batch)  ─► futures
 
-Dispatch is work-conserving: a free lane takes everything pending, up
-to ``max_batch_size``, at once, so a request never waits on a linger
-and batches grow by themselves when requests queue behind busy lanes.
-Every model generation is compiled for ``max_batch_size`` wafers before
-it serves — at construction, and inside :meth:`ServeEngine.swap_model`
-before the commit — so a request never waits on a compile either.
-Every lane (model replica) has a dedicated runner thread, so N
-replicas keep N batches in flight.  The engine records queue depth,
-cache hit counters, per-request latency and per-batch size/compute/total
+Dispatch is work-conserving: the runner takes everything pending, up
+to ``max_batch_size``, at once, so a request never waits for a batch
+to fill, and batches grow by themselves when requests queue behind a
+busy forward.  Every model generation is compiled for ``max_batch_size``
+wafers before it serves — at construction, and inside
+:meth:`ServeEngine.swap_model` before the commit — so a request never
+waits on a compile either.  The engine records queue depth, cache hit
+counters, per-request latency and per-batch size/compute/total
 histograms into a :class:`repro.obs.MetricsRegistry`, per-batch spans
 into the armed :class:`repro.obs.Tracer` (if any), and releases the
-compiled-graph arenas (parent *and* replicas) after ``idle_reclaim_s``
-of silence so memory is reclaimed between traffic bursts.
+compiled-graph arenas after ``idle_reclaim_s`` of silence so memory is
+reclaimed between traffic bursts.
+
+A backend failure fails only the batch it struck: the runner fails
+those futures with the backend's error and keeps serving.
 """
 
 from __future__ import annotations
@@ -44,16 +46,13 @@ import numpy as np
 from ..core.selective import ABSTAIN
 from ..data.wafer import grid_to_tensor
 from ..nn import functional as F
-from ..obs.aggregate import FleetAggregator, mergeable_snapshot, summarize_snapshot
-from ..obs.flight import dump_flight, record_flight_event
+from ..obs.flight import record_flight_event
 from ..obs.metrics import MetricsRegistry, default_registry
-from ..obs.top import BREAKER_STATE_CODES
 from ..obs.trace import current_tracer
-from ..resilience.breaker import CircuitBreaker
 from ..resilience.chaos import chaos_point
 from ..resilience.checkpoint import IntegrityError, validate_checkpoint
-from .backend import make_backend, model_infer_fn
-from .batcher import FLUSH_REASONS, SHED_BREAKER_OPEN, MicroBatcher, Overloaded
+from .backend import make_backend
+from .batcher import FLUSH_REASONS, MicroBatcher, Overloaded
 from .cache import ResultCache
 
 __all__ = [
@@ -68,6 +67,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger("repro.serve")
+
+#: Seconds :meth:`ServeEngine.close` waits for the runner to drain.
+RUNNER_JOIN_S = 120.0
 
 
 class InvalidInput(ValueError):
@@ -110,14 +112,8 @@ class ServeConfig:
     Attributes
     ----------
     max_batch_size:
-        Largest batch a lane takes at once; also the batch capacity each
-        model generation is compiled for before it serves.
-    max_latency_ms:
-        Opt-in linger.  ``0`` (the default) dispatches work-conservingly:
-        a free lane takes everything pending at once.  A positive value
-        holds a partial batch until its oldest request has waited this
-        long (or the batch fills), trading up to that much queueing
-        latency for larger batches.
+        Largest batch the runner takes at once; also the batch capacity
+        each model generation is compiled for before it serves.
     queue_limit:
         Pending-queue bound; beyond it :meth:`ServeEngine.submit` sheds
         with :class:`Overloaded` instead of queueing without limit.
@@ -128,50 +124,20 @@ class ServeConfig:
         Share cached results across dihedral (rotation/reflection)
         twins — the paper's label-preserving-rotation assumption
         (Algorithm 1) applied to serving.  Approximate; off by default.
-    num_replicas:
-        Model replicas.  ``> 1`` fans batches out across worker
-        processes when the platform supports it, else falls back to the
-        serial in-process lane.
     threshold:
         Override of the model's acceptance threshold ``tau`` (selection
         logit); ``None`` uses ``model.threshold``.
     idle_reclaim_s:
         Idle seconds after which compiled arenas are released and memory
         gauges refreshed.
-    breaker_failures:
-        Consecutive backend failures on one lane that open its circuit
-        breaker (subsequent batches skip the backend until a half-open
-        probe succeeds).
-    breaker_reset_s:
-        Seconds an open breaker waits before allowing the probe.
-    replica_restarts:
-        Per-lane respawn budget of the replica pool backend.
     """
 
     max_batch_size: int = 64
-    max_latency_ms: float = 0.0
     queue_limit: int = 1024
     cache_bytes: int = 8 * 1024 * 1024
     canonicalize: bool = False
-    num_replicas: int = 1
     threshold: Optional[float] = None
     idle_reclaim_s: float = 1.0
-    worker_timeout_s: float = 120.0
-    breaker_failures: int = 3
-    breaker_reset_s: float = 5.0
-    replica_restarts: int = 2
-
-    def __post_init__(self) -> None:
-        if self.max_latency_ms < 0:
-            raise ValueError("max_latency_ms must be non-negative")
-        if self.num_replicas < 1:
-            raise ValueError("num_replicas must be >= 1")
-        if self.breaker_failures < 1:
-            raise ValueError("breaker_failures must be >= 1")
-        if self.breaker_reset_s <= 0:
-            raise ValueError("breaker_reset_s must be positive")
-        if self.replica_restarts < 0:
-            raise ValueError("replica_restarts must be non-negative")
 
 
 @dataclass
@@ -228,7 +194,7 @@ class PendingResult:
     def add_done_callback(self, callback) -> None:
         """Run ``callback(self)`` on completion (immediately if done).
 
-        Callbacks fire on the completing thread (a serve runner lane) —
+        Callbacks fire on the completing thread (the serve runner) —
         asyncio callers must trampoline via ``call_soon_threadsafe``.
         """
         with self._lock:
@@ -250,26 +216,21 @@ class PendingResult:
 
 
 class _Generation:
-    """One immutable serving generation: model + backend + breakers.
+    """One immutable serving generation: model + backend + threshold.
 
     The engine holds exactly one *current* generation pointer; a swap
     builds a complete sibling (blue-green) and flips the pointer under
-    the generation condition.  ``active`` counts lane leases — batches
-    and telemetry polls in flight against this generation's backend —
-    so the swap can drain the old generation before closing it.
+    the generation condition.  ``active`` counts leases — batches in
+    flight against this generation's backend — so the swap can drain
+    the old generation before closing it.
     """
 
-    __slots__ = (
-        "gen_id", "model", "backend", "fallback_infer", "breakers",
-        "threshold", "active",
-    )
+    __slots__ = ("gen_id", "model", "backend", "threshold", "active")
 
-    def __init__(self, gen_id, model, backend, fallback_infer, breakers, threshold):
+    def __init__(self, gen_id, model, backend, threshold):
         self.gen_id = gen_id
         self.model = model
         self.backend = backend
-        self.fallback_infer = fallback_infer
-        self.breakers = breakers
         self.threshold = threshold
         self.active = 0
 
@@ -287,7 +248,7 @@ class _Request:
 
 
 class ServeEngine:
-    """Batched, cached, replicated inference front end.
+    """Batched, cached inference front end on one in-process lane.
 
     Parameters
     ----------
@@ -302,8 +263,8 @@ class ServeEngine:
     registry:
         Metrics sink; defaults to the process-global registry.
     backend:
-        Injectable backend (tests); must expose ``num_lanes``,
-        ``infer(lane, inputs)``, ``reclaim()`` and ``close()``.  When
+        Injectable backend (tests); must expose ``infer(lane, inputs)``
+        (called with ``lane=0``), ``reclaim()`` and ``close()``.  When
         given, ``model`` may be ``None`` and ``input_hw`` /
         ``num_classes`` describe the expected traffic.
     """
@@ -331,17 +292,12 @@ class ServeEngine:
         if tau is None:
             tau = float(getattr(model, "threshold", 0.0))
 
-        #: Fleet-wide telemetry: replica workers publish mergeable
-        #: snapshots here (polled on lane idle ticks and runner exit);
-        #: :meth:`telemetry_snapshot` merges them with this process.
-        self.fleet = FleetAggregator()
         initial_backend = (
             backend if backend is not None else self._build_backend(model)
         )
         # An injected backend cannot be rebuilt, so swap_model() is
         # unavailable for it (there is no model to clone either).
         self._swappable = backend is None and model is not None
-        self._fallback_lock = threading.Lock()
         self.cache: Optional[ResultCache] = None
         if self.config.cache_bytes > 0:
             self.cache = ResultCache(
@@ -350,7 +306,6 @@ class ServeEngine:
             )
         self._batcher = MicroBatcher(
             max_batch_size=self.config.max_batch_size,
-            max_latency_s=self.config.max_latency_ms / 1000.0,
             queue_limit=self.config.queue_limit,
         )
 
@@ -369,8 +324,6 @@ class ServeEngine:
         self._batch_compute = reg.histogram("serve.batch.compute_s")
         self._batch_total = reg.histogram("serve.batch.total_s")
         self._rejected = reg.counter("serve.rejected_total")
-        self._fallback_total = reg.counter("serve.fallback_total")
-        self._breaker_opened = reg.counter("serve.breaker.open")
         self._accepted_total = reg.counter("serve.accepted_total")
         self._abstained_total = reg.counter("serve.abstained_total")
         self._swaps = reg.counter("serve.swaps_total")
@@ -380,41 +333,23 @@ class ServeEngine:
             reason: reg.counter(f"serve.batch.flush.{reason}")
             for reason in FLUSH_REASONS
         }
-        num_lanes = initial_backend.num_lanes
-        # Per-lane breaker state, encoded per obs.top.BREAKER_STATE_CODES
-        # (0 closed / 1 half_open / 2 open) so the ops console and
-        # fleet-merged snapshots can show lane health.
-        self._breaker_gauges = tuple(
-            reg.gauge(f"serve.lane{lane}.breaker_state")
-            for lane in range(num_lanes)
-        )
 
         # The current serving generation.  Swaps build a sibling and
-        # flip this pointer under _gen_cond (which also tracks lane
+        # flip this pointer under _gen_cond (which also tracks batch
         # leases for draining the outgoing generation).
         self._gen_cond = threading.Condition()
         self._swap_lock = threading.Lock()
         self._generation = _Generation(
-            gen_id=1,
-            model=model,
-            backend=initial_backend,
-            fallback_infer=None if model is None else model_infer_fn(model),
-            breakers=self._make_breakers(num_lanes),
-            threshold=float(tau),
+            gen_id=1, model=model, backend=initial_backend, threshold=float(tau),
         )
         self._generation_gauge.set(1)
 
-        self._idle_lock = threading.Lock()
         self._reclaimed = True  # nothing to free before the first batch
         self._closed = False
-        self._runners: List[threading.Thread] = []
-        for lane in range(num_lanes):
-            thread = threading.Thread(
-                target=self._run_lane, args=(lane,), daemon=True,
-                name=f"serve-lane{lane}",
-            )
-            thread.start()
-            self._runners.append(thread)
+        self._runner = threading.Thread(
+            target=self._run, daemon=True, name="serve-runner"
+        )
+        self._runner.start()
 
     # ------------------------------------------------------------------
     # Generations
@@ -434,38 +369,11 @@ class ServeEngine:
         """The current generation's backend (tests/ops poke at this)."""
         return self._generation.backend
 
-    @property
-    def breakers(self) -> Tuple[CircuitBreaker, ...]:
-        """Per-lane breakers of the current generation."""
-        return self._generation.breakers
-
     def _build_backend(self, model):
-        return make_backend(
-            model,
-            self.config.num_replicas,
-            self.config.max_batch_size,
-            self._input_hw,
-            self._num_classes,
-            timeout=self.config.worker_timeout_s,
-            restarts=self.config.replica_restarts,
-            registry=self._registry,
-            aggregator=self.fleet,
-        )
-
-    def _make_breakers(self, num_lanes: int) -> Tuple[CircuitBreaker, ...]:
-        """Fresh per-lane breakers (each generation starts closed: the
-        old backend's failures are no evidence against the new one)."""
-        return tuple(
-            CircuitBreaker(
-                failure_threshold=self.config.breaker_failures,
-                reset_timeout_s=self.config.breaker_reset_s,
-                on_open=self._make_breaker_open_hook(lane),
-            )
-            for lane in range(num_lanes)
-        )
+        return make_backend(model, self.config.max_batch_size, self._input_hw)
 
     def _lease(self) -> _Generation:
-        """Pin the current generation for one lane operation."""
+        """Pin the current generation for one batch."""
         with self._gen_cond:
             gen = self._generation
             gen.active += 1
@@ -492,11 +400,10 @@ class ServeEngine:
         2. ``serve.swap.load`` — clone the current model and load the
            candidate weights into the clone (the serving model is
            never mutated).
-        3. ``serve.swap.build`` — build a complete sibling backend
-           (same replica layout), which compiles the candidate for
-           ``max_batch_size`` wafers, and probe every lane live with a
-           zero wafer.  The first request after the commit compiles
-           nothing.
+        3. ``serve.swap.build`` — build a complete sibling backend,
+           which compiles the candidate for ``max_batch_size`` wafers,
+           and probe it live with a zero wafer.  The first request
+           after the commit compiles nothing.
         4. ``serve.swap.commit`` — flip the generation pointer.  The
            flip is one reference assignment: every request either ran
            entirely on the old generation or runs entirely on the new
@@ -547,19 +454,12 @@ class ServeEngine:
                 chaos_point("serve.swap.build", path=checkpoint, generation=next_id)
                 backend = self._build_backend(candidate)
                 try:
-                    if backend.num_lanes != current.backend.num_lanes:
-                        raise SwapFailed(
-                            f"candidate backend has {backend.num_lanes} lanes, "
-                            f"serving backend has {current.backend.num_lanes}"
-                        )
                     if self._input_hw is not None:
                         h, w = self._input_hw
-                        probe = np.zeros((1, 1, h, w), dtype=np.float32)
-                        # Lanes are untouched by runners until the flip,
-                        # so probing from this thread is safe; a dead
-                        # replica surfaces here, not post-commit.
-                        for lane in range(backend.num_lanes):
-                            backend.infer(lane, probe)
+                        # The runner cannot reach the candidate until the
+                        # flip, so probing from this thread is safe; a
+                        # broken candidate surfaces here, not post-commit.
+                        backend.infer(0, np.zeros((1, 1, h, w), dtype=np.float32))
                 except BaseException:
                     backend.close()
                     raise
@@ -567,8 +467,6 @@ class ServeEngine:
                     gen_id=next_id,
                     model=candidate,
                     backend=backend,
-                    fallback_infer=model_infer_fn(candidate),
-                    breakers=self._make_breakers(backend.num_lanes),
                     threshold=current.threshold if threshold is None
                     else float(threshold),
                 )
@@ -592,8 +490,6 @@ class ServeEngine:
                 self._cache_bytes_gauge.set(self.cache.nbytes)
             self._swaps.inc()
             self._generation_gauge.set(next_id)
-            for lane in range(new_gen.backend.num_lanes):
-                self._refresh_breaker_gauge(lane)
             record_flight_event(
                 "model_swap", checkpoint=checkpoint, generation=next_id,
                 epoch=int(state.get("epoch", -1)),
@@ -642,8 +538,7 @@ class ServeEngine:
         — when the gateway (or any other front door) already opened a
         request span, the engine's ``serve.request`` span joins that
         trace instead of rooting a fresh one, so one trace covers
-        socket-read → admission → enqueue → batch → replica-forward →
-        respond.
+        socket-read → admission → enqueue → batch → respond.
         """
         return self._submit((grid,), parent)[0]
 
@@ -748,13 +643,12 @@ class ServeEngine:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain pending requests, stop runners, shut the backend down."""
+        """Drain pending requests, stop the runner, shut the backend down."""
         if self._closed:
             return
         self._closed = True
         self._batcher.close()
-        for thread in self._runners:
-            thread.join(timeout=self.config.worker_timeout_s)
+        self._runner.join(timeout=RUNNER_JOIN_S)
         self._generation.backend.close()
 
     def __enter__(self) -> "ServeEngine":
@@ -800,7 +694,7 @@ class ServeEngine:
             generation=gen.gen_id,
         )
 
-    def _run_lane(self, lane: int) -> None:
+    def _run(self) -> None:
         staging = None
         if self._input_hw is not None:
             h, w = self._input_hw
@@ -812,20 +706,9 @@ class ServeEngine:
                 timeout=self.config.idle_reclaim_s
             )
             if flushed is None:
-                # Lanes are single-threaded over their pipes, so the
-                # telemetry poll rides the same runner thread: on every
-                # idle tick and once more on the way out, so snapshots
-                # are fresh after close() returns.  The generation is
-                # leased for the poll — a concurrent swap must not close
-                # a backend whose pipe a lane is still reading.
-                gen = self._lease()
-                try:
-                    self._poll_lane_telemetry(lane, gen)
-                    if self._batcher.closed:
-                        return
-                    self._idle_reclaim(gen)
-                finally:
-                    self._release(gen)
+                if self._batcher.closed:
+                    return
+                self._idle_reclaim()
                 continue
             batch, flush_reason = flushed
             self._queue_depth.set(self._batcher.depth)
@@ -835,17 +718,15 @@ class ServeEngine:
             # generation; the swap drains on this lease).
             gen = self._lease()
             try:
-                self._process(lane, batch, staging, flush_reason, gen)
-            except BaseException as error:  # keep the lane alive
+                self._process(batch, staging, flush_reason, gen)
+            except BaseException as error:  # keep the runner alive
                 self._errors.inc()
                 for request in batch:
                     request.future._fail(error)
             finally:
                 self._release(gen)
 
-    def _process(
-        self, lane: int, batch, staging, flush_reason, gen: _Generation
-    ) -> None:
+    def _process(self, batch, staging, flush_reason, gen: _Generation) -> None:
         batch_started = time.monotonic()
         # One probe per batch; `request.trace` is only ever non-None
         # when a tracer was armed at submit time.
@@ -855,13 +736,12 @@ class ServeEngine:
         )
         batch_span = None
         if traced:
-            # The batch span parents every replica-forward span; its own
-            # parent is the first traced request (spans of the other
-            # requests still share the batch via the `lane`/`size`
-            # attributes and their queue spans' timing overlap).
+            # The batch span's parent is the first traced request (spans
+            # of the other requests still share the batch via the `size`
+            # attribute and their queue spans' timing overlap).
             batch_span = tracer.start_span(
                 "serve.batch", parent=traced[0].trace.context,
-                lane=lane, size=len(batch), flush=flush_reason,
+                size=len(batch), flush=flush_reason,
             )
             for request in traced:
                 queue_span = tracer.start_span(
@@ -879,7 +759,7 @@ class ServeEngine:
             for i, request in enumerate(batch):
                 inputs[i] = request.tensor
         compute_started = time.monotonic()
-        probabilities, scores = self._infer(lane, inputs, batch_span, gen)
+        probabilities, scores = gen.backend.infer(0, inputs)
         completed = time.monotonic()
         compute_s = completed - compute_started
         # A swap that committed while this batch was in flight cleared
@@ -909,127 +789,23 @@ class ServeEngine:
         self._batch_size_hist.observe(count)
         self._batch_compute.observe(compute_s)
         # A request flushed while this batch is in flight waits the whole
-        # staging + infer + completion span, not just the forward — the
-        # SLA bound "deadline + one batch time" is stated against this.
+        # staging + infer + completion span, not just the forward.
         self._batch_total.observe(time.monotonic() - batch_started)
         if self.cache is not None:
             self._cache_bytes_gauge.set(self.cache.nbytes)
         self._publish_memory_gauges()
-        with self._idle_lock:
-            self._reclaimed = False
+        self._reclaimed = False
 
-    def _infer(
-        self, lane: int, inputs: np.ndarray, batch_span, gen: _Generation
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Breaker-gated backend call with in-process degradation.
+    def _idle_reclaim(self) -> None:
+        """Release compiled arenas once per idle period.
 
-        A closed (or half-open) breaker routes through the backend and
-        records the outcome; an open breaker — or a backend failure
-        when a fallback exists — serves the batch on the parent's copy
-        of the model instead, so total replica loss degrades throughput
-        but never availability.  Decisions are identical either way:
-        the fallback runs the same weights through the same
-        ``predict_batched`` path.  Without a model (injected-backend
-        setups) there is nothing to degrade to and the error
-        propagates, failing only this batch.
-
-        When a ``batch_span`` is open and the backend advertises
-        ``accepts_trace``, its context rides the task envelope so the
-        replica's forward pass joins the request's trace.
+        Unleased: reclaiming frees process-wide arenas and holds no
+        backend state that a concurrent swap could close.
         """
-        breaker = gen.breakers[lane]
-        if breaker.allow():
-            try:
-                if batch_span is not None and getattr(
-                    gen.backend, "accepts_trace", False
-                ):
-                    result = gen.backend.infer(
-                        lane, inputs, trace_ctx=batch_span.context
-                    )
-                else:
-                    result = gen.backend.infer(lane, inputs)
-            except Exception as error:
-                breaker.record_failure()
-                self._refresh_breaker_gauge(lane)
-                if batch_span is not None:
-                    batch_span.event("backend_failure", error=repr(error))
-                if gen.fallback_infer is None:
-                    raise
-                logger.warning(
-                    "lane %d backend failed (%s); serving in-process",
-                    lane, error,
-                )
-            else:
-                breaker.record_success()
-                self._refresh_breaker_gauge(lane)
-                return result
-        elif gen.fallback_infer is None:
-            # Typed shed: the lane's circuit is open and there is no
-            # model to degrade to.  Overloaded (a RuntimeError) with a
-            # machine-readable reason lets front doors map this onto
-            # the same reject path as queue overflow.
-            raise Overloaded(
-                f"lane {lane} circuit is open and no in-process fallback "
-                "model is available",
-                reason=SHED_BREAKER_OPEN,
-            )
-        self._fallback_total.inc()
-        record_flight_event("serve_fallback", lane=lane, batch=len(inputs))
-        if batch_span is not None:
-            batch_span.event("fallback", lane=lane)
-        # predict_batched toggles the model's eval mode; one lane at a time.
-        with self._fallback_lock:
-            return gen.fallback_infer(inputs)
-
-    def _make_breaker_open_hook(self, lane: int):
-        """Breaker-open side effects: counter, lane gauge, flight dump."""
-
-        def hook() -> None:
-            self._breaker_opened.inc()
-            self._breaker_gauges[lane].set(BREAKER_STATE_CODES["open"])
-            record_flight_event("breaker_open", lane=lane)
-            dump_flight("breaker-open")
-
-        return hook
-
-    def _refresh_breaker_gauge(self, lane: int) -> None:
-        if lane < len(self._breaker_gauges):
-            self._breaker_gauges[lane].set(
-                BREAKER_STATE_CODES.get(self.breakers[lane].state, -1)
-            )
-
-    def _poll_lane_telemetry(self, lane: int, gen: _Generation) -> None:
-        """Pull one replica's metric snapshot into the fleet aggregator.
-
-        Only meaningful for backends with per-lane worker processes;
-        in-process and injected backends simply lack the hook.
-        """
-        poll = getattr(gen.backend, "poll_telemetry", None)
-        if poll is not None:
-            poll(lane)
-
-    def telemetry_snapshot(self) -> Dict[str, object]:
-        """Fleet-wide mergeable snapshot: every replica + this process.
-
-        Replica snapshots are as fresh as the last idle-tick poll (or
-        runner exit); counters from crashed-and-respawned replicas are
-        carried forward by the aggregator's retire baseline.
-        """
-        return self.fleet.merged(
-            extra=[mergeable_snapshot(self._registry, "parent")]
-        )
-
-    def telemetry_summary(self) -> Dict[str, object]:
-        """:meth:`telemetry_snapshot` in registry-snapshot (summary) form."""
-        return summarize_snapshot(self.telemetry_snapshot())
-
-    def _idle_reclaim(self, gen: _Generation) -> None:
-        """Release compiled arenas once per idle period (all lanes race)."""
-        with self._idle_lock:
-            if self._reclaimed:
-                return
-            self._reclaimed = True
-        gen.backend.reclaim()
+        if self._reclaimed:
+            return
+        self._reclaimed = True
+        self._generation.backend.reclaim()
         self._publish_memory_gauges()
 
     def _publish_memory_gauges(self) -> None:

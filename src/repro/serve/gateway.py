@@ -16,8 +16,10 @@ Backpressure is layered, and every shed is *typed*:
 * token bucket empty → ``Overloaded/bucket_exhausted`` (the tenant is
   over its contracted rate — its own fault, nobody else pays);
 * gateway in-flight bound or engine queue full →
-  ``Overloaded/queue_full`` (the system is saturated);
-* circuit open with no fallback → ``Overloaded/breaker_open``.
+  ``Overloaded/queue_full`` (the system is saturated).
+
+A backend failure reaches the client as a typed error response naming
+the exception class; the connection keeps serving.
 
 Request lifecycle (one trace when tracing is armed)::
 
@@ -25,7 +27,7 @@ Request lifecycle (one trace when tracing is armed)::
                      ├─ gateway.read      (frame wait + decode)
                      ├─ gateway.admission (token bucket)
                      └─ serve.request     (engine: queue → batch →
-                                           replica-forward → respond)
+                                           respond)
 
 The in-process path (:class:`InProcessGatewayClient` /
 :meth:`Gateway.handle_message`) runs the identical code minus the
@@ -270,13 +272,6 @@ class Gateway:
                 result = await asyncio.wait_for(
                     _wrap_pending(pending), self.config.request_timeout_s
                 )
-            except Overloaded as exc:
-                # A lane failed the whole batch with a typed shed
-                # (open breaker, no fallback).
-                self._reject_shed(root, exc.reason)
-                return error_response(
-                    req_id, "Overloaded", str(exc), reason=exc.reason
-                )
             except asyncio.TimeoutError:
                 self._m_timeouts.inc()
                 if root is not None:
@@ -285,7 +280,7 @@ class Gateway:
                     req_id, "Timeout",
                     f"no result within {self.config.request_timeout_s}s",
                 )
-            except Exception as exc:  # backend failure surfaced by the lane
+            except Exception as exc:  # backend failure surfaced by the runner
                 if root is not None:
                     root.event("engine_error", error=repr(exc))
                 return error_response(req_id, type(exc).__name__, str(exc))

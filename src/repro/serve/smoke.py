@@ -1,10 +1,9 @@
 """Serving smoke test (``python -m repro.serve.smoke``).
 
-A fast end-to-end exercise of the whole serving stack — micro-batcher,
-content-hash cache, replica fan-out (when the platform supports it),
-idle reclamation — on a tiny SelectiveNet.  Exits non-zero if any
-served decision or label diverges from direct ``predict_selective`` or
-if duplicate traffic fails to hit the cache.  ``scripts/check.sh``
+A fast end-to-end exercise of the serving stack — micro-batcher,
+content-hash cache and the in-process lane — on a tiny SelectiveNet.
+Exits non-zero if any served decision or label diverges from direct
+``predict_selective`` or if duplicate traffic fails to hit the cache.  ``scripts/check.sh``
 runs it under a hard timeout.
 """
 
@@ -18,7 +17,6 @@ from ..core.cnn import BackboneConfig
 from ..core.selective import SelectiveNet
 from ..data.wafer import grid_to_tensor
 from ..obs.metrics import MetricsRegistry
-from ..parallel import parallel_supported
 from .engine import ServeConfig, ServeEngine
 
 #: Probability/score agreement tolerance between served (batched) and
@@ -64,9 +62,8 @@ def main() -> int:
     tensors = np.stack([grid_to_tensor(g) for g in grids])
     reference = model.predict_selective(tensors)
 
-    # Batched + cached serving, serial in-process lane.
     registry = MetricsRegistry()
-    config = ServeConfig(max_batch_size=8, max_latency_ms=2.0, queue_limit=256)
+    config = ServeConfig(max_batch_size=8, queue_limit=256)
     with ServeEngine(model, config, registry=registry) as engine:
         results = engine.classify_many(list(grids), timeout=60.0)
         if not _check_match(results, reference, "batched"):
@@ -83,19 +80,6 @@ def main() -> int:
                 return 1
     print(f"serve smoke: batched + cache OK ({hits} hits, "
           f"{registry.counter('serve.batches_total').value} batches)")
-
-    # Replica fan-out (skip where multiprocessing is unsupported).
-    if parallel_supported(2):
-        config = ServeConfig(
-            max_batch_size=8, max_latency_ms=2.0, num_replicas=2, cache_bytes=0
-        )
-        with ServeEngine(model, config, registry=MetricsRegistry()) as engine:
-            results = engine.classify_many(list(grids), timeout=120.0)
-            if not _check_match(results, reference, "2-replica"):
-                return 1
-        print("serve smoke: 2-replica fan-out OK")
-    else:
-        print("serve smoke: replica fan-out SKIPPED (no multiprocessing)")
     return 0
 
 

@@ -366,12 +366,11 @@ def run_scenario(
     # -- 3. serving + routing stack -----------------------------------
     engine = ServeEngine(model, ServeConfig(
         # classify_many enqueues each step as one unit, so every step is
-        # one full batch; cache off and a single in-process lane keep
-        # the decision trace a pure function of the seed.
+        # one full batch; with the cache off the decision trace is a
+        # pure function of the seed.
         max_batch_size=config.wafers_per_step,
         queue_limit=max(4 * config.wafers_per_step, len(val_data)),
         cache_bytes=0,
-        num_replicas=1,
         threshold=baseline_threshold,
     ), registry=registry)
     try:

@@ -22,7 +22,7 @@ def _snapshot():
     registry.counter("serve.requests_total").inc(100)
     registry.counter("serve.cache.hits").inc(40)
     registry.gauge("serve.queue_depth").set(3)
-    registry.gauge("serve.lane0.breaker_state").set(0)
+    registry.gauge("serve.generation").set(1)
     hist = registry.histogram("serve.latency_s")
     for i in range(50):
         hist.observe(0.001 * (i + 1))

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.top import BREAKER_STATE_CODES, compute_rates, main, render
+from repro.obs.top import compute_rates, main, render
 
 
 def _snapshot(requests=100, shed=5, hits=30, misses=70, accepted=80, abstained=20):
@@ -17,8 +17,6 @@ def _snapshot(requests=100, shed=5, hits=30, misses=70, accepted=80, abstained=2
     registry.counter("serve.accepted_total").inc(accepted)
     registry.counter("serve.abstained_total").inc(abstained)
     registry.gauge("serve.queue_depth").set(4)
-    registry.gauge("serve.lane0.breaker_state").set(BREAKER_STATE_CODES["closed"])
-    registry.gauge("serve.lane1.breaker_state").set(BREAKER_STATE_CODES["open"])
     latency = registry.histogram("serve.latency_s")
     for i in range(100):
         latency.observe(0.002 + 0.0001 * i)
@@ -56,12 +54,6 @@ class TestRender:
         assert "shed rate" in frame
         assert "abstain rate" in frame
         assert "queue depth" in frame
-
-    def test_breaker_lanes_listed_with_state(self):
-        frame = render(_snapshot())
-        assert "serve.lane0" in frame and "closed" in frame
-        assert "serve.lane1" in frame and "open" in frame
-        assert "degraded" in frame  # the open lane is flagged
 
     def test_respawn_footer_appears_when_nonzero(self):
         snapshot = _snapshot()

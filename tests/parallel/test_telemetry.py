@@ -17,6 +17,7 @@ from repro.obs.trace import arm_tracing, disarm_tracing, span_tree
 from repro.parallel import parallel_supported
 from repro.parallel.engine import DataParallelEngine, ObjectiveSpec
 from repro.parallel.pool import WorkerPool
+from repro.resilience.retry import RetryPolicy
 
 SIZE = 16
 
@@ -119,6 +120,42 @@ class TestStepTracing:
         assert merged["counters"]["parallel.worker.steps"] == 4
         assert merged["histograms"]["parallel.worker.shard_s"]["count"] == 4
         assert merged["histograms"]["parallel.worker.backward_s"]["count"] == 4
+
+    def test_crashed_worker_totals_carry_forward(self):
+        """A killed worker's published totals stay in the fleet view.
+
+        Rank 1 publishes 128 items over four steps, then dies.  Its
+        replacement publishes from zero, so only the retire baseline
+        keeps the merged count from falling back to what the survivors
+        and the replacement forwarded since.
+        """
+        engine = DataParallelEngine(
+            _model(), ObjectiveSpec(), num_workers=2, max_batch=64,
+            retry=RetryPolicy(max_retries=1, base_delay_s=0.0),
+            registry=MetricsRegistry(),
+        )
+
+        def merged_items():
+            counters = engine.telemetry_snapshot()["counters"]
+            return counters.get("parallel.worker.items", 0)
+
+        seen = []
+        try:
+            for seed in range(4):
+                engine.train_step(*_batch(seed=seed))
+            engine.poll_telemetry()
+            seen.append(merged_items())
+            engine._pool.kill(1)
+            engine.train_step(*_batch(seed=4))  # recovers rank 1, retries
+            seen.append(merged_items())
+            engine.poll_telemetry()
+            seen.append(merged_items())
+        finally:
+            engine.shutdown()
+        assert seen[0] == 4 * 64
+        assert seen == sorted(seen)  # the merged count never falls
+        assert seen[-1] >= seen[0] + 64
+        assert engine.fleet.retired == 1
 
 
 @needs_parallel

@@ -10,22 +10,13 @@ from repro.serve.batcher import MicroBatcher, Overloaded
 
 class TestTriggers:
     def test_size_trigger_flushes_full_batch(self):
-        batcher = MicroBatcher(max_batch_size=4, max_latency_s=60.0)
+        batcher = MicroBatcher(max_batch_size=4)
         for i in range(4):
             batcher.put(i)
-        started = time.monotonic()
-        assert batcher.get_batch(timeout=5.0) == [0, 1, 2, 3]
-        # A full batch must not wait out the (long) deadline.
-        assert time.monotonic() - started < 1.0
-
-    def test_deadline_trigger_flushes_partial_batch(self):
-        batcher = MicroBatcher(max_batch_size=64, max_latency_s=0.02)
-        batcher.put("a")
-        batcher.put("b")
-        assert batcher.get_batch(timeout=5.0) == ["a", "b"]
+        assert batcher.get_batch_with_reason(timeout=5.0) == ([0, 1, 2, 3], "size")
 
     def test_oversize_burst_drains_in_batch_size_chunks(self):
-        batcher = MicroBatcher(max_batch_size=3, max_latency_s=0.01)
+        batcher = MicroBatcher(max_batch_size=3)
         for i in range(7):
             batcher.put(i)
         assert batcher.get_batch(timeout=5.0) == [0, 1, 2]
@@ -33,23 +24,9 @@ class TestTriggers:
         assert batcher.get_batch(timeout=5.0) == [6]
 
     def test_idle_timeout_returns_none(self):
-        batcher = MicroBatcher(max_batch_size=4, max_latency_s=0.01)
+        batcher = MicroBatcher(max_batch_size=4)
         assert batcher.get_batch(timeout=0.02) is None
         assert not batcher.closed
-
-    def test_late_arrivals_join_the_waiting_batch(self):
-        batcher = MicroBatcher(max_batch_size=8, max_latency_s=0.15)
-        batcher.put(0)
-
-        def late():
-            time.sleep(0.03)
-            batcher.put(1)
-
-        thread = threading.Thread(target=late)
-        thread.start()
-        batch = batcher.get_batch(timeout=5.0)
-        thread.join()
-        assert batch == [0, 1]
 
 
 class TestWorkConserving:
@@ -61,11 +38,6 @@ class TestWorkConserving:
             batcher.put(i)
         assert batcher.get_batch_with_reason(timeout=5.0) == ([0, 1, 2, 3], "size")
         assert batcher.get_batch_with_reason(timeout=5.0) == ([4, 5], "immediate")
-
-    def test_linger_flush_is_a_deadline(self):
-        batcher = MicroBatcher(max_batch_size=4, max_latency_s=0.01)
-        batcher.put("a")
-        assert batcher.get_batch_with_reason(timeout=5.0) == (["a"], "deadline")
 
     def test_put_many_is_all_or_nothing(self):
         batcher = MicroBatcher(max_batch_size=8, queue_limit=5)
@@ -79,7 +51,7 @@ class TestWorkConserving:
 
 class TestBackpressure:
     def test_put_sheds_when_full(self):
-        batcher = MicroBatcher(max_batch_size=4, max_latency_s=1.0, queue_limit=2)
+        batcher = MicroBatcher(max_batch_size=4, queue_limit=2)
         batcher.put(0)
         batcher.put(1)
         with pytest.raises(Overloaded):
@@ -87,7 +59,7 @@ class TestBackpressure:
         assert batcher.depth == 2
 
     def test_depth_drops_after_get(self):
-        batcher = MicroBatcher(max_batch_size=2, max_latency_s=0.01, queue_limit=2)
+        batcher = MicroBatcher(max_batch_size=2, queue_limit=2)
         batcher.put(0)
         batcher.put(1)
         batcher.get_batch(timeout=5.0)
@@ -97,14 +69,14 @@ class TestBackpressure:
 
 class TestClose:
     def test_close_flushes_pending_then_returns_none(self):
-        batcher = MicroBatcher(max_batch_size=8, max_latency_s=60.0)
+        batcher = MicroBatcher(max_batch_size=8)
         batcher.put("x")
         batcher.close()
-        assert batcher.get_batch(timeout=1.0) == ["x"]
+        assert batcher.get_batch_with_reason(timeout=1.0) == (["x"], "close")
         assert batcher.get_batch(timeout=1.0) is None
 
     def test_close_wakes_blocked_consumer(self):
-        batcher = MicroBatcher(max_batch_size=8, max_latency_s=60.0)
+        batcher = MicroBatcher(max_batch_size=8)
         result = {}
 
         def consume():
@@ -127,7 +99,7 @@ class TestClose:
 
 class TestConcurrentConsumers:
     def test_two_consumers_partition_a_burst(self):
-        batcher = MicroBatcher(max_batch_size=4, max_latency_s=0.01)
+        batcher = MicroBatcher(max_batch_size=4)
         collected = []
         lock = threading.Lock()
 
@@ -153,7 +125,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs", [
             {"max_batch_size": 0},
-            {"max_latency_s": -1.0},
+            {"max_batch_size": -1},
             {"queue_limit": 0},
         ],
     )

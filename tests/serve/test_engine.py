@@ -1,7 +1,7 @@
 """End-to-end tests for :class:`repro.serve.ServeEngine`.
 
 The determinism suite is the contract the whole serving stack hangs on:
-for every delivery path — batched, cached, and replica-fanned — the
+for every delivery path — batched and cached — the
 served accept/reject decision and label must be *identical* to a direct
 ``predict_selective`` call, and probabilities must agree to float32
 rounding (GEMM blocking differs with batch shape, so bitwise equality
@@ -18,7 +18,6 @@ from repro.core.cnn import BackboneConfig, WaferCNN
 from repro.core.selective import ABSTAIN, SelectiveNet
 from repro.data.wafer import grid_to_tensor
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import parallel_supported
 from repro.serve import Overloaded, ServeConfig, ServeEngine
 from repro.serve.smoke import ATOL
 
@@ -62,8 +61,7 @@ def assert_matches_reference(results, reference):
 class _StubBackend:
     """Injectable backend: records calls, optionally blocks or raises."""
 
-    def __init__(self, num_classes=NUM_CLASSES, num_lanes=1):
-        self.num_lanes = num_lanes
+    def __init__(self, num_classes=NUM_CLASSES):
         self.num_classes = num_classes
         self.infer_calls = 0
         self.batch_sizes = []
@@ -95,14 +93,14 @@ class _StubBackend:
 
 class TestDeterminism:
     def test_batched_path_matches_predict_selective(self, model, grids, reference):
-        config = ServeConfig(max_batch_size=7, max_latency_ms=2.0)
+        config = ServeConfig(max_batch_size=7)
         with ServeEngine(model, config, registry=MetricsRegistry()) as engine:
             results = engine.classify_many(list(grids), timeout=60.0)
         assert_matches_reference(results, reference)
         assert all(not r.cached for r in results)
 
     def test_cached_path_matches_predict_selective(self, model, grids, reference):
-        config = ServeConfig(max_batch_size=8, max_latency_ms=2.0)
+        config = ServeConfig(max_batch_size=8)
         with ServeEngine(model, config, registry=MetricsRegistry()) as engine:
             engine.classify_many(list(grids), timeout=60.0)  # warm the cache
             results = engine.classify_many(list(grids), timeout=60.0)
@@ -110,20 +108,8 @@ class TestDeterminism:
         assert all(r.cached for r in results)
         assert_matches_reference(results, reference)
 
-    @pytest.mark.skipif(
-        not parallel_supported(2), reason="multiprocessing unavailable"
-    )
-    def test_replica_path_matches_predict_selective(self, model, grids, reference):
-        config = ServeConfig(
-            max_batch_size=6, max_latency_ms=2.0, num_replicas=2, cache_bytes=0
-        )
-        with ServeEngine(model, config, registry=MetricsRegistry()) as engine:
-            assert engine._backend.num_lanes == 2
-            results = engine.classify_many(list(grids), timeout=120.0)
-        assert_matches_reference(results, reference)
-
     def test_single_request_matches_predict_selective(self, model, grids, reference):
-        config = ServeConfig(max_batch_size=4, max_latency_ms=1.0, cache_bytes=0)
+        config = ServeConfig(max_batch_size=4, cache_bytes=0)
         with ServeEngine(model, config, registry=MetricsRegistry()) as engine:
             result = engine.classify(grids[0], timeout=60.0)
         assert result.label == reference.labels[0]
@@ -134,7 +120,7 @@ class TestDeterminism:
 class TestCompiledDeterminism:
     """Served decisions must not depend on the compiled fast path.
 
-    ``predict_batched`` transparently compiles replica forwards, so the
+    ``predict_batched`` transparently compiles the served forward, so the
     whole-engine results must equal an explicitly *eager* reference —
     accept/reject and labels exactly, not merely within tolerance.
     """
@@ -150,7 +136,7 @@ class TestCompiledDeterminism:
     def test_compiled_engine_matches_eager_reference(
         self, model, grids, eager_reference
     ):
-        config = ServeConfig(max_batch_size=6, max_latency_ms=2.0, cache_bytes=0)
+        config = ServeConfig(max_batch_size=6, cache_bytes=0)
         with ServeEngine(model, config, registry=MetricsRegistry()) as engine:
             results = engine.classify_many(list(grids), timeout=60.0)
         assert_matches_reference(results, eager_reference)
@@ -160,7 +146,7 @@ class TestCompiledDeterminism:
     ):
         from repro.nn.compile import compiled_for
 
-        config = ServeConfig(max_batch_size=6, max_latency_ms=2.0, cache_bytes=0)
+        config = ServeConfig(max_batch_size=6, cache_bytes=0)
         with ServeEngine(model, config, registry=MetricsRegistry()) as engine:
             engine.classify_many(list(grids), timeout=60.0)
             engine._backend.reclaim()
@@ -169,19 +155,6 @@ class TestCompiledDeterminism:
                 graph._arena is None for graph in compiled.graphs.values()
             )
             results = engine.classify_many(list(grids), timeout=60.0)
-        assert_matches_reference(results, eager_reference)
-
-    @pytest.mark.skipif(
-        not parallel_supported(2), reason="multiprocessing unavailable"
-    )
-    def test_compiled_replica_path_matches_eager_reference(
-        self, model, grids, eager_reference
-    ):
-        config = ServeConfig(
-            max_batch_size=6, max_latency_ms=2.0, num_replicas=2, cache_bytes=0
-        )
-        with ServeEngine(model, config, registry=MetricsRegistry()) as engine:
-            results = engine.classify_many(list(grids), timeout=120.0)
         assert_matches_reference(results, eager_reference)
 
 
@@ -196,7 +169,7 @@ class TestFullCoverageModel:
         )
         tensors = np.stack([grid_to_tensor(g) for g in grids[:8]])
         direct = model.predict_proba(tensors)
-        config = ServeConfig(max_batch_size=4, max_latency_ms=1.0)
+        config = ServeConfig(max_batch_size=4)
         with ServeEngine(model, config, registry=MetricsRegistry()) as engine:
             results = engine.classify_many(list(grids[:8]), timeout=60.0)
         assert all(r.accepted for r in results)
@@ -208,7 +181,7 @@ class TestFullCoverageModel:
 class TestThresholdOverride:
     def test_infinite_threshold_abstains_on_everything(self, model, grids):
         config = ServeConfig(
-            max_batch_size=8, max_latency_ms=1.0, threshold=float("inf"),
+            max_batch_size=8, threshold=float("inf"),
             cache_bytes=0,
         )
         with ServeEngine(model, config, registry=MetricsRegistry()) as engine:
@@ -220,10 +193,10 @@ class TestThresholdOverride:
 class TestBackpressure:
     def test_overloaded_shed_is_counted(self):
         backend = _StubBackend()
-        backend.gate = threading.Event()  # wedge the lane mid-infer
+        backend.gate = threading.Event()  # wedge the runner mid-infer
         registry = MetricsRegistry()
         config = ServeConfig(
-            max_batch_size=1, max_latency_ms=0.0, queue_limit=4, cache_bytes=0
+            max_batch_size=1, queue_limit=4, cache_bytes=0
         )
         engine = ServeEngine(
             config=config, registry=registry, backend=backend,
@@ -246,9 +219,9 @@ class TestBackpressure:
 
     def test_backend_error_fails_batch_but_lane_survives(self):
         backend = _StubBackend()
-        backend.error = RuntimeError("replica died")
+        backend.error = RuntimeError("backend died")
         registry = MetricsRegistry()
-        config = ServeConfig(max_batch_size=4, max_latency_ms=1.0, cache_bytes=0)
+        config = ServeConfig(max_batch_size=4, cache_bytes=0)
         engine = ServeEngine(
             config=config, registry=registry, backend=backend,
             input_hw=(SIZE, SIZE), num_classes=NUM_CLASSES,
@@ -256,10 +229,10 @@ class TestBackpressure:
         try:
             grid = np.zeros((SIZE, SIZE), dtype=np.uint8)
             future = engine.submit(grid)
-            with pytest.raises(RuntimeError, match="replica died"):
+            with pytest.raises(RuntimeError, match="backend died"):
                 future.result(timeout=30.0)
             assert registry.counter("serve.errors_total").value == 1
-            # The lane is still serving after the failure.
+            # The runner is still serving after the failure.
             result = engine.classify(grid, timeout=30.0)
             assert result.accepted
         finally:
@@ -306,10 +279,10 @@ class TestWorkConservingDispatch:
         try:
             engine.classify(grids[0], timeout=30.0)
         finally:
-            engine.close()  # joins the lane: its counters are final
+            engine.close()  # joins the runner: its counters are final
         counts = registry.snapshot()["counters"]
         assert counts["serve.batch.flush.immediate"] == 1
-        assert counts["serve.batch.flush.deadline"] == 0
+        assert counts["serve.batch.flush.size"] == 0
 
 
 def _compile_counter(name):
@@ -401,7 +374,7 @@ class TestValidationAndLifecycle:
 class TestTelemetry:
     def test_counters_histograms_and_gauges_flow(self, model, grids):
         registry = MetricsRegistry()
-        config = ServeConfig(max_batch_size=8, max_latency_ms=1.0)
+        config = ServeConfig(max_batch_size=8)
         with ServeEngine(model, config, registry=registry) as engine:
             engine.classify_many(list(grids), timeout=60.0)
             engine.classify_many(list(grids[:4]), timeout=60.0)  # cache hits
@@ -421,7 +394,7 @@ class TestTelemetry:
         backend = _StubBackend()
         registry = MetricsRegistry()
         config = ServeConfig(
-            max_batch_size=4, max_latency_ms=1.0, cache_bytes=0,
+            max_batch_size=4, cache_bytes=0,
             idle_reclaim_s=0.05,
         )
         engine = ServeEngine(

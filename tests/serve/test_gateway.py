@@ -5,16 +5,16 @@ Covers the acceptance contract of the serving front door:
 * in-process and TCP paths serve real model results through the same
   admission/shed/trace code;
 * every backpressure trigger surfaces as ``Overloaded`` with a
-  machine-readable ``reason`` (``queue_full`` / ``bucket_exhausted`` /
-  ``breaker_open``) — and the cached and fallback paths keep serving
-  instead of shedding;
+  machine-readable ``reason`` (``queue_full`` / ``bucket_exhausted``)
+  — and the cached path keeps serving instead of shedding;
+* a backend failure reaches the wire as a typed error and the
+  connection keeps serving;
 * under seeded traffic at multiples of a tenant contract, a
   ``ManualClock`` gateway makes exactly the trace's replayed admission
   decisions: no shed within the contract, only ``bucket_exhausted``
   sheds beyond it;
 * a gateway-originated trace is one tree: ``gateway.request`` →
-  admission → engine spans → a ``replica.forward`` recorded in a
-  different process.
+  admission → engine spans.
 """
 
 import asyncio
@@ -29,9 +29,7 @@ from repro.core.cnn import BackboneConfig
 from repro.core.selective import SelectiveNet
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import arm_tracing, disarm_tracing, span_tree
-from repro.parallel import parallel_supported
 from repro.serve import (
-    SHED_BREAKER_OPEN,
     SHED_BUCKET_EXHAUSTED,
     SHED_QUEUE_FULL,
     Overloaded,
@@ -55,10 +53,6 @@ NUM_CLASSES = 4
 CONTRACT_QPS = 200.0
 TENANT_SHARES = {"fab-a": 0.7, "fab-b": 0.3}
 BURST_S = 0.1
-
-needs_parallel = pytest.mark.skipif(
-    not parallel_supported(2), reason="parallel execution unavailable"
-)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +82,6 @@ def _disarmed():
 class _GatedBackend:
     """Backend that blocks in ``infer`` until released (shed tests)."""
 
-    num_lanes = 1
     num_classes = NUM_CLASSES
 
     def __init__(self):
@@ -110,9 +103,7 @@ class _GatedBackend:
 
 
 def _engine(model, registry, **overrides):
-    defaults = dict(
-        max_batch_size=8, max_latency_ms=2.0, queue_limit=64, cache_bytes=0,
-    )
+    defaults = dict(max_batch_size=8, queue_limit=64, cache_bytes=0)
     defaults.update(overrides)
     return ServeEngine(model, ServeConfig(**defaults), registry=registry)
 
@@ -121,7 +112,7 @@ class TestOverloadedReason:
     """Satellite regression: the typed ``reason`` field itself."""
 
     def test_reason_survives_pickling(self):
-        for reason in (SHED_QUEUE_FULL, SHED_BUCKET_EXHAUSTED, SHED_BREAKER_OPEN):
+        for reason in (SHED_QUEUE_FULL, SHED_BUCKET_EXHAUSTED):
             error = pickle.loads(pickle.dumps(Overloaded("shed", reason=reason)))
             assert error.reason == reason
             assert isinstance(error, RuntimeError)
@@ -317,7 +308,7 @@ class TestTypedSheds:
         backend = _GatedBackend()
         engine = ServeEngine(
             config=ServeConfig(
-                max_batch_size=1, max_latency_ms=0.0, queue_limit=64,
+                max_batch_size=1, queue_limit=64,
                 cache_bytes=0,
             ),
             registry=registry, backend=backend,
@@ -350,7 +341,7 @@ class TestTypedSheds:
         backend = _GatedBackend()
         engine = ServeEngine(
             config=ServeConfig(
-                max_batch_size=1, max_latency_ms=0.0, queue_limit=1,
+                max_batch_size=1, queue_limit=1,
                 cache_bytes=0,
             ),
             registry=registry, backend=backend,
@@ -377,93 +368,51 @@ class TestTypedSheds:
         assert shed, "engine queue of 1 must shed some of 6 requests"
         assert all(r["error"]["reason"] == SHED_QUEUE_FULL for r in shed)
 
-    def test_breaker_open_reason_reaches_the_wire(self, grids):
-        class DoomedBackend:
-            num_lanes = 1
-            num_classes = NUM_CLASSES
+    def test_backend_failure_reaches_the_wire(self, grids):
+        """A backend failure fails only its own batch: the client gets
+        a typed ``RuntimeError`` response, and the next request on the
+        same connection is served."""
+
+        class FailOnceBackend(_GatedBackend):
+            def __init__(self):
+                super().__init__()
+                self.gate.set()
+                self.failed = False
 
             def infer(self, lane, inputs):
-                raise RuntimeError("replica gone")
-
-            def reclaim(self):
-                pass
-
-            def close(self):
-                pass
+                if not self.failed:
+                    self.failed = True
+                    raise RuntimeError("backend gone")
+                return super().infer(lane, inputs)
 
         registry = MetricsRegistry()
         engine = ServeEngine(
-            config=ServeConfig(
-                max_batch_size=1, max_latency_ms=0.0, cache_bytes=0,
-                breaker_failures=1,
-            ),
-            registry=registry, backend=DoomedBackend(),
+            config=ServeConfig(max_batch_size=1, cache_bytes=0),
+            registry=registry, backend=FailOnceBackend(),
             input_hw=(SIZE, SIZE), num_classes=NUM_CLASSES,
         )
         try:
             gateway = Gateway(engine, registry=registry)
-            client = InProcessGatewayClient(gateway)
 
             async def scenario():
-                doomed = await client.request(grids[0])
-                # Breaker is now open: the shed is typed, not a crash.
-                shed = await client.request(grids[1])
-                return doomed, shed
+                host, port = await gateway.start()
+                client = await TCPGatewayClient.connect(host, port)
+                try:
+                    failed = await client.request(grids[0], timeout=30.0)
+                    served = await client.request(grids[1], timeout=30.0)
+                finally:
+                    await client.close()
+                    await gateway.stop()
+                return failed, served
 
-            doomed, shed = asyncio.run(scenario())
+            failed, served = asyncio.run(scenario())
         finally:
             engine.close()
-        assert doomed["ok"] is False
-        assert doomed["error"]["type"] == "RuntimeError"
-        assert shed["ok"] is False
-        assert shed["error"]["type"] == "Overloaded"
-        assert shed["error"]["reason"] == SHED_BREAKER_OPEN
-        assert registry.counter("gateway.rejected.breaker_open").value == 1
-
-    def test_fallback_path_serves_instead_of_shedding(self, model, grids):
-        """Satellite regression: with an in-process fallback available,
-        an open breaker degrades to the fallback — requests are served,
-        not shed with ``breaker_open``."""
-
-        class DoomedBackend:
-            num_lanes = 1
-            num_classes = NUM_CLASSES
-
-            def infer(self, lane, inputs):
-                raise RuntimeError("replica gone")
-
-            def reclaim(self):
-                pass
-
-            def close(self):
-                pass
-
-        registry = MetricsRegistry()
-        engine = ServeEngine(
-            model,
-            ServeConfig(
-                max_batch_size=1, max_latency_ms=0.0, cache_bytes=0,
-                breaker_failures=1,
-            ),
-            registry=registry, backend=DoomedBackend(),
-        )
-        try:
-            gateway = Gateway(engine, registry=registry)
-            client = InProcessGatewayClient(gateway)
-
-            async def scenario():
-                first = await client.request(grids[0])
-                second = await client.request(grids[1])
-                return first, second
-
-            first, second = asyncio.run(scenario())
-        finally:
-            engine.close()
-        # The lane's failure never reaches the wire: both requests are
-        # served by the in-process fallback, none shed as breaker_open.
-        assert first["ok"] is True and second["ok"] is True
-        assert registry.counter("serve.fallback_total").value >= 1
-        assert registry.counter("gateway.rejected.breaker_open").value == 0
+        assert failed["ok"] is False
+        assert failed["error"]["type"] == "RuntimeError"
+        assert "backend gone" in failed["error"]["message"]
+        assert served["ok"] is True
+        assert registry.counter("serve.errors_total").value == 1
 
     def test_cached_path_serves_while_engine_is_wedged(self, grids):
         """Satellite regression: a cache hit completes even when the
@@ -473,7 +422,7 @@ class TestTypedSheds:
         backend = _GatedBackend()
         engine = ServeEngine(
             config=ServeConfig(
-                max_batch_size=1, max_latency_ms=0.0, queue_limit=2,
+                max_batch_size=1, queue_limit=2,
                 cache_bytes=1 << 20,
             ),
             registry=registry, backend=backend,
@@ -507,7 +456,7 @@ class TestTypedSheds:
         backend = _GatedBackend()
         engine = ServeEngine(
             config=ServeConfig(
-                max_batch_size=1, max_latency_ms=0.0, queue_limit=8,
+                max_batch_size=1, queue_limit=8,
                 cache_bytes=0,
             ),
             registry=registry, backend=backend,
@@ -575,46 +524,6 @@ class TestGatewayTracing:
             and record["attrs"]["decision"] == SHED_BUCKET_EXHAUSTED
         ]
         assert len(shed_spans) == 1
-
-    @needs_parallel
-    def test_gateway_trace_crosses_into_replica_process(self, model, grids):
-        """Acceptance: one gateway-originated trace carries spans from
-        both the gateway's process and a replica worker's pid."""
-        tracer = arm_tracing(recorder=False)
-        registry = MetricsRegistry()
-        engine = ServeEngine(
-            model,
-            ServeConfig(
-                max_batch_size=4, max_latency_ms=2.0, cache_bytes=0,
-                num_replicas=2, worker_timeout_s=60.0,
-            ),
-            registry=registry,
-        )
-        try:
-            gateway = Gateway(engine, registry=registry)
-            client = InProcessGatewayClient(gateway)
-
-            async def scenario():
-                return await asyncio.gather(
-                    *[client.request(g) for g in grids]
-                )
-
-            responses = asyncio.run(scenario())
-        finally:
-            engine.close()
-        assert all(r["ok"] for r in responses)
-        crossed = 0
-        for trace_id in tracer.trace_ids():
-            spans = tracer.spans(trace_id)
-            by_name = {record["name"]: record for record in spans}
-            root = by_name.get("gateway.request")
-            forward = by_name.get("replica.forward")
-            if root is None or forward is None:
-                continue
-            assert root["parent_id"] is None
-            if forward["pid"] != root["pid"]:
-                crossed += 1
-        assert crossed >= 1
 
 
 class TestOpsSurface:

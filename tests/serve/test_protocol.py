@@ -176,7 +176,7 @@ class TestConnectionLoopUnderFuzz:
         engine = ServeEngine(
             model,
             ServeConfig(
-                max_batch_size=8, max_latency_ms=2.0, queue_limit=64,
+                max_batch_size=8, queue_limit=64,
                 cache_bytes=0,
             ),
             registry=registry,

@@ -1,13 +1,12 @@
-"""End-to-end serve tracing and fleet telemetry.
+"""End-to-end serve tracing and the engine's telemetry.
 
-The acceptance contract of the obs v2 work: one served request through
-the replica pool yields a single trace covering enqueue → batch →
-replica-forward → respond **across process boundaries**, and the
-engine's merged telemetry reflects worker-side counters that only ever
-incremented inside replica processes.
+One served request yields a single trace covering enqueue → batch →
+respond, every batch names its flush trigger, and the engine's registry
+renders in the ops console.  The cross-process half of the obs layer —
+shard spans recorded in worker processes, fleet-merged worker counters
+— is covered on the data-parallel training lane
+(``tests/parallel/test_telemetry.py``).
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -16,14 +15,9 @@ from repro.core.cnn import BackboneConfig
 from repro.core.selective import SelectiveNet
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import arm_tracing, disarm_tracing, span_tree
-from repro.parallel import parallel_supported
 from repro.serve import ServeConfig, ServeEngine
 
 SIZE = 16
-
-needs_parallel = pytest.mark.skipif(
-    not parallel_supported(2), reason="parallel execution unavailable"
-)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +44,7 @@ def _disarmed():
     disarm_tracing()
 
 
-def _serve(model, grids, tracer_capacity=512, **config_kwargs):
+def _serve(model, grids, **config_kwargs):
     config = ServeConfig(**config_kwargs)
     with ServeEngine(model, config, registry=MetricsRegistry()) as engine:
         engine.classify_many(list(grids), timeout=120.0)
@@ -58,67 +52,35 @@ def _serve(model, grids, tracer_capacity=512, **config_kwargs):
 
 
 class TestTracedServe:
-    @needs_parallel
-    def test_single_trace_covers_request_across_processes(self, model, grids):
+    def test_in_process_lane_traced_without_replicas(self, model, grids):
         tracer = arm_tracing(recorder=False)
-        _serve(
-            model, grids, max_batch_size=4, max_latency_ms=2.0,
-            cache_bytes=0, num_replicas=2, worker_timeout_s=60.0,
-        )
-        trace_id = tracer.trace_ids()[0]
-        spans = tracer.spans(trace_id)
+        _serve(model, grids[:4], max_batch_size=4, cache_bytes=0)
+        spans = tracer.spans(tracer.trace_ids()[0])
         by_name = {record["name"]: record for record in spans}
-        # The full chain, in one trace.
-        assert {
-            "serve.request", "serve.queue", "serve.batch",
-            "replica.forward", "serve.respond",
-        } <= set(by_name)
-        # Parent/child wiring: queue+batch under the root, forward
-        # under the batch.
+        # The full chain, in one trace, wired under the request root.
+        assert {"serve.request", "serve.queue", "serve.batch",
+                "serve.respond"} <= set(by_name)
         root = by_name["serve.request"]
         assert root["parent_id"] is None
-        assert by_name["serve.queue"]["parent_id"] == root["span_id"]
-        assert by_name["serve.respond"]["parent_id"] == root["span_id"]
-        assert (
-            by_name["replica.forward"]["parent_id"]
-            == by_name["serve.batch"]["span_id"]
-        )
-        # The forward span crossed a process boundary.
-        assert by_name["replica.forward"]["pid"] != root["pid"]
-        assert by_name["replica.forward"]["attrs"]["rank"] in (0, 1)
-        # And the tree renders as one story.
+        for name in ("serve.queue", "serve.batch", "serve.respond"):
+            assert by_name[name]["parent_id"] == root["span_id"]
         roots = span_tree(spans)
         assert len(roots) == 1 and roots[0]["name"] == "serve.request"
 
-    def test_in_process_lane_traced_without_replicas(self, model, grids):
-        tracer = arm_tracing(recorder=False)
-        _serve(
-            model, grids[:4], max_batch_size=4, max_latency_ms=2.0,
-            cache_bytes=0, num_replicas=1,
-        )
-        names = {record["name"] for record in tracer.spans()}
-        assert {"serve.request", "serve.queue", "serve.batch",
-                "serve.respond"} <= names
-
     def test_batch_span_carries_flush_reason_and_size(self, model, grids):
         tracer = arm_tracing(recorder=False)
-        _serve(
-            model, grids[:4], max_batch_size=4, max_latency_ms=50.0,
-            cache_bytes=0, num_replicas=1,
-        )
+        _serve(model, grids[:4], max_batch_size=4, cache_bytes=0)
         batches = [
             record for record in tracer.spans()
             if record["name"] == "serve.batch"
         ]
         assert batches
-        assert batches[0]["attrs"]["flush"] in ("size", "deadline", "close")
+        assert batches[0]["attrs"]["flush"] in ("size", "immediate", "close")
         assert batches[0]["attrs"]["size"] >= 1
 
     def test_cache_hit_short_circuits_trace(self, model, grids):
         tracer = arm_tracing(recorder=False)
-        config = ServeConfig(
-            max_batch_size=4, max_latency_ms=2.0, num_replicas=1,
-        )
+        config = ServeConfig(max_batch_size=4)
         with ServeEngine(model, config, registry=MetricsRegistry()) as engine:
             engine.classify(grids[0], timeout=60.0)
             tracer.clear()
@@ -131,10 +93,7 @@ class TestTracedServe:
         assert len(hits) == 1
 
     def test_disarmed_serving_records_nothing(self, model, grids):
-        engine = _serve(
-            model, grids[:4], max_batch_size=4, max_latency_ms=2.0,
-            cache_bytes=0, num_replicas=1,
-        )
+        engine = _serve(model, grids[:4], max_batch_size=4, cache_bytes=0)
         # No tracer armed: nothing to assert on spans; the engine must
         # simply have served every request with trace fields unset.
         assert engine._registry.counter("serve.requests_total").value == 4
@@ -143,107 +102,29 @@ class TestTracedServe:
 class TestFlushCounters:
     def test_flush_reasons_counted(self, model, grids):
         registry = MetricsRegistry()
-        config = ServeConfig(
-            max_batch_size=4, max_latency_ms=10.0, cache_bytes=0,
-            num_replicas=1,
-        )
+        config = ServeConfig(max_batch_size=4, cache_bytes=0)
         with ServeEngine(model, config, registry=registry) as engine:
             engine.classify_many(list(grids[:4]), timeout=60.0)  # size flush
-            engine.classify(grids[4], timeout=60.0)  # deadline flush
+            engine.classify(grids[4], timeout=60.0)  # immediate flush
         counts = registry.snapshot()["counters"]
         assert counts["serve.batch.flush.size"] >= 1
-        assert counts["serve.batch.flush.deadline"] >= 1
+        assert counts["serve.batch.flush.immediate"] >= 1
         total_batches = counts["serve.batches_total"]
         flushed = sum(
             counts.get(f"serve.batch.flush.{reason}", 0)
-            for reason in ("size", "deadline", "close")
+            for reason in ("size", "immediate", "close")
         )
         assert flushed == total_batches
 
 
 class TestFleetTelemetry:
-    @needs_parallel
-    def test_merged_metrics_equal_sum_of_worker_snapshots(self, model, grids):
-        registry = MetricsRegistry()
-        config = ServeConfig(
-            max_batch_size=4, max_latency_ms=2.0, cache_bytes=0,
-            num_replicas=2, worker_timeout_s=60.0,
-        )
-        with ServeEngine(model, config, registry=registry) as engine:
-            engine.classify_many(list(grids), timeout=120.0)
-        # After close() every lane has polled once more on the way out.
-        sources = engine.fleet.sources()
-        assert set(sources) == {"replica0", "replica1"}
-        per_worker = [
-            snapshot["counters"].get("serve.worker.items", 0)
-            for snapshot in sources.values()
-        ]
-        merged = engine.telemetry_snapshot()
-        assert merged["counters"]["serve.worker.items"] == sum(per_worker)
-        assert sum(per_worker) == len(grids)
-        # The parent's own counters ride the same merged view.
-        assert merged["counters"]["serve.requests_total"] == len(grids)
-
-    @needs_parallel
-    def test_crashed_replica_totals_carry_forward(self, model, grids):
-        registry = MetricsRegistry()
-        config = ServeConfig(
-            max_batch_size=4, max_latency_ms=2.0, cache_bytes=0,
-            num_replicas=2, replica_restarts=1, worker_timeout_s=30.0,
-            idle_reclaim_s=0.05,
-        )
-        total = 0
-        with ServeEngine(model, config, registry=registry) as engine:
-            engine.classify_many(list(grids), timeout=120.0)
-            total += len(grids)
-            # Wait for the idle-tick telemetry polls to publish every
-            # item of round one (a stale snapshot would under-count the
-            # retire baseline), then kill one replica.
-            deadline = time.monotonic() + 20.0
-
-            def _published_items():
-                return sum(
-                    snapshot["counters"].get("serve.worker.items", 0)
-                    for snapshot in engine.fleet.sources().values()
-                )
-
-            while _published_items() < total and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert _published_items() == total
-            engine._backend._pool.kill(0)
-            # Keep serving until a batch lands on the dead lane and
-            # triggers the revive path (lane assignment races the two
-            # runner threads, so one round is not guaranteed to hit it).
-            restarts = registry.counter("serve.replica.restarts")
-            while restarts.value == 0 and time.monotonic() < deadline:
-                engine.classify_many(list(grids), timeout=120.0)
-                total += len(grids)
-        assert registry.counter("serve.replica.restarts").value >= 1
-        assert engine.fleet.retired == 1
-        merged = engine.telemetry_snapshot()
-        # Nothing the dead replica had published is lost: every input
-        # of every round is still accounted for fleet-wide.
-        assert merged["counters"]["serve.worker.items"] == total
-
     def test_telemetry_summary_renders_in_ops_console(self, model, grids):
         from repro.obs.top import render
 
         registry = MetricsRegistry()
-        config = ServeConfig(
-            max_batch_size=4, max_latency_ms=2.0, num_replicas=1,
-        )
+        config = ServeConfig(max_batch_size=4)
         with ServeEngine(model, config, registry=registry) as engine:
             engine.classify_many(list(grids[:4]), timeout=60.0)
-        summary = engine.telemetry_summary()
-        frame = render(summary)
+        frame = render(registry.snapshot())
         assert "qps" in frame
-        assert "serve.lane0" in frame  # breaker gauge surfaced
-
-    def test_breaker_state_gauge_closed_when_healthy(self, model, grids):
-        registry = MetricsRegistry()
-        config = ServeConfig(
-            max_batch_size=4, max_latency_ms=2.0, num_replicas=1,
-        )
-        with ServeEngine(model, config, registry=registry) as engine:
-            engine.classify_many(list(grids[:4]), timeout=60.0)
-        assert registry.gauge("serve.lane0.breaker_state").value == 0
+        assert "flushes" in frame

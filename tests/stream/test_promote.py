@@ -45,8 +45,7 @@ def rig(tmp_path):
     good = manager.save(epoch=0, model=model_a)
     bad = manager.save(epoch=1, model=model_b)
     engine = ServeEngine(model_a, ServeConfig(
-        max_batch_size=8, max_latency_ms=50.0, cache_bytes=0,
-        num_replicas=1, threshold=ACCEPT_ALL,
+        max_batch_size=8, cache_bytes=0, threshold=ACCEPT_ALL,
     ), registry=MetricsRegistry())
     grids = np.random.default_rng(5).integers(
         0, 3, size=(24, SIZE, SIZE)

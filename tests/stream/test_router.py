@@ -44,8 +44,7 @@ def engine_factory():
 
     def build(threshold):
         engine = ServeEngine(make_model(), ServeConfig(
-            max_batch_size=8, max_latency_ms=50.0, cache_bytes=0,
-            num_replicas=1, threshold=threshold,
+            max_batch_size=8, cache_bytes=0, threshold=threshold,
         ), registry=MetricsRegistry())
         engines.append(engine)
         return engine

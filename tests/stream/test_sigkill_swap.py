@@ -46,8 +46,7 @@ def _swap_to_death(checkpoint_dir, point):
     manager = CheckpointManager(checkpoint_dir, keep=0, registry=MetricsRegistry())
     checkpoint = manager.latest_valid()
     engine = ServeEngine(make_model(), ServeConfig(
-        max_batch_size=8, max_latency_ms=50.0, cache_bytes=0,
-        num_replicas=1, threshold=-1.0,
+        max_batch_size=8, cache_bytes=0, threshold=-1.0,
     ), registry=MetricsRegistry())
     activate(ChaosPlan().inject(point, kill_process))
     engine.swap_model(checkpoint, threshold=-1.0)
