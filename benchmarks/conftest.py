@@ -48,10 +48,10 @@ def layer_profiling(request):
 
     original_fit = Trainer.fit
 
-    def profiled_fit(self, train, validation=None, callback=None):
+    def profiled_fit(self, train, validation=None, resume=None):
         profiler = LayerProfiler()
         with profiler.attach(self.model):
-            history = original_fit(self, train, validation=validation, callback=callback)
+            history = original_fit(self, train, validation=validation, resume=resume)
         print(f"\n--- per-layer profile ({type(self.model).__name__}) ---")
         print(profiler.format_table())
         return history

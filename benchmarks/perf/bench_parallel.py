@@ -137,7 +137,7 @@ def _scratch_cases(smoke: bool, repeats: int) -> List[CaseResult]:
         trainer.fit(dataset)
 
     def one_epoch_no_scratch() -> None:
-        # The trainer enables train_scratch internally; force it off.
+        # sharded_step enables train_scratch on one-shard batches; force it off.
         original = F.train_scratch
 
         def off(enabled: bool = True):

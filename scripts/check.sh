@@ -15,6 +15,9 @@ python -m compileall -q src examples benchmarks scripts
 echo "== pytest (tier 1) =="
 python -m pytest -x -q
 
+echo "== fabbench self-tests (probe installs against this tree) =="
+timeout 120 python -m pytest fabbench/tests -q
+
 echo "== compiler smoke (compiled-vs-eager bit identity) =="
 timeout 240 python -m repro.nn.compile.smoke
 

@@ -37,8 +37,8 @@ class BackboneConfig:
     """Hyper-parameters of the convolutional backbone.
 
     Defaults follow Table I.  ``conv_channels``/``conv_kernels`` can be
-    shrunk for fast tests, and ``dropout`` adds regularization that the
-    paper does not use but ablations may.
+    shrunk for fast tests.  The backbone has no dropout (the paper uses
+    none), so no model draws random numbers in its forward pass.
     """
 
     input_size: int = 64
@@ -46,7 +46,6 @@ class BackboneConfig:
     conv_channels: Tuple[int, ...] = (64, 32, 32)
     conv_kernels: Tuple[int, ...] = (5, 3, 3)
     fc_units: int = 256
-    dropout: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -84,8 +83,6 @@ def build_backbone(config: BackboneConfig) -> nn.Sequential:
         layers.append(nn.MaxPool2D(2))
         in_channels = channels
     layers.append(nn.Flatten())
-    if config.dropout > 0:
-        layers.append(nn.Dropout(config.dropout, rng=np.random.default_rng(config.seed + 1)))
     layers.append(nn.Dense(config.flat_features, config.fc_units, rng=rng))
     layers.append(nn.ReLU())
     return nn.Sequential(*layers)

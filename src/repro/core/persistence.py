@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict
-from typing import Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -86,6 +86,7 @@ def load_classifier(
         if key.startswith("weights/")
     }
 
+    weights = _drop_dropout(metadata["backbone"], weights)
     backbone = BackboneConfig(**metadata["backbone"])
     # conv tuples arrive as lists from JSON; normalize.
     backbone.conv_channels = tuple(backbone.conv_channels)
@@ -114,3 +115,27 @@ def load_classifier(
     classifier.model = model
     classifier.class_names = tuple(metadata["class_names"])
     return classifier
+
+
+def _drop_dropout(
+    backbone: Dict, weights: Dict[str, np.ndarray]
+) -> Dict[str, np.ndarray]:
+    """Read an archive saved while the backbone had a ``dropout`` field.
+
+    Dropout is the identity at inference and has no weights, so its key
+    is dropped.  A nonzero rate put a ``Dropout`` layer right after
+    ``Flatten``, one index above every later backbone layer; those
+    weights move back down one index.
+    """
+    if not backbone.pop("dropout", 0.0):
+        return weights
+    # Each conv stage is Conv2D, ReLU, MaxPool2D; Flatten follows.
+    dropout_index = 3 * len(backbone["conv_channels"]) + 1
+    renamed = {}
+    for key, value in weights.items():
+        module, _, rest = key.partition(".layer")
+        index, _, name = rest.partition(".")
+        if module == "backbone" and int(index) > dropout_index:
+            key = f"backbone.layer{int(index) - 1}.{name}"
+        renamed[key] = value
+    return renamed

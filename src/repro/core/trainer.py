@@ -1,8 +1,14 @@
-"""Training loops for the full-coverage CNN and the SelectiveNet.
+"""Training loop for the full-coverage CNN and the SelectiveNet.
 
 The paper trains with Adam for 100 epochs, lambda = alpha = 0.5; the
 :class:`TrainConfig` defaults mirror that, with batch size and epochs
 scaled to what the numpy substrate can run in reasonable time.
+
+Every batch's gradient comes from the shard protocol of
+:mod:`repro.parallel.engine`: on the worker pool for a batch of two or
+more 32-row shards while one is up, in-process through
+:func:`~repro.parallel.sharded_step` otherwise.  This module computes
+no loss itself.
 
 Fault tolerance (see :mod:`repro.resilience`):
 
@@ -19,9 +25,8 @@ Fault tolerance (see :mod:`repro.resilience`):
 * Data-parallel training survives worker loss: the engine retries /
   re-shards transparently, and on total pool degradation
   (:class:`~repro.parallel.ParallelUnavailable`) the trainer finishes
-  the *same batch* — and the rest of the run — in-process through
-  :func:`~repro.parallel.sharded_step`, so no step is skipped or
-  double-applied and the trajectory does not change by a bit.
+  the *same batch* — and the rest of the run — in-process, so no step
+  is skipped or double-applied and the trajectory does not change.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -41,6 +46,7 @@ from ..parallel.engine import (
     DataParallelEngine,
     ObjectiveSpec,
     ParallelUnavailable,
+    StepStats,
     shard_bounds,
     sharded_step,
 )
@@ -49,7 +55,9 @@ from ..resilience.chaos import chaos_point
 from ..resilience.retry import RetryPolicy
 from ..resilience.watchdog import TrainingWatchdog
 from .cnn import WaferCNN
-from .losses import selectivenet_objective
+# Not called here.  fabbench's traced run wraps this module attribute by
+# name, and its probe fails to install when the name is missing.
+from .losses import selectivenet_objective  # noqa: F401
 from .selective import SelectiveNet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports core)
@@ -90,7 +98,7 @@ class TrainConfig:
 
     ``target_coverage=1.0`` trains a plain cross-entropy model (the
     paper's full-coverage setup); anything below 1.0 trains the Eq. 9
-    selective objective.
+    selective objective.  Adam runs without weight decay.
     """
 
     epochs: int = 30
@@ -99,10 +107,7 @@ class TrainConfig:
     target_coverage: float = 1.0
     lam: float = 0.5
     alpha: float = 0.5
-    weight_decay: float = 0.0
     penalty_mode: str = "symmetric"
-    grad_clip: Optional[float] = None
-    early_stopping_patience: Optional[int] = None
     seed: int = 0
     shuffle: bool = True
     verbose: bool = False
@@ -111,23 +116,20 @@ class TrainConfig:
     #: fixed shards of at most 32 rows (:func:`repro.parallel.shard_bounds`),
     #: and their gradients are summed in shard order whether the shards
     #: run in workers or in-process, so the worker count changes no
-    #: result bit (for models that draw no random numbers in forward,
-    #: i.e. without dropout).  A pool starts only when the batch size
-    #: gives at least two shards; one-shard batches, and everything
-    #: where multiprocessing is unavailable, run in-process.
+    #: result bit.  A pool starts only when the batch size gives at
+    #: least two shards; one-shard batches, and everything where
+    #: multiprocessing is unavailable, run in-process.
     num_workers: int = field(default_factory=usable_cores)
     #: Respawn budget per lost parallel worker (exponential backoff);
     #: 0 means a dead worker is never replaced and the pool shrinks.
     worker_retries: int = 2
-    #: Directory for crash-safe checkpoints; ``None`` disables
-    #: checkpointing (and with it watchdog rollback and resume).
+    #: Directory for crash-safe checkpoints, one per epoch; ``None``
+    #: disables checkpointing (and with it watchdog rollback and resume).
     checkpoint_dir: Optional[str] = None
-    #: Epochs between checkpoints (the final epoch is always saved).
-    checkpoint_every: int = 1
     #: Retention bound passed to the checkpoint manager (0 keeps all).
     keep_checkpoints: int = 3
-    #: Watchdog bound on the pre-clip global gradient L2 norm; ``None``
-    #: disables the explosion check (non-finite values always trip).
+    #: Watchdog bound on the global gradient L2 norm; ``None`` disables
+    #: the explosion check (non-finite values always trip).
     grad_norm_limit: Optional[float] = None
     #: Watchdog bound on the batch loss; ``None`` disables it.
     loss_limit: Optional[float] = None
@@ -143,14 +145,8 @@ class TrainConfig:
             raise ValueError("num_workers must be >= 1")
         if not 0.0 < self.target_coverage <= 1.0:
             raise ValueError("target_coverage must be in (0, 1]")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive when set")
-        if self.early_stopping_patience is not None and self.early_stopping_patience <= 0:
-            raise ValueError("early_stopping_patience must be positive when set")
         if self.worker_retries < 0:
             raise ValueError("worker_retries must be non-negative")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         if self.keep_checkpoints < 0:
             raise ValueError("keep_checkpoints must be non-negative")
         if not 0.0 < self.rollback_lr_cut <= 1.0:
@@ -164,8 +160,8 @@ class EpochStats:
     """Metrics recorded after each epoch.
 
     ``grad_norm`` is the mean global L2 gradient norm over the epoch's
-    batches (measured before clipping), the standard divergence /
-    vanishing-gradient telltale in run logs.
+    batches, the standard divergence / vanishing-gradient telltale in
+    run logs.
     """
 
     epoch: int
@@ -200,10 +196,12 @@ class TrainHistory:
 class Trainer:
     """Trains either a :class:`WaferCNN` or a :class:`SelectiveNet`.
 
-    The mode is inferred from the model type: a plain CNN always trains
-    with weighted cross-entropy; a SelectiveNet trains with the Eq. 9
-    objective when ``config.target_coverage < 1`` and degenerates to
-    cross-entropy (alpha effectively 0) at full coverage.
+    The objective is inferred from the model type: a plain CNN always
+    trains with weighted cross-entropy; a SelectiveNet trains with the
+    Eq. 9 objective when ``config.target_coverage < 1`` and with
+    cross-entropy on its prediction head at full coverage.  Each batch
+    is one :meth:`_step` of the shard protocol followed by the watchdog
+    check and one Adam step.
     """
 
     def __init__(
@@ -217,16 +215,22 @@ class Trainer:
         self.model = model
         self.config = config if config is not None else TrainConfig()
         self.run_logger = run_logger
-        self.optimizer = nn.Adam(
-            model.parameters(),
-            lr=self.config.learning_rate,
-            weight_decay=self.config.weight_decay,
-        )
+        self.optimizer = nn.Adam(model.parameters(), lr=self.config.learning_rate)
         self.history = TrainHistory()
         self._rng = np.random.default_rng(self.config.seed)
         self.watchdog = TrainingWatchdog(
             grad_norm_limit=self.config.grad_norm_limit,
             loss_limit=self.config.loss_limit,
+        )
+        selective = (
+            isinstance(model, SelectiveNet) and self.config.target_coverage < 1.0
+        )
+        self._objective = ObjectiveSpec(
+            kind="selective" if selective else "cross_entropy",
+            target_coverage=self.config.target_coverage,
+            lam=self.config.lam,
+            alpha=self.config.alpha,
+            penalty_mode=self.config.penalty_mode,
         )
         self._engine = None
         self._checkpoints = None
@@ -247,7 +251,6 @@ class Trainer:
         self,
         train: WaferDataset,
         validation: Optional[WaferDataset] = None,
-        callback: Optional[Callable[[EpochStats], None]] = None,
         resume: Optional[str] = None,
     ) -> TrainHistory:
         """Run the configured number of epochs; returns the history.
@@ -260,9 +263,9 @@ class Trainer:
 
         ``resume="auto"`` restarts from the newest valid checkpoint in
         ``config.checkpoint_dir`` (a no-op when none exists); a path
-        resumes from that specific checkpoint.  Model, optimizer, RNG,
-        and early-stopping bookkeeping are all restored, so the
-        resumed trajectory matches the uninterrupted run exactly.
+        resumes from that specific checkpoint.  Model, optimizer and
+        RNG are all restored, so the resumed trajectory matches the
+        uninterrupted run exactly.
         """
         if len(train) == 0:
             raise ValueError("cannot train on an empty dataset")
@@ -271,19 +274,7 @@ class Trainer:
             logger.setLevel(logging.INFO)
         if self.run_logger is not None:
             self.run_logger.log_config(self.config)
-        start_epoch = 1
-        best_val = -np.inf
-        epochs_without_improvement = 0
-        if resume is not None:
-            state = self._resume(resume)
-            if state is not None:
-                start_epoch = int(state["epoch"]) + 1
-                extra = state.get("extra") or {}
-                saved_best = extra.get("best_val")
-                best_val = -np.inf if saved_best is None else float(saved_best)
-                epochs_without_improvement = int(
-                    extra.get("epochs_without_improvement", 0)
-                )
+        epoch = 1 if resume is None else self._resume(resume) + 1
         batches = BatchIterator(
             train,
             batch_size=self.config.batch_size,
@@ -293,61 +284,28 @@ class Trainer:
         self._engine = self._make_engine()
         started = time.perf_counter()
         rollbacks = 0
-        stop = False
         try:
-            epoch = start_epoch
-            while epoch <= self.config.epochs and not stop:
+            while epoch <= self.config.epochs:
                 self._check_engine_health()
                 try:
                     stats = self._run_epoch(epoch, batches)
                 except _WatchdogTrip as trip:
-                    state = self._rollback(trip, rollbacks)
+                    epoch = self._rollback(trip, rollbacks) + 1
                     rollbacks += 1
-                    epoch = int(state["epoch"]) + 1
-                    extra = state.get("extra") or {}
-                    saved_best = extra.get("best_val")
-                    best_val = -np.inf if saved_best is None else float(saved_best)
-                    epochs_without_improvement = int(
-                        extra.get("epochs_without_improvement", 0)
-                    )
-                    self.history.epochs = [
-                        s for s in self.history.epochs
-                        if s.epoch <= int(state["epoch"])
-                    ]
                     continue
                 if validation is not None:
                     stats.val_accuracy = self._quick_accuracy(validation)
                 self.history.append(stats)
-                if callback is not None:
-                    callback(stats)
                 if self.run_logger is not None:
                     self.run_logger.log_epoch(stats)
                 val = f" val_acc={stats.val_accuracy:.3f}" if stats.val_accuracy is not None else ""
                 logger.info(
                     "epoch %3d loss=%.4f acc=%.3f cov=%.3f grad=%.3f%s",
                     epoch, stats.loss, stats.train_accuracy, stats.coverage,
-                    stats.grad_norm if stats.grad_norm is not None else 0.0, val,
+                    stats.grad_norm, val,
                 )
-                patience = self.config.early_stopping_patience
-                if patience is not None and stats.val_accuracy is not None:
-                    if stats.val_accuracy > best_val + 1e-9:
-                        best_val = stats.val_accuracy
-                        epochs_without_improvement = 0
-                    else:
-                        epochs_without_improvement += 1
-                        if epochs_without_improvement >= patience:
-                            logger.info("early stop at epoch %d", epoch)
-                            if self.run_logger is not None:
-                                self.run_logger.log("early_stop", epoch=epoch)
-                            stop = True
-                if self._checkpoints is not None and (
-                    epoch % self.config.checkpoint_every == 0
-                    or epoch == self.config.epochs
-                    or stop
-                ):
-                    self._save_checkpoint(
-                        epoch, best_val, epochs_without_improvement
-                    )
+                if self._checkpoints is not None:
+                    self._save_checkpoint(epoch)
                 epoch += 1
         finally:
             if self._engine is not None:
@@ -369,8 +327,8 @@ class Trainer:
     # ------------------------------------------------------------------
     # Fault handling
     # ------------------------------------------------------------------
-    def _resume(self, resume: str) -> Optional[Dict[str, Any]]:
-        """Restore from a checkpoint; returns its state or ``None``.
+    def _resume(self, resume: str) -> int:
+        """Restore from a checkpoint; returns its epoch, 0 when none.
 
         ``"auto"`` picks the newest valid checkpoint (skipping corrupt
         ones) and is a silent no-op on a fresh run; an explicit path
@@ -378,11 +336,9 @@ class Trainer:
         propagates.
         """
         if resume == "auto":
-            if self._checkpoints is None:
-                return None
-            path = self._checkpoints.latest_valid()
+            path = None if self._checkpoints is None else self._checkpoints.latest_valid()
             if path is None:
-                return None
+                return 0
         else:
             if self._checkpoints is None:
                 raise ValueError(
@@ -392,29 +348,22 @@ class Trainer:
         state = self._checkpoints.load(path, self.model, self.optimizer)
         if state.get("rng_state"):
             self._checkpoints.restore_rng(self._rng, state["rng_state"])
-        logger.info("resumed from %s (epoch %d)", path, state["epoch"])
+        epoch = int(state["epoch"])
+        logger.info("resumed from %s (epoch %d)", path, epoch)
         if self.run_logger is not None:
-            self.run_logger.log("resume", path=path, epoch=int(state["epoch"]))
-        return state
+            self.run_logger.log("resume", path=path, epoch=epoch)
+        return epoch
 
-    def _save_checkpoint(
-        self, epoch: int, best_val: float, epochs_without_improvement: int
-    ) -> None:
+    def _save_checkpoint(self, epoch: int) -> None:
         path = self._checkpoints.save(
-            epoch,
-            model=self.model,
-            optimizer=self.optimizer,
-            rng=self._rng,
-            extra={
-                "best_val": float(best_val) if np.isfinite(best_val) else None,
-                "epochs_without_improvement": int(epochs_without_improvement),
-            },
+            epoch, model=self.model, optimizer=self.optimizer, rng=self._rng
         )
         chaos_point("train.checkpoint.saved", path=path, epoch=epoch)
 
-    def _rollback(self, trip: _WatchdogTrip, rollbacks: int) -> Dict[str, Any]:
+    def _rollback(self, trip: _WatchdogTrip, rollbacks: int) -> int:
         """Restore the last good checkpoint after a watchdog trip.
 
+        Returns the restored epoch and drops the history after it.
         Cuts the learning rate by ``config.rollback_lr_cut`` so the
         retried epochs do not immediately re-diverge.  Raises when no
         checkpointing is configured, nothing valid exists, or the
@@ -453,17 +402,17 @@ class Trainer:
             self._checkpoints.restore_rng(self._rng, state["rng_state"])
         self.optimizer.lr *= self.config.rollback_lr_cut
         self._m_rollbacks.inc()
+        epoch = int(state["epoch"])
         logger.warning(
             "rolled back to %s (epoch %d), lr cut to %.3g",
-            path, state["epoch"], self.optimizer.lr,
+            path, epoch, self.optimizer.lr,
         )
         if self.run_logger is not None:
             self.run_logger.log(
-                "rollback",
-                epoch=int(state["epoch"]),
-                lr=float(self.optimizer.lr),
+                "rollback", epoch=epoch, lr=float(self.optimizer.lr)
             )
-        return state
+        self.history.epochs = [s for s in self.history.epochs if s.epoch <= epoch]
+        return epoch
 
     def _check_engine_health(self) -> None:
         """Epoch-boundary heartbeat; drops to in-process on pool loss."""
@@ -478,18 +427,6 @@ class Trainer:
             self._engine = None
 
     # ------------------------------------------------------------------
-    def _selective_mode(self) -> bool:
-        return isinstance(self.model, SelectiveNet) and self.config.target_coverage < 1.0
-
-    def _objective(self) -> ObjectiveSpec:
-        return ObjectiveSpec(
-            kind="selective" if self._selective_mode() else "cross_entropy",
-            target_coverage=self.config.target_coverage,
-            lam=self.config.lam,
-            alpha=self.config.alpha,
-            penalty_mode=self.config.penalty_mode,
-        )
-
     def _make_engine(self):
         """Build the data-parallel engine, or None to train in-process.
 
@@ -511,13 +448,36 @@ class Trainer:
             return None
         return DataParallelEngine(
             self.model,
-            self._objective(),
+            self._objective,
             num_workers=workers,
             max_batch=self.config.batch_size,
             retry=RetryPolicy(
                 max_retries=self.config.worker_retries, seed=self.config.seed
             ),
         )
+
+    def _step(
+        self, inputs: np.ndarray, labels: np.ndarray, weights: np.ndarray
+    ) -> StepStats:
+        """Leave one batch's gradient in ``param.grad``.
+
+        A multi-shard batch runs on the pool while one is up; every
+        other batch — one shard, no pool, or a pool lost — runs the
+        same protocol in this process.
+        """
+        if self._engine is not None and len(shard_bounds(len(labels))) > 1:
+            try:
+                return self._engine.train_step(inputs, labels, weights)
+            except ParallelUnavailable:
+                # The engine never published this batch's gradients, so
+                # finishing it in-process keeps the trajectory intact —
+                # nothing skipped, nothing double-applied.
+                logger.warning(
+                    "data-parallel pool lost mid-epoch; "
+                    "continuing this run in-process"
+                )
+                self._engine = None
+        return sharded_step(self.model, self._objective, inputs, labels, weights)
 
     def _run_epoch(self, epoch: int, batches: BatchIterator) -> EpochStats:
         self.model.train()
@@ -528,109 +488,36 @@ class Trainer:
             if tracer is not None
             else None
         )
-        total_loss = 0.0
-        total_correct = 0
-        total_samples = 0
-        coverage_sum = 0.0
-        risk_sum = 0.0
-        grad_norm_sum = 0.0
-        batch_count = 0
+        steps = []  # (StepStats, grad norm, rows) per applied batch
+        for inputs, labels, weights in batches:
+            chaos_point("train.batch", epoch=epoch, inputs=inputs, labels=labels)
+            step = self._step(inputs, labels, weights)
+            norm = self._grad_norm()
+            reason = self.watchdog.check(step.loss, norm)
+            if reason is not None:
+                # Checked before the optimizer step: poisoned gradients
+                # must never touch the weights.
+                self._m_watchdog.inc()
+                if epoch_span is not None:
+                    epoch_span.event("watchdog_trip", reason=reason)
+                    tracer.end(epoch_span, status="error")
+                raise _WatchdogTrip(reason, epoch)
+            self.optimizer.step()
+            steps.append((step, norm, len(labels)))
 
-        selective = self._selective_mode()
-        objective = self._objective()
-
-        with nn.train_scratch():
-            for inputs, labels, weights in batches:
-                chaos_point(
-                    "train.batch", epoch=epoch, inputs=inputs, labels=labels
-                )
-                step = None
-                # A one-shard batch runs the objective below in this
-                # process, whatever the worker count.
-                sharded = len(shard_bounds(len(labels))) > 1
-                if sharded and self._engine is not None:
-                    try:
-                        step = self._engine.train_step(inputs, labels, weights)
-                    except ParallelUnavailable:
-                        # The engine never published this batch's
-                        # gradients, so finishing it in-process keeps
-                        # the trajectory intact — nothing skipped,
-                        # nothing double-applied.
-                        logger.warning(
-                            "data-parallel pool lost mid-epoch; "
-                            "continuing this run in-process"
-                        )
-                        self._engine = None
-                if sharded and step is None:
-                    step = sharded_step(self.model, objective, inputs, labels, weights)
-                if step is not None:
-                    loss_value = step.loss
-                    correct = step.correct
-                    coverage_sum += step.coverage
-                    risk_sum += step.selective_risk
-                elif selective:
-                    tensor = nn.Tensor(inputs)
-                    logits, selection = self.model(tensor)
-                    terms = selectivenet_objective(
-                        logits,
-                        selection,
-                        labels,
-                        target_coverage=self.config.target_coverage,
-                        lam=self.config.lam,
-                        alpha=self.config.alpha,
-                        sample_weights=weights,
-                        penalty_mode=self.config.penalty_mode,
-                    )
-                    self.optimizer.zero_grad(set_to_none=False)
-                    terms.total.backward()
-                    loss_value = float(terms.total.data)
-                    correct = int((logits.data.argmax(axis=1) == labels).sum())
-                    coverage_sum += terms.coverage
-                    risk_sum += terms.selective_risk
-                else:
-                    tensor = nn.Tensor(inputs)
-                    outputs = self.model(tensor)
-                    logits = outputs[0] if isinstance(outputs, tuple) else outputs
-                    loss = nn.cross_entropy(logits, labels, sample_weights=weights)
-                    self.optimizer.zero_grad(set_to_none=False)
-                    loss.backward()
-                    loss_value = float(loss.data)
-                    correct = int((logits.data.argmax(axis=1) == labels).sum())
-                    coverage_sum += 1.0
-                    risk_sum += loss_value
-
-                norm = self._grad_norm()
-                reason = self.watchdog.check(loss_value, norm)
-                if reason is not None:
-                    # Checked before the optimizer step: poisoned
-                    # gradients must never touch the weights.
-                    self._m_watchdog.inc()
-                    if epoch_span is not None:
-                        epoch_span.event("watchdog_trip", reason=reason)
-                        tracer.end(epoch_span, status="error")
-                    raise _WatchdogTrip(reason, epoch)
-                grad_norm_sum += norm
-                if self.config.grad_clip is not None:
-                    self._clip_gradients(self.config.grad_clip, norm=norm)
-                self.optimizer.step()
-
-                total_loss += loss_value * len(labels)
-                total_correct += correct
-                total_samples += len(labels)
-                batch_count += 1
-
+        samples = sum(rows for _, _, rows in steps)
         stats = EpochStats(
             epoch=epoch,
-            loss=total_loss / max(total_samples, 1),
-            train_accuracy=total_correct / max(total_samples, 1),
-            coverage=coverage_sum / max(batch_count, 1),
-            selective_risk=risk_sum / max(batch_count, 1),
+            loss=sum(s.loss * rows for s, _, rows in steps) / max(samples, 1),
+            train_accuracy=sum(s.correct for s, _, _ in steps) / max(samples, 1),
+            coverage=sum(s.coverage for s, _, _ in steps) / max(len(steps), 1),
+            selective_risk=sum(s.selective_risk for s, _, _ in steps) / max(len(steps), 1),
             seconds=time.perf_counter() - started,
-            grad_norm=grad_norm_sum / max(batch_count, 1),
+            grad_norm=sum(norm for _, norm, _ in steps) / max(len(steps), 1),
         )
         if epoch_span is not None:
-            epoch_span.set("batches", batch_count)
-            epoch_span.set("samples", total_samples)
+            epoch_span.set("batches", len(steps))
+            epoch_span.set("samples", samples)
             tracer.end(epoch_span, duration_s=stats.seconds)
         return stats
 
@@ -642,34 +529,15 @@ class Trainer:
                 total += float((param.grad.astype(np.float64) ** 2).sum())
         return float(np.sqrt(total))
 
-    def _clip_gradients(self, max_norm: float, norm: Optional[float] = None) -> None:
-        """Scale all gradients so their global L2 norm is <= max_norm."""
-        if norm is None:
-            norm = self._grad_norm()
-        if norm > max_norm:
-            scale = max_norm / (norm + 1e-12)
-            for param in self.model.parameters():
-                if param.grad is not None:
-                    param.grad *= scale
-
-    def _quick_accuracy(self, dataset: WaferDataset, chunk: int = 512) -> float:
-        """Validation accuracy, streamed in fixed-size chunks.
-
-        Chunking bounds peak memory on large validation sets: only one
-        ``chunk``-sized slice of predictions is materialized at a time.
-        """
+    def _quick_accuracy(self, dataset: WaferDataset) -> float:
+        """Validation accuracy; the predict calls stream fixed-size
+        chunks, so memory does not grow with the set beyond its outputs."""
         if len(dataset) == 0:
             return 0.0
         inputs = dataset.tensors()
-        labels = dataset.labels
-        correct = 0
-        for start in range(0, len(inputs), chunk):
-            stop = min(start + chunk, len(inputs))
-            piece = inputs[start:stop]
-            if isinstance(self.model, SelectiveNet):
-                probabilities, _ = self.model.predict_batched(piece)
-                predictions = probabilities.argmax(axis=1)
-            else:
-                predictions = self.model.predict(piece)
-            correct += int((predictions == labels[start:stop]).sum())
-        return correct / len(inputs)
+        if isinstance(self.model, SelectiveNet):
+            probabilities, _ = self.model.predict_batched(inputs)
+            predictions = probabilities.argmax(axis=1)
+        else:
+            predictions = self.model.predict(inputs)
+        return int((predictions == dataset.labels).sum()) / len(inputs)

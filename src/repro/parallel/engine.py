@@ -6,9 +6,10 @@ rows, chosen from its row count alone (:func:`shard_bounds`).  Worker
 parent sums the shard gradients *in shard order* into the model's
 ``param.grad`` before it applies one ordinary optimizer step.
 :func:`sharded_step` runs the same per-shard functions in-process, in
-the same order and under the same one-thread BLAS pin as the workers,
-so the worker count — none included — cannot change a single bit of
-the trajectory.
+the same order and, for a multi-shard batch, under the same one-thread
+BLAS pin as the workers, so the worker count — none included — cannot
+change a single bit of the trajectory.  It is the trainer's path for
+every batch the pool does not run, one-shard batches included.
 
 Exactness.  The SelectiveNet objective (Eq. 9) is *nonlinear* in batch
 statistics — coverage appears in a denominator and inside the penalty —
@@ -58,6 +59,7 @@ counter (``resilience.worker.deaths`` / ``.restarts``,
 from __future__ import annotations
 
 import logging
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -88,8 +90,8 @@ class ParallelUnavailable(RuntimeError):
     """The worker pool degraded below two usable workers.
 
     Raised after the engine has already shut itself down; the caller
-    should continue on the serial code path (the trainer does exactly
-    that, so training survives total pool loss).
+    should continue in-process on :func:`sharded_step` (the trainer does
+    exactly that, so training survives total pool loss).
     """
 
 
@@ -126,8 +128,8 @@ class ObjectiveSpec:
 
 @dataclass
 class StepStats:
-    """Full-batch statistics of one data-parallel step, matching what
-    the serial loop reads off the loss terms."""
+    """Full-batch statistics of one protocol step, as the Eq. 9 terms
+    (:class:`~repro.core.losses.SelectiveLossTerms`) report them."""
 
     loss: float
     coverage: float
@@ -176,7 +178,7 @@ def _forward_shard(model, spec: ObjectiveSpec, inputs, labels, weights):
         logits = outputs[0] if isinstance(outputs, tuple) else outputs
         selection = None
     per_sample = nn.cross_entropy(logits, labels, reduction="none")
-    # Same float32 weight cast as the serial objective.
+    # Same float32 weight cast as selectivenet_objective.
     per_sample = per_sample * Tensor(np.asarray(weights, dtype=np.float32))
     w_sum = per_sample.sum()
     if selection is not None:
@@ -190,16 +192,20 @@ def _forward_shard(model, spec: ObjectiveSpec, inputs, labels, weights):
     return (u_sum, v_sum, w_sum), partial + (float(w_sum.data), correct)
 
 
-def _backward_shard(model, params, tape, coefficients, row: np.ndarray) -> None:
-    """Backpropagate one shard's surrogate ``kU*U + kV*V + kW*W`` and
-    write the flat parameter gradient into ``row``."""
+def _backward_shard(params, tape, coefficients, row=None) -> None:
+    """Backpropagate one shard's surrogate ``kU*U + kV*V + kW*W`` into
+    ``param.grad``, whose buffers are kept and zeroed in place; given a
+    ``row``, also write the flat parameter gradient into it."""
     k_u, k_v, k_w = coefficients
     u_sum, v_sum, w_sum = tape
-    model.zero_grad()
+    for param in params:
+        param.zero_grad(set_to_none=False)
     surrogate = k_w * w_sum
     if u_sum is not None:
         surrogate = surrogate + k_u * u_sum + k_v * v_sum
     surrogate.backward()
+    if row is None:
+        return
     offset = 0
     for param in params:
         size = param.data.size
@@ -258,7 +264,7 @@ def _coefficients(
 def _batch_stats(
     spec: ObjectiveSpec, n: int, u: float, v: float, w: float, correct: int
 ) -> StepStats:
-    """Recover the loss terms the serial loop logs from the sums."""
+    """Recover the Eq. 9 loss terms from the sums."""
     if spec.kind == "cross_entropy":
         loss = w / n
         return StepStats(loss=loss, coverage=1.0, selective_risk=loss, correct=correct)
@@ -279,29 +285,29 @@ def sharded_step(
     objective: ObjectiveSpec,
     inputs: np.ndarray,
     labels: np.ndarray,
-    weights: Optional[np.ndarray] = None,
+    weights: np.ndarray,
 ) -> StepStats:
     """One step of the engine's protocol, run in this process.
 
     The same shards, per-shard functions and shard-order sums as a
-    :class:`DataParallelEngine` step, under the one-thread BLAS pin the
-    workers run with, so ``param.grad`` and the statistics equal a step
-    on any number of workers bit for bit.  The caller applies the
-    optimizer step.
+    :class:`DataParallelEngine` step.  A multi-shard batch runs under
+    the one-thread BLAS pin the workers run with, so ``param.grad`` and
+    the statistics equal a step on any number of workers bit for bit.
+    A one-shard batch runs in the parent at every worker count, so it
+    runs unpinned, and its gradient stays in the ``param.grad`` buffers
+    (fresh arrays per step slowed fabbench ``drift_retrain``'s batch-16
+    fit 24 % on a 2-core VM).  The caller applies the optimizer step.
     """
     from ..nn import functional as F
 
     n = int(inputs.shape[0])
-    if weights is None:
-        weights = np.ones((n,), dtype=np.float32)
     bounds = shard_bounds(n)
+    one_shard = len(bounds) == 1
     params = list(model.parameters())
-    total = np.empty(sum(p.data.size for p in params), dtype=params[0].data.dtype)
-    rows = np.empty((len(bounds), total.size), dtype=total.dtype)
     tapes, partials = [], []
     # Holding several shards' tapes runs more than one forward per layer
     # before a backward, which train_scratch's reuse does not allow.
-    with worker_blas(), F.train_scratch(len(bounds) == 1):
+    with nullcontext() if one_shard else worker_blas(), F.train_scratch(one_shard):
         for lo, hi in bounds:
             tape, partial = _forward_shard(
                 model, objective, inputs[lo:hi], labels[lo:hi], weights[lo:hi]
@@ -310,9 +316,14 @@ def sharded_step(
             partials.append(partial)
         u, v, w, correct = _reduce_partials(partials)
         coefficients = _coefficients(objective, n, u, v, w)
-        for tape, row in zip(tapes, rows):
-            _backward_shard(model, params, tape, coefficients, row)
-    _publish_grads(params, rows, total)
+        if one_shard:
+            _backward_shard(params, tapes[0], coefficients)
+        else:
+            size = sum(p.data.size for p in params)
+            rows = np.empty((len(bounds), size), dtype=params[0].data.dtype)
+            for tape, row in zip(tapes, rows):
+                _backward_shard(params, tape, coefficients, row)
+            _publish_grads(params, rows, np.empty_like(rows[0]))
     return _batch_stats(objective, n, u, v, w, correct)
 
 
@@ -322,9 +333,9 @@ class DataParallelEngine:
     The arena is sized lazily on the first :meth:`train_step` (batch
     geometry and dtypes are only known then).  After each step the
     model's ``param.grad`` holds the summed shard gradients — the
-    caller clips and applies the optimizer exactly as in serial
-    training; the engine re-publishes the updated parameters at the
-    start of the next step.
+    caller applies the optimizer exactly as after :func:`sharded_step`;
+    the engine re-publishes the updated parameters at the start of the
+    next step.
 
     ``retry`` bounds worker respawns (per rank) and paces them with
     exponential backoff; ``retry.max_retries == 0`` means a lost worker
@@ -790,7 +801,7 @@ def _engine_worker(rank: int, num_workers: int, pipe, payload) -> None:
                     with remote_span(
                         "parallel.shard.backward", ctx, rank=rank, shard=index
                     ) as span:
-                        _backward_shard(model, params, tape, coefficients, grads[index])
+                        _backward_shard(params, tape, coefficients, grads[index])
                     m_backward.observe(_time.perf_counter() - started)
                     if span is not None:
                         records.append(span.to_record())

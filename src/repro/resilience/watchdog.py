@@ -3,7 +3,7 @@
 A NaN loss does not crash numpy training — it silently propagates
 through Adam into every parameter and poisons the rest of the run.
 :class:`TrainingWatchdog` is the per-batch tripwire: the trainer feeds
-it each batch's loss and pre-clip gradient norm, and a non-``None``
+it each batch's loss and global gradient norm, and a non-``None``
 return means "this step must not be applied" — the trainer rolls back
 to the last good checkpoint with a learning-rate cut instead of dying
 (see ``Trainer.fit``).

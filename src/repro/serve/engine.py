@@ -759,7 +759,15 @@ class ServeEngine:
             for i, request in enumerate(batch):
                 inputs[i] = request.tensor
         compute_started = time.monotonic()
-        probabilities, scores = gen.backend.infer(0, inputs)
+        try:
+            probabilities, scores = gen.backend.infer(0, inputs)
+        except BaseException as error:
+            # The runner fails this batch's futures; its traces say so.
+            if batch_span is not None:
+                for span in [request.trace for request in traced] + [batch_span]:
+                    span.event("error", type=type(error).__name__)
+                    tracer.end(span, status="error")
+            raise
         completed = time.monotonic()
         compute_s = completed - compute_started
         # A swap that committed while this batch was in flight cleared

@@ -72,10 +72,6 @@ class TestBackbone:
             "Flatten", "Dense", "ReLU",
         ]
 
-    def test_dropout_inserted_when_configured(self):
-        backbone = build_backbone(BackboneConfig(input_size=32, dropout=0.5))
-        assert any(type(layer).__name__ == "Dropout" for layer in backbone)
-
     def test_seed_reproducible(self):
         config = BackboneConfig(input_size=16, conv_channels=(4,), conv_kernels=(3,), fc_units=8)
         a = build_backbone(config)

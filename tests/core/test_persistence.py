@@ -82,6 +82,51 @@ class TestFullCoverageRoundtrip:
         )
 
 
+def _as_archive_with_dropout(path, rate):
+    """Rewrite a saved archive as one saved while ``BackboneConfig`` had
+    a ``dropout`` field: the key in the metadata and, for a nonzero
+    rate, the later backbone layers one index up behind a Dropout."""
+    import json
+
+    with np.load(path) as archive:
+        members = {key: archive[key] for key in archive.files}
+    metadata = json.loads(str(members.pop("metadata")))
+    metadata["backbone"]["dropout"] = rate
+    dropout_index = 3 * len(metadata["backbone"]["conv_channels"]) + 1
+    shifted = {}
+    for key, value in members.items():
+        prefix, _, rest = key.partition("backbone.layer")
+        index, _, name = rest.partition(".")
+        if rate and rest and int(index) >= dropout_index:
+            key = f"{prefix}backbone.layer{int(index) + 1}.{name}"
+        shifted[key] = value
+    np.savez_compressed(path, metadata=np.array(json.dumps(metadata)), **shifted)
+
+
+class TestArchivesWithDropoutField:
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_old_archive_loads_to_the_same_predictions(self, tiny_splits, tmp_path, rate):
+        train, __, test = tiny_splits
+        classifier = SelectiveWaferClassifier(
+            target_coverage=0.5,
+            backbone=fast_backbone(train.map_size),
+            train=fast_train(),
+        )
+        classifier.fit(train)
+        path = tmp_path / "old.npz"
+        save_classifier(classifier, path)
+        _as_archive_with_dropout(path, rate)
+
+        loaded = load_classifier(path)
+        assert loaded.model.config == classifier.model.config
+        original = classifier.predict_dataset(test)
+        restored = loaded.predict_dataset(test)
+        np.testing.assert_array_equal(original.labels, restored.labels)
+        np.testing.assert_array_equal(
+            original.selection_scores, restored.selection_scores
+        )
+
+
 class TestErrors:
     def test_unfitted_classifier_raises(self, tmp_path):
         with pytest.raises(ValueError):

@@ -238,6 +238,31 @@ class TestBackpressure:
         finally:
             engine.close()
 
+    def test_backend_error_ends_traced_spans_with_error(self):
+        from repro.obs.trace import arm_tracing, disarm_tracing
+
+        backend = _StubBackend()
+        backend.error = RuntimeError("backend died")
+        tracer = arm_tracing(recorder=False)
+        try:
+            engine = _stub_engine(backend, MetricsRegistry(), max_batch_size=4)
+            try:
+                grid = np.zeros((SIZE, SIZE), dtype=np.uint8)
+                with pytest.raises(RuntimeError, match="backend died"):
+                    engine.submit(grid).result(timeout=30.0)
+            finally:
+                engine.close()
+        finally:
+            disarm_tracing()
+        spans = {record["name"]: record for record in tracer.spans()}
+        assert spans["serve.queue"]["status"] == "ok"
+        for name in ("serve.request", "serve.batch"):
+            assert spans[name]["status"] == "error", name
+            assert [(e["name"], e["data"]) for e in spans[name]["events"]] == [
+                ("error", {"type": "RuntimeError"})
+            ]
+        assert spans["serve.batch"]["parent_id"] == spans["serve.request"]["span_id"]
+
 
 def _stub_engine(backend, registry, **config):
     return ServeEngine(
