@@ -67,6 +67,10 @@ __all__ = ["TrainConfig", "EpochStats", "TrainHistory", "Trainer"]
 
 logger = logging.getLogger("repro.trainer")
 
+#: Learning-rate multiplier applied on each watchdog rollback, so the
+#: retried epochs do not re-diverge at the step size that diverged.
+ROLLBACK_LR_CUT = 0.5
+
 
 class _WatchdogTrip(Exception):
     """Internal: a batch failed the health check before the optimizer
@@ -133,8 +137,6 @@ class TrainConfig:
     grad_norm_limit: Optional[float] = None
     #: Watchdog bound on the batch loss; ``None`` disables it.
     loss_limit: Optional[float] = None
-    #: Learning-rate multiplier applied on each watchdog rollback.
-    rollback_lr_cut: float = 0.5
     #: Watchdog rollbacks tolerated before the run fails loudly.
     max_rollbacks: int = 2
 
@@ -149,8 +151,6 @@ class TrainConfig:
             raise ValueError("worker_retries must be non-negative")
         if self.keep_checkpoints < 0:
             raise ValueError("keep_checkpoints must be non-negative")
-        if not 0.0 < self.rollback_lr_cut <= 1.0:
-            raise ValueError("rollback_lr_cut must be in (0, 1]")
         if self.max_rollbacks < 0:
             raise ValueError("max_rollbacks must be non-negative")
 
@@ -364,7 +364,7 @@ class Trainer:
         """Restore the last good checkpoint after a watchdog trip.
 
         Returns the restored epoch and drops the history after it.
-        Cuts the learning rate by ``config.rollback_lr_cut`` so the
+        Cuts the learning rate by :data:`ROLLBACK_LR_CUT` so the
         retried epochs do not immediately re-diverge.  Raises when no
         checkpointing is configured, nothing valid exists, or the
         rollback budget is spent — a run that cannot recover must fail
@@ -400,7 +400,7 @@ class Trainer:
         state = self._checkpoints.load(path, self.model, self.optimizer)
         if state.get("rng_state"):
             self._checkpoints.restore_rng(self._rng, state["rng_state"])
-        self.optimizer.lr *= self.config.rollback_lr_cut
+        self.optimizer.lr *= ROLLBACK_LR_CUT
         self._m_rollbacks.inc()
         epoch = int(state["epoch"])
         logger.warning(

@@ -2,8 +2,11 @@
 
 This package is the substrate the paper's models are built on: since no
 GPU deep-learning stack is available offline, the reproduction
-implements reverse-mode autodiff, convolutional layers, losses, and
-optimizers directly on numpy.
+implements reverse-mode autodiff and exactly the operations the paper's
+models run directly on numpy: the Table I CNN (conv, ReLU, 2x2
+max-pool, dense, softmax cross-entropy), the selection head (dense,
+ReLU, sigmoid), the Fig. 3 auto-encoder (conv, transposed conv,
+upsampling, sigmoid, mean squared error), and Adam.
 
 Quick tour
 ----------
@@ -23,29 +26,21 @@ Quick tour
 from . import functional, init, losses, optim
 from . import compile  # noqa: A004 - nn.compile(model) is the entry point
 from .layers import (
-    AvgPool2D,
-    BatchNorm1D,
-    BatchNorm2D,
     Conv2D,
     ConvTranspose2D,
     Dense,
-    Dropout,
     Flatten,
     HookHandle,
-    LeakyReLU,
-    LogSoftmax,
     MaxPool2D,
     Module,
     Parameter,
     ReLU,
     Sequential,
     Sigmoid,
-    Softmax,
-    Tanh,
     UpSample2D,
 )
-from .losses import binary_cross_entropy, cross_entropy, mse_loss, nll_loss, one_hot
-from .optim import SGD, Adam, ConstantLR, CosineLR, ExponentialLR, RMSProp, StepLR
+from .losses import cross_entropy, mse_loss, one_hot
+from .optim import Adam
 from .functional import train_scratch
 from .serialization import load_model, load_optimizer, save_model, save_optimizer
 from .tensor import (
@@ -84,29 +79,13 @@ __all__ = [
     "Dense",
     "Flatten",
     "MaxPool2D",
-    "AvgPool2D",
     "UpSample2D",
     "ReLU",
-    "LeakyReLU",
     "Sigmoid",
-    "Tanh",
-    "Softmax",
-    "LogSoftmax",
-    "Dropout",
-    "BatchNorm1D",
-    "BatchNorm2D",
     "cross_entropy",
-    "nll_loss",
     "mse_loss",
-    "binary_cross_entropy",
     "one_hot",
-    "SGD",
     "Adam",
-    "RMSProp",
-    "ConstantLR",
-    "StepLR",
-    "ExponentialLR",
-    "CosineLR",
     "save_model",
     "save_optimizer",
     "load_optimizer",

@@ -10,7 +10,7 @@ The contract, end to end:
   (the tape's forward with recording off) for the same inputs, in
   values and memory layout (pinned by the parity test wall).
 * Anything the compiler does not cover — unknown layer types, layer
-  subclasses, training-mode dropout/batch-norm, hooked modules — makes
+  subclasses, models in training mode, hooked modules — makes
   :meth:`CompiledModule.try_run` return ``None`` and bumps the
   ``compile.fallbacks`` counter; it never raises at the call site.
   Calling the :class:`CompiledModule` falls back to the graph's eager
@@ -228,9 +228,9 @@ class CompiledModule:
         return grown
 
     def _eligible(self, x: np.ndarray) -> bool:
-        # Training-mode layers (dropout, batch-norm) are stochastic or
-        # stateful; inference compilation covers eval mode only.  An
-        # empty or 0-d batch has no rows to plan.
+        # Inference compilation covers eval mode only; a model in
+        # training mode runs the tape.  An empty or 0-d batch has no
+        # rows to plan.
         return not getattr(self.model, "training", False) and x.ndim > 0 and len(x) > 0
 
     def reserve(self, x, capacity: int) -> bool:

@@ -152,17 +152,15 @@ class NumpyBackend:
             return self._lower_matmul(kernel, get, out)
         if kernel.kind == "elementwise":
             return self._lower_elementwise_chain(kernel, get, out)
-        if root.kind in ("maxpool", "avgpool"):
+        if root.kind == "maxpool":
             taps = F._window_taps(
                 program.graph.op(root.inputs[0]).shape,
                 root.params["kernel"], root.params["stride"],
             )
-            pool = self._lower_maxpool if root.kind == "maxpool" else self._lower_avgpool
-            return pool(taps, get(root.inputs[0]), out)
+            return self._lower_maxpool(taps, get(root.inputs[0]), out)
         single = {
             "upsample": self._lower_upsample,
             "softmax": self._lower_softmax,
-            "log_softmax": self._lower_log_softmax,
         }.get(root.kind)
         if single is None:
             raise UnsupportedOpError(f"numpy backend cannot lower {root.kind!r}")
@@ -328,48 +326,23 @@ class NumpyBackend:
         self, op: LazyOp, get: Callable[[int], Getter], channels_last: bool
     ) -> Callable[[np.ndarray, dict], None]:
         kind = op.kind
-
-        def shape_operand(getter: Getter, broadcast) -> Getter:
-            if channels_last or broadcast is None:
-                return getter
-            return lambda env: getter(env).reshape(broadcast)
-
         if kind == "bias_add":
+            get_b = get(op.inputs[1])
             axis = op.params.get("channel_axis", -1)
             broadcast = None
-            if axis in (1, -3) and len(op.shape) == 4:
+            if not channels_last and axis in (1, -3) and len(op.shape) == 4:
                 broadcast = (1, op.shape[1], 1, 1)
-            get_b = shape_operand(get(op.inputs[1]), broadcast)
 
             def apply(buf: np.ndarray, env: dict) -> None:
-                buf += get_b(env)
+                bias = get_b(env)
+                buf += bias if broadcast is None else bias.reshape(broadcast)
 
             return apply
         if kind == "relu":
             return lambda buf, env: np.maximum(buf, 0, out=buf)
-        if kind == "leaky_relu":
-            slope = op.params["negative_slope"]
-
-            def apply(buf: np.ndarray, env: dict) -> None:
-                scale = np.where(buf > 0, 1.0, slope).astype(buf.dtype)
-                buf *= scale
-
-            return apply
         if kind == "sigmoid":
             def apply(buf: np.ndarray, env: dict) -> None:
                 np.copyto(buf, _sigmoid(buf))
-
-            return apply
-        if kind == "tanh":
-            return lambda buf, env: np.tanh(buf, out=buf)
-        if kind == "affine":
-            broadcast = op.params.get("broadcast")
-            get_s = shape_operand(get(op.inputs[1]), broadcast)
-            get_t = shape_operand(get(op.inputs[2]), broadcast)
-
-            def apply(buf: np.ndarray, env: dict) -> None:
-                buf *= get_s(env)
-                buf += get_t(env)
 
             return apply
         raise UnsupportedOpError(f"numpy backend cannot fuse {kind!r}")
@@ -396,19 +369,9 @@ class NumpyBackend:
         kind = op.kind
         if kind == "relu":
             return lambda x, target, env: np.maximum(x, 0, out=target)
-        if kind == "tanh":
-            return lambda x, target, env: np.tanh(x, out=target)
         if kind == "sigmoid":
             return lambda x, target, env: np.copyto(target, _sigmoid(x))
-        if kind == "leaky_relu":
-            slope = op.params["negative_slope"]
-
-            def run(x: np.ndarray, target: np.ndarray, env: dict) -> None:
-                scale = np.where(x > 0, 1.0, slope).astype(x.dtype)
-                np.multiply(x, scale, out=target)
-
-            return run
-        # bias_add / affine in native layout: stage x then apply in place.
+        # bias_add in native layout: stage x then apply in place.
         applier = self._applier(op, get, channels_last=False)
 
         def run(x: np.ndarray, target: np.ndarray, env: dict) -> None:
@@ -418,7 +381,7 @@ class NumpyBackend:
         return run
 
     # -- Singleton kernels ---------------------------------------------
-    # Both pools replay their F twin's window-tap passes, accumulating
+    # The pool replays F.max_pool2d's window-tap passes, accumulating
     # into the planned buffer instead of a fresh array.
     def _lower_maxpool(
         self, taps: List[tuple], get_x: Getter, out: Getter
@@ -429,19 +392,6 @@ class NumpyBackend:
             np.copyto(target, x[taps[0]])
             for tap in taps[1:]:
                 np.maximum(target, x[tap], out=target)
-
-        return run
-
-    def _lower_avgpool(
-        self, taps: List[tuple], get_x: Getter, out: Getter
-    ) -> Callable[[dict], None]:
-        def run(env: dict) -> None:
-            x = get_x(env)
-            target = out(env)
-            np.copyto(target, x[taps[0]])
-            for tap in taps[1:]:
-                target += x[tap]
-            target *= x.dtype.type(1.0 / len(taps))
 
         return run
 
@@ -472,20 +422,6 @@ class NumpyBackend:
             np.subtract(x, x.max(axis=axis, keepdims=True), out=target)
             np.exp(target, out=target)
             target /= target.sum(axis=axis, keepdims=True)
-
-        return run
-
-    def _lower_log_softmax(
-        self, op: LazyOp, get_x: Getter, out: Getter
-    ) -> Callable[[dict], None]:
-        axis = op.params["axis"]
-
-        def run(env: dict) -> None:
-            x = get_x(env)
-            target = out(env)
-            np.subtract(x, x.max(axis=axis, keepdims=True), out=target)
-            exp = np.exp(target)
-            target -= np.log(exp.sum(axis=axis, keepdims=True))
 
         return run
 

@@ -43,7 +43,7 @@ from .plan import ArenaPlan
 __all__ = ["CompiledGraph"]
 
 #: Op kinds whose eager result keeps its input's memory order.
-_ORDER_KEEPING = ELEMENTWISE_KINDS | {"maxpool", "softmax", "log_softmax"}
+_ORDER_KEEPING = ELEMENTWISE_KINDS | {"maxpool", "softmax"}
 
 
 def _channels_last(graph: Graph) -> Set[int]:

@@ -3,9 +3,9 @@
 Fusion groups *arbitrary* elementwise chains behind any GEMM producer:
 
 * a ``conv2d`` or ``matmul`` absorbs every following single-consumer
-  elementwise op (``bias_add``, ``relu``, ``sigmoid``, ``affine``, …)
-  into one kernel — the chain runs in place on the GEMM output while it
-  is still in the GEMM's natural layout;
+  elementwise op (``bias_add``, ``relu``, ``sigmoid``) into one
+  kernel — the chain runs in place on the GEMM output while it is
+  still in the GEMM's natural layout;
 * a conv-rooted kernel additionally absorbs a trailing non-overlapping
   ``maxpool`` that tiles its output exactly, reducing the windows in
   the GEMM's channels-last rows, so the full-size activation is never

@@ -13,8 +13,13 @@ from a module tree; lowering turns it into fused kernels
 Value ids are just op ids: every op produces exactly one value.  Leaf
 ops (``input`` / ``param``) carry no inputs; ``param`` leaves hold a
 zero-argument *binding* callable evaluated at run time, so weight
-updates (in-place optimizer steps, ``load_state_dict``) and
-batch-norm running-stat changes are picked up without recompiling.
+updates (in-place optimizer steps, ``load_state_dict``) are picked up
+without recompiling.
+
+The op kinds are exactly what the paper's models run at inference:
+the leaves ``input`` and ``param``; the GEMM producers ``conv2d`` and
+``matmul``; the elementwise ``bias_add``, ``relu`` and ``sigmoid``;
+and ``maxpool``, ``upsample``, ``reshape`` and ``softmax``.
 """
 
 from __future__ import annotations
@@ -37,9 +42,7 @@ __all__ = [
 #: Elementwise op kinds: one value in, same-shape value out, no
 #: cross-element data flow.  These are the fusion pass's free riders —
 #: any chain of them can run in place on a producer's output buffer.
-ELEMENTWISE_KINDS = frozenset(
-    {"bias_add", "relu", "leaky_relu", "sigmoid", "tanh", "affine"}
-)
+ELEMENTWISE_KINDS = frozenset({"bias_add", "relu", "sigmoid"})
 
 #: Kinds that anchor a fused kernel (a GEMM whose output an elementwise
 #: chain — and for conv, a trailing max-pool — can be folded into).
@@ -57,10 +60,10 @@ class UnsupportedOpError(Exception):
 
 
 class ModuleStateError(UnsupportedOpError):
-    """The module cannot compile in its *current state* — timing hooks
-    attached, layers in training mode — though it may once that state
-    changes.  Falls back like any :class:`UnsupportedOpError`, but is
-    not remembered: the next call tries again.
+    """The module cannot compile in its *current state* (timing hooks
+    attached), though it may once that state changes.  Falls back like
+    any :class:`UnsupportedOpError`, but is not remembered: the next
+    call tries again.
     """
 
 

@@ -18,13 +18,12 @@ from typing import Callable, Dict, Sequence, Tuple, Type
 
 import numpy as np
 
-from ..layers.activations import LeakyReLU, LogSoftmax, ReLU, Sigmoid, Softmax, Tanh
+from ..layers.activations import ReLU, Sigmoid
 from ..layers.base import Module
 from ..layers.container import Sequential
 from ..layers.conv import Conv2D
 from ..layers.dense import Dense, Flatten
-from ..layers.pooling import AvgPool2D, MaxPool2D, UpSample2D
-from ..layers.regularization import BatchNorm1D, BatchNorm2D, Dropout
+from ..layers.pooling import MaxPool2D, UpSample2D
 from .ir import Graph, GraphBuilder, ModuleStateError, UnsupportedOpError
 
 __all__ = ["register_tracer", "trace_call", "trace_module"]
@@ -190,63 +189,35 @@ def _trace_flatten(module: Flatten, builder: GraphBuilder, x_id: int) -> int:
 def _elementwise(kind: str):
     def tracer(module: Module, builder: GraphBuilder, x_id: int) -> int:
         shape, dtype = _meta(builder, x_id)
-        params = {}
-        if kind == "leaky_relu":
-            params["negative_slope"] = module.negative_slope
-        return builder.add_op(
-            kind, (x_id,), shape, dtype, params=params, source=_name_of(module)
-        )
+        return builder.add_op(kind, (x_id,), shape, dtype, source=_name_of(module))
 
     return tracer
 
 
 register_tracer(ReLU)(_elementwise("relu"))
-register_tracer(LeakyReLU)(_elementwise("leaky_relu"))
 register_tracer(Sigmoid)(_elementwise("sigmoid"))
-register_tracer(Tanh)(_elementwise("tanh"))
-
-
-def _axis_op(kind: str):
-    def tracer(module: Module, builder: GraphBuilder, x_id: int) -> int:
-        shape, dtype = _meta(builder, x_id)
-        return builder.add_op(
-            kind, (x_id,), shape, dtype,
-            params={"axis": module.axis}, source=_name_of(module),
-        )
-
-    return tracer
-
-
-register_tracer(Softmax)(_axis_op("softmax"))
-register_tracer(LogSoftmax)(_axis_op("log_softmax"))
 
 
 # ----------------------------------------------------------------------
 # Pooling / upsampling
 # ----------------------------------------------------------------------
-def _pool(kind: str):
-    def tracer(module: Module, builder: GraphBuilder, x_id: int) -> int:
-        shape, dtype = _meta(builder, x_id)
-        if len(shape) != 4:
-            raise UnsupportedOpError(f"{kind} expects NCHW input, traced {shape}")
-        n, c, h, w = shape
-        kh, kw = module.kernel_size
-        sh, sw = module.stride
-        out_h = (h - kh) // sh + 1
-        out_w = (w - kw) // sw + 1
-        if out_h < 1 or out_w < 1:
-            raise UnsupportedOpError(f"{kind} output collapses on input {shape}")
-        return builder.add_op(
-            kind, (x_id,), (n, c, out_h, out_w), dtype,
-            params={"kernel": (kh, kw), "stride": (sh, sw)},
-            source=_name_of(module),
-        )
-
-    return tracer
-
-
-register_tracer(MaxPool2D)(_pool("maxpool"))
-register_tracer(AvgPool2D)(_pool("avgpool"))
+@register_tracer(MaxPool2D)
+def _trace_maxpool(module: MaxPool2D, builder: GraphBuilder, x_id: int) -> int:
+    shape, dtype = _meta(builder, x_id)
+    if len(shape) != 4:
+        raise UnsupportedOpError(f"MaxPool2D expects NCHW input, traced {shape}")
+    n, c, h, w = shape
+    kh, kw = module.kernel_size
+    sh, sw = module.stride
+    out_h = (h - kh) // sh + 1
+    out_w = (w - kw) // sw + 1
+    if out_h < 1 or out_w < 1:
+        raise UnsupportedOpError(f"MaxPool2D output collapses on input {shape}")
+    return builder.add_op(
+        "maxpool", (x_id,), (n, c, out_h, out_w), dtype,
+        params={"kernel": (kh, kw), "stride": (sh, sw)},
+        source=_name_of(module),
+    )
 
 
 @register_tracer(UpSample2D)
@@ -259,58 +230,3 @@ def _trace_upsample(module: UpSample2D, builder: GraphBuilder, x_id: int) -> int
         "upsample", (x_id,), (n, c, h * module.scale, w * module.scale), dtype,
         params={"scale": module.scale}, source=_name_of(module),
     )
-
-
-# ----------------------------------------------------------------------
-# Regularization
-# ----------------------------------------------------------------------
-@register_tracer(Dropout)
-def _trace_dropout(module: Dropout, builder: GraphBuilder, x_id: int) -> int:
-    if module.training and module.rate > 0.0:
-        raise ModuleStateError("Dropout in training mode is stochastic")
-    return x_id  # identity in eval mode
-
-
-def _trace_batchnorm(module, builder: GraphBuilder, x_id: int, ndim: int) -> int:
-    if module.training:
-        raise ModuleStateError("BatchNorm in training mode updates running stats")
-    shape, dtype = _meta(builder, x_id)
-    if len(shape) != ndim or shape[1] != module.num_features:
-        raise UnsupportedOpError(
-            f"{_name_of(module)} expects {ndim}-D input with "
-            f"{module.num_features} channels, traced {shape}"
-        )
-    broadcast = (
-        (1, module.num_features, 1, 1) if ndim == 4 else (1, module.num_features)
-    )
-
-    # Mirrors the eager eval fast path bit for bit: fold running stats
-    # and the affine transform into one per-feature scale/shift.  The
-    # bindings re-read the module every run, so stat updates between
-    # runs are picked up without recompiling.
-    def scale() -> np.ndarray:
-        var = module._buffers["running_var"]
-        return module.gamma.data * (var + module.eps) ** -0.5
-
-    def shift() -> np.ndarray:
-        return module.beta.data - module._buffers["running_mean"] * scale()
-
-    feat_dtype = np.result_type(module.gamma.dtype, module._buffers["running_var"].dtype)
-    s_id = builder.add_param(
-        scale, (module.num_features,), feat_dtype, source=f"{_name_of(module)}.scale"
-    )
-    t_id = builder.add_param(
-        shift, (module.num_features,), feat_dtype, source=f"{_name_of(module)}.shift"
-    )
-    return builder.add_op(
-        "affine", (x_id, s_id, t_id), shape, np.result_type(dtype, feat_dtype),
-        params={"broadcast": broadcast}, source=_name_of(module),
-    )
-
-
-register_tracer(BatchNorm2D)(
-    lambda module, builder, x_id: _trace_batchnorm(module, builder, x_id, 4)
-)
-register_tracer(BatchNorm1D)(
-    lambda module, builder, x_id: _trace_batchnorm(module, builder, x_id, 2)
-)

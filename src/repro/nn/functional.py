@@ -59,7 +59,6 @@ __all__ = [
     "conv2d",
     "conv_transpose2d",
     "max_pool2d",
-    "avg_pool2d",
     "upsample2d",
     "conv_output_size",
     "narrows",
@@ -707,37 +706,6 @@ def max_pool2d(x: Tensor, kernel: IntPair = 2, stride: IntPair = None) -> Tensor
         # Later taps belong to earlier windows of a shared cell.
         for tap, hit in zip(reversed(taps), reversed(hits)):
             grad_x[tap] += grad * hit
-        x._accumulate(grad_x)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def avg_pool2d(x: Tensor, kernel: IntPair = 2, stride: IntPair = None) -> Tensor:
-    """Average pooling; used by ablation variants of the architecture.
-
-    Tape and inference share one slice-wise accumulation, so both
-    return the same bits.
-    """
-    kernel = _pair(kernel)
-    if stride is None:
-        stride = kernel
-    stride = _pair(stride)
-    data = x.data
-    taps = _window_taps(data.shape, kernel, stride)
-    scale = data.dtype.type(1.0 / len(taps))
-    out_data = data[taps[0]].copy()
-    for tap in taps[1:]:
-        out_data += data[tap]
-    out_data *= scale
-    if not _recording(x):
-        return Tensor(out_data)
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        grad_x = np.zeros_like(data)
-        for tap in taps:
-            grad_x[tap] += grad * scale
         x._accumulate(grad_x)
 
     return Tensor._make(out_data, (x,), backward)

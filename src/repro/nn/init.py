@@ -12,15 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = [
-    "compute_fans",
-    "he_normal",
-    "he_uniform",
-    "glorot_normal",
-    "glorot_uniform",
-    "zeros",
-    "normal",
-]
+__all__ = ["compute_fans", "he_normal", "glorot_normal", "zeros"]
 
 
 def compute_fans(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -45,13 +37,6 @@ def he_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
-def he_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Kaiming-uniform: bound ``sqrt(6 / fan_in)``."""
-    fan_in, _ = compute_fans(shape)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
 def glorot_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Xavier-normal: ``std = sqrt(2 / (fan_in + fan_out))``."""
     fan_in, fan_out = compute_fans(shape)
@@ -59,28 +44,14 @@ def glorot_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarra
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
-def glorot_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Xavier-uniform: bound ``sqrt(6 / (fan_in + fan_out))``."""
-    fan_in, fan_out = compute_fans(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
 def zeros(shape: Tuple[int, ...], rng: np.random.Generator = None) -> np.ndarray:
     """All-zeros; the default for biases."""
     return np.zeros(shape, dtype=np.float32)
 
 
-def normal(shape: Tuple[int, ...], rng: np.random.Generator, std: float = 0.01) -> np.ndarray:
-    """Plain Gaussian initializer with configurable scale."""
-    return rng.normal(0.0, std, size=shape).astype(np.float32)
-
-
 INITIALIZERS = {
     "he_normal": he_normal,
-    "he_uniform": he_uniform,
     "glorot_normal": glorot_normal,
-    "glorot_uniform": glorot_uniform,
     "zeros": zeros,
 }
 

@@ -1,12 +1,11 @@
 """Neural-network layers for the numpy deep-learning substrate."""
 
-from .activations import LeakyReLU, LogSoftmax, ReLU, Sigmoid, Softmax, Tanh
+from .activations import ReLU, Sigmoid
 from .base import HookHandle, Module, Parameter
 from .container import Sequential
 from .conv import Conv2D, ConvTranspose2D
 from .dense import Dense, Flatten
-from .pooling import AvgPool2D, MaxPool2D, UpSample2D
-from .regularization import BatchNorm1D, BatchNorm2D, Dropout
+from .pooling import MaxPool2D, UpSample2D
 
 __all__ = [
     "Module",
@@ -18,15 +17,7 @@ __all__ = [
     "Dense",
     "Flatten",
     "MaxPool2D",
-    "AvgPool2D",
     "UpSample2D",
     "ReLU",
-    "LeakyReLU",
     "Sigmoid",
-    "Tanh",
-    "Softmax",
-    "LogSoftmax",
-    "Dropout",
-    "BatchNorm1D",
-    "BatchNorm2D",
 ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..tensor import Tensor
 from .base import Module
 
-__all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Softmax", "LogSoftmax"]
+__all__ = ["ReLU", "Sigmoid"]
 
 
 class ReLU(Module):
@@ -18,20 +18,6 @@ class ReLU(Module):
         return "ReLU()"
 
 
-class LeakyReLU(Module):
-    """Leaky rectified linear unit."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-    def __repr__(self) -> str:
-        return f"LeakyReLU(negative_slope={self.negative_slope})"
-
-
 class Sigmoid(Module):
     """Logistic sigmoid; the paper's selection head uses one of these."""
 
@@ -40,41 +26,3 @@ class Sigmoid(Module):
 
     def __repr__(self) -> str:
         return "Sigmoid()"
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-    def __repr__(self) -> str:
-        return "Tanh()"
-
-
-class Softmax(Module):
-    """Softmax over a given axis (default: class axis)."""
-
-    def __init__(self, axis: int = -1) -> None:
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.softmax(axis=self.axis)
-
-    def __repr__(self) -> str:
-        return f"Softmax(axis={self.axis})"
-
-
-class LogSoftmax(Module):
-    """Log-softmax over a given axis."""
-
-    def __init__(self, axis: int = -1) -> None:
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.log_softmax(axis=self.axis)
-
-    def __repr__(self) -> str:
-        return f"LogSoftmax(axis={self.axis})"

@@ -199,7 +199,8 @@ class Module:
     # Train / eval mode
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects Dropout / BatchNorm)."""
+        """Set training mode recursively (compiled inference runs only
+        in eval mode)."""
         for module in self.modules():
             module.training = mode
         return self
@@ -212,7 +213,7 @@ class Module:
     # Dtype control
     # ------------------------------------------------------------------
     def astype(self, dtype) -> "Module":
-        """Cast every parameter, gradient, and buffer in place to ``dtype``.
+        """Cast every parameter and gradient in place to ``dtype``.
 
         The substrate runs float32 by default; casting to ``np.float64``
         is the opt-in verification mode (tight gradchecks and parity
@@ -227,11 +228,6 @@ class Module:
             param.data = param.data.astype(dtype)
             if param.grad is not None:
                 param.grad = param.grad.astype(dtype)
-        for module in self.modules():
-            buffers = getattr(module, "_buffers", None)
-            if buffers:
-                for name, value in buffers.items():
-                    buffers[name] = value.astype(dtype)
         return self
 
     # ------------------------------------------------------------------
@@ -246,57 +242,30 @@ class Module:
     # Serialization
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
-        """Return a flat mapping of dotted parameter names to arrays.
-
-        Buffers (e.g. batch-norm running statistics) are included via
-        the ``_buffers`` convention used by :class:`BatchNorm2D`.
-        """
-        state: Dict[str, np.ndarray] = {}
-        for name, param in self.named_parameters():
-            state[name] = param.data.copy()
-        for name, buffer in self.named_buffers():
-            state[name] = buffer.copy()
-        return state
-
-    def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
-        """Yield non-trainable persistent arrays (running stats etc.)."""
-        buffers = getattr(self, "_buffers", None)
-        if buffers:
-            for name, value in buffers.items():
-                yield (f"{prefix}{name}", value)
-        for child_name, child in self._modules.items():
-            yield from child.named_buffers(prefix=f"{prefix}{child_name}.")
+        """Return a flat mapping of dotted parameter names to arrays."""
+        return {name: param.data.copy() for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters and buffers from :meth:`state_dict` output."""
+        """Load parameters from :meth:`state_dict` output.
+
+        Every key and shape is checked before any parameter is assigned,
+        so a rejected state leaves the module exactly as it was.
+        """
         params = dict(self.named_parameters())
-        buffers = {}
-        for module_prefix, module in self._walk_with_prefix():
-            module_buffers = getattr(module, "_buffers", None)
-            if module_buffers:
-                for name in module_buffers:
-                    buffers[f"{module_prefix}{name}"] = (module, name)
-        for key, value in state.items():
-            if key in params:
-                if params[key].shape != value.shape:
-                    raise ValueError(
-                        f"shape mismatch for {key!r}: "
-                        f"model has {params[key].shape}, state has {value.shape}"
-                    )
-                params[key].data = value.astype(params[key].dtype).copy()
-            elif key in buffers:
-                module, name = buffers[key]
-                module._buffers[name] = value.copy()
-            else:
+        for key in state:
+            if key not in params:
                 raise KeyError(f"unexpected key in state dict: {key!r}")
         missing = set(params) - set(state)
         if missing:
             raise KeyError(f"state dict missing parameters: {sorted(missing)}")
-
-    def _walk_with_prefix(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
-        yield (prefix, self)
-        for child_name, child in self._modules.items():
-            yield from child._walk_with_prefix(prefix=f"{prefix}{child_name}.")
+        for key, param in params.items():
+            if param.shape != state[key].shape:
+                raise ValueError(
+                    f"shape mismatch for {key!r}: "
+                    f"model has {param.shape}, state has {state[key].shape}"
+                )
+        for key, param in params.items():
+            param.data = np.array(state[key], dtype=param.dtype, order="C")
 
     def __repr__(self) -> str:
         child_lines = []

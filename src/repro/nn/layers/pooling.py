@@ -8,7 +8,7 @@ from .. import functional as F
 from ..tensor import Tensor
 from .base import Module
 
-__all__ = ["MaxPool2D", "AvgPool2D", "UpSample2D"]
+__all__ = ["MaxPool2D", "UpSample2D"]
 
 IntPair = Union[int, Tuple[int, int]]
 
@@ -26,21 +26,6 @@ class MaxPool2D(Module):
 
     def __repr__(self) -> str:
         return f"MaxPool2D(kernel_size={self.kernel_size}, stride={self.stride})"
-
-
-class AvgPool2D(Module):
-    """Average pooling layer (used in architecture ablations)."""
-
-    def __init__(self, kernel_size: IntPair = 2, stride: Optional[IntPair] = None) -> None:
-        super().__init__()
-        self.kernel_size = F._pair(kernel_size)
-        self.stride = F._pair(stride) if stride is not None else self.kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
-
-    def __repr__(self) -> str:
-        return f"AvgPool2D(kernel_size={self.kernel_size}, stride={self.stride})"
 
 
 class UpSample2D(Module):

@@ -2,8 +2,8 @@
 
 Includes the plain cross-entropy of Eq. (1) in the paper (with optional
 per-sample weights, used to down-weight synthetic samples by ``w`` in
-the augmentation scheme) plus the regression losses the auto-encoder
-uses.  The SelectiveNet objective (Eqs. 6–9) builds on these and lives
+the augmentation scheme) plus the mean squared error the auto-encoder
+trains on.  The SelectiveNet objective (Eqs. 6–9) builds on these and lives
 in :mod:`repro.core.losses`.
 """
 
@@ -15,13 +15,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = [
-    "cross_entropy",
-    "nll_loss",
-    "mse_loss",
-    "binary_cross_entropy",
-    "one_hot",
-]
+__all__ = ["cross_entropy", "mse_loss", "one_hot"]
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -84,20 +78,6 @@ def cross_entropy(
     raise ValueError(f"unknown reduction {reduction!r}")
 
 
-def nll_loss(log_probs: Tensor, labels: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood from log-probabilities."""
-    num_classes = log_probs.shape[-1]
-    targets = one_hot(np.asarray(labels), num_classes)
-    per_sample = -(log_probs * Tensor(targets)).sum(axis=-1)
-    if reduction == "none":
-        return per_sample
-    if reduction == "sum":
-        return per_sample.sum()
-    if reduction == "mean":
-        return per_sample.mean()
-    raise ValueError(f"unknown reduction {reduction!r}")
-
-
 def mse_loss(prediction: Tensor, target: Union[Tensor, np.ndarray], reduction: str = "mean") -> Tensor:
     """Mean squared error; the auto-encoder's reconstruction loss."""
     if not isinstance(target, Tensor):
@@ -110,24 +90,4 @@ def mse_loss(prediction: Tensor, target: Union[Tensor, np.ndarray], reduction: s
         return squared.sum()
     if reduction == "mean":
         return squared.mean()
-    raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def binary_cross_entropy(
-    probs: Tensor,
-    targets: Union[Tensor, np.ndarray],
-    eps: float = 1e-7,
-    reduction: str = "mean",
-) -> Tensor:
-    """BCE on probabilities (post-sigmoid), clipped for stability."""
-    if not isinstance(targets, Tensor):
-        targets = Tensor(np.asarray(targets, dtype=np.float32))
-    probs = probs.clip(eps, 1.0 - eps)
-    per_element = -(targets * probs.log() + (1.0 - targets) * (1.0 - probs).log())
-    if reduction == "none":
-        return per_element
-    if reduction == "sum":
-        return per_element.sum()
-    if reduction == "mean":
-        return per_element.mean()
     raise ValueError(f"unknown reduction {reduction!r}")

@@ -1,58 +1,42 @@
-"""Gradient-descent optimizers and learning-rate schedules.
+"""The optimizer: Adam, which the paper trains with.
 
-The paper trains with Adam for 100 epochs; SGD (with optional momentum
-and Nesterov acceleration) and RMSProp are provided for ablations and
-for the linear baselines.
+:class:`Optimizer` holds the parameter list, the step count, gradient
+clearing and the state round trip; :class:`Adam` holds the update rule.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
 from .layers.base import Parameter
 
-__all__ = [
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "RMSProp",
-    "LRSchedule",
-    "ConstantLR",
-    "StepLR",
-    "CosineLR",
-    "ExponentialLR",
-]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
     """Base optimizer over a list of parameters.
 
     Subclasses implement :meth:`_update` for a single parameter given
-    its gradient.  Weight decay, if set, is applied as decoupled L2
-    (added to the gradient before the update rule).
+    its gradient.
 
-    The hot loop is allocation-free: weight decay and the subclass
-    update rules run through per-parameter scratch buffers (see
-    :meth:`_buffer`) instead of materializing ``grad + wd * data`` and
-    friends as fresh temporaries every step.
+    The hot loop is allocation-free: the update rule runs through
+    per-parameter scratch buffers (see :meth:`_buffer`) instead of
+    materializing its intermediates as fresh temporaries every step.
     """
 
     #: Names of the per-parameter slot dictionaries a subclass persists
     #: in :meth:`state_dict`; ``"m"`` maps to the ``self._m`` dict.
     _slot_names: tuple = ()
 
-    def __init__(self, parameters: Iterable[Parameter], lr: float, weight_decay: float = 0.0):
+    def __init__(self, parameters: Iterable[Parameter], lr: float):
         self.parameters: List[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
-        if weight_decay < 0:
-            raise ValueError("weight decay must be non-negative")
         self.lr = float(lr)
-        self.weight_decay = float(weight_decay)
         self._step_count = 0
         self._scratch: Dict[tuple, np.ndarray] = {}
 
@@ -78,15 +62,8 @@ class Optimizer:
         """Apply one update using the accumulated gradients."""
         self._step_count += 1
         for index, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                decayed = self._buffer("wd", index, param)
-                np.multiply(param.data, self.weight_decay, out=decayed)
-                decayed += grad
-                grad = decayed
-            self._update(index, param, grad)
+            if param.grad is not None:
+                self._update(index, param, param.grad)
 
     def _update(self, index: int, param: Parameter, grad: np.ndarray) -> None:
         raise NotImplementedError
@@ -95,90 +72,59 @@ class Optimizer:
         return getattr(self, f"_{name}")
 
     def state_dict(self) -> Dict[str, object]:
-        """Serializable optimizer state: hyperparameters, step count and
+        """Serializable optimizer state: learning rate, step count and
         every per-parameter slot buffer (``"<slot>.<param_index>"``)."""
-        state: Dict[str, object] = {
-            "step_count": self._step_count,
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-        }
+        state: Dict[str, object] = {"step_count": self._step_count, "lr": self.lr}
         for name in self._slot_names:
             for index, array in self._slot(name).items():
                 state[f"{name}.{index}"] = array.copy()
         return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
+        """Load :meth:`state_dict` output.
+
+        Every key, slot index and slot shape is checked before anything
+        is assigned, so a rejected state leaves the optimizer as it was.
+        States saved while optimizers took a ``weight_decay`` carry that
+        key; they load when it is 0, the only value any caller set.
+        """
         # Scalars may arrive as 0-d numpy arrays from an npz round-trip.
-        self._step_count = int(state["step_count"])
-        self.lr = float(state["lr"])
-        if "weight_decay" in state:
-            self.weight_decay = float(state["weight_decay"])
-        for name in self._slot_names:
+        step_count = int(state["step_count"])
+        lr = float(state["lr"])
+        slots: Dict[str, Dict[int, np.ndarray]] = {name: {} for name in self._slot_names}
+        for key, value in state.items():
+            if key in ("step_count", "lr"):
+                continue
+            if key == "weight_decay":
+                if float(value) != 0.0:
+                    raise ValueError(
+                        f"state has weight_decay {float(value)}; "
+                        "this optimizer applies no weight decay"
+                    )
+                continue
+            name, _, index = key.partition(".")
+            if name not in slots or not index.isdecimal():
+                raise KeyError(f"unexpected key in optimizer state: {key!r}")
+            index = int(index)
+            if index >= len(self.parameters):
+                raise ValueError(
+                    f"slot {key!r} refers to parameter {index}, but the "
+                    f"optimizer holds {len(self.parameters)} parameters"
+                )
+            param = self.parameters[index]
+            array = np.asarray(value)
+            if array.shape != param.data.shape:
+                raise ValueError(
+                    f"slot {key!r} shape {array.shape} does not match "
+                    f"parameter shape {param.data.shape}"
+                )
+            slots[name][index] = array.astype(param.data.dtype, copy=True)
+        self._step_count = step_count
+        self.lr = lr
+        for name, loaded in slots.items():
             slot = self._slot(name)
             slot.clear()
-            prefix = f"{name}."
-            for key, value in state.items():
-                if not key.startswith(prefix):
-                    continue
-                index = int(key[len(prefix):])
-                if not 0 <= index < len(self.parameters):
-                    raise ValueError(
-                        f"slot {key!r} refers to parameter {index}, but the "
-                        f"optimizer holds {len(self.parameters)} parameters"
-                    )
-                param = self.parameters[index]
-                array = np.asarray(value)
-                if array.shape != param.data.shape:
-                    raise ValueError(
-                        f"slot {key!r} shape {array.shape} does not match "
-                        f"parameter shape {param.data.shape}"
-                    )
-                slot[index] = array.astype(param.data.dtype, copy=True)
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional (Nesterov) momentum."""
-
-    _slot_names = ("velocity",)
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        nesterov: bool = False,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr, weight_decay)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov momentum requires momentum > 0")
-        self.momentum = float(momentum)
-        self.nesterov = nesterov
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def _update(self, index: int, param: Parameter, grad: np.ndarray) -> None:
-        # In-place formulation of v = mu*v + g; relies only on IEEE-754
-        # commutativity of * and +, so it is bit-identical to the
-        # textbook expressions it replaces.
-        if self.momentum:
-            velocity = self._velocity.get(index)
-            if velocity is None:
-                velocity = np.zeros_like(param.data)
-                self._velocity[index] = velocity
-            np.multiply(velocity, self.momentum, out=velocity)
-            velocity += grad
-            if self.nesterov:
-                lookahead = self._buffer("tmp", index, param)
-                np.multiply(velocity, self.momentum, out=lookahead)
-                lookahead += grad
-                grad = lookahead
-            else:
-                grad = velocity
-        update = self._buffer("upd", index, param)
-        np.multiply(grad, self.lr, out=update)
-        param.data -= update
+            slot.update(loaded)
 
 
 class Adam(Optimizer):
@@ -192,9 +138,8 @@ class Adam(Optimizer):
         lr: float = 1e-3,
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(parameters, lr, weight_decay)
+        super().__init__(parameters, lr)
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError("betas must be in [0, 1)")
@@ -231,109 +176,3 @@ class Adam(Optimizer):
         update *= self.lr                              # lr * m_hat
         update /= tmp
         param.data -= update
-
-
-class RMSProp(Optimizer):
-    """RMSProp with exponential moving average of squared gradients."""
-
-    _slot_names = ("cache",)
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-3,
-        rho: float = 0.9,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr, weight_decay)
-        if not 0.0 <= rho < 1.0:
-            raise ValueError("rho must be in [0, 1)")
-        self.rho = float(rho)
-        self.eps = float(eps)
-        self._cache: Dict[int, np.ndarray] = {}
-
-    def _update(self, index: int, param: Parameter, grad: np.ndarray) -> None:
-        cache = self._cache.get(index)
-        if cache is None:
-            cache = np.zeros_like(param.data)
-            self._cache[index] = cache
-        tmp = self._buffer("tmp", index, param)
-        np.multiply(grad, 1 - self.rho, out=tmp)  # (1-rho) * grad * grad
-        tmp *= grad
-        np.multiply(cache, self.rho, out=cache)   # rho * cache
-        cache += tmp
-        np.sqrt(cache, out=tmp)
-        tmp += self.eps
-        update = self._buffer("upd", index, param)
-        np.multiply(grad, self.lr, out=update)    # lr * grad
-        update /= tmp
-        param.data -= update
-
-
-class LRSchedule:
-    """Base learning-rate schedule bound to an optimizer.
-
-    Call :meth:`step` once per epoch; the schedule overwrites
-    ``optimizer.lr``.
-    """
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> float:
-        self.epoch += 1
-        self.optimizer.lr = self.get_lr(self.epoch)
-        return self.optimizer.lr
-
-    def get_lr(self, epoch: int) -> float:
-        raise NotImplementedError
-
-
-class ConstantLR(LRSchedule):
-    """Keeps the learning rate fixed (the paper's setting)."""
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr
-
-
-class StepLR(LRSchedule):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
-class ExponentialLR(LRSchedule):
-    """Multiply the learning rate by ``gamma`` every epoch."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.95) -> None:
-        super().__init__(optimizer)
-        self.gamma = float(gamma)
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** epoch
-
-
-class CosineLR(LRSchedule):
-    """Cosine annealing from the base LR to ``min_lr`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, min_lr: float = 0.0) -> None:
-        super().__init__(optimizer)
-        if t_max <= 0:
-            raise ValueError("t_max must be positive")
-        self.t_max = int(t_max)
-        self.min_lr = float(min_lr)
-
-    def get_lr(self, epoch: int) -> float:
-        progress = min(epoch, self.t_max) / self.t_max
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1 + np.cos(np.pi * progress))

@@ -48,7 +48,7 @@ def _read_npz(path: PathLike) -> Dict[str, np.ndarray]:
 
 
 def save_model(model: Module, path: PathLike) -> None:
-    """Write a module's parameters and buffers to a compressed npz.
+    """Write a module's parameters to a compressed npz.
 
     Parameter names containing dots are npz-safe, so the state dict maps
     directly onto npz keys.  The write is atomic: readers observe the
@@ -61,8 +61,8 @@ def load_model(model: Module, path: PathLike) -> Module:
     """Load parameters saved with :func:`save_model` into ``model``.
 
     The model must already be constructed with matching architecture;
-    shape mismatches raise ``ValueError``, unreadable archives
-    :class:`IntegrityError`.
+    shape mismatches raise ``ValueError`` and leave the model untouched,
+    unreadable archives :class:`IntegrityError`.
     """
     state = _read_npz(path)
     model.load_state_dict(state)
@@ -70,8 +70,8 @@ def load_model(model: Module, path: PathLike) -> Module:
 
 
 def save_optimizer(optimizer: Optimizer, path: PathLike) -> None:
-    """Write optimizer state (hyperparameters, step count, slot buffers
-    such as Adam moments) to a compressed npz, atomically.
+    """Write optimizer state (learning rate, step count, Adam's moment
+    slots) to a compressed npz, atomically.
 
     Together with :func:`save_model` this makes a training run fully
     resumable: load both and continuing matches the uninterrupted run.
@@ -84,7 +84,8 @@ def load_optimizer(optimizer: Optimizer, path: PathLike) -> Optimizer:
 
     The optimizer must already be constructed over the same parameter
     list (same order and shapes); slot shape mismatches raise
-    ``ValueError``, unreadable archives :class:`IntegrityError`.
+    ``ValueError`` and leave the optimizer untouched, unreadable
+    archives :class:`IntegrityError`.
     """
     state = _read_npz(path)
     optimizer.load_state_dict(state)

@@ -12,10 +12,9 @@ scaled down to exactly what the wafer-map classification models need:
 * elementwise arithmetic with full numpy broadcasting,
 * matrix multiplication,
 * reductions (``sum``, ``mean``, ``max``),
-* shape manipulation (``reshape``, ``transpose``, slicing, concat, pad),
-* elementwise nonlinearities (``exp``, ``log``, ``relu``, ``sigmoid``,
-  ``tanh``),
-* numerically stable ``log_softmax``.
+* shape manipulation (``reshape``, ``transpose``, slicing, concat),
+* elementwise nonlinearities (``exp``, ``log``, ``relu``, ``sigmoid``),
+* numerically stable ``log_softmax`` and ``softmax``.
 
 Convolution and pooling live in :mod:`repro.nn.functional` and plug into
 the same tape via the same primitives used here.
@@ -444,9 +443,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
     def relu(self) -> "Tensor":
         # One pass in the input's memory order; ReLU(-inf) is 0 on both
         # paths and the tape retains only the mask.
@@ -458,17 +454,6 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * mask)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        scale = np.where(mask, 1.0, negative_slope).astype(self.data.dtype)
-        out_data = self.data * scale
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * scale)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -485,26 +470,6 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data ** 2))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        """Clamp values to ``[low, high]``; gradient is 1 inside the range."""
-        out_data = np.clip(self.data, low, high)
-        mask = ((self.data >= low) & (self.data <= high)).astype(self.data.dtype)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -617,19 +582,6 @@ class Tensor:
                 full = np.zeros_like(self.data)
                 np.add.at(full, index, grad)
                 self._accumulate(full)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the two trailing spatial axes of an NCHW tensor."""
-        if padding == 0:
-            return self
-        p = padding
-        out_data = np.pad(self.data, ((0, 0), (0, 0), (p, p), (p, p)))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad[:, :, p:-p, p:-p])
 
         return Tensor._make(out_data, (self,), backward)
 

@@ -8,9 +8,8 @@ pieces:
 * :mod:`~repro.serve.batcher` — :class:`MicroBatcher`, work-conserving
   micro-batching (a free runner takes everything pending), plus
   explicit :class:`Overloaded` backpressure;
-* :mod:`~repro.serve.cache` — :class:`ResultCache`, content-hash
-  (byte-exact or dihedral-canonical) LRU result cache under a byte
-  budget;
+* :mod:`~repro.serve.cache` — :class:`ResultCache`, byte-exact
+  content-hash LRU result cache under a byte budget;
 * :mod:`~repro.serve.backend` — :class:`InProcessBackend`, the model
   compiled for the batch capacity and called on the runner thread;
 * :mod:`~repro.serve.engine` — :class:`ServeEngine`, tying the three
@@ -45,7 +44,7 @@ from .batcher import (
     MicroBatcher,
     Overloaded,
 )
-from .cache import CachedResult, ResultCache, dihedral_key, exact_key
+from .cache import CachedResult, ResultCache, exact_key
 from .engine import (
     InvalidInput,
     PendingResult,
@@ -77,7 +76,6 @@ __all__ = [
     "ResultCache",
     "CachedResult",
     "exact_key",
-    "dihedral_key",
     "InProcessBackend",
     "make_backend",
     "model_infer_fn",

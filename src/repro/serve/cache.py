@@ -7,17 +7,9 @@ milliseconds of a CNN forward.  Fabs re-test and re-inspect wafers, and
 process excursions produce runs of near-identical maps, so duplicate
 traffic is common enough for a small cache to pay for itself.
 
-Two keying modes:
-
-* **exact** (default): the key is ``shape + raw bytes``; a hit returns
-  a result computed on byte-identical input, so serving stays
-  bit-identical to uncached inference.
-* **dihedral-canonical** (``canonicalize=True``): the key is the
-  lexicographic minimum over the grid's eight rotations/reflections.
-  The paper's own augmentation (Algorithm 1) treats rotation as
-  label-preserving, so dihedral twins may *share* one cached result —
-  a deliberate approximation that trades exactness for hit rate
-  (the model is not numerically rotation-invariant).
+The key is ``shape + raw bytes``: a hit returns a result computed on
+byte-identical input, so serving stays bit-identical to uncached
+inference.
 
 Eviction is LRU under a byte budget; entries are costed by their
 stored probability vector plus key bytes.
@@ -31,7 +23,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CachedResult", "ResultCache", "exact_key", "dihedral_key"]
+__all__ = ["CachedResult", "ResultCache", "exact_key"]
 
 
 class CachedResult:
@@ -62,24 +54,6 @@ def exact_key(grid: np.ndarray) -> bytes:
     return prefix + grid.tobytes()
 
 
-def dihedral_key(grid: np.ndarray) -> bytes:
-    """Canonical key shared by all eight rotations/reflections.
-
-    Takes the lexicographically smallest :func:`exact_key` over the
-    dihedral group D4 (four rotations of the grid and of its mirror).
-    Square grids only — rotation changes the shape of a rectangle.
-    """
-    if grid.shape[0] != grid.shape[1]:
-        return exact_key(grid)
-    best: Optional[bytes] = None
-    for base in (grid, np.fliplr(grid)):
-        for k in range(4):
-            candidate = exact_key(np.rot90(base, k))
-            if best is None or candidate < best:
-                best = candidate
-    return best
-
-
 class ResultCache:
     """Thread-safe LRU result cache under a byte budget.
 
@@ -90,15 +64,12 @@ class ResultCache:
         vectors).  ``0`` disables storage entirely (every ``get``
         misses, every ``put`` is dropped), which lets callers keep one
         code path for cache-on and cache-off serving.
-    canonicalize:
-        Key dihedral-equivalent grids identically (see module docs).
     """
 
-    def __init__(self, max_bytes: int = 8 * 1024 * 1024, canonicalize: bool = False) -> None:
+    def __init__(self, max_bytes: int = 8 * 1024 * 1024) -> None:
         if max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
         self.max_bytes = int(max_bytes)
-        self.canonicalize = bool(canonicalize)
         self._entries: "OrderedDict[bytes, CachedResult]" = OrderedDict()
         self._nbytes = 0
         self._hits = 0
@@ -108,8 +79,8 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def key(self, grid: np.ndarray) -> bytes:
-        """Cache key of a die grid under this cache's keying mode."""
-        return dihedral_key(grid) if self.canonicalize else exact_key(grid)
+        """Cache key of a die grid (:func:`exact_key`)."""
+        return exact_key(grid)
 
     def get(self, key: bytes) -> Optional[CachedResult]:
         """Look up a key, refreshing its recency; ``None`` on miss."""

@@ -120,10 +120,6 @@ class ServeConfig:
     cache_bytes:
         Byte budget of the content-hash result cache; ``0`` disables
         caching.
-    canonicalize:
-        Share cached results across dihedral (rotation/reflection)
-        twins — the paper's label-preserving-rotation assumption
-        (Algorithm 1) applied to serving.  Approximate; off by default.
     threshold:
         Override of the model's acceptance threshold ``tau`` (selection
         logit); ``None`` uses ``model.threshold``.
@@ -135,7 +131,6 @@ class ServeConfig:
     max_batch_size: int = 64
     queue_limit: int = 1024
     cache_bytes: int = 8 * 1024 * 1024
-    canonicalize: bool = False
     threshold: Optional[float] = None
     idle_reclaim_s: float = 1.0
 
@@ -300,10 +295,7 @@ class ServeEngine:
         self._swappable = backend is None and model is not None
         self.cache: Optional[ResultCache] = None
         if self.config.cache_bytes > 0:
-            self.cache = ResultCache(
-                max_bytes=self.config.cache_bytes,
-                canonicalize=self.config.canonicalize,
-            )
+            self.cache = ResultCache(max_bytes=self.config.cache_bytes)
         self._batcher = MicroBatcher(
             max_batch_size=self.config.max_batch_size,
             queue_limit=self.config.queue_limit,

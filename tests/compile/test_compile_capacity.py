@@ -60,7 +60,7 @@ def test_reserve_compiles_once_and_runs_hit():
 
 
 def test_larger_batch_grows_capacity_and_releases_outgrown_arena():
-    model, shape = named_stack("dense_log_softmax")
+    model, shape = named_stack("dense_relu_head")
     rng = np.random.default_rng(8)
     gauge = default_registry().gauge("compile.arena_bytes")
     before = gauge.value
@@ -78,7 +78,7 @@ def test_larger_batch_grows_capacity_and_releases_outgrown_arena():
 
 
 def test_empty_batch_falls_back():
-    model, shape = named_stack("dense_log_softmax")
+    model, shape = named_stack("dense_relu_head")
     compiled = compile_module(model)
     assert compiled.try_run(np.zeros((0,) + tuple(shape[1:]), dtype=np.float32)) is None
     assert not compiled.graphs

@@ -40,11 +40,11 @@ def compiled_outputs(model, x):
     return outputs
 
 
-def check_stack(layers, model, x):
+def check_stack(model, x):
     expected = eager_forward(model, x)
     (got,) = compiled_outputs(model, x)
     assert_same_array(got, expected)
-    assert_tape_matches_eager(layers, tape_forward(model, x), expected)
+    assert_tape_matches_eager(tape_forward(model, x), expected)
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
@@ -53,7 +53,7 @@ def test_layer_stack_bit_identical(stack, dtype):
     with nn.default_dtype(dtype):
         model, shape = named_stack(stack)
         x = np.random.default_rng(4).normal(size=shape).astype(dtype)
-        check_stack(NAMED[stack][0], model, x)
+        check_stack(model, x)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -69,7 +69,7 @@ def test_random_stack_bit_identical(stack, batch, dtype, seed):
         rng = np.random.default_rng(seed)
         model = build(layers, sample_shape, rng)
         x = rng.normal(size=(batch,) + sample_shape).astype(dtype)
-        check_stack(layers, model, x)
+        check_stack(model, x)
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
@@ -123,7 +123,7 @@ def test_repeated_runs_stay_identical():
 
 def test_outputs_are_fresh_per_run():
     """Returned arrays escape to the caller; later runs must not alias them."""
-    model, shape = named_stack("dense_softmax_head")
+    model, shape = named_stack("dense_relu_head")
     rng = np.random.default_rng(6)
     x = rng.normal(size=shape).astype(np.float32)
     compiled = compile_module(model)
@@ -160,5 +160,5 @@ def test_release_then_rerun_rebuilds_identically():
 
 
 def test_compiled_for_is_cached_per_model():
-    model, _ = named_stack("dense_log_softmax")
+    model, _ = named_stack("dense_relu_head")
     assert compiled_for(model) is compiled_for(model)

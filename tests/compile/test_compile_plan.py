@@ -34,12 +34,11 @@ def cnn_stacks(draw):
     for _ in range(draw(st.integers(1, 3))):
         out_c = draw(st.sampled_from([2, 4]))
         layers.append(nn.Conv2D(c, out_c, 3, padding="same", rng=rng))
-        activation = draw(
-            st.sampled_from([None, nn.ReLU, nn.Tanh, nn.Sigmoid]))
+        activation = draw(st.sampled_from([None, nn.ReLU, nn.Sigmoid]))
         if activation is not None:
             layers.append(activation())
         if draw(st.booleans()) and h % 2 == 0 and h >= 4:
-            layers.append(draw(st.sampled_from([nn.MaxPool2D, nn.AvgPool2D]))(2))
+            layers.append(nn.MaxPool2D(2))
             h //= 2
         c = out_c
     if draw(st.booleans()):
@@ -49,8 +48,6 @@ def cnn_stacks(draw):
         if draw(st.booleans()):
             layers.append(nn.ReLU())
         layers.append(nn.Dense(width, 3, rng=rng))
-        if draw(st.booleans()):
-            layers.append(nn.Softmax())
     model = nn.Sequential(*layers)
     model.eval()
     return model, (batch, channels, size, size)
@@ -110,12 +107,14 @@ def test_plan_intervals_cover_all_slots():
     rng = np.random.default_rng(2)
     model = nn.Sequential(
         nn.Conv2D(1, 2, 3, padding="same", rng=rng), nn.ReLU(), nn.MaxPool2D(2),
-        nn.Flatten(), nn.Dense(2 * 4 * 4, 3, rng=rng), nn.Softmax(),
+        nn.Flatten(), nn.Dense(2 * 4 * 4, 3, rng=rng), nn.ReLU(),
+        nn.Dense(3, 3, rng=rng),
     )
     model.eval()
     graph = trace_module(model, (2, 1, 8, 8), np.dtype(np.float32))
     program = fuse_graph(graph)
     plan = plan_buffers(program, BACKEND)
+    assert plan.slots
     assert set(plan.intervals) == set(plan.slots)
     for birth, death in plan.intervals.values():
         assert 0 <= birth <= death < len(program.kernels)

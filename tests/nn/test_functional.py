@@ -154,16 +154,6 @@ class TestPooling:
         F.max_pool2d(x, 2).sum().backward()
         np.testing.assert_allclose(x.grad[0, 0], [[0, 0], [0, 1]])
 
-    def test_avg_pool_values(self):
-        x = Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
-        out = F.avg_pool2d(x, 2)
-        np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_gradient_uniform(self, rng):
-        x = rand_tensor((1, 1, 4, 4), rng, requires_grad=True)
-        F.avg_pool2d(x, 2).sum().backward()
-        np.testing.assert_allclose(x.grad, np.full((1, 1, 4, 4), 0.25))
-
 
 class TestUpsample:
     def test_nearest_values(self):

@@ -23,70 +23,53 @@ def _kink_safe(x):
     return x + 0.1 * np.sign(x)
 
 
-#: (id, factory(rng) -> Module, input shape, "train" | "eval")
+#: (id, factory(rng) -> Module, input shape)
 LAYER_CASES = [
-    ("dense", lambda rng: nn.Dense(6, 4, rng=rng), (3, 6), "train"),
-    ("conv", lambda rng: nn.Conv2D(2, 3, 3, rng=rng), (2, 2, 6, 6), "train"),
-    ("conv_strided", lambda rng: nn.Conv2D(2, 3, 3, stride=2, rng=rng), (2, 2, 7, 7), "train"),
-    ("conv_padded", lambda rng: nn.Conv2D(2, 3, 3, padding=1, rng=rng), (2, 2, 5, 5), "train"),
-    ("conv_same", lambda rng: nn.Conv2D(1, 2, 5, padding="same", rng=rng), (2, 1, 6, 6), "train"),
+    ("dense", lambda rng: nn.Dense(6, 4, rng=rng), (3, 6)),
+    ("conv", lambda rng: nn.Conv2D(2, 3, 3, rng=rng), (2, 2, 6, 6)),
+    ("conv_strided", lambda rng: nn.Conv2D(2, 3, 3, stride=2, rng=rng), (2, 2, 7, 7)),
+    ("conv_padded", lambda rng: nn.Conv2D(2, 3, 3, padding=1, rng=rng), (2, 2, 5, 5)),
+    ("conv_same", lambda rng: nn.Conv2D(1, 2, 5, padding="same", rng=rng), (2, 1, 6, 6)),
     (
         "conv_rect",
         lambda rng: nn.Conv2D(2, 2, (3, 2), stride=(2, 1), rng=rng),
         (1, 2, 6, 5),
-        "train",
     ),
-    ("conv_nobias", lambda rng: nn.Conv2D(2, 3, 3, bias=False, rng=rng), (2, 2, 5, 5), "train"),
+    ("conv_nobias", lambda rng: nn.Conv2D(2, 3, 3, bias=False, rng=rng), (2, 2, 5, 5)),
     # C_out < C_in: these run as transposed convs of the flipped filters.
-    ("conv_narrow", lambda rng: nn.Conv2D(3, 2, 3, rng=rng), (2, 3, 5, 5), "train"),
+    ("conv_narrow", lambda rng: nn.Conv2D(3, 2, 3, rng=rng), (2, 3, 5, 5)),
     (
         "conv_narrow_same",
         lambda rng: nn.Conv2D(4, 2, 3, padding="same", rng=rng),
         (2, 4, 5, 5),
-        "train",
     ),
     (
         "conv_narrow_rect",
         lambda rng: nn.Conv2D(3, 2, (3, 2), padding=(1, 0), rng=rng),
         (2, 3, 5, 4),
-        "train",
     ),
     (
         "conv_narrow_nobias",
         lambda rng: nn.Conv2D(3, 2, 3, padding=1, bias=False, rng=rng),
         (2, 3, 4, 4),
-        "train",
     ),
     (
         "conv_narrow_to_one_5x5",
         lambda rng: nn.Conv2D(3, 1, 5, padding="same", rng=rng),
         (2, 3, 6, 6),
-        "train",
     ),
-    ("convtranspose", lambda rng: nn.ConvTranspose2D(2, 3, 3, rng=rng), (2, 2, 4, 4), "train"),
+    ("convtranspose", lambda rng: nn.ConvTranspose2D(2, 3, 3, rng=rng), (2, 2, 4, 4)),
     (
         "convtranspose_strided",
         lambda rng: nn.ConvTranspose2D(2, 2, 3, stride=2, padding=1, rng=rng),
         (2, 2, 4, 4),
-        "train",
     ),
-    ("maxpool", lambda rng: nn.MaxPool2D(2), (2, 2, 6, 6), "train"),
-    ("maxpool_overlap", lambda rng: nn.MaxPool2D(3, stride=2), (2, 2, 7, 7), "train"),
-    ("avgpool", lambda rng: nn.AvgPool2D(2), (2, 2, 6, 6), "train"),
-    ("avgpool_overlap", lambda rng: nn.AvgPool2D(2, stride=1), (2, 2, 5, 5), "train"),
-    ("upsample", lambda rng: nn.UpSample2D(2), (2, 2, 3, 3), "train"),
-    ("flatten", lambda rng: nn.Flatten(), (2, 2, 3, 3), "train"),
-    ("batchnorm1d_train", lambda rng: nn.BatchNorm1D(4), (6, 4), "train"),
-    ("batchnorm1d_eval", lambda rng: nn.BatchNorm1D(4), (6, 4), "eval"),
-    ("batchnorm2d_train", lambda rng: nn.BatchNorm2D(3), (2, 3, 4, 4), "train"),
-    ("batchnorm2d_eval", lambda rng: nn.BatchNorm2D(3), (2, 3, 4, 4), "eval"),
-    ("relu", lambda rng: nn.ReLU(), (3, 5), "train"),
-    ("leakyrelu", lambda rng: nn.LeakyReLU(0.1), (3, 5), "train"),
-    ("sigmoid", lambda rng: nn.Sigmoid(), (3, 5), "train"),
-    ("tanh", lambda rng: nn.Tanh(), (3, 5), "train"),
-    ("softmax", lambda rng: nn.Softmax(), (3, 5), "train"),
-    ("logsoftmax", lambda rng: nn.LogSoftmax(), (3, 5), "train"),
-    ("dropout_eval", lambda rng: nn.Dropout(0.5), (3, 5), "eval"),
+    ("maxpool", lambda rng: nn.MaxPool2D(2), (2, 2, 6, 6)),
+    ("maxpool_overlap", lambda rng: nn.MaxPool2D(3, stride=2), (2, 2, 7, 7)),
+    ("upsample", lambda rng: nn.UpSample2D(2), (2, 2, 3, 3)),
+    ("flatten", lambda rng: nn.Flatten(), (2, 2, 3, 3)),
+    ("relu", lambda rng: nn.ReLU(), (3, 5)),
+    ("sigmoid", lambda rng: nn.Sigmoid(), (3, 5)),
 ]
 
 
@@ -98,33 +81,25 @@ class TestLayerGradientSweep:
     so the central-difference noise floor sits far below tolerance),
     reduces the output to a scalar with a fixed random projection, and
     compares analytic gradients against central differences.  Inputs
-    are conditioned away from ReLU/pooling kinks, and BatchNorm running
-    buffers are reset before every evaluation so repeated forward
-    passes are identical.
+    are conditioned away from ReLU/pooling kinks.
     """
 
     TOL = 1e-4
 
     @pytest.mark.parametrize(
-        "factory, shape, mode",
-        [pytest.param(f, s, m, id=name) for name, f, s, m in LAYER_CASES],
+        "factory, shape",
+        [pytest.param(f, s, id=name) for name, f, s in LAYER_CASES],
     )
-    def test_layer_gradients(self, rng, numgrad, factory, shape, mode):
+    def test_layer_gradients(self, rng, numgrad, factory, shape):
         with nn.default_dtype(np.float64):
             layer = factory(rng).astype(np.float64)
-            layer.eval() if mode == "eval" else layer.train()
             x = _kink_safe(rng.normal(size=shape))
-            buffers = {
-                k: v.copy() for k, v in getattr(layer, "_buffers", {}).items()
-            }
 
             with nn.no_grad():
                 probe = layer(Tensor(x))
             proj = rng.normal(size=probe.shape)
 
             def run():
-                for key, value in buffers.items():
-                    layer._buffers[key] = value.copy()
                 inp = Tensor(x, requires_grad=True)
                 loss = (layer(inp) * proj).sum()
                 return loss, inp
@@ -145,17 +120,6 @@ class TestLayerGradientSweep:
             for name, param in layer.named_parameters():
                 numeric = numgrad(value, param.data)
                 assert relative_error(analytic_params[name], numeric) < self.TOL, name
-
-    def test_dropout_eval_is_identity(self, rng):
-        """Eval-mode dropout passes values and gradients through unchanged."""
-        layer = nn.Dropout(0.5, rng=rng)
-        layer.eval()
-        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        out = layer(x)
-        np.testing.assert_array_equal(out.data, x.data)
-        out.sum().backward()
-        np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
-
 
 class TestFullModelGradients:
     def test_small_conv_classifier_end_to_end(self, rng, numgrad):
@@ -235,24 +199,3 @@ class TestFullModelGradients:
 
             numeric = numgrad(value, tensor.data)
             assert relative_error(tensor.grad, numeric) < 5e-2
-
-    def test_batchnorm_training_gradients(self, rng, numgrad):
-        bn = nn.BatchNorm1D(3)
-        x = rng.normal(size=(6, 3)).astype(np.float32)
-        target = rng.normal(size=(6, 3)).astype(np.float32)
-
-        def run():
-            # Reset running stats so repeated evaluations are identical.
-            bn._buffers["running_mean"] = np.zeros(3, dtype=np.float32)
-            bn._buffers["running_var"] = np.ones(3, dtype=np.float32)
-            return nn.mse_loss(bn(Tensor(x)), target)
-
-        loss = run()
-        bn.zero_grad()
-        loss.backward()
-        for name, param in bn.named_parameters():
-            def value(param=param):
-                return float(run().data)
-
-            numeric = numgrad(value, param.data)
-            assert relative_error(param.grad, numeric) < 5e-2, name

@@ -29,7 +29,7 @@ class TestModuleSystem:
         assert dense.num_parameters() == 4 * 3 + 3
 
     def test_train_eval_propagates(self):
-        model = nn.Sequential(nn.Dropout(0.5), nn.Sequential(nn.Dropout(0.5)))
+        model = nn.Sequential(nn.ReLU(), nn.Sequential(nn.Sigmoid()))
         model.eval()
         assert all(not m.training for m in model.modules())
         model.train()
@@ -67,6 +67,34 @@ class TestModuleSystem:
         a = nn.Dense(3, 3, rng=make_rng())
         with pytest.raises(KeyError):
             a.load_state_dict({"weight": a.weight.data})
+
+    @staticmethod
+    def _two_dense():
+        rng = make_rng()
+        return nn.Sequential(nn.Dense(3, 4, rng=rng), nn.ReLU(), nn.Dense(4, 2, rng=rng))
+
+    @staticmethod
+    def _parameter_bytes(model):
+        return {name: p.data.tobytes() for name, p in model.named_parameters()}
+
+    def test_rejected_shape_leaves_every_parameter_unchanged(self):
+        model = self._two_dense()
+        before = self._parameter_bytes(model)
+        state = {k: v + 1.0 for k, v in model.state_dict().items()}
+        last = list(state)[-1]
+        state[last] = np.zeros(5, dtype=np.float32)
+        with pytest.raises(ValueError, match=last):
+            model.load_state_dict(state)
+        assert self._parameter_bytes(model) == before
+
+    def test_missing_key_leaves_present_keys_unloaded(self):
+        model = self._two_dense()
+        before = self._parameter_bytes(model)
+        state = {k: v + 1.0 for k, v in model.state_dict().items()}
+        del state["layer2.bias"]
+        with pytest.raises(KeyError, match="layer2.bias"):
+            model.load_state_dict(state)
+        assert self._parameter_bytes(model) == before
 
     def test_repr_nests(self):
         model = nn.Sequential(nn.Dense(2, 2, rng=make_rng()))
@@ -148,71 +176,6 @@ class TestPoolingLayers:
         assert out.shape == x.shape
 
 
-class TestDropout:
-    def test_eval_mode_is_identity(self):
-        dropout = nn.Dropout(0.9, rng=make_rng())
-        dropout.eval()
-        x = Tensor(np.ones((4, 4), dtype=np.float32))
-        np.testing.assert_array_equal(dropout(x).data, x.data)
-
-    def test_training_mode_zeroes_and_scales(self):
-        dropout = nn.Dropout(0.5, rng=make_rng())
-        x = Tensor(np.ones((100, 100), dtype=np.float32))
-        out = dropout(x).data
-        values = set(np.unique(out).tolist())
-        assert values <= {0.0, 2.0}
-        # Expectation preserved within tolerance.
-        assert out.mean() == pytest.approx(1.0, abs=0.1)
-
-    def test_rate_zero_identity(self):
-        dropout = nn.Dropout(0.0)
-        x = Tensor(np.ones((3, 3), dtype=np.float32))
-        assert dropout(x) is x
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.0)
-
-
-class TestBatchNorm:
-    def test_normalizes_batch_statistics(self):
-        bn = nn.BatchNorm2D(3)
-        rng = np.random.default_rng(2)
-        x = Tensor((rng.normal(5, 3, size=(8, 3, 4, 4))).astype(np.float32))
-        out = bn(x).data
-        assert abs(out.mean()) < 0.1
-        assert abs(out.std() - 1.0) < 0.1
-
-    def test_eval_uses_running_stats(self):
-        bn = nn.BatchNorm1D(2)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            bn(Tensor((rng.normal(3, 2, size=(32, 2))).astype(np.float32)))
-        bn.eval()
-        out = bn(Tensor(np.full((4, 2), 3.0, dtype=np.float32))).data
-        # Input at the running mean should map near zero.
-        assert np.abs(out).max() < 0.3
-
-    def test_wrong_rank_raises(self):
-        with pytest.raises(ValueError):
-            nn.BatchNorm2D(2)(Tensor(np.ones((2, 2), dtype=np.float32)))
-        with pytest.raises(ValueError):
-            nn.BatchNorm1D(2)(Tensor(np.ones((2, 2, 2, 2), dtype=np.float32)))
-
-    def test_state_dict_includes_running_stats(self):
-        bn = nn.BatchNorm1D(2)
-        state = bn.state_dict()
-        assert "running_mean" in state
-        assert "running_var" in state
-
-    def test_gradients_flow_through_gamma_beta(self):
-        bn = nn.BatchNorm1D(2)
-        x = Tensor(np.random.default_rng(4).normal(size=(8, 2)).astype(np.float32))
-        bn(x).sum().backward()
-        assert bn.gamma.grad is not None
-        assert bn.beta.grad is not None
-
-
 class TestSequential:
     def test_iteration_and_indexing(self):
         layers = [nn.ReLU(), nn.Sigmoid()]
@@ -237,19 +200,9 @@ class TestActivationLayers:
         "layer,fn",
         [
             (nn.ReLU(), lambda x: np.maximum(x, 0)),
-            (nn.Tanh(), np.tanh),
+            (nn.Sigmoid(), lambda x: 1 / (1 + np.exp(-x))),
         ],
     )
     def test_matches_numpy(self, layer, fn):
         x = np.linspace(-2, 2, 9, dtype=np.float32)
         np.testing.assert_allclose(layer(Tensor(x)).data, fn(x), rtol=1e-5)
-
-    def test_softmax_layer_axis(self):
-        x = Tensor(np.random.default_rng(5).normal(size=(3, 4)).astype(np.float32))
-        out = nn.Softmax(axis=-1)(x).data
-        np.testing.assert_allclose(out.sum(axis=-1), np.ones(3), rtol=1e-5)
-
-    def test_log_softmax_layer(self):
-        x = Tensor(np.zeros((1, 4), dtype=np.float32))
-        out = nn.LogSoftmax()(x).data
-        np.testing.assert_allclose(out, np.log(0.25), rtol=1e-5)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.nn.losses import binary_cross_entropy, cross_entropy, mse_loss, nll_loss, one_hot
+from repro.nn.losses import cross_entropy, mse_loss, one_hot
 from repro.nn.tensor import Tensor
 
 
@@ -84,21 +84,6 @@ class TestCrossEntropy:
             cross_entropy(logits, labels, reduction="bogus")
 
 
-class TestNLL:
-    def test_consistent_with_cross_entropy(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(size=(3, 4)).astype(np.float32)
-        labels = np.array([0, 1, 3])
-        ce = cross_entropy(Tensor(data), labels).data
-        nll = nll_loss(Tensor(data).log_softmax(), labels).data
-        assert ce == pytest.approx(nll, rel=1e-5)
-
-    def test_reduction_none(self):
-        data = np.zeros((2, 2), dtype=np.float32)
-        out = nll_loss(Tensor(data).log_softmax(), np.array([0, 1]), reduction="none")
-        assert out.shape == (2,)
-
-
 class TestMSE:
     def test_zero_on_identical(self):
         x = Tensor(np.ones((3, 3), dtype=np.float32))
@@ -119,27 +104,6 @@ class TestMSE:
     def test_sum_reduction(self):
         x = Tensor(np.ones(4, dtype=np.float32))
         assert mse_loss(x, np.zeros(4, dtype=np.float32), reduction="sum").data == pytest.approx(4.0)
-
-
-class TestBCE:
-    def test_matches_manual(self):
-        probs = Tensor(np.array([0.8], dtype=np.float32))
-        loss = binary_cross_entropy(probs, np.array([1.0], dtype=np.float32))
-        assert loss.data == pytest.approx(-np.log(0.8), rel=1e-4)
-
-    def test_clipping_keeps_finite(self):
-        probs = Tensor(np.array([0.0, 1.0], dtype=np.float32))
-        loss = binary_cross_entropy(probs, np.array([1.0, 0.0], dtype=np.float32))
-        assert np.isfinite(loss.data)
-
-    def test_symmetric(self):
-        a = binary_cross_entropy(
-            Tensor(np.array([0.3], dtype=np.float32)), np.array([1.0], dtype=np.float32)
-        ).data
-        b = binary_cross_entropy(
-            Tensor(np.array([0.7], dtype=np.float32)), np.array([0.0], dtype=np.float32)
-        ).data
-        assert a == pytest.approx(b, rel=1e-4)
 
 
 @given(

@@ -1,11 +1,11 @@
-"""Tests for optimizers and LR schedules."""
+"""Tests for the optimizer."""
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.nn.layers.base import Parameter
-from repro.nn.optim import SGD, Adam, ConstantLR, CosineLR, ExponentialLR, RMSProp, StepLR
+from repro.nn.optim import Adam
 
 
 def quadratic_param(start=5.0):
@@ -27,64 +27,27 @@ def minimize(optimizer_factory, steps=200):
 class TestOptimizerBase:
     def test_empty_parameters_raises(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_nonpositive_lr_raises(self):
         with pytest.raises(ValueError):
-            SGD([quadratic_param()], lr=0.0)
-
-    def test_negative_weight_decay_raises(self):
-        with pytest.raises(ValueError):
-            SGD([quadratic_param()], lr=0.1, weight_decay=-1.0)
+            Adam([quadratic_param()], lr=0.0)
 
     def test_step_skips_params_without_grad(self):
         param = quadratic_param()
-        optimizer = SGD([param], lr=0.1)
+        optimizer = Adam([param], lr=0.1)
         before = param.data.copy()
         optimizer.step()
         np.testing.assert_array_equal(param.data, before)
 
-    def test_weight_decay_shrinks_weights(self):
-        param = quadratic_param(1.0)
-        optimizer = SGD([param], lr=0.1, weight_decay=0.5)
-        param.grad = np.zeros(1, dtype=np.float32)
-        optimizer.step()
-        assert param.data[0] < 1.0
-
     def test_state_dict_roundtrip(self):
-        optimizer = SGD([quadratic_param()], lr=0.1)
+        optimizer = Adam([quadratic_param()], lr=0.1)
         optimizer._step_count = 7
         state = optimizer.state_dict()
-        other = SGD([quadratic_param()], lr=0.5)
+        other = Adam([quadratic_param()], lr=0.5)
         other.load_state_dict(state)
         assert other._step_count == 7
         assert other.lr == 0.1
-
-
-class TestSGD:
-    def test_plain_sgd_converges_on_quadratic(self):
-        assert minimize(lambda p: SGD(p, lr=0.1)) < 1e-3
-
-    def test_momentum_converges(self):
-        assert minimize(lambda p: SGD(p, lr=0.05, momentum=0.9)) < 1e-3
-
-    def test_nesterov_converges(self):
-        assert minimize(lambda p: SGD(p, lr=0.05, momentum=0.9, nesterov=True)) < 1e-3
-
-    def test_nesterov_without_momentum_raises(self):
-        with pytest.raises(ValueError):
-            SGD([quadratic_param()], lr=0.1, nesterov=True)
-
-    def test_invalid_momentum_raises(self):
-        with pytest.raises(ValueError):
-            SGD([quadratic_param()], lr=0.1, momentum=1.0)
-
-    def test_single_step_matches_formula(self):
-        param = quadratic_param(2.0)
-        optimizer = SGD([param], lr=0.25)
-        param.grad = np.array([4.0], dtype=np.float32)
-        optimizer.step()
-        assert param.data[0] == pytest.approx(2.0 - 0.25 * 4.0)
 
 
 class TestAdam:
@@ -112,55 +75,6 @@ class TestAdam:
         b.grad = np.array([0.01], dtype=np.float32)
         optimizer.step()
         assert a.data[0] == pytest.approx(b.data[0], rel=1e-2)
-
-
-class TestRMSProp:
-    def test_converges_on_quadratic(self):
-        assert minimize(lambda p: RMSProp(p, lr=0.05)) < 1e-2
-
-    def test_invalid_rho_raises(self):
-        with pytest.raises(ValueError):
-            RMSProp([quadratic_param()], rho=1.5)
-
-
-class TestSchedules:
-    def make_optimizer(self):
-        return SGD([quadratic_param()], lr=1.0)
-
-    def test_constant(self):
-        schedule = ConstantLR(self.make_optimizer())
-        for _ in range(5):
-            assert schedule.step() == 1.0
-
-    def test_step_lr_decays(self):
-        schedule = StepLR(self.make_optimizer(), step_size=2, gamma=0.1)
-        lrs = [schedule.step() for _ in range(4)]
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
-
-    def test_step_lr_invalid_step_size(self):
-        with pytest.raises(ValueError):
-            StepLR(self.make_optimizer(), step_size=0)
-
-    def test_exponential_decay(self):
-        schedule = ExponentialLR(self.make_optimizer(), gamma=0.5)
-        assert schedule.step() == pytest.approx(0.5)
-        assert schedule.step() == pytest.approx(0.25)
-
-    def test_cosine_reaches_min(self):
-        optimizer = self.make_optimizer()
-        schedule = CosineLR(optimizer, t_max=10, min_lr=0.1)
-        for _ in range(10):
-            schedule.step()
-        assert optimizer.lr == pytest.approx(0.1, abs=1e-6)
-
-    def test_cosine_monotone_decreasing(self):
-        schedule = CosineLR(self.make_optimizer(), t_max=10)
-        lrs = [schedule.step() for _ in range(10)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
-    def test_cosine_invalid_t_max(self):
-        with pytest.raises(ValueError):
-            CosineLR(self.make_optimizer(), t_max=0)
 
 
 class TestEndToEndTraining:

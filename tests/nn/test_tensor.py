@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from repro.nn.tensor import (
     Tensor,
     concatenate,
+    default_dtype,
     inference_mode,
     is_grad_enabled,
     no_grad,
@@ -159,11 +160,6 @@ class TestNonlinearities:
         assert tape.data.tobytes() == fast.data.tobytes()
         np.testing.assert_array_equal(x.grad, [0, 0, 0, 0, 1, 1, 0])
 
-    def test_leaky_relu_slope(self):
-        x = tensor_from([-2.0, 2.0])
-        x.leaky_relu(0.1).sum().backward()
-        np.testing.assert_allclose(x.grad, [0.1, 1.0], rtol=1e-6)
-
     def test_sigmoid_value_and_grad(self):
         x = tensor_from([0.0])
         y = x.sigmoid()
@@ -177,16 +173,6 @@ class TestNonlinearities:
         assert np.all(np.isfinite(y.data))
         assert y.data[0] == pytest.approx(0.0, abs=1e-6)
         assert y.data[1] == pytest.approx(1.0, abs=1e-6)
-
-    def test_tanh_grad(self):
-        x = tensor_from([0.3])
-        x.tanh().backward()
-        np.testing.assert_allclose(x.grad, [1 - np.tanh(0.3) ** 2], rtol=1e-5)
-
-    def test_clip_gradient_mask(self):
-        x = tensor_from([-2.0, 0.5, 2.0])
-        x.clip(-1.0, 1.0).sum().backward()
-        np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
 
     def test_log_softmax_rows_normalize(self):
         x = tensor_from([[1.0, 2.0, 3.0]])
@@ -288,17 +274,6 @@ class TestShapes:
         x[1:3].sum().backward()
         np.testing.assert_allclose(x.grad, [0, 1, 1, 0])
 
-    def test_pad2d_grad(self):
-        x = tensor_from(np.ones((1, 1, 2, 2)))
-        y = x.pad2d(1)
-        assert y.shape == (1, 1, 4, 4)
-        y.sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones((1, 1, 2, 2)))
-
-    def test_pad2d_zero_is_identity(self):
-        x = tensor_from(np.ones((1, 1, 2, 2)))
-        assert x.pad2d(0) is x
-
     def test_concatenate_grad_routing(self):
         a = tensor_from([1.0, 2.0])
         b = tensor_from([3.0])
@@ -372,6 +347,21 @@ class TestNumericalGradients:
         (x.log_softmax() * Tensor(weights)).sum().backward()
         numeric = numgrad(forward_value, data)
         np.testing.assert_allclose(x.grad, numeric, rtol=5e-2, atol=5e-3)
+
+    def test_softmax_gradient(self, numgrad):
+        """The taped softmax (``log_softmax().exp()``), checked in float64."""
+        rng = np.random.default_rng(2)
+        data = rng.normal(size=(3, 5))
+        weights = rng.normal(size=(3, 5))
+        with default_dtype(np.float64):
+
+            def forward_value():
+                return float((Tensor(data).softmax() * Tensor(weights)).sum().data)
+
+            x = Tensor(data.copy(), requires_grad=True)
+            (x.softmax() * Tensor(weights)).sum().backward()
+            numeric = numgrad(forward_value, data)
+        np.testing.assert_allclose(x.grad, numeric, rtol=1e-4, atol=1e-7)
 
 
 @given(

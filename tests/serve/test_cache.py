@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serve.cache import ResultCache, dihedral_key, exact_key
+from repro.serve.cache import ResultCache, exact_key
 
 
 def grid(seed, size=8):
@@ -24,16 +24,6 @@ class TestKeys:
         g = grid(3, size=16)
         view = g[::2, ::2]
         assert exact_key(view) == exact_key(np.ascontiguousarray(view))
-
-    def test_dihedral_key_shared_by_rotations_and_flips(self):
-        g = grid(5)
-        key = dihedral_key(g)
-        for k in range(4):
-            assert dihedral_key(np.rot90(g, k)) == key
-            assert dihedral_key(np.rot90(np.fliplr(g), k)) == key
-
-    def test_dihedral_key_still_discriminates(self):
-        assert dihedral_key(grid(0)) != dihedral_key(grid(1))
 
 
 class TestResultCache:
@@ -97,9 +87,3 @@ class TestResultCache:
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError):
             ResultCache(max_bytes=-1)
-
-    def test_canonicalize_mode_hits_on_rotation(self):
-        cache = ResultCache(canonicalize=True)
-        g = grid(2)
-        cache.put(cache.key(g), np.zeros(2, dtype=np.float32), 0.25)
-        assert cache.get(cache.key(np.rot90(g))) is not None
