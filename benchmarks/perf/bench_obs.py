@@ -14,8 +14,6 @@ Case groups (``BENCH_obs.json``):
 * ``serve_qps_armed`` — the same workload with tracing armed (ring
   sink, no exporter), with ``armed_overhead_pct`` vs the disarmed run
   — the price of turning the flashlight on;
-* ``hist_merge`` — fleet-merge cost of mergeable snapshots
-  (:func:`repro.obs.aggregate.merge_snapshots` over 16 workers);
 * ``export_render`` — Prometheus text rendering of a summary snapshot;
 * ``flight_dump`` — filling and dumping the flight ring to disk.
 
@@ -38,7 +36,6 @@ import numpy as np
 
 from repro.core.cnn import BackboneConfig
 from repro.core.selective import SelectiveNet
-from repro.obs.aggregate import merge_snapshots, mergeable_snapshot, summarize_snapshot
 from repro.obs.export import to_prometheus
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
@@ -116,28 +113,6 @@ def _serve_case(
     return case
 
 
-def _hist_merge_case(repeats: int, workers: int = 16) -> CaseResult:
-    snapshots = []
-    for worker in range(workers):
-        registry = MetricsRegistry()
-        registry.counter("serve.requests_total").inc(100 + worker)
-        hist = registry.histogram("serve.latency_s")
-        rng = np.random.default_rng(worker)
-        for value in rng.lognormal(-6.0, 0.5, size=500):
-            hist.observe(float(value))
-        snapshots.append(mergeable_snapshot(registry, f"w{worker}"))
-
-    def run() -> None:
-        summarize_snapshot(merge_snapshots(snapshots))
-
-    case = run_case(
-        "hist_merge", run, repeats=repeats, warmup=1,
-        params={"workers": workers, "observations_each": 500},
-    )
-    case.metrics["merges_per_s"] = 1.0 / case.wall_s_median
-    return case
-
-
 def _export_case(repeats: int) -> CaseResult:
     registry = MetricsRegistry()
     for i in range(20):
@@ -210,7 +185,6 @@ def run_obs_suite(smoke: bool = False, repeats: int = 3) -> List[CaseResult]:
     )
     cases.append(armed)
 
-    cases.append(_hist_merge_case(repeats))
     cases.append(_export_case(repeats))
     cases.append(_flight_dump_case(repeats))
     return cases

@@ -27,6 +27,11 @@ from repro.obs import (
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-obs-") as root:
+        _tour(root)
+
+
+def _tour(root: str) -> None:
     counts = {"Center": 40, "Donut": 20, "Edge-Ring": 40, "None": 120}
     dataset = generate_dataset(counts, size=32, seed=11)
     rng = np.random.default_rng(11)
@@ -35,7 +40,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. Train with a structured run log attached.
     # ------------------------------------------------------------------
-    run_dir = os.path.join(tempfile.mkdtemp(prefix="repro-obs-"), "selective50")
+    run_dir = os.path.join(root, "selective50")
     run_logger = RunLogger(run_dir)
     classifier = SelectiveWaferClassifier(
         target_coverage=0.5,

@@ -8,10 +8,9 @@ prints:
 1. the span tree of the first served request — enqueue, queue-wait,
    batch assembly, respond;
 2. the span tree of the training step, whose shard spans were recorded
-   in the worker processes;
-3. the fleet-merged telemetry (parent + every worker registry);
-4. a Prometheus rendering of the merged view;
-5. a flight-recorder dump of the most recent spans/events.
+   in the worker processes — the only telemetry workers send home;
+3. a Prometheus rendering of this process's registry snapshot;
+4. a flight-recorder dump of the most recent spans/events.
 
 Tracing is off by default everywhere; a disarmed probe on the serve
 path costs ~40 ns per request, which is why the engine can afford to
@@ -35,9 +34,7 @@ from repro.obs import (
     disarm_tracing,
     dump_flight,
     format_span_tree,
-    mergeable_snapshot,
     set_flight_dump_dir,
-    summarize_snapshot,
 )
 from repro.obs.export import lint_prometheus, to_prometheus
 from repro.parallel import parallel_supported
@@ -55,6 +52,16 @@ def _backbone() -> BackboneConfig:
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-flight-") as flight_dir:
+        set_flight_dump_dir(flight_dir)
+        try:
+            _tour()
+        finally:
+            set_flight_dump_dir(None)
+            disarm_tracing()
+
+
+def _tour() -> None:
     rng = np.random.default_rng(0)
     wafers = rng.integers(0, 3, size=(8, SIZE, SIZE)).astype(np.uint8)
 
@@ -62,8 +69,6 @@ def main() -> None:
     # 1. Arm the tracer, serve, and walk the first request's trace.
     # ------------------------------------------------------------------
     print("== serving 8 wafers, traced, on the in-process lane ==")
-    flight_dir = tempfile.mkdtemp(prefix="repro-flight-")
-    set_flight_dump_dir(flight_dir)
     tracer = arm_tracing()  # also feeds the flight recorder's ring
     registry = MetricsRegistry()
     config = ServeConfig(max_batch_size=4, cache_bytes=0)
@@ -79,7 +84,6 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. One training step on two workers: a trace across processes.
     # ------------------------------------------------------------------
-    merged = mergeable_snapshot(registry, "parent")
     if parallel_supported(2):
         print("== one training step at batch 64 on 2 worker processes ==")
         inputs = rng.normal(size=(64, 1, SIZE, SIZE)).astype(np.float32)
@@ -91,29 +95,19 @@ def main() -> None:
         tracer.clear()
         try:
             trainer.train_step(inputs, labels)
-            trainer.poll_telemetry()
-            merged = trainer.telemetry_snapshot()
         finally:
             trainer.shutdown()
         spans = tracer.spans(tracer.trace_ids()[0])
         print(format_span_tree(spans))
         pids = sorted({record["pid"] for record in spans})
         print(f"processes in this trace: {pids}\n")
-
-        # --------------------------------------------------------------
-        # 3. Fleet-merged telemetry: parent counters + worker registries.
-        # --------------------------------------------------------------
-        print("-- fleet-merged counters --")
-        for name, value in sorted(merged["counters"].items()):
-            print(f"  {name} = {value}")
-        print(f"  (sources: {sorted(trainer.fleet.sources())})\n")
     else:
         print("(no fork + shared memory here: the cross-process step is skipped)\n")
 
     # ------------------------------------------------------------------
-    # 4. Prometheus rendering of the merged view.
+    # 3. Prometheus rendering of this process's registry.
     # ------------------------------------------------------------------
-    text = to_prometheus(summarize_snapshot(merged))
+    text = to_prometheus(registry.snapshot())
     problems = lint_prometheus(text)
     print("-- prometheus exposition (first 12 lines, lint "
           f"{'clean' if not problems else problems}) --")
@@ -121,7 +115,7 @@ def main() -> None:
     print()
 
     # ------------------------------------------------------------------
-    # 5. Flight-recorder dump: the black box you read after a fault.
+    # 4. Flight-recorder dump: the black box you read after a fault.
     # ------------------------------------------------------------------
     path = dump_flight("demo")
     with open(path) as handle:
@@ -129,8 +123,6 @@ def main() -> None:
     print(f"-- flight dump: {os.path.basename(path)} --")
     print(f"entries={len(payload['entries'])} reason={payload['reason']} "
           f"git_sha={payload['provenance']['git_sha'][:12]}")
-
-    disarm_tracing()
 
 
 if __name__ == "__main__":

@@ -30,8 +30,12 @@ timeout 240 python -m repro.serve.smoke
 echo "== chaos smoke (worker loss, checkpoint resume) =="
 timeout 300 python -m repro.resilience.smoke
 
-echo "== obs smoke (serve trace, cross-process trace, fleet merge, exporters, flight recorder) =="
+echo "== obs smoke (serve trace, cross-process trace, exporters, flight recorder) =="
 timeout 240 python -m repro.obs.smoke
+
+echo "== obs demos (compileall alone misses a demo that imports a deleted name) =="
+timeout 120 python examples/tracing_demo.py > /dev/null
+timeout 120 python examples/observability_demo.py > /dev/null
 
 echo "== prometheus exposition lint =="
 python -m repro.obs.export --format prometheus --demo --lint > /dev/null

@@ -3,15 +3,14 @@
 The pillars, one per module:
 
 * :mod:`repro.obs.metrics` — counters, gauges, streaming histograms in
-  a :class:`MetricsRegistry` (process-global default + injectable);
+  a :class:`MetricsRegistry` (process-global default + injectable),
+  read in the process that records them;
 * :mod:`repro.obs.events` — structured JSONL run logs via
   :class:`RunLogger`, round-trippable with :func:`load_run`;
 * :mod:`repro.obs.trace` — distributed tracing: request-scoped span
   trees propagated by value across process boundaries, disarmed by
-  default at near-zero cost;
-* :mod:`repro.obs.aggregate` — cross-process metric aggregation:
-  mergeable snapshots workers ship to their supervisor, fleet-merged by
-  :class:`FleetAggregator` with order-invariant histogram merging;
+  default at near-zero cost.  Data-parallel workers keep no metrics;
+  their per-shard time comes home only as spans;
 * :mod:`repro.obs.flight` — a bounded flight-recorder ring of recent
   spans/events, dumped atomically on fault paths;
 * :mod:`repro.obs.export` — Prometheus-text / JSON exporters and the
@@ -28,14 +27,6 @@ Everything is opt-in: with tracing disarmed, no logger attached, and no
 hooks installed the training and inference hot paths are unchanged.
 """
 
-from .aggregate import (
-    FleetAggregator,
-    merge_histogram_states,
-    merge_snapshots,
-    mergeable_snapshot,
-    state_quantile,
-    summarize_snapshot,
-)
 from .events import SCHEMA_VERSION, RunLogger, iter_records, load_run
 from .flight import (
     FlightRecorder,
@@ -90,12 +81,6 @@ __all__ = [
     "span_tree",
     "traced",
     "tracing_enabled",
-    "FleetAggregator",
-    "merge_histogram_states",
-    "merge_snapshots",
-    "mergeable_snapshot",
-    "state_quantile",
-    "summarize_snapshot",
     "FlightRecorder",
     "default_flight_recorder",
     "dump_flight",

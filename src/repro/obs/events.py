@@ -27,6 +27,7 @@ import dataclasses
 import json
 import logging
 import os
+import threading
 import time
 import uuid
 from typing import Any, Dict, Iterator, List, Optional
@@ -80,6 +81,11 @@ class RunLogger:
     after every write so a crashed run still leaves a readable log.
     Use as a context manager to get the ``run_end`` record and the
     file closed automatically.
+
+    Thread-safe: the lazy open, the ``seq`` number, the write and the
+    flush of each record happen under one lock, so spans ending on
+    several threads (``arm_tracing(run_logger=...)``) can share a
+    logger.
     """
 
     def __init__(self, run_dir: str, run_id: Optional[str] = None) -> None:
@@ -89,35 +95,38 @@ class RunLogger:
         self._seq = 0
         self._file = None
         self._closed = False
+        # Reentrant: close() writes run_end through log() while holding it.
+        self._lock = threading.RLock()
 
     # -- core ----------------------------------------------------------
     def log(self, record_type: str, **data: Any) -> Dict[str, Any]:
         """Append one record; returns the sanitized record as written."""
-        if self._closed:
-            raise RuntimeError("RunLogger is closed")
-        record = {
-            "schema": SCHEMA_VERSION,
-            "run_id": self.run_id,
-            "seq": self._seq,
-            "ts": time.time(),
-            "type": str(record_type),
-            "data": _json_safe(data),
-        }
-        if self._file is None:
-            os.makedirs(self.run_dir, exist_ok=True)
-            # One run directory per run: a stale events.jsonl from an
-            # earlier run would corrupt the seq/run_id invariants, so
-            # the stream is truncated rather than appended to.
-            self._file = open(self.path, "w", encoding="utf-8")
-            if self._seq == 0:
-                # Stamp the stream before the first caller record.
-                self._file.write(json.dumps(self._start_record()) + "\n")
-                self._seq = 1
-                record["seq"] = 1
-        self._file.write(json.dumps(record) + "\n")
-        self._file.flush()
-        self._seq += 1
-        return record
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("RunLogger is closed")
+            record = {
+                "schema": SCHEMA_VERSION,
+                "run_id": self.run_id,
+                "seq": self._seq,
+                "ts": time.time(),
+                "type": str(record_type),
+                "data": _json_safe(data),
+            }
+            if self._file is None:
+                os.makedirs(self.run_dir, exist_ok=True)
+                # One run directory per run: a stale events.jsonl from an
+                # earlier run would corrupt the seq/run_id invariants, so
+                # the stream is truncated rather than appended to.
+                self._file = open(self.path, "w", encoding="utf-8")
+                if self._seq == 0:
+                    # Stamp the stream before the first caller record.
+                    self._file.write(json.dumps(self._start_record()) + "\n")
+                    self._seq = 1
+                    record["seq"] = 1
+            self._file.write(json.dumps(record) + "\n")
+            self._file.flush()
+            self._seq += 1
+            return record
 
     def _start_record(self) -> Dict[str, Any]:
         return {
@@ -152,17 +161,18 @@ class RunLogger:
         The fsync makes the completed stream durable: a machine crash
         right after ``close()`` cannot take the run's records with it.
         """
-        if self._closed:
-            return
-        self.log("run_end", **data)
-        self._closed = True
-        if self._file is not None:
-            try:
-                os.fsync(self._file.fileno())
-            except OSError:  # pragma: no cover - fsync unsupported
-                pass
-            self._file.close()
-            self._file = None
+        with self._lock:
+            if self._closed:
+                return
+            self.log("run_end", **data)
+            self._closed = True
+            if self._file is not None:
+                try:
+                    os.fsync(self._file.fileno())
+                except OSError:  # pragma: no cover - fsync unsupported
+                    pass
+                self._file.close()
+                self._file = None
 
     def __enter__(self) -> "RunLogger":
         return self

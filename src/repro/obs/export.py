@@ -1,8 +1,7 @@
 """Metric exporters: Prometheus text format, JSON snapshots, provenance.
 
-The registry (:mod:`repro.obs.metrics`) and the fleet aggregator
-(:mod:`repro.obs.aggregate`) hold numbers in memory; this module turns
-them into bytes other systems consume:
+The registry (:mod:`repro.obs.metrics`) holds numbers in memory; this
+module turns them into bytes other systems consume:
 
 * :func:`to_prometheus` renders a summary snapshot in the Prometheus
   text exposition format (counters, gauges, and histogram summaries as
@@ -48,7 +47,6 @@ __all__ = [
 
 
 def _obs_schema_versions() -> Dict[str, int]:
-    from .aggregate import AGGREGATE_SCHEMA_VERSION
     from .events import SCHEMA_VERSION as EVENTS_SCHEMA_VERSION
     from .flight import FLIGHT_SCHEMA_VERSION
     from .trace import TRACE_SCHEMA_VERSION
@@ -56,7 +54,6 @@ def _obs_schema_versions() -> Dict[str, int]:
     return {
         "events": EVENTS_SCHEMA_VERSION,
         "trace": TRACE_SCHEMA_VERSION,
-        "aggregate": AGGREGATE_SCHEMA_VERSION,
         "flight": FLIGHT_SCHEMA_VERSION,
     }
 
@@ -174,11 +171,10 @@ def _fmt(value: Any) -> str:
 def to_prometheus(snapshot: Dict[str, Any], prefix: str = "repro") -> str:
     """Render a summary snapshot as Prometheus text exposition format.
 
-    Accepts the shape produced by ``MetricsRegistry.snapshot()`` and
-    :func:`repro.obs.aggregate.summarize_snapshot`: counters and gauges
-    as scalars, histograms as summary dicts — exported as Prometheus
-    *summary* metrics (quantile-labelled samples plus ``_sum`` and
-    ``_count`` series).
+    Accepts the shape produced by ``MetricsRegistry.snapshot()``:
+    counters and gauges as scalars, histograms as summary dicts —
+    exported as Prometheus *summary* metrics (quantile-labelled samples
+    plus ``_sum`` and ``_count`` series).
     """
     lines: List[str] = []
     for name in sorted(snapshot.get("counters", {})):
@@ -265,8 +261,8 @@ class SnapshotWriter:
     """Background thread persisting periodic snapshots atomically.
 
     ``source`` is any zero-argument callable returning a snapshot dict
-    — a registry's ``snapshot`` method, an engine's
-    ``telemetry_snapshot``.  Each tick the snapshot is written with
+    — typically a registry's ``snapshot`` method.  Each tick the
+    snapshot is written with
     :func:`repro.resilience.atomic.atomic_write_text`, so a scraper (or
     ``repro.obs.top``) polling the file never reads a torn write.
     """
@@ -335,18 +331,6 @@ def _demo_snapshot() -> Dict[str, Any]:
     return registry.snapshot()
 
 
-def _load_snapshot(path: str) -> Dict[str, Any]:
-    """Load a snapshot file, summarizing mergeable snapshots on sight."""
-    from .aggregate import summarize_snapshot
-
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    histograms = data.get("histograms", {})
-    if histograms and any("buckets" in h for h in histograms.values()):
-        return summarize_snapshot(data)
-    return data
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.export",
@@ -357,7 +341,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--snapshot", metavar="PATH",
-        help="snapshot JSON file to export (plain or mergeable form); "
+        help="snapshot JSON file to export (as written by SnapshotWriter); "
         "default: the process-global registry",
     )
     parser.add_argument(
@@ -376,7 +360,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.demo:
         snapshot = _demo_snapshot()
     elif args.snapshot:
-        snapshot = _load_snapshot(args.snapshot)
+        with open(args.snapshot, "r", encoding="utf-8") as handle:
+            snapshot = json.load(handle)
     else:
         from .metrics import default_registry
 

@@ -16,6 +16,7 @@ call it unconditionally.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -132,6 +133,9 @@ class FlightRecorder:
 _default_recorder: Optional[FlightRecorder] = None
 _recorder_lock = threading.Lock()
 _dump_dir: Optional[str] = None
+#: Per-process dump sequence: two dumps with the same reason in the
+#: same second still get distinct files.
+_dump_seq = itertools.count()
 
 
 def default_flight_recorder() -> FlightRecorder:
@@ -174,9 +178,10 @@ def dump_flight(reason: str) -> Optional[str]:
     """Dump the global ring if a dump directory is configured.
 
     Fault paths call this unconditionally; it returns the written path,
-    or ``None`` when dumping is disabled.  Failures to write are
-    swallowed — the flight recorder must never turn a recoverable fault
-    into a fatal one.
+    or ``None`` when dumping is disabled.  Every call writes its own
+    file: the name ends in the process's dump sequence number.
+    Failures to write are swallowed — the flight recorder must never
+    turn a recoverable fault into a fatal one.
     """
     directory = flight_dump_dir()
     if directory is None:
@@ -184,7 +189,8 @@ def dump_flight(reason: str) -> Optional[str]:
     stamp = time.strftime("%Y%m%dT%H%M%S")
     safe_reason = "".join(c if c.isalnum() or c in "-_" else "-" for c in reason)
     path = os.path.join(
-        directory, f"flight_{stamp}_{safe_reason}_pid{os.getpid()}.json"
+        directory,
+        f"flight_{stamp}_{safe_reason}_pid{os.getpid()}_{next(_dump_seq)}.json",
     )
     try:
         return default_flight_recorder().dump(path, reason=reason)

@@ -23,12 +23,9 @@ from __future__ import annotations
 import math
 import random
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 __all__ = [
-    "BUCKETS_PER_OCTAVE",
-    "bucket_key",
-    "bucket_value",
     "Counter",
     "Gauge",
     "Histogram",
@@ -84,35 +81,6 @@ class Gauge:
         return self._value
 
 
-#: Log-spaced bucket resolution of the mergeable state: ``2**(1/8)``
-#: per bucket (~9% width), so a quantile read off merged buckets is
-#: within ~5% relative error of the exact value.
-BUCKETS_PER_OCTAVE = 8
-
-
-def bucket_key(value: float) -> str:
-    """Mergeable-state bucket of ``value``.
-
-    Positive values land in log-spaced buckets ``p<i>`` with
-    ``i = round(8 * log2(v))``; zero in ``z``; negatives mirror into
-    ``n<i>`` over their magnitude.  Keys are strings so bucket tables
-    survive a JSON round-trip unchanged.
-    """
-    if value > 0.0:
-        return f"p{round(BUCKETS_PER_OCTAVE * math.log2(value))}"
-    if value < 0.0:
-        return f"n{round(BUCKETS_PER_OCTAVE * math.log2(-value))}"
-    return "z"
-
-
-def bucket_value(key: str) -> float:
-    """Representative (geometric-center) value of a bucket key."""
-    if key == "z":
-        return 0.0
-    magnitude = 2.0 ** (int(key[1:]) / BUCKETS_PER_OCTAVE)
-    return magnitude if key[0] == "p" else -magnitude
-
-
 class Histogram:
     """Streaming distribution summary with quantile estimates.
 
@@ -124,12 +92,8 @@ class Histogram:
     dedicated seeded :class:`random.Random` so snapshots are
     reproducible run-to-run.
 
-    Alongside the reservoir, every observation increments one
-    log-spaced bucket (:func:`bucket_key`).  Bucket tables are plain
-    counts, so per-process snapshots merge by addition — exactly
-    associative and order-invariant — which is what the cross-process
-    aggregation layer (:mod:`repro.obs.aggregate`) ships between
-    workers; see :meth:`mergeable_state`.
+    The reservoir is the only quantile estimator: a histogram is read
+    in the process that records it.
     """
 
     def __init__(self, name: str, reservoir_size: int = 2048, seed: int = 0) -> None:
@@ -143,12 +107,10 @@ class Histogram:
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._buckets: Dict[str, int] = {}
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         value = float(value)
-        key = bucket_key(value)
         with self._lock:
             self._count += 1
             self._sum += value
@@ -156,7 +118,6 @@ class Histogram:
                 self._min = value
             if value > self._max:
                 self._max = value
-            self._buckets[key] = self._buckets.get(key, 0) + 1
             if len(self._reservoir) < self.reservoir_size:
                 self._reservoir.append(value)
             else:
@@ -208,22 +169,6 @@ class Histogram:
             "p95": self.quantile(0.95),
             "p99": self.quantile(0.99),
         }
-
-    def mergeable_state(self) -> Dict[str, object]:
-        """Cross-process state: exact moments + the bucket table.
-
-        Merge states with :func:`repro.obs.aggregate.merge_histogram_states`
-        and read quantiles back with
-        :func:`repro.obs.aggregate.state_quantile`.
-        """
-        with self._lock:
-            return {
-                "count": self._count,
-                "sum": self._sum,
-                "min": self._min if self._count else 0.0,
-                "max": self._max if self._count else 0.0,
-                "buckets": dict(self._buckets),
-            }
 
 
 class MetricsRegistry:

@@ -74,16 +74,11 @@ def _named_leaf_modules(model: Module) -> Iterator[Tuple[str, Module]]:
 class LayerProfiler:
     """Installs per-layer timing hooks and aggregates the results.
 
-    Parameters
-    ----------
-    leaves_only:
-        Hook only modules without children (default).  Hooking
-        composite modules too would double-count their children's time
-        in the totals, so it is off unless you want the hierarchy.
+    Only modules without children are hooked: hooking composite modules
+    too would count their children's time twice in the totals.
     """
 
-    def __init__(self, leaves_only: bool = True) -> None:
-        self.leaves_only = leaves_only
+    def __init__(self) -> None:
         self._stats: "Dict[int, LayerStats]" = {}
         self._handles: List[HookHandle] = []
         self._order: List[int] = []
@@ -91,11 +86,7 @@ class LayerProfiler:
     # -- install / remove ----------------------------------------------
     def install(self, model: Module) -> "LayerProfiler":
         """Register hooks on ``model``; may be called for several models."""
-        if self.leaves_only:
-            targets = list(_named_leaf_modules(model))
-        else:
-            targets = [(type(m).__name__, m) for m in model.modules()]
-        for name, module in targets:
+        for name, module in _named_leaf_modules(model):
             key = id(module)
             if key not in self._stats:
                 self._stats[key] = LayerStats(name, type(module).__name__)

@@ -11,18 +11,15 @@ contract holds:
    :class:`~repro.parallel.engine.DataParallelEngine` step at batch 64
    (two 32-row shards) must yield one ``parallel.step`` trace whose
    ``parallel.shard`` spans carry a worker's pid, not the parent's.
-3. **Fleet-merged telemetry.**  The engine's
-   ``telemetry_snapshot()`` must show ``parallel.worker.items == 64``
-   — a counter that only ever increments inside the workers.
-4. **Exporters.**  The merged snapshot rendered as Prometheus text
-   must pass :func:`repro.obs.export.lint_prometheus` clean, and the
-   ops console (:mod:`repro.obs.top`) must render a frame from it.
-5. **Flight recorder.**  With a dump directory configured, a recorded
+3. **Exporters.**  The registry's ``snapshot()`` rendered as
+   Prometheus text must pass :func:`repro.obs.export.lint_prometheus`
+   clean, and the ops console (:mod:`repro.obs.top`) must render a
+   frame from it.
+4. **Flight recorder.**  With a dump directory configured, a recorded
    fault event must produce an atomic, provenance-stamped dump file.
 
-On platforms without multiprocessing support legs 2 and 3 are
-skipped.  ``scripts/check.sh`` (and ``make check``) run this under a
-timeout.
+On platforms without multiprocessing support leg 2 is skipped.
+``scripts/check.sh`` (and ``make check``) run this under a timeout.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ import os
 import shutil
 import sys
 import tempfile
-from typing import Optional
 
 import numpy as np
 
@@ -41,7 +37,6 @@ from ..core.selective import SelectiveNet
 from ..parallel import parallel_supported
 from ..parallel.engine import DataParallelEngine, ObjectiveSpec
 from ..serve import ServeConfig, ServeEngine
-from .aggregate import mergeable_snapshot, summarize_snapshot
 from .export import lint_prometheus, to_prometheus
 from .flight import (
     record_flight_event,
@@ -88,8 +83,8 @@ def _serve_trace(registry: MetricsRegistry) -> bool:
     return True
 
 
-def _parallel_step(registry: MetricsRegistry) -> Optional[dict]:
-    """One traced two-worker step; the fleet-merged snapshot, or None."""
+def _parallel_step(registry: MetricsRegistry) -> bool:
+    """One traced two-worker step whose shard spans come from the workers."""
     rng = np.random.default_rng(1)
     inputs = rng.normal(size=(_BATCH, 1, _SIZE, _SIZE)).astype(np.float32)
     labels = rng.integers(0, 4, size=(_BATCH,)).astype(np.int64)
@@ -100,8 +95,6 @@ def _parallel_step(registry: MetricsRegistry) -> Optional[dict]:
     tracer = arm_tracing(recorder=False)
     try:
         engine.train_step(inputs, labels)
-        engine.poll_telemetry()
-        snapshot = engine.telemetry_snapshot()
     finally:
         disarm_tracing()
         engine.shutdown()
@@ -110,53 +103,43 @@ def _parallel_step(registry: MetricsRegistry) -> Optional[dict]:
     steps = [span for span in tracer.spans() if span["name"] == "parallel.step"]
     if len(steps) != 1:
         print(f"FAIL: expected one parallel.step trace, found {len(steps)}")
-        return None
+        return False
     spans = tracer.spans(steps[0]["trace_id"])
     shard_pids = [span["pid"] for span in spans if span["name"] == "parallel.shard"]
     if len(shard_pids) != 2 or os.getpid() in shard_pids:
         print(f"FAIL: parallel.shard spans carry pids {shard_pids}; "
               f"expected two from worker processes (parent {os.getpid()})")
-        return None
+        return False
     print(format_span_tree(spans))
     print(f"obs smoke: trace across {len(set(shard_pids)) + 1} processes OK")
-
-    # 3. fleet merge shows worker-side numbers
-    items = snapshot["counters"].get("parallel.worker.items", 0)
-    if items != _BATCH:
-        print(f"FAIL: fleet-merged parallel.worker.items = {items}, "
-              f"expected {_BATCH}")
-        return None
-    print("obs smoke: fleet-merged worker counters OK")
-    return snapshot
+    return True
 
 
 def main() -> int:
-    # One registry: the serve counters and the training workers'
-    # counters meet in the same fleet-merged snapshot.
+    # One registry: the serve counters and the training engine's parent
+    # counters meet in the same snapshot.
     registry = MetricsRegistry()
     if not _serve_trace(registry):
         return 1
     if parallel_supported(2):
-        snapshot = _parallel_step(registry)
-        if snapshot is None:
+        if not _parallel_step(registry):
             return 1
     else:
-        print("obs smoke: parallel unsupported; cross-process legs SKIPPED")
-        snapshot = mergeable_snapshot(registry, "parent")
+        print("obs smoke: parallel unsupported; cross-process leg SKIPPED")
 
-    # 4. exporters: Prometheus lint + ops console frame
-    summary = summarize_snapshot(snapshot)
-    problems = lint_prometheus(to_prometheus(summary))
+    # 3. exporters: Prometheus lint + ops console frame
+    snapshot = registry.snapshot()
+    problems = lint_prometheus(to_prometheus(snapshot))
     if problems:
         print("FAIL: prometheus lint problems: " + "; ".join(problems))
         return 1
-    frame = render(summary)
+    frame = render(snapshot)
     if "qps" not in frame:
         print("FAIL: ops console frame rendered without a qps line")
         return 1
     print("obs smoke: prometheus exposition + ops console OK")
 
-    # 5. flight recorder dump on a fault event
+    # 4. flight recorder dump on a fault event
     tmpdir = tempfile.mkdtemp(prefix="obs_smoke_flight_")
     try:
         reset_default_flight_recorder()
@@ -180,8 +163,8 @@ def main() -> int:
         shutil.rmtree(tmpdir, ignore_errors=True)
     print("obs smoke: flight recorder dump OK")
 
-    print("obs smoke OK (serve trace, cross-process trace, fleet merge, "
-          "exporters, flight recorder)")
+    print("obs smoke OK (serve trace, cross-process trace, exporters, "
+          "flight recorder)")
     return 0
 
 

@@ -1,8 +1,9 @@
-"""Ops console: a terminal ``top`` for the serving/training fleet.
+"""Ops console: a terminal ``top`` for a serving/training process.
 
-Reads metric snapshots — straight from a registry, or from the JSON
-file a :class:`~repro.obs.export.SnapshotWriter` keeps fresh — and
-renders the numbers an operator watches during a run of the selective
+Reads that process's ``MetricsRegistry.snapshot()`` — straight from
+the registry, or from the JSON file a
+:class:`~repro.obs.export.SnapshotWriter` keeps fresh — and renders
+the numbers an operator watches during a run of the selective
 classifier: live QPS, p50/p99 latency, shed / cache-hit / abstain
 rates, what flushed each batch, the compiled-graph cache, worker
 respawns and the continual-operations loop.  Rates are computed from
@@ -174,14 +175,8 @@ def render(
 # CLI
 # ----------------------------------------------------------------------
 def _load(path: str) -> Dict[str, Any]:
-    from .aggregate import summarize_snapshot
-
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    histograms = data.get("histograms", {})
-    if histograms and any("buckets" in h for h in histograms.values()):
-        return summarize_snapshot(data)
-    return data
+        return json.load(handle)
 
 
 def _demo_frames() -> List[Dict[str, Any]]:

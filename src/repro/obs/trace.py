@@ -38,7 +38,7 @@ import time
 import uuid
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
@@ -244,14 +244,13 @@ def remote_span(
 
 
 class Tracer:
-    """Collects finished spans into a bounded ring, fanning out to sinks.
+    """Collects finished spans into a bounded ring, fanning out to a run
+    log and the flight recorder.
 
     Parameters
     ----------
     capacity:
         Ring-buffer bound on retained span records (oldest dropped).
-    sink:
-        Optional callable receiving every finished span record.
     run_logger:
         Optional :class:`~repro.obs.events.RunLogger`; each finished
         span is appended as a ``trace_span`` record.
@@ -263,7 +262,6 @@ class Tracer:
     def __init__(
         self,
         capacity: int = 4096,
-        sink: Optional[Callable[[Dict[str, Any]], None]] = None,
         run_logger=None,
         recorder=None,
     ) -> None:
@@ -271,7 +269,6 @@ class Tracer:
             raise ValueError("capacity must be >= 1")
         self._ring: deque = deque(maxlen=capacity)
         self._lock = threading.Lock()
-        self._sink = sink
         self._run_logger = run_logger
         self._recorder = recorder
 
@@ -314,8 +311,6 @@ class Tracer:
         """Record a finished span — local or shipped from a worker."""
         with self._lock:
             self._ring.append(record)
-        if self._sink is not None:
-            self._sink(record)
         if self._run_logger is not None:
             self._run_logger.log("trace_span", **record)
         if self._recorder is not None:
@@ -362,7 +357,6 @@ def tracing_enabled() -> bool:
 
 def arm_tracing(
     capacity: int = 4096,
-    sink: Optional[Callable[[Dict[str, Any]], None]] = None,
     run_logger=None,
     recorder=None,
 ) -> Tracer:
@@ -379,9 +373,7 @@ def arm_tracing(
         recorder = default_flight_recorder()
     elif recorder is False:
         recorder = None
-    _TRACER = Tracer(
-        capacity=capacity, sink=sink, run_logger=run_logger, recorder=recorder
-    )
+    _TRACER = Tracer(capacity=capacity, run_logger=run_logger, recorder=recorder)
     return _TRACER
 
 

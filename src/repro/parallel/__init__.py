@@ -23,6 +23,12 @@ Supervision (see :mod:`repro.resilience`): worker crashes surface as
 :class:`WorkerCrashed`, the engine heartbeats / respawns workers and
 re-shards in-flight batches, and :class:`ParallelUnavailable` tells
 callers the pool degraded below usefulness — fall back to serial.
+
+Telemetry stays in the parent: its registry counts worker deaths,
+restarts, respawns and retried steps and holds the ``parallel.shm.*``
+gauges.  Workers keep no registry; their per-shard forward and
+backward time reaches the parent only as ``parallel.shard`` /
+``parallel.shard.backward`` trace spans.
 """
 
 from .engine import (

@@ -65,7 +65,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs.aggregate import FleetAggregator, mergeable_snapshot
 from ..obs.flight import dump_flight, record_flight_event
 from ..obs.trace import current_tracer, remote_span
 from ..resilience.chaos import chaos_point
@@ -340,6 +339,12 @@ class DataParallelEngine:
     ``retry`` bounds worker respawns (per rank) and paces them with
     exponential backoff; ``retry.max_retries == 0`` means a lost worker
     is never replaced and the pool simply shrinks.
+
+    ``registry`` receives the counters the parent keeps (worker deaths,
+    restarts and retried steps).  Workers keep no metrics registry:
+    their per-shard time reaches the parent only as the
+    ``parallel.shard`` and ``parallel.shard.backward`` spans of an
+    armed tracer.
     """
 
     def __init__(
@@ -376,11 +381,6 @@ class DataParallelEngine:
         self._m_deaths = reg.counter("resilience.worker.deaths")
         self._m_restarts = reg.counter("resilience.worker.restarts")
         self._m_retries = reg.counter("resilience.step.retries")
-        #: Fleet telemetry: worker registries are polled over the pipes
-        #: (:meth:`poll_telemetry`) and merged here; a crashed worker's
-        #: last snapshot is retired into the baseline, not lost.
-        self.fleet = FleetAggregator()
-        self._registry = reg
 
     # ------------------------------------------------------------------
     def _start(self, inputs: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> None:
@@ -593,9 +593,6 @@ class DataParallelEngine:
         for rank in sorted(set(dead)):
             self._active.discard(rank)
             self._m_deaths.inc()
-            # The casualty's in-process registries are gone; keep its
-            # last-published snapshot in the fleet totals.
-            self.fleet.retire(f"rank{rank}")
             record_flight_event(
                 "parallel_worker_death", rank=rank,
                 exitcode=self._pool.exitcode(rank),
@@ -644,32 +641,6 @@ class DataParallelEngine:
                 "data-parallel pool degraded below two workers; "
                 "fall back to serial execution"
             )
-        self.poll_telemetry()
-
-    def poll_telemetry(self) -> None:
-        """Pull every active worker's metric snapshot into the fleet.
-
-        Safe only between steps (the pipes must be at protocol
-        top-level); the trainer calls it via :meth:`health_check` at
-        epoch boundaries.  An unresponsive worker is skipped — its
-        death will be noticed by the next step or heartbeat.
-        """
-        if self._pool is None:
-            return
-        for rank in sorted(self._active):
-            try:
-                self._pool.send(rank, ("telemetry",))
-                reply = self._pool.recv(rank, timeout=min(self._timeout, 30.0))
-            except (WorkerCrashed, OSError):
-                continue
-            if isinstance(reply, tuple) and reply and reply[0] == "telemetry":
-                self.fleet.publish(f"rank{rank}", reply[2])
-
-    def telemetry_snapshot(self) -> dict:
-        """Fleet-wide mergeable snapshot: workers + the parent registry."""
-        return self.fleet.merged(
-            extra=[mergeable_snapshot(self._registry, "parent")]
-        )
 
     @property
     def active_workers(self) -> int:
@@ -697,28 +668,19 @@ class DataParallelEngine:
 def _engine_worker(rank: int, num_workers: int, pipe, payload) -> None:
     """Worker side of the two-phase protocol (runs in a subprocess).
 
-    Telemetry lives in a fresh worker-local registry (forked children
-    inherit the parent's registry contents — counting into it would
-    double-count pre-fork history); the parent pulls a mergeable
-    snapshot with a ``("telemetry",)`` control message.
+    Answers ``step``, ``coeff``, ``abort``, ``ping`` and ``stop``.  The
+    worker records no metrics; with a trace context in the ``step``
+    message, each shard's forward and backward come home as span
+    records with the partials and the ``done`` ack.
     """
-    import time as _time
-
     from ..nn import functional as F
     from ..nn.tensor import set_default_dtype
-    from ..obs.aggregate import mergeable_snapshot as _snapshot
-    from ..obs.metrics import MetricsRegistry
 
     set_default_dtype(np.dtype(payload["dtype"]).type)
     arena = ShmArena.attach(payload["handle"])
     model = payload["model"]
     spec: ObjectiveSpec = payload["objective"]
     model.train()
-    registry = MetricsRegistry()
-    m_steps = registry.counter("parallel.worker.steps")
-    m_items = registry.counter("parallel.worker.items")
-    m_shard = registry.histogram("parallel.worker.shard_s")
-    m_backward = registry.histogram("parallel.worker.backward_s")
 
     params = list(model.parameters())
     sizes = [int(p.data.size) for p in params]
@@ -734,16 +696,12 @@ def _engine_worker(rank: int, num_workers: int, pipe, payload) -> None:
     weights = arena.view("weights")
     grads = arena.view("grads")
 
-    def control(message) -> bool:
-        """Answer a control message; False when it was not one."""
-        tag = message[0]
-        if tag == "ping":
-            chaos_point("parallel.worker.ping", rank=rank)
-            pipe.send(("pong", rank))
-        elif tag == "telemetry":
-            pipe.send(("telemetry", rank, _snapshot(registry, f"rank{rank}")))
-        else:
+    def ping(message) -> bool:
+        """Answer a heartbeat; False when ``message`` was not one."""
+        if message[0] != "ping":
             return False
+        chaos_point("parallel.worker.ping", rank=rank)
+        pipe.send(("pong", rank))
         return True
 
     try:
@@ -754,7 +712,7 @@ def _engine_worker(rank: int, num_workers: int, pipe, payload) -> None:
             if message[0] == "abort":  # nothing in flight — just acknowledge
                 pipe.send(("aborted",))
                 continue
-            if control(message):
+            if ping(message):
                 continue
             _, shards, ctx = message
             chaos_point(
@@ -767,24 +725,20 @@ def _engine_worker(rank: int, num_workers: int, pipe, payload) -> None:
             # does not allow; reuse changes no bytes either way.
             with F.train_scratch(len(shards) == 1):
                 for index, lo, hi in shards:
-                    started = _time.perf_counter()
                     with remote_span(
                         "parallel.shard", ctx, rank=rank, shard=index, lo=lo, hi=hi
                     ) as span:
                         tape, partial = _forward_shard(
                             model, spec, inputs[lo:hi], labels[lo:hi], weights[lo:hi]
                         )
-                    m_steps.inc()
-                    m_items.inc(hi - lo)
-                    m_shard.observe(_time.perf_counter() - started)
                     tapes.append(tape)
                     partials.append((index, partial))
                     if span is not None:
                         records.append(span.to_record())
             pipe.send(("partial", partials, records))
 
-            # Phase 2: wait for the coefficients, servicing control
-            # messages; "abort" drops the step and returns to top.
+            # Phase 2: wait for the coefficients, answering pings;
+            # "abort" drops the step and returns to top.
             while True:
                 message = pipe.recv()
                 if message[0] == "stop":
@@ -792,17 +746,15 @@ def _engine_worker(rank: int, num_workers: int, pipe, payload) -> None:
                 if message[0] == "abort":
                     pipe.send(("aborted",))
                     break
-                if control(message):
+                if ping(message):
                     continue
                 coefficients = message[1:]
                 records = []
                 for (index, _, _), tape in zip(shards, tapes):
-                    started = _time.perf_counter()
                     with remote_span(
                         "parallel.shard.backward", ctx, rank=rank, shard=index
                     ) as span:
                         _backward_shard(params, tape, coefficients, grads[index])
-                    m_backward.observe(_time.perf_counter() - started)
                     if span is not None:
                         records.append(span.to_record())
                 pipe.send(("done", records))

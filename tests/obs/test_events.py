@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -141,3 +143,34 @@ class TestSchema:
         logger.log("tick")
         assert os.path.exists(logger.path)
         logger.close()
+
+
+class TestConcurrentWriters:
+    def test_threads_sharing_a_logger_keep_the_stream_valid(self, tmp_path):
+        """Spans end on several threads; each record must land whole,
+        numbered in file order, with one ``run_start``."""
+        threads, per_thread = 4, 300
+        logger = RunLogger(str(tmp_path / "r"))
+        barrier = threading.Barrier(threads, timeout=30.0)
+
+        def write(worker):
+            barrier.wait()
+            for index in range(per_thread):
+                logger.log("tick", worker=worker, index=index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the writers as much as possible
+        try:
+            pool = [threading.Thread(target=write, args=(w,)) for w in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        logger.close()
+        records = load_run(str(tmp_path / "r"))
+        assert len(records) == threads * per_thread + 2
+        assert [r["seq"] for r in records] == list(range(len(records)))
+        assert (records[0]["type"], records[-1]["type"]) == ("run_start", "run_end")

@@ -85,9 +85,7 @@ class TestProvenance:
         block = provenance()
         assert set(block) == {"git_sha", "machine", "obs_schema", "created_unix"}
         assert block["obs_schema"] == OBS_SCHEMA_VERSIONS
-        assert set(OBS_SCHEMA_VERSIONS) == {
-            "events", "trace", "aggregate", "flight",
-        }
+        assert set(OBS_SCHEMA_VERSIONS) == {"events", "trace", "flight"}
 
     def test_machine_info_fields(self):
         info = machine_info()
@@ -141,12 +139,8 @@ class TestCli:
         with open(out) as handle:
             assert "provenance" in json.load(handle)
 
-    def test_mergeable_snapshot_file_is_summarized(self, tmp_path):
-        from repro.obs.aggregate import mergeable_snapshot
-
-        registry = MetricsRegistry()
-        registry.histogram("serve.latency_s").observe(0.01)
-        path = str(tmp_path / "mergeable.json")
-        with open(path, "w") as handle:
-            json.dump(mergeable_snapshot(registry), handle)
+    def test_snapshot_file_lints_clean(self, tmp_path, capsys):
+        path = str(tmp_path / "metrics.json")
+        SnapshotWriter(_snapshot, path).write_once()
         assert main(["--format", "prometheus", "--snapshot", path, "--lint"]) == 0
+        assert 'repro_serve_latency_s{quantile="0.99"}' in capsys.readouterr().out

@@ -108,6 +108,17 @@ class TestGlobals:
         record_flight_event("fault")
         assert "explicit" in dump_flight("x")
 
+    def test_back_to_back_dumps_keep_both_files(self, tmp_path):
+        # One step that loses two ranks dumps "worker-crash" twice within
+        # the same second.
+        set_flight_dump_dir(str(tmp_path))
+        record_flight_event("fault")
+        first = dump_flight("worker-crash")
+        second = dump_flight("worker-crash")
+        assert first != second
+        assert len(os.listdir(tmp_path)) == 2
+        assert default_flight_recorder().dumps == 2
+
     def test_reason_sanitized_in_filename(self, tmp_path):
         set_flight_dump_dir(str(tmp_path))
         record_flight_event("fault")

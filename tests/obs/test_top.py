@@ -101,15 +101,3 @@ class TestCli:
             json.dump(_snapshot(), handle)
         assert main(["--snapshot", path, "--iterations", "1", "--interval", "0.01"]) == 0
         assert "qps" in capsys.readouterr().out
-
-    def test_summarizes_mergeable_snapshot_file(self, tmp_path, capsys):
-        from repro.obs.aggregate import mergeable_snapshot
-
-        registry = MetricsRegistry()
-        registry.counter("serve.requests_total").inc(10)
-        registry.histogram("serve.latency_s").observe(0.01)
-        path = str(tmp_path / "mergeable.json")
-        with open(path, "w") as handle:
-            json.dump(mergeable_snapshot(registry), handle)
-        assert main(["--snapshot", path, "--iterations", "1", "--interval", "0.01"]) == 0
-        assert "p50" in capsys.readouterr().out

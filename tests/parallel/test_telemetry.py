@@ -1,8 +1,8 @@
 """Telemetry of the data-parallel training lane.
 
-Covers the worker-side story of the obs layer: shard spans coming home
-over the pipes into the parent tracer, fleet aggregation of worker-local
-registries, and the respawn bookkeeping on the raw pool.
+Workers keep no metrics registry.  Covers the worker-side story of the
+obs layer: shard spans coming home over the pipes into the parent
+tracer, and the respawn bookkeeping the parent keeps on the raw pool.
 """
 
 import os
@@ -17,7 +17,6 @@ from repro.obs.trace import arm_tracing, disarm_tracing, span_tree
 from repro.parallel import parallel_supported
 from repro.parallel.engine import DataParallelEngine, ObjectiveSpec
 from repro.parallel.pool import WorkerPool
-from repro.resilience.retry import RetryPolicy
 
 SIZE = 16
 
@@ -93,69 +92,6 @@ class TestStepTracing:
         finally:
             engine.shutdown()
         assert np.isfinite(stats.loss)
-
-    def test_fleet_merges_worker_step_counters(self):
-        registry = MetricsRegistry()
-        engine = DataParallelEngine(
-            _model(), ObjectiveSpec(), num_workers=2, max_batch=64,
-            registry=registry,
-        )
-        try:
-            engine.train_step(*_batch(seed=1))
-            engine.train_step(*_batch(seed=2))
-            engine.poll_telemetry()
-        finally:
-            engine.shutdown()
-        sources = engine.fleet.sources()
-        assert set(sources) == {"rank0", "rank1"}
-        per_worker_items = [
-            snapshot["counters"]["parallel.worker.items"]
-            for snapshot in sources.values()
-        ]
-        # Every sample of both steps was processed by exactly one worker.
-        assert sum(per_worker_items) == 128
-        assert all(items > 0 for items in per_worker_items)
-        merged = engine.telemetry_snapshot()
-        assert merged["counters"]["parallel.worker.items"] == 128
-        assert merged["counters"]["parallel.worker.steps"] == 4
-        assert merged["histograms"]["parallel.worker.shard_s"]["count"] == 4
-        assert merged["histograms"]["parallel.worker.backward_s"]["count"] == 4
-
-    def test_crashed_worker_totals_carry_forward(self):
-        """A killed worker's published totals stay in the fleet view.
-
-        Rank 1 publishes 128 items over four steps, then dies.  Its
-        replacement publishes from zero, so only the retire baseline
-        keeps the merged count from falling back to what the survivors
-        and the replacement forwarded since.
-        """
-        engine = DataParallelEngine(
-            _model(), ObjectiveSpec(), num_workers=2, max_batch=64,
-            retry=RetryPolicy(max_retries=1, base_delay_s=0.0),
-            registry=MetricsRegistry(),
-        )
-
-        def merged_items():
-            counters = engine.telemetry_snapshot()["counters"]
-            return counters.get("parallel.worker.items", 0)
-
-        seen = []
-        try:
-            for seed in range(4):
-                engine.train_step(*_batch(seed=seed))
-            engine.poll_telemetry()
-            seen.append(merged_items())
-            engine._pool.kill(1)
-            engine.train_step(*_batch(seed=4))  # recovers rank 1, retries
-            seen.append(merged_items())
-            engine.poll_telemetry()
-            seen.append(merged_items())
-        finally:
-            engine.shutdown()
-        assert seen[0] == 4 * 64
-        assert seen == sorted(seen)  # the merged count never falls
-        assert seen[-1] >= seen[0] + 64
-        assert engine.fleet.retired == 1
 
 
 @needs_parallel
