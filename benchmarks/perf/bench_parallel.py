@@ -1,14 +1,11 @@
 """Worker-scaling benchmarks for ``repro.parallel``.
 
-Three groups of cases:
+Two groups of cases:
 
 * ``train_step_w{N}`` — mean train-step wall-clock on the Table-I CNN
   for 1 (in-process), 2, and 4 workers, with ``speedup_vs_serial``;
   every batch holds two 32-row shards, smoke included, and the suite
   fails unless each worker count ends on the parameter bytes of w1;
-* ``train_epoch_scratch_{on,off}`` — the allocation-free hot loops
-  (per-layer scratch, in-place optimizer) against the same epoch with
-  scratch disabled, on one-shard batches (the only ones that use it);
 * ``augment_w{N}`` — per-class augmentation (auto-encoder training +
   synthetic generation, >= 2 minority classes) serial vs fanned out.
 
@@ -28,8 +25,6 @@ from repro.core.augmentation import AugmentationConfig, augment_dataset
 from repro.core.cnn import BackboneConfig, WaferCNN
 from repro.core.trainer import TrainConfig, Trainer
 from repro.data.dataset import WaferDataset
-from repro import nn
-from repro.nn import functional as F
 from repro.parallel import parallel_supported, usable_cores
 
 from .harness import CaseResult, run_case
@@ -122,44 +117,6 @@ def _train_step_cases(smoke: bool, repeats: int) -> List[CaseResult]:
     return cases
 
 
-def _scratch_cases(smoke: bool, repeats: int) -> List[CaseResult]:
-    count, size, batch = (32, 32, 16) if smoke else (128, 64, 32)
-    num_classes = 4
-    dataset = _synthetic_dataset(count, size, num_classes)
-    config = BackboneConfig(input_size=size)
-
-    def one_epoch() -> None:
-        model = WaferCNN(num_classes=num_classes, config=config)
-        trainer = Trainer(
-            model,
-            TrainConfig(epochs=1, batch_size=batch, shuffle=False, seed=0),
-        )
-        trainer.fit(dataset)
-
-    def one_epoch_no_scratch() -> None:
-        # sharded_step enables train_scratch on one-shard batches; force it off.
-        original = F.train_scratch
-
-        def off(enabled: bool = True):
-            return original(False)
-
-        F.train_scratch = nn.train_scratch = off  # type: ignore[assignment]
-        try:
-            one_epoch()
-        finally:
-            F.train_scratch = nn.train_scratch = original  # type: ignore[assignment]
-
-    params = {"samples": count, "input_size": size, "batch_size": batch, "arch": "table1"}
-    on = run_case("train_epoch_scratch_on", one_epoch, repeats=repeats, warmup=1, params=params)
-    off = run_case(
-        "train_epoch_scratch_off", one_epoch_no_scratch, repeats=repeats, warmup=1, params=params
-    )
-    on.metrics["samples_per_s"] = count / on.wall_s_median
-    off.metrics["samples_per_s"] = count / off.wall_s_median
-    on.metrics["speedup_vs_no_scratch"] = off.wall_s_median / on.wall_s_median
-    return [on, off]
-
-
 def _augment_cases(smoke: bool, repeats: int) -> List[CaseResult]:
     majority, minority, size = (24, 4, 16) if smoke else (64, 8, 32)
     dataset = _imbalanced_dataset(majority, minority, size)
@@ -203,6 +160,5 @@ def run_parallel_suite(smoke: bool = False, repeats: int = 3) -> List[CaseResult
     if smoke:
         repeats = min(repeats, 1)
     cases = _train_step_cases(smoke, repeats)
-    cases.extend(_scratch_cases(smoke, repeats))
     cases.extend(_augment_cases(smoke, repeats))
     return cases

@@ -41,7 +41,20 @@ echo "== prometheus exposition lint =="
 python -m repro.obs.export --format prometheus --demo --lint > /dev/null
 
 echo "== stream smoke (drift detect -> retrain -> promote, poison + chaos) =="
-timeout 600 python -m repro.stream.smoke
+# The digest hashes every routing decision, so it pins the training
+# bytes end to end.  A change that moves training bytes on purpose
+# re-pins it here and says why in CHANGES.md.
+expected_digest=89ba9e1e9ad44964e8ccb7ae424bd950acd11f32bec84674fd644dd6a6685803
+status=0
+stream_out="$(timeout 600 python -m repro.stream.smoke)" || status=$?
+echo "$stream_out"
+[ "$status" -eq 0 ] || exit "$status"
+digest="$(echo "$stream_out" | sed -n 's/.*"decision_digest": "\([0-9a-f]*\)".*/\1/p')"
+if [ "$digest" != "$expected_digest" ]; then
+    echo "FAIL: stream smoke decision_digest ${digest:-<missing>}, expected $expected_digest"
+    exit 1
+fi
+echo "decision_digest: $digest (pinned)"
 
 echo "== perf benchmark smoke =="
 smoke_dir="$(mktemp -d)"

@@ -166,22 +166,19 @@ def train_autoencoder(
     rng = np.random.default_rng(seed)
 
     inputs = np.stack([grid_to_tensor(grid) for grid in samples])
-    # Strict forward -> backward -> step loop: safe for per-layer
-    # scratch reuse and in-place gradient buffers.
-    with nn.train_scratch():
-        for epoch in range(1, epochs + 1):
-            order = rng.permutation(len(inputs))
-            epoch_loss = 0.0
-            for start in range(0, len(order), batch_size):
-                batch = inputs[order[start:start + batch_size]]
-                tensor = nn.Tensor(batch)
-                reconstruction = model(tensor)
-                loss = nn.mse_loss(reconstruction, batch)
-                optimizer.zero_grad(set_to_none=False)
-                loss.backward()
-                optimizer.step()
-                epoch_loss += float(loss.data) * len(batch)
-            if verbose:
-                print(f"AE epoch {epoch:3d} mse={epoch_loss / len(inputs):.5f}")
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(len(inputs))
+        epoch_loss = 0.0
+        for start in range(0, len(order), batch_size):
+            batch = inputs[order[start:start + batch_size]]
+            tensor = nn.Tensor(batch)
+            reconstruction = model(tensor)
+            loss = nn.mse_loss(reconstruction, batch)
+            optimizer.zero_grad(set_to_none=False)
+            loss.backward()
+            optimizer.step()
+            epoch_loss += float(loss.data) * len(batch)
+        if verbose:
+            print(f"AE epoch {epoch:3d} mse={epoch_loss / len(inputs):.5f}")
     model.eval()
     return model

@@ -41,7 +41,6 @@ from .layers import (
 )
 from .losses import cross_entropy, mse_loss, one_hot
 from .optim import Adam
-from .functional import train_scratch
 from .serialization import load_model, load_optimizer, save_model, save_optimizer
 from .tensor import (
     Tensor,
@@ -89,6 +88,5 @@ __all__ = [
     "save_model",
     "save_optimizer",
     "load_optimizer",
-    "train_scratch",
     "load_model",
 ]

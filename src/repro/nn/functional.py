@@ -31,23 +31,18 @@ and it is the one eager twin the compiled backends
 Unfolding goes through a cached **im2col index map**: a read-only
 gather-index matrix keyed by ``(shape, kernel, stride, padding)`` that
 turns the window extraction into a single ``np.take``.  The map cache
-is LRU-bounded by a byte budget (:func:`set_index_cache_budget`) so a
+is LRU-bounded by a byte budget (:data:`_INDEX_CACHE_BUDGET`) so a
 long-running server seeing many input geometries cannot grow it
-without limit; it is shared by every thread, under one lock.  When
-recording, convolutions also support per-layer :class:`LayerScratch`
-buffers, consulted only inside the :class:`train_scratch` context, so
-a strict forward → backward → step training loop reuses its im2col
-columns and backward work buffers (a narrowing layer's forward
-allocates, as ``conv_transpose2d``'s does; see :class:`train_scratch`
-for the aliasing contract).  Scratch buffers never escape an operator,
-so returned arrays are always freshly owned.
+without limit; it is shared by every thread, under one lock.  Every
+other array an operator makes, forward or backward, is allocated for
+that call, so returned arrays are always freshly owned.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -62,13 +57,8 @@ __all__ = [
     "upsample2d",
     "conv_output_size",
     "narrows",
-    "LayerScratch",
-    "train_scratch",
-    "is_train_scratch_enabled",
     "clear_index_cache",
     "index_cache_nbytes",
-    "index_cache_budget",
-    "set_index_cache_budget",
 ]
 
 IntPair = Union[int, Tuple[int, int]]
@@ -87,93 +77,8 @@ def _recording(*tensors: Optional[Tensor]) -> bool:
     )
 
 
-class _TrainScratchSwitch(threading.local):
-    """Per-thread switch enabling per-layer training scratch reuse;
-    every thread starts with it off."""
-
-    enabled = False
-
-
-_TrainScratchState = _TrainScratchSwitch()
-
-
-class train_scratch:
-    """Context manager enabling allocation-free training hot loops.
-
-    Inside this context, layers that own a :class:`LayerScratch` (every
-    :class:`~repro.nn.layers.conv.Conv2D` / ``ConvTranspose2D``) reuse
-    their im2col column matrix and gradient work buffers across batches
-    instead of allocating fresh arrays each step.
-
-    The aliasing contract: a layer's buffers are valid from one forward
-    until that forward's backward has run, so the context is only safe
-    under the strict step discipline ``forward → backward → step`` (the
-    :class:`~repro.core.trainer.Trainer` and ``train_autoencoder``
-    loops).  Running two forwards of the same layer before calling
-    ``backward`` (e.g. gradient accumulation across batches) would
-    clobber the first forward's columns — ``train_scratch(False)``
-    switches reuse off for such a schedule inside an enabled block.
-    Reuse changes no result bytes.  Like ``no_grad``, the switch is per
-    thread.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self._enabled = bool(enabled)
-
-    def __enter__(self) -> "train_scratch":
-        self._prev = _TrainScratchState.enabled
-        _TrainScratchState.enabled = self._enabled
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _TrainScratchState.enabled = self._prev
-
-
-def is_train_scratch_enabled() -> bool:
-    """Whether :class:`train_scratch` buffer reuse is active in this thread."""
-    return _TrainScratchState.enabled
-
-
-class LayerScratch:
-    """Reusable per-layer work buffers for the training hot loop.
-
-    Each buffer is keyed by ``(tag, shape, dtype)``; a layer holds one
-    instance, so buffers are never shared between layers and the only
-    aliasing hazard is the same layer's previous step (see
-    :class:`train_scratch`).
-    """
-
-    __slots__ = ("_buffers",)
-
-    def __init__(self) -> None:
-        self._buffers: Dict[Tuple[str, Tuple[int, ...], str], np.ndarray] = {}
-
-    def get(self, tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        key = (tag, shape, np.dtype(dtype).str)
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            buffer = np.empty(shape, dtype=dtype)
-            self._buffers[key] = buffer
-        return buffer
-
-    def clear(self) -> None:
-        self._buffers.clear()
-
-    @property
-    def nbytes(self) -> int:
-        return sum(b.nbytes for b in self._buffers.values())
-
-    # Scratch is pure cache: pickling a layer (e.g. shipping a model to
-    # a spawn-start worker) must not drag megabytes of work buffers.
-    def __getstate__(self) -> tuple:
-        return ()
-
-    def __setstate__(self, state: tuple) -> None:
-        self._buffers = {}
-
-
 #: Read-only im2col gather maps keyed by (C, H, W, kernel, stride, pad),
-#: in LRU order (oldest first) under the :func:`index_cache_budget`.
+#: in LRU order (oldest first) under :data:`_INDEX_CACHE_BUDGET`.
 #: Every conv in every thread (a training thread beside the serve runner)
 #: reads it, so lookup, insert and evict hold :data:`_INDEX_LOCK`, and
 #: :data:`_INDEX_CACHE_NBYTES` keeps the byte total without iterating.
@@ -186,20 +91,6 @@ _INDEX_CACHE_NBYTES = 0
 #: seeing many input shapes, where the cache would otherwise grow
 #: without limit.  64 MiB holds ~10 distinct Table-I geometries.
 _INDEX_CACHE_BUDGET = 64 * 1024 * 1024
-
-
-def _evict_index_cache() -> None:
-    """Drop least-recently-used gather maps until under budget.
-
-    The caller holds :data:`_INDEX_LOCK`.  The newest entry is never
-    evicted even if it alone exceeds the budget — the caller is about
-    to use it, and evicted arrays stay alive for any in-flight
-    reference anyway (eviction only drops the cache's own reference).
-    """
-    global _INDEX_CACHE_NBYTES
-    while len(_INDEX_CACHE) > 1 and _INDEX_CACHE_NBYTES > _INDEX_CACHE_BUDGET:
-        _, index = _INDEX_CACHE.popitem(last=False)
-        _INDEX_CACHE_NBYTES -= index.nbytes
 
 
 def _im2col_index(
@@ -218,6 +109,11 @@ def _im2col_index(
     channel ``c`` at output position ``p``.  Building it is cheap but
     per-geometry; caching makes repeated convolutions of the same shape
     (every training step) index-computation free.
+
+    An insert then drops least-recently-used maps until the cache is
+    under :data:`_INDEX_CACHE_BUDGET`, except the new map itself, even
+    when it alone exceeds the budget: the caller is about to use it.
+    An evicted map stays alive for any caller still holding it.
     """
     global _INDEX_CACHE_NBYTES
     key = (c, h, w, kernel, stride, padding)
@@ -243,7 +139,9 @@ def _im2col_index(
         index.setflags(write=False)
         _INDEX_CACHE[key] = index
         _INDEX_CACHE_NBYTES += index.nbytes
-        _evict_index_cache()
+        while len(_INDEX_CACHE) > 1 and _INDEX_CACHE_NBYTES > _INDEX_CACHE_BUDGET:
+            _, evicted = _INDEX_CACHE.popitem(last=False)
+            _INDEX_CACHE_NBYTES -= evicted.nbytes
         return index
 
 
@@ -258,27 +156,6 @@ def clear_index_cache() -> None:
 def index_cache_nbytes() -> int:
     """Total bytes currently held by cached im2col gather maps."""
     return _INDEX_CACHE_NBYTES
-
-
-def index_cache_budget() -> int:
-    """Current byte budget of the im2col gather-map cache."""
-    return _INDEX_CACHE_BUDGET
-
-
-def set_index_cache_budget(nbytes: int) -> int:
-    """Set the gather-map cache budget; returns the previous budget.
-
-    Shrinking the budget evicts least-recently-used maps immediately
-    (except the single newest entry, which always survives).
-    """
-    global _INDEX_CACHE_BUDGET
-    if nbytes < 0:
-        raise ValueError("budget must be non-negative")
-    with _INDEX_LOCK:
-        previous = _INDEX_CACHE_BUDGET
-        _INDEX_CACHE_BUDGET = int(nbytes)
-        _evict_index_cache()
-    return previous
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -321,14 +198,12 @@ def im2col(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Unfold sliding windows of ``x`` into a 2-D matrix.
 
     Implemented as a single gather through the cached index map of
     :func:`_im2col_index` — measurably faster than a strided-view copy
-    on the paper's geometries, and allocation-free when ``out`` is
-    supplied.
+    on the paper's geometries.
 
     Parameters
     ----------
@@ -336,9 +211,6 @@ def im2col(
         Input of shape ``(N, C, H, W)``.
     kernel, stride, padding:
         Convolution geometry, each an ``(h, w)`` pair.
-    out:
-        Optional preallocated ``(N, out_h * out_w, C * kh * kw)``
-        buffer receiving the gather.
 
     Returns
     -------
@@ -354,9 +226,8 @@ def im2col(
     elif not x.flags.c_contiguous:
         x = np.ascontiguousarray(x)
     flat = x.reshape(n, -1)
-    # mode="clip" skips bounds checking (indices are valid by
-    # construction) and lets np.take write straight into ``out``.
-    cols = np.take(flat, index, axis=1, mode="clip", out=out)
+    # mode="clip" skips bounds checking (indices are valid by construction).
+    cols = np.take(flat, index, axis=1, mode="clip")
     return cols.reshape(n * index.shape[0], index.shape[1])
 
 
@@ -398,8 +269,8 @@ def col2im(
 
     ``out``, when given, must be a C-contiguous ``(N, H, W, C)``
     buffer; it is zeroed and used as the accumulation target, and the
-    returned array is a view of it — callers that pass scratch here
-    must consume the result before the next call.
+    returned array is a view of it.  The compiled backend passes a slot
+    of its arena here, so the result lands where the plan put it.
     """
     n, c, h, w = x_shape
     kh, kw = kernel
@@ -450,7 +321,6 @@ def conv2d(
     bias: Tensor = None,
     stride: IntPair = 1,
     padding: IntPair = 0,
-    scratch: Optional[LayerScratch] = None,
 ) -> Tensor:
     """2-D cross-correlation (the deep-learning "convolution").
 
@@ -468,12 +338,6 @@ def conv2d(
         Filters, shape ``(C_out, C_in, kh, kw)``.
     bias:
         Optional per-output-channel bias, shape ``(C_out,)``.
-    scratch:
-        Optional per-layer :class:`LayerScratch`.  Honoured only inside
-        a :func:`train_scratch` block: the im2col column matrix and the
-        backward work buffers then live in (and are reused from) the
-        layer's scratch instead of being reallocated every batch.  The
-        caller must invoke the layer at most once per forward pass.
     """
     stride = _pair(stride)
     padding = _pair(padding)
@@ -484,26 +348,17 @@ def conv2d(
     if narrows(c_in, c_out, (kh, kw), stride, padding):
         transposed_padding = (kh - 1 - padding[0], kw - 1 - padding[1])
         return _transposed_conv(
-            x, weight, bias, stride, transposed_padding, scratch, flipped=True
+            x, weight, bias, stride, transposed_padding, flipped=True
         )
     out_h = conv_output_size(h, kh, stride[0], padding[0])
     out_w = conv_output_size(w, kw, stride[1], padding[1])
-    rows, features = n * out_h * out_w, c_in * kh * kw
-    recording = _recording(x, weight, bias)
-    # Scratch columns must live until backward: only recorded calls use it.
-    use_scratch = recording and scratch is not None and _TrainScratchState.enabled
-
-    if use_scratch:
-        cols_buf = scratch.get("cols", (n, out_h * out_w, features), x.data.dtype)
-        cols = im2col(x.data, (kh, kw), stride, padding, out=cols_buf)
-    else:
-        cols = im2col(x.data, (kh, kw), stride, padding)  # (N*oh*ow, C*kh*kw)
+    cols = im2col(x.data, (kh, kw), stride, padding)  # (N*oh*ow, C*kh*kw)
     w_mat = weight.data.reshape(c_out, -1)  # (C_out, C*kh*kw)
-    out = cols @ w_mat.T  # (N*oh*ow, C_out); fresh — escapes as tensor data
+    out = cols @ w_mat.T  # (N*oh*ow, C_out)
     if bias is not None:
         out += bias.data
     out_data = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
-    if not recording:
+    if not _recording(x, weight, bias):
         return Tensor(out_data)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -511,32 +366,15 @@ def conv2d(
     def backward(grad: np.ndarray) -> None:
         # grad: (N, C_out, oh, ow) -> (N*oh*ow, C_out); a zero-copy view
         # when grad is already in the GEMM's row order.
-        grad_rows = grad.transpose(0, 2, 3, 1)
-        if use_scratch and not grad_rows.flags.c_contiguous:
-            grad_mat = scratch.get("grad_mat", (rows, c_out), grad.dtype)
-            np.copyto(grad_mat.reshape(n, out_h, out_w, c_out), grad_rows)
-        else:
-            grad_mat = grad_rows.reshape(rows, c_out)
+        grad_mat = grad.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, c_out)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=0))
         if weight.requires_grad:
-            if use_scratch:
-                grad_w = scratch.get("grad_w", (c_out, features), grad.dtype)
-                np.matmul(grad_mat.T, cols, out=grad_w)
-            else:
-                grad_w = grad_mat.T @ cols  # (C_out, C*kh*kw)
+            grad_w = grad_mat.T @ cols  # (C_out, C*kh*kw)
             weight._accumulate(grad_w.reshape(weight.shape))
         if x.requires_grad:
-            if use_scratch:
-                grad_cols = scratch.get("grad_cols", (rows, features), grad.dtype)
-                np.matmul(grad_mat, w_mat, out=grad_cols)
-                image = scratch.get("col2im", (n, h, w, c_in), grad.dtype)
-                grad_x = col2im(grad_cols, x.shape, (kh, kw), stride, padding, out=image)
-            else:
-                grad_cols = grad_mat @ w_mat  # (N*oh*ow, C*kh*kw)
-                grad_x = col2im(grad_cols, x.shape, (kh, kw), stride, padding)
-            # _accumulate copies, so scratch-backed grad_x never escapes.
-            x._accumulate(grad_x)
+            grad_cols = grad_mat @ w_mat  # (N*oh*ow, C*kh*kw)
+            x._accumulate(col2im(grad_cols, x.shape, (kh, kw), stride, padding))
 
     return Tensor._make(out_data, parents, backward)
 
@@ -547,7 +385,6 @@ def conv_transpose2d(
     bias: Tensor = None,
     stride: IntPair = 1,
     padding: IntPair = 0,
-    scratch: Optional[LayerScratch] = None,
 ) -> Tensor:
     """2-D transposed convolution ("deconvolution").
 
@@ -563,19 +400,13 @@ def conv_transpose2d(
     weight:
         Filters, shape ``(C_in, C_out, kh, kw)`` (note the transposed
         channel convention, matching PyTorch).
-    scratch:
-        Optional per-layer :class:`LayerScratch`, honoured inside
-        :func:`train_scratch` blocks: backward's im2col of the incoming
-        gradient and both GEMM outputs reuse layer-owned buffers.  The
-        forward ``col2im`` output always stays freshly allocated — it
-        escapes as tensor data.
     """
     if x.shape[1] != weight.shape[0]:
         raise ValueError(
             f"channel mismatch: input has {x.shape[1]}, weight expects {weight.shape[0]}"
         )
     return _transposed_conv(
-        x, weight, bias, _pair(stride), _pair(padding), scratch, flipped=False
+        x, weight, bias, _pair(stride), _pair(padding), flipped=False
     )
 
 
@@ -585,7 +416,6 @@ def _transposed_conv(
     bias: Optional[Tensor],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-    scratch: Optional[LayerScratch],
     flipped: bool,
 ) -> Tensor:
     """The transposed-convolution kernel of :func:`conv_transpose2d`
@@ -622,39 +452,20 @@ def _transposed_conv(
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
-    use_scratch = scratch is not None and _TrainScratchState.enabled
-
     def backward(grad: np.ndarray) -> None:
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if not (weight.requires_grad or x.requires_grad):
             return
-        if use_scratch:
-            cols_buf = scratch.get(
-                "grad_cols", (n, h * w, c_out * kh * kw), grad.dtype
-            )
-            grad_cols = im2col(grad, (kh, kw), stride, padding, out=cols_buf)
-        else:
-            grad_cols = im2col(grad, (kh, kw), stride, padding)
-        # grad_cols: (N*h*w, C_out*kh*kw)
+        grad_cols = im2col(grad, (kh, kw), stride, padding)  # (N*h*w, C_out*kh*kw)
         if weight.requires_grad:
-            if use_scratch:
-                grad_w = scratch.get(
-                    "grad_w", (c_in, c_out * kh * kw), grad.dtype
-                )
-                np.matmul(x_mat.T, grad_cols, out=grad_w)
-            else:
-                grad_w = x_mat.T @ grad_cols  # (C_in, C_out*kh*kw)
+            grad_w = x_mat.T @ grad_cols  # (C_in, C_out*kh*kw)
             grad_w = grad_w.reshape(c_in, c_out, kh, kw)
             if flipped:
                 grad_w = grad_w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             weight._accumulate(grad_w)
         if x.requires_grad:
-            if use_scratch:
-                grad_x = scratch.get("grad_x", (n * h * w, c_in), grad.dtype)
-                np.matmul(grad_cols, w_mat.T, out=grad_x)
-            else:
-                grad_x = grad_cols @ w_mat.T  # (N*h*w, C_in)
+            grad_x = grad_cols @ w_mat.T  # (N*h*w, C_in)
             x._accumulate(grad_x.reshape(n, h, w, c_in).transpose(0, 3, 1, 2))
 
     return Tensor._make(out_data, parents, backward)

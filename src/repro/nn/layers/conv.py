@@ -63,14 +63,9 @@ class Conv2D(Module):
             initializer((out_channels, in_channels, kh, kw), rng), name="weight"
         )
         self.bias = Parameter(init_module.zeros((out_channels,)), name="bias") if bias else None
-        # Layer-owned training scratch (honoured under F.train_scratch()).
-        self._scratch = F.LayerScratch()
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.conv2d(
-            x, self.weight, self.bias,
-            stride=self.stride, padding=self.padding, scratch=self._scratch,
-        )
+        return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
     def output_shape(self, input_shape: Tuple[int, int]) -> Tuple[int, int]:
         """Spatial output shape for a given ``(H, W)`` input."""
@@ -119,12 +114,10 @@ class ConvTranspose2D(Module):
             initializer((in_channels, out_channels, kh, kw), rng), name="weight"
         )
         self.bias = Parameter(init_module.zeros((out_channels,)), name="bias") if bias else None
-        self._scratch = F.LayerScratch()
 
     def forward(self, x: Tensor) -> Tensor:
         return F.conv_transpose2d(
-            x, self.weight, self.bias,
-            stride=self.stride, padding=self.padding, scratch=self._scratch,
+            x, self.weight, self.bias, stride=self.stride, padding=self.padding
         )
 
     def __repr__(self) -> str:

@@ -20,10 +20,6 @@ class Optimizer:
 
     Subclasses implement :meth:`_update` for a single parameter given
     its gradient.
-
-    The hot loop is allocation-free: the update rule runs through
-    per-parameter scratch buffers (see :meth:`_buffer`) instead of
-    materializing its intermediates as fresh temporaries every step.
     """
 
     #: Names of the per-parameter slot dictionaries a subclass persists
@@ -38,7 +34,6 @@ class Optimizer:
             raise ValueError("learning rate must be positive")
         self.lr = float(lr)
         self._step_count = 0
-        self._scratch: Dict[tuple, np.ndarray] = {}
 
     def zero_grad(self, set_to_none: bool = True) -> None:
         """Clear all parameter gradients.
@@ -48,15 +43,6 @@ class Optimizer:
         """
         for param in self.parameters:
             param.zero_grad(set_to_none)
-
-    def _buffer(self, name: str, index: int, param: Parameter) -> np.ndarray:
-        """Reusable uninitialized scratch shaped like ``param.data``."""
-        key = (name, index)
-        buf = self._scratch.get(key)
-        if buf is None or buf.shape != param.data.shape or buf.dtype != param.data.dtype:
-            buf = np.empty_like(param.data)
-            self._scratch[key] = buf
-        return buf
 
     def step(self) -> None:
         """Apply one update using the accumulated gradients."""
@@ -149,30 +135,13 @@ class Adam(Optimizer):
         self._v: Dict[int, np.ndarray] = {}
 
     def _update(self, index: int, param: Parameter, grad: np.ndarray) -> None:
-        # Allocation-free restatement of the textbook update; each line
-        # maps to the original expression through IEEE-754 commutativity
-        # of * only, so the trajectory is bit-identical.
-        m = self._m.get(index)
-        v = self._v.get(index)
-        if m is None:
-            m = np.zeros_like(param.data)
-            v = np.zeros_like(param.data)
-            self._m[index] = m
-            self._v[index] = v
-        tmp = self._buffer("tmp", index, param)
-        np.multiply(m, self.beta1, out=m)           # beta1 * m
-        np.multiply(grad, 1 - self.beta1, out=tmp)  # (1-beta1) * grad
-        m += tmp
-        np.multiply(grad, 1 - self.beta2, out=tmp)  # (1-beta2) * grad * grad
-        tmp *= grad
-        np.multiply(v, self.beta2, out=v)           # beta2 * v
-        v += tmp
+        m = self._m.get(index, 0.0)
+        v = self._v.get(index, 0.0)
+        m = self.beta1 * m + (1 - self.beta1) * grad
+        v = self.beta2 * v + (1 - self.beta2) * grad * grad
+        self._m[index] = m
+        self._v[index] = v
         t = self._step_count
-        np.divide(v, 1 - self.beta2 ** t, out=tmp)  # v_hat
-        np.sqrt(tmp, out=tmp)
-        tmp += self.eps
-        update = self._buffer("upd", index, param)
-        np.divide(m, 1 - self.beta1 ** t, out=update)  # m_hat
-        update *= self.lr                              # lr * m_hat
-        update /= tmp
-        param.data -= update
+        m_hat = m / (1 - self.beta1 ** t)
+        v_hat = v / (1 - self.beta2 ** t)
+        param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -24,6 +24,7 @@ Run as a CLI::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -62,12 +63,15 @@ def _obs_schema_versions() -> Dict[str, int]:
 OBS_SCHEMA_VERSIONS = _obs_schema_versions()
 
 
+@functools.lru_cache(maxsize=None)
 def _git_sha() -> Optional[str]:
     """Commit SHA of the working tree (``+dirty`` suffix), or None.
 
     Committed artifacts need to be attributable to a commit to compare
     runs; swallow every failure mode (no git binary, not a repository,
-    timeout) — exporters must run anywhere.
+    timeout) — exporters must run anywhere.  Computed once per process,
+    so the sha names the code this process imported, even if the tree
+    is edited later, and a flight dump runs no subprocess.
     """
     root = os.path.dirname(
         os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -115,7 +119,6 @@ def machine_info() -> Dict[str, Any]:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": cpu_count,
-        "git_sha": _git_sha(),
         "warnings": warnings,
         "env": {var: os.environ.get(var) for var in BLAS_ENV_VARS},
     }

@@ -98,7 +98,7 @@ def render(
     rates = compute_rates(curr, prev, dt_s)
     latency = curr.get("histograms", {}).get("serve.latency_s", {})
     lines = [
-        "repro.obs.top — serving fleet",
+        "repro.obs.top — process metrics",
         "-" * 46,
         f"  qps          {rates['qps']:10.1f}" if rates["qps"] is not None
         else "  qps                  --",
@@ -219,7 +219,7 @@ def _demo_frames() -> List[Dict[str, Any]]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.top",
-        description="Live console view of serving-fleet metrics.",
+        description="Live console view of one serving or training process's metrics.",
     )
     parser.add_argument(
         "--snapshot", metavar="PATH",

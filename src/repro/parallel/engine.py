@@ -297,16 +297,12 @@ def sharded_step(
     (fresh arrays per step slowed fabbench ``drift_retrain``'s batch-16
     fit 24 % on a 2-core VM).  The caller applies the optimizer step.
     """
-    from ..nn import functional as F
-
     n = int(inputs.shape[0])
     bounds = shard_bounds(n)
     one_shard = len(bounds) == 1
     params = list(model.parameters())
     tapes, partials = [], []
-    # Holding several shards' tapes runs more than one forward per layer
-    # before a backward, which train_scratch's reuse does not allow.
-    with nullcontext() if one_shard else worker_blas(), F.train_scratch(one_shard):
+    with nullcontext() if one_shard else worker_blas():
         for lo, hi in bounds:
             tape, partial = _forward_shard(
                 model, objective, inputs[lo:hi], labels[lo:hi], weights[lo:hi]
@@ -673,7 +669,6 @@ def _engine_worker(rank: int, num_workers: int, pipe, payload) -> None:
     message, each shard's forward and backward come home as span
     records with the partials and the ``done`` ack.
     """
-    from ..nn import functional as F
     from ..nn.tensor import set_default_dtype
 
     set_default_dtype(np.dtype(payload["dtype"]).type)
@@ -720,21 +715,17 @@ def _engine_worker(rank: int, num_workers: int, pipe, payload) -> None:
                 shards=[index for index, _, _ in shards],
             )
             tapes, partials, records = [], [], []
-            # Holding several shards' tapes runs more than one forward
-            # per layer before a backward, which train_scratch's reuse
-            # does not allow; reuse changes no bytes either way.
-            with F.train_scratch(len(shards) == 1):
-                for index, lo, hi in shards:
-                    with remote_span(
-                        "parallel.shard", ctx, rank=rank, shard=index, lo=lo, hi=hi
-                    ) as span:
-                        tape, partial = _forward_shard(
-                            model, spec, inputs[lo:hi], labels[lo:hi], weights[lo:hi]
-                        )
-                    tapes.append(tape)
-                    partials.append((index, partial))
-                    if span is not None:
-                        records.append(span.to_record())
+            for index, lo, hi in shards:
+                with remote_span(
+                    "parallel.shard", ctx, rank=rank, shard=index, lo=lo, hi=hi
+                ) as span:
+                    tape, partial = _forward_shard(
+                        model, spec, inputs[lo:hi], labels[lo:hi], weights[lo:hi]
+                    )
+                tapes.append(tape)
+                partials.append((index, partial))
+                if span is not None:
+                    records.append(span.to_record())
             pipe.send(("partial", partials, records))
 
             # Phase 2: wait for the coefficients, answering pings;

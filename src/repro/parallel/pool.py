@@ -427,10 +427,10 @@ class WorkerPool:
         The old process is force-stopped, its pipe closed, and a fresh
         process started with the same ``worker_fn`` / ``payload``.
         Callers should :meth:`ping` afterwards to confirm readiness.
-        Every respawn is counted in ``parallel.worker.respawns`` and
-        noted in the flight-recorder ring; higher layers own carrying
-        forward the casualty's published metrics (the replacement's
-        registries start from zero).
+        Every respawn is counted in the parent's
+        ``parallel.worker.respawns`` and noted in the flight-recorder
+        ring; workers keep no metrics of their own, so nothing is lost
+        with the casualty.
         """
         exitcode = self.exitcode(rank)
         self.kill(rank)

@@ -14,8 +14,7 @@ Signatures match :func:`repro.nn.functional.max_pool2d`,
 :func:`repro.nn.functional.col2im` and
 :func:`repro.nn.functional.conv2d`, so a test can patch them into
 :mod:`repro.nn.functional` and train through them.  The reference
-``col2im`` ignores ``out`` and the reference ``conv2d`` ignores
-``scratch``; both allocate their own buffers.
+``col2im`` ignores ``out`` and allocates its own buffer.
 """
 
 from __future__ import annotations
@@ -128,7 +127,6 @@ def conv2d(
     bias: Tensor = None,
     stride: IntPair = 1,
     padding: IntPair = 0,
-    scratch=None,
 ) -> Tensor:
     """Recording im2col convolution, whatever the channel counts."""
     stride, padding = _pair(stride), _pair(padding)

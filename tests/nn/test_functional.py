@@ -184,12 +184,22 @@ class TestUpsample:
 
 
 class TestIndexCacheBudget:
-    """LRU bounding of the im2col gather-map cache."""
+    """LRU bounding of the im2col gather-map cache.
+
+    Each test patches :data:`F._INDEX_CACHE_BUDGET`; an insert evicts
+    down to the budget in force at that insert.
+    """
 
     # Distinct cache keys whose gather maps all have the same 8x8x9
     # output geometry (input size shrinks as padding grows), so every
     # entry costs the same bytes and the eviction arithmetic is exact.
     GEOMETRIES = [(10, 0), (8, 1), (6, 2), (4, 3)]
+
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
+        F.clear_index_cache()
+        yield
+        F.clear_index_cache()
 
     def _fill(self, geometries):
         """Populate the cache with one equal-sized map per geometry."""
@@ -200,49 +210,40 @@ class TestIndexCacheBudget:
     def _cached_sizes():
         return {key[1] for key in F._INDEX_CACHE}
 
-    def test_eviction_keeps_recently_used_under_budget(self):
-        previous = F.set_index_cache_budget(F.index_cache_budget())
+    def test_eviction_keeps_recently_used_under_budget(self, monkeypatch):
+        self._fill(self.GEOMETRIES[:1])
+        per_entry = F.index_cache_nbytes()
         F.clear_index_cache()
-        try:
-            self._fill(self.GEOMETRIES[:3])
-            assert len(F._INDEX_CACHE) == 3
-            per_entry = F.index_cache_nbytes() // 3
-            # Budget fits exactly two of the three maps.
-            F.set_index_cache_budget(2 * per_entry)
-            assert F.index_cache_nbytes() <= 2 * per_entry
-            # The oldest geometry was evicted; newer ones survive.
-            assert self._cached_sizes() == {8, 6}
-            # Touching a survivor refreshes it: after inserting a new
-            # geometry, the untouched one is the eviction victim.
-            F._im2col_index(1, 8, 8, (3, 3), (1, 1), (1, 1))
-            self._fill(self.GEOMETRIES[3:])
-            assert self._cached_sizes() == {8, 4}
-        finally:
-            F.set_index_cache_budget(previous)
-            F.clear_index_cache()
+        # Budget fits exactly two of the maps.
+        monkeypatch.setattr(F, "_INDEX_CACHE_BUDGET", 2 * per_entry)
+        self._fill(self.GEOMETRIES[:3])
+        assert F.index_cache_nbytes() == 2 * per_entry
+        # The oldest geometry was evicted; newer ones survive.
+        assert self._cached_sizes() == {8, 6}
+        # Touching a survivor refreshes it: after inserting a new
+        # geometry, the untouched one is the eviction victim.
+        F._im2col_index(1, 8, 8, (3, 3), (1, 1), (1, 1))
+        self._fill(self.GEOMETRIES[3:])
+        assert self._cached_sizes() == {8, 4}
 
-    def test_newest_entry_survives_even_over_budget(self):
-        previous = F.set_index_cache_budget(1)  # nothing fits
-        F.clear_index_cache()
-        try:
-            index = F._im2col_index(1, 8, 8, (3, 3), (1, 1), (0, 0))
-            assert len(F._INDEX_CACHE) == 1  # caller's map is kept
-            again = F._im2col_index(1, 8, 8, (3, 3), (1, 1), (0, 0))
-            assert again is index  # and it is a genuine cache hit
-        finally:
-            F.set_index_cache_budget(previous)
-            F.clear_index_cache()
+    def test_newest_entry_survives_even_over_budget(self, monkeypatch):
+        monkeypatch.setattr(F, "_INDEX_CACHE_BUDGET", 1)  # nothing fits
+        self._fill(self.GEOMETRIES[:2])
+        assert self._cached_sizes() == {8}  # caller's map is kept
+        index = F._im2col_index(1, 8, 8, (3, 3), (1, 1), (1, 1))
+        again = F._im2col_index(1, 8, 8, (3, 3), (1, 1), (1, 1))
+        assert again is index  # and it is a genuine cache hit
 
-    def test_concurrent_lookups_and_byte_reads(self):
+    def test_concurrent_lookups_and_byte_reads(self, monkeypatch):
         """Two conv threads hitting, inserting and evicting maps while a
         third reads the byte total (a serve lane's memory gauge beside a
         training thread) must neither raise nor let the total drift."""
         geometries = [(h, pad) for h in range(6, 12) for pad in range(3)]
-        F.clear_index_cache()
         for h, pad in geometries:
             F._im2col_index(2, h, h, (3, 3), (1, 1), (pad, pad))
         # Room for about half of the maps: lookups keep evicting.
-        previous = F.set_index_cache_budget(F.index_cache_nbytes() // 2)
+        monkeypatch.setattr(F, "_INDEX_CACHE_BUDGET", F.index_cache_nbytes() // 2)
+        F.clear_index_cache()
         switch = sys.getswitchinterval()
         errors = []
         done = threading.Event()
@@ -277,21 +278,11 @@ class TestIndexCacheBudget:
         finally:
             done.set()
             sys.setswitchinterval(switch)
-            F.set_index_cache_budget(previous)
         reader.join()
-        try:
-            assert errors == []
-            assert F.index_cache_nbytes() == sum(
-                index.nbytes for index in F._INDEX_CACHE.values()
-            )
-        finally:
-            F.clear_index_cache()
+        assert errors == []
+        assert len(F._INDEX_CACHE) < len(geometries)
+        assert F.index_cache_nbytes() == sum(
+            index.nbytes for index in F._INDEX_CACHE.values()
+        )
+        F.clear_index_cache()
         assert F.index_cache_nbytes() == 0
-
-    def test_set_budget_returns_previous_and_validates(self):
-        previous = F.index_cache_budget()
-        assert F.set_index_cache_budget(123) == previous
-        assert F.index_cache_budget() == 123
-        assert F.set_index_cache_budget(previous) == 123
-        with pytest.raises(ValueError):
-            F.set_index_cache_budget(-1)

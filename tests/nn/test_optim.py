@@ -76,6 +76,43 @@ class TestAdam:
         optimizer.step()
         assert a.data[0] == pytest.approx(b.data[0], rel=1e-2)
 
+    def test_update_equals_textbook_expressions_byte_for_byte(self):
+        """Five steps of Kingma & Ba's update, recomputed here in plain
+        float32 numpy with every scalar rounded where the update rounds
+        it.  The second parameter has no gradient at step 3, so its
+        moments skip that step while ``t`` still counts it, and the
+        optimizer is rebuilt from its ``state_dict`` after step 2."""
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(7)
+        start = [rng.normal(size=(3, 4)), rng.normal(size=(5,))]
+        params = [Parameter(x.astype(np.float32)) for x in start]
+        expected = [x.astype(np.float32) for x in start]
+        moments = [[np.zeros_like(x), np.zeros_like(x)] for x in expected]
+        optimizer = Adam(params, lr=lr, betas=(beta1, beta2), eps=eps)
+        f32 = np.float32
+        for t in range(1, 6):
+            grads = [rng.normal(size=x.shape).astype(np.float32) for x in expected]
+            if t == 3:
+                grads[1] = None
+            for param, grad in zip(params, grads):
+                param.grad = None if grad is None else grad.copy()
+            optimizer.step()
+            for x, (m, v), g in zip(expected, moments, grads):
+                if g is None:
+                    continue
+                m[...] = f32(beta1) * m + f32(1 - beta1) * g
+                v[...] = f32(beta2) * v + f32(1 - beta2) * g * g
+                m_hat = m / f32(1 - beta1 ** t)
+                v_hat = v / f32(1 - beta2 ** t)
+                x -= f32(lr) * m_hat / (np.sqrt(v_hat) + f32(eps))
+            if t == 2:
+                state = optimizer.state_dict()
+                optimizer = Adam(params, lr=lr, betas=(beta1, beta2), eps=eps)
+                optimizer.load_state_dict(state)
+            for param, x in zip(params, expected):
+                assert param.data.dtype == np.float32
+                assert param.data.tobytes() == x.tobytes(), f"step {t}"
+
 
 class TestEndToEndTraining:
     def test_dense_net_learns_linear_map(self):

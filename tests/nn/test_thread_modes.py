@@ -1,8 +1,8 @@
-"""Grad mode and the train-scratch switch are per thread.
+"""Grad mode is per thread.
 
 A serving lane runs every batch inside ``inference_mode`` (grad off); a
 training thread beside it (a shadow retrain, a benchmark harness) must
-keep recording its tape and keep its own scratch switch.
+keep recording its tape.
 """
 
 import threading
@@ -14,25 +14,17 @@ from repro.core.cnn import BackboneConfig
 from repro.core.selective import SelectiveNet
 from repro.core.trainer import TrainConfig, Trainer
 from repro.data.dataset import WaferDataset
-from repro.nn import functional as F
-
-
-def _modes():
-    return {
-        "grad": nn.is_grad_enabled(),
-        "train_scratch": F.is_train_scratch_enabled(),
-    }
 
 
 def test_new_threads_start_with_grad_on_and_inference_off():
     seen = {}
-    with nn.inference_mode(), nn.train_scratch():
-        thread = threading.Thread(target=lambda: seen.update(_modes()))
+    with nn.inference_mode():
+        thread = threading.Thread(target=lambda: seen.update(grad=nn.is_grad_enabled()))
         thread.start()
         thread.join()
-        assert _modes() == {"grad": False, "train_scratch": True}
-    assert seen == {"grad": True, "train_scratch": False}
-    assert _modes() == seen
+        assert not nn.is_grad_enabled()
+    assert seen == {"grad": True}
+    assert nn.is_grad_enabled()
 
 
 def _backbone():

@@ -98,11 +98,11 @@ def test_max_pool_matches_reference(
     stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
     extra=st.tuples(st.integers(0, 6), st.integers(0, 6)),
     pad=st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    scratch=st.booleans(),
+    into_buffer=st.booleans(),
     dtype=st.sampled_from(DTYPES),
     seed=st.integers(0, 2**16),
 )
-def test_col2im_matches_reference(n, c, kernel, stride, extra, pad, scratch, dtype, seed):
+def test_col2im_matches_reference(n, c, kernel, stride, extra, pad, into_buffer, dtype, seed):
     kh, kw = kernel
     ph, pw = min(pad[0], kh - 1), min(pad[1], kw - 1)
     h, w = kh + extra[0], kw + extra[1]
@@ -114,7 +114,7 @@ def test_col2im_matches_reference(n, c, kernel, stride, extra, pad, scratch, dty
 
     expected = R.col2im(cols, *geometry)
     out = None
-    if scratch:  # stale contents must not leak into the result
+    if into_buffer:  # stale contents must not leak into the result
         out = np.full((n, h, w, c), np.nan, dtype=dtype)
     got = F.col2im(cols, *geometry, out=out)
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs import export
 from repro.obs.export import (
     OBS_SCHEMA_VERSIONS,
     SnapshotWriter,
@@ -95,6 +96,23 @@ class TestProvenance:
     def test_git_sha_present_in_repo(self):
         # The test suite runs from a git checkout, so the sha resolves.
         assert provenance()["git_sha"]
+
+    def test_git_runs_once_per_process(self, monkeypatch):
+        """A flight dump stamps provenance on every dump, so the sha is
+        worked out once (``rev-parse`` + ``status``), not per call."""
+        git_calls = []
+        run = export.subprocess.run
+
+        def counting_run(args, **kwargs):
+            if args[0] == "git":
+                git_calls.append(args)
+            return run(args, **kwargs)
+
+        monkeypatch.setattr(export.subprocess, "run", counting_run)
+        export._git_sha.cache_clear()
+        first, second = provenance(), provenance()
+        assert first["git_sha"] == second["git_sha"]
+        assert 1 <= len(git_calls) <= 2, git_calls
 
 
 class TestJson:

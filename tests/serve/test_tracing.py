@@ -3,8 +3,8 @@
 One served request yields a single trace covering enqueue → batch →
 respond, every batch names its flush trigger, and the engine's registry
 renders in the ops console.  The cross-process half of the obs layer —
-shard spans recorded in worker processes, fleet-merged worker counters
-— is covered on the data-parallel training lane
+shard spans recorded in worker processes and sent home to the parent's
+tracer — is covered on the data-parallel training lane
 (``tests/parallel/test_telemetry.py``).
 """
 
