@@ -22,6 +22,7 @@ import numpy as np
 from .. import nn
 from ..data.dataset import WaferDataset
 from ..data.wafer import grid_to_tensor
+from ..parallel.pool import kept_heap
 
 __all__ = ["AutoencoderConfig", "ConvAutoencoder", "train_autoencoder"]
 
@@ -134,6 +135,7 @@ class ConvAutoencoder(nn.Module):
         return self._stream(self.decode, latents, (1, size, size), batch_size)
 
 
+@kept_heap()
 def train_autoencoder(
     samples: np.ndarray,
     config: Optional[AutoencoderConfig] = None,
@@ -152,7 +154,11 @@ def train_autoencoder(
     config:
         Auto-encoder architecture; inferred input size when omitted.
 
-    Returns the trained model (in eval mode).
+    Returns the trained model (in eval mode).  Training runs on a kept
+    heap (:func:`~repro.parallel.kept_heap`): glibc's allocator
+    thresholds are pinned as it starts and stay pinned for the rest of
+    the process, and the heap's free pages go back to the kernel when
+    it returns or raises.
     """
     samples = np.asarray(samples)
     if samples.ndim != 3:
@@ -174,7 +180,7 @@ def train_autoencoder(
             tensor = nn.Tensor(batch)
             reconstruction = model(tensor)
             loss = nn.mse_loss(reconstruction, batch)
-            optimizer.zero_grad(set_to_none=False)
+            optimizer.zero_grad()
             loss.backward()
             optimizer.step()
             epoch_loss += float(loss.data) * len(batch)

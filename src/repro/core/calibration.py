@@ -76,8 +76,10 @@ def threshold_for_risk(
 
     Sweeps thresholds from permissive to strict; returns the threshold
     with the highest coverage whose empirical selective risk (0/1 error
-    on accepted samples) does not exceed the budget.  If no threshold
-    meets the budget, the strictest one is returned.
+    on accepted samples) does not exceed the budget.  ``scores >= tau``
+    accepts every sample tied at ``tau``, so only cuts between distinct
+    scores are candidates (float32 sigmoid scores do tie, at 1.0).  If
+    no threshold meets the budget, the strictest one is returned.
     """
     scores = np.asarray(selection_scores, dtype=np.float64)
     correct = np.asarray(correct, dtype=bool)
@@ -87,17 +89,18 @@ def threshold_for_risk(
         raise ValueError("max_risk must be in [0, 1)")
 
     order = np.argsort(scores)[::-1]
-    sorted_correct = correct[order]
-    cumulative_correct = np.cumsum(sorted_correct)
-    counts = np.arange(1, scores.size + 1)
-    risks = 1.0 - cumulative_correct / counts
+    sorted_scores = scores[order]
+    cumulative_correct = np.cumsum(correct[order])
+    # Each cut closes a run of tied scores: it accepts the whole run.
+    cuts = np.append(np.flatnonzero(np.diff(sorted_scores) < 0), scores.size - 1)
+    risks = 1.0 - cumulative_correct[cuts] / (cuts + 1)
 
     feasible = np.flatnonzero(risks <= max_risk)
     if feasible.size == 0:
-        best = 0  # strictest: accept only the single most confident sample
+        best = cuts[0]  # strictest: accept only the most confident tie group
     else:
-        best = int(feasible[-1])  # largest accepted count within budget
-    tau = float(scores[order[best]])
+        best = cuts[feasible[-1]]  # largest accepted count within budget
+    tau = float(sorted_scores[best])
     accepted = scores >= tau
     return CalibrationResult(
         threshold=tau,

@@ -50,7 +50,7 @@ from ..parallel.engine import (
     shard_bounds,
     sharded_step,
 )
-from ..parallel.pool import parallel_supported, usable_cores
+from ..parallel.pool import kept_heap, parallel_supported, usable_cores
 from ..resilience.chaos import chaos_point
 from ..resilience.retry import RetryPolicy
 from ..resilience.watchdog import TrainingWatchdog
@@ -247,6 +247,7 @@ class Trainer:
         self._m_watchdog = reg.counter("train.watchdog.trips")
 
     # ------------------------------------------------------------------
+    @kept_heap()
     def fit(
         self,
         train: WaferDataset,
@@ -266,6 +267,13 @@ class Trainer:
         resumes from that specific checkpoint.  Model, optimizer and
         RNG are all restored, so the resumed trajectory matches the
         uninterrupted run exactly.
+
+        The fit runs on a kept heap (:func:`~repro.parallel.kept_heap`):
+        it pins glibc's allocator thresholds as it starts, so each
+        step's freed arrays stay in the heap for the next step, and
+        hands the heap's free pages back to the kernel on every exit
+        path.  The pin is process-wide and stays for the rest of the
+        process, serving included; workers forked by the fit inherit it.
         """
         if len(train) == 0:
             raise ValueError("cannot train on an empty dataset")

@@ -233,10 +233,10 @@ class Module:
     # ------------------------------------------------------------------
     # Gradients
     # ------------------------------------------------------------------
-    def zero_grad(self, set_to_none: bool = True) -> None:
+    def zero_grad(self) -> None:
         """Clear gradients of every parameter."""
         for param in self.parameters():
-            param.zero_grad(set_to_none)
+            param.zero_grad()
 
     # ------------------------------------------------------------------
     # Serialization

@@ -35,14 +35,10 @@ class Optimizer:
         self.lr = float(lr)
         self._step_count = 0
 
-    def zero_grad(self, set_to_none: bool = True) -> None:
-        """Clear all parameter gradients.
-
-        ``set_to_none=False`` keeps each parameter's gradient buffer and
-        zeroes it in place, so backward accumulates into reused memory.
-        """
+    def zero_grad(self) -> None:
+        """Clear all parameter gradients."""
         for param in self.parameters:
-            param.zero_grad(set_to_none)
+            param.zero_grad()
 
     def step(self) -> None:
         """Apply one update using the accumulated gradients."""

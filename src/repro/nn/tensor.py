@@ -253,18 +253,9 @@ class Tensor:
         """Whether an op on this tensor must build a backward closure."""
         return _GradMode.enabled and self.requires_grad
 
-    def zero_grad(self, set_to_none: bool = True) -> None:
-        """Reset the accumulated gradient.
-
-        With ``set_to_none=False`` an existing gradient buffer is zeroed
-        in place and kept, so the next backward pass accumulates into
-        the same memory instead of allocating a fresh array per batch
-        (the training hot loop uses this).
-        """
-        if set_to_none or self.grad is None:
-            self.grad = None
-        else:
-            self.grad.fill(0)
+    def zero_grad(self) -> None:
+        """Drop the accumulated gradient."""
+        self.grad = None
 
     # ------------------------------------------------------------------
     # Tape plumbing

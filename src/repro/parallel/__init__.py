@@ -6,8 +6,9 @@ Three layers:
   ndarray views (:class:`ShmArena`), the pickle-free transport for
   parameters, batches, and gradients.
 * :mod:`~repro.parallel.pool` — :class:`WorkerPool` processes driven
-  over pipes with BLAS threadpools and the allocator pinned, plus the
-  generic order-preserving :func:`parallel_map`.
+  over pipes with BLAS threadpools and the allocator pinned, the
+  training loops' :func:`kept_heap`, plus the generic
+  order-preserving :func:`parallel_map`.
 * :mod:`~repro.parallel.engine` — :class:`DataParallelEngine`,
   synchronous data-parallel SGD over fixed :data:`SHARD_ROWS`-row
   shards whose two-phase partial-sum protocol keeps the nonlinear
@@ -45,6 +46,7 @@ from .pool import (
     WorkerCrashed,
     WorkerPool,
     blas_single_thread,
+    kept_heap,
     parallel_map,
     parallel_supported,
     pin_allocator,
@@ -65,6 +67,7 @@ __all__ = [
     "parallel_supported",
     "pin_blas_threads",
     "pin_allocator",
+    "kept_heap",
     "usable_cores",
     "blas_single_thread",
     "worker_blas",

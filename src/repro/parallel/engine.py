@@ -193,12 +193,12 @@ def _forward_shard(model, spec: ObjectiveSpec, inputs, labels, weights):
 
 def _backward_shard(params, tape, coefficients, row=None) -> None:
     """Backpropagate one shard's surrogate ``kU*U + kV*V + kW*W`` into
-    ``param.grad``, whose buffers are kept and zeroed in place; given a
-    ``row``, also write the flat parameter gradient into it."""
+    fresh ``param.grad`` arrays; given a ``row``, also write the flat
+    parameter gradient into it."""
     k_u, k_v, k_w = coefficients
     u_sum, v_sum, w_sum = tape
     for param in params:
-        param.zero_grad(set_to_none=False)
+        param.zero_grad()
     surrogate = k_w * w_sum
     if u_sum is not None:
         surrogate = surrogate + k_u * u_sum + k_v * v_sum
@@ -293,9 +293,8 @@ def sharded_step(
     the one-thread BLAS pin the workers run with, so ``param.grad`` and
     the statistics equal a step on any number of workers bit for bit.
     A one-shard batch runs in the parent at every worker count, so it
-    runs unpinned, and its gradient stays in the ``param.grad`` buffers
-    (fresh arrays per step slowed fabbench ``drift_retrain``'s batch-16
-    fit 24 % on a 2-core VM).  The caller applies the optimizer step.
+    runs on the parent's own BLAS thread count.  The caller applies the
+    optimizer step.
     """
     n = int(inputs.shape[0])
     bounds = shard_bounds(n)

@@ -1,4 +1,5 @@
-"""Multiprocessing worker pool with pipe control and BLAS pinning.
+"""Multiprocessing worker pool with pipe control, BLAS pinning and the
+training loops' kept heap.
 
 The pool favours the ``fork`` start method (zero-copy inheritance of
 the model and dataset) and falls back to whatever the platform offers.
@@ -17,10 +18,13 @@ same for a block of parent code and restores the thread count
 afterwards: OpenBLAS does not promise the same bytes at every thread
 count, so code that must match a worker bit for bit runs under it.
 
-Workers also pin their allocator (:func:`pin_allocator`): a worker
-forked from a parent that never trained would otherwise hand its
-freed heap back to the kernel after every step and fault it back in
-on the next.
+Training loops keep their heap (:func:`kept_heap`): ``Trainer.fit``
+and ``train_autoencoder`` pin glibc's allocator thresholds
+(:func:`pin_allocator`) when they start, so a step's freed arrays stay
+in the heap for the next step instead of going back to the kernel and
+being faulted in again, and hand the heap's free pages back when they
+end.  Workers pin at start too, for pools started outside a fit.  The
+pin is process-wide and stays for the rest of the process.
 
 Supervision primitives (used by the resilient engine and serve
 backends): :meth:`WorkerPool.recv` raises :class:`WorkerCrashed` on a
@@ -34,6 +38,7 @@ block exit forever.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import multiprocessing as mp
 import os
@@ -41,7 +46,7 @@ import threading
 import time
 import traceback
 from multiprocessing.connection import wait as wait_ready
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .shm import HAVE_SHARED_MEMORY
 
@@ -51,6 +56,7 @@ __all__ = [
     "worker_blas",
     "pin_blas_threads",
     "pin_allocator",
+    "kept_heap",
     "parallel_supported",
     "usable_cores",
     "WorkerCrashed",
@@ -210,33 +216,71 @@ class worker_blas:
                     setter(count)
 
 
-#: glibc ``mallopt`` parameters (``malloc.h``) and the values workers
-#: pin: freed memory stays in the heap up to the trim threshold, and
-#: blocks below the mmap threshold (32 MiB is glibc's 64-bit maximum)
-#: come from the heap instead of a fresh mapping.
+#: glibc ``mallopt`` parameters (``malloc.h``) and the values a
+#: training loop pins: freed memory stays in the heap up to the trim
+#: threshold, and blocks below the mmap threshold come from the heap
+#: instead of a fresh mapping.  8 MiB keeps a training step's arrays in
+#: the heap (on the benchmark workloads the largest are conv columns of
+#: at most 6.5 MB: a 32-row auto-encoder batch's 8,192 x 200 float32)
+#: but not a compiled model's arena (19.3 MiB and up): an arena freed
+#: from the heap would leave a hole that later requests do not fill, so
+#: arenas keep their own mappings and go back to the kernel when freed.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _TRIM_THRESHOLD_BYTES = 256 << 20
-_MMAP_THRESHOLD_BYTES = 32 << 20
+_MMAP_THRESHOLD_BYTES = 8 << 20
+
+
+def _libc(name: str, *argtypes: Any) -> Any:
+    """The C library's int-returning function ``name``, or ``None``
+    where the library does not export it."""
+    try:
+        function = getattr(ctypes.CDLL(None), name, None)
+    except OSError:
+        return None
+    if function is not None:
+        function.argtypes, function.restype = list(argtypes), ctypes.c_int
+    return function
 
 
 def pin_allocator() -> None:
-    """Keep a worker's freed heap for its next step (called inside each
-    worker, never in the parent).
+    """Keep freed heap memory in this process for the next training
+    step (:func:`kept_heap` calls it as a loop starts; every worker
+    calls it at start).
 
     glibc's default thresholds return a training step's freed
-    activations to the kernel, so each step faults them back in.  A
-    no-op where the C library exports no ``mallopt``.
+    activations to the kernel, so each step faults them back in.  The
+    pin is process-wide and permanent: glibc cannot return to its
+    dynamic thresholds, so a process that serves after a fit keeps
+    them.  A no-op where the C library exports no ``mallopt``.
     """
-    try:
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    except OSError:
-        return
+    mallopt = _libc("mallopt", ctypes.c_int, ctypes.c_int)
     if mallopt is None:
         return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+@contextlib.contextmanager
+def kept_heap() -> Iterator[None]:
+    """Run a training loop on a kept heap; usable as a decorator.
+
+    Pins the allocator on entry (:func:`pin_allocator`, which stays
+    pinned afterwards) and, on every exit path, hands the heap's free
+    pages back to the kernel with ``malloc_trim(0)``, so the memory
+    the loop kept does not outlive it.  Safe beside other threads:
+    ``malloc_trim`` takes each arena's lock; a loop that overlaps
+    another one's exit at worst faults one step's arrays in again.
+    The hand-back is a no-op where the C library exports no
+    ``malloc_trim``.
+    """
+    pin_allocator()
+    try:
+        yield
+    finally:
+        malloc_trim = _libc("malloc_trim", ctypes.c_size_t)
+        if malloc_trim is not None:
+            malloc_trim(0)
 
 
 def usable_cores() -> int:
@@ -497,6 +541,8 @@ class WorkerPool:
 
 def _worker_entry(worker_fn, rank, num_workers, pipe, payload) -> None:
     pin_blas_threads()
+    # A worker forked inside a fit inherits the pin; this covers pools
+    # started anywhere else.
     pin_allocator()
     try:
         worker_fn(rank, num_workers, pipe, payload)

@@ -76,6 +76,16 @@ class TestThresholdForRisk:
         result = threshold_for_risk(scores, correct, max_risk=0.1)
         assert result.realized_coverage == pytest.approx(0.5)
 
+    def test_tied_scores_stay_within_budget(self):
+        # ``scores >= 0.5`` accepts both tied samples, one of them wrong,
+        # so 0.5 overshoots a zero budget that 0.9 meets.
+        scores = np.array([0.9, 0.5, 0.5])
+        correct = np.array([True, False, True])
+        result = threshold_for_risk(scores, correct, max_risk=0.0)
+        assert result.threshold == pytest.approx(0.9)
+        assert result.realized_coverage == pytest.approx(1 / 3)
+        assert result.realized_accuracy == 1.0
+
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             threshold_for_risk(np.array([0.5]), np.array([True]), max_risk=1.0)
@@ -100,12 +110,14 @@ def test_property_coverage_guarantee(scores, target):
 @given(st.integers(1, 40), st.integers(0, 1000), st.floats(0.0, 0.5))
 @settings(max_examples=60, deadline=None)
 def test_property_risk_budget_when_feasible(n, seed, budget):
-    """Property: if any prefix meets the budget, the result meets it."""
+    """Property: if any threshold meets the budget, the result meets it.
+
+    Scores take four values, so ties are common; a threshold accepts
+    its whole tie group, so feasibility is checked at tie-closed cuts."""
     rng = np.random.default_rng(seed)
-    scores = rng.random(n)
+    scores = rng.integers(0, 4, n) / 4
     correct = rng.random(n) < 0.7
     result = threshold_for_risk(scores, correct, budget)
-    order = np.argsort(scores)[::-1]
-    prefix_risks = 1.0 - np.cumsum(correct[order]) / np.arange(1, n + 1)
-    if (prefix_risks <= budget).any() and result.realized_accuracy is not None:
+    cut_risks = np.array([1.0 - correct[scores >= tau].mean() for tau in np.unique(scores)])
+    if (cut_risks <= budget).any() and result.realized_accuracy is not None:
         assert 1.0 - result.realized_accuracy <= budget + 1e-9

@@ -2,8 +2,8 @@
 
 Two independent fits of the full pipeline on the same small synthetic
 dataset must produce byte-identical weights and equal metrics.  This
-pins down that compiled inference, the kept gradient buffers, and the
-chunked predict loops introduce no hidden run-to-run state.
+pins down that compiled inference, the kept heap, and the chunked
+predict loops introduce no hidden run-to-run state.
 
 Weights are compared via ``state_dict`` bytes rather than saved ``npz``
 files because the zip container embeds timestamps.
