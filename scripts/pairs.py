@@ -19,19 +19,25 @@ For each workload and metric it prints the pair table: each side's
 median ``[Q1, Q3]``; the change's wins over the base (ties count for
 neither); the change of the median; the base's spread,
 ``(Q3 - Q1) / median``; and the A/A gap, ``|A/A median - base median|
-/ base median``.  One rule gives the verdict:
+/ base median``.  A run that printed no result or was not ``correct``
+gives no values.  One rule gives the verdict, first match wins:
 
+* **failing**: the change's runs failed more than the base's: more
+  runs without a result, not ``correct`` or with failed requests, or a
+  larger share of failed requests;
+* **no data**: the base or the change has no value;
+* **unresolved**: the base's spread is wider than the metric's
+  ``bound`` in ``BENCHMARK.json``, too wide to tell;
+* **regression**: the change's median is worse than the base's by
+  more than the bound;
 * **gain**: the change won at least 9 of every 10 pairs, and its
   median is better than the base's by more than both the base's IQR
   and the A/A gap;
-* **regression**: the change's median is worse than the base's by
-  more than the metric's ``bound`` in ``BENCHMARK.json``;
 * **spread**: anything else.
 
-Runs that were not ``correct``, had failed requests or printed no
-result are counted per side.  The JSON artifact written to ``--out``
-(rewritten after every run) holds both commit shas and every result
-line.
+Each side's run health is printed under the table.  The JSON artifact
+written to ``--out`` (rewritten after every run) holds both commit
+shas and every result line.
 """
 
 from __future__ import annotations
@@ -70,12 +76,14 @@ def compare(
     aa: Sequence[Optional[float]],
     better: str,
     bound: Optional[float] = None,
+    failing: bool = False,
 ) -> Dict[str, Any]:
     """Pair statistics and the verdict of one metric.
 
     Each list holds one value per round, ``None`` where that run gave
-    no result; a round is a pair only when both base and change have a
-    value.  ``better`` is ``"higher"`` or ``"lower"``.
+    no value; a round is a pair only when both base and change have a
+    value.  ``better`` is ``"higher"`` or ``"lower"``; ``failing`` says
+    the change's runs failed more than the base's (:func:`fails_more`).
     """
     sign = 1.0 if better == "higher" else -1.0
     pairs = [(b, c) for b, c in zip(base, change) if b is not None and c is not None]
@@ -90,7 +98,7 @@ def compare(
         out[name] = ([quantile(values, 0.5), quantile(values, 0.25), quantile(values, 0.75)]
                      if values else None)
     if out["base"] is None or out["change"] is None:
-        out["verdict"] = "no data"
+        out["verdict"] = "failing" if failing else "no data"
         return out
     b_med, b_q1, b_q3 = out["base"]
     gap = sign * (out["change"][0] - b_med)  # > 0: the change is better
@@ -99,11 +107,15 @@ def compare(
     out["change_pct"] = 100.0 * (out["change"][0] - b_med) / scale if scale else 0.0
     out["spread"] = (b_q3 - b_q1) / scale if scale else 0.0
     out["aa_gap"] = None if aa_gap is None else (aa_gap / scale if scale else 0.0)
-    if (pairs and 10 * out["wins"] >= 9 * len(pairs)
-            and gap > b_q3 - b_q1 and aa_gap is not None and gap > aa_gap):
-        out["verdict"] = "gain"
+    if failing:
+        out["verdict"] = "failing"
+    elif bound is not None and out["spread"] > bound:
+        out["verdict"] = "unresolved"
     elif bound is not None and -gap > bound * scale:
         out["verdict"] = "regression"
+    elif (pairs and 10 * out["wins"] >= 9 * len(pairs)
+            and gap > b_q3 - b_q1 and aa_gap is not None and gap > aa_gap):
+        out["verdict"] = "gain"
     else:
         out["verdict"] = "spread"
     return out
@@ -122,8 +134,8 @@ def table_rows(workload: str, stats: Dict[str, Dict[str, Any]]) -> List[str]:
     rows = []
     for index, (metric, s) in enumerate(stats.items()):
         label = f"`{workload}` ({s['pairs']} pairs)" if index == 0 else ""
-        if s["verdict"] == "no data":
-            rows.append(f"| {label} | `{metric}` | no data |  |  |  |  |  |  |")
+        if s["base"] is None or s["change"] is None:
+            rows.append(f"| {label} | `{metric}` | no data |  |  |  |  |  | {s['verdict']} |")
             continue
         side = {name: f"{_fmt(s[name][0])} [{_fmt(s[name][1])}, {_fmt(s[name][2])}]"
                 for name in ("base", "change")}
@@ -172,13 +184,25 @@ def _run(tree: str, argv: List[str]) -> Dict[str, Any]:
 
 
 def _health(runs: List[Dict[str, Any]]) -> Dict[str, int]:
-    results = [r["result"] for r in runs]
+    results = [r["result"] for r in runs if r["result"] is not None]
     return {
         "runs": len(runs),
-        "no_result": sum(1 for r in results if r is None),
-        "not_correct": sum(1 for r in results if r is not None and not r.get("correct")),
-        "with_failed_requests": sum(1 for r in results if r is not None and r.get("failed")),
+        "no_result": len(runs) - len(results),
+        "not_correct": sum(1 for r in results if not r.get("correct")),
+        "with_failed_requests": sum(1 for r in results if r.get("failed")),
+        "attempted": sum(int(r.get("attempted", 0)) for r in results),
+        "failed": sum(int(r.get("failed", 0)) for r in results),
     }
+
+
+def fails_more(base: Dict[str, int], change: Dict[str, int]) -> bool:
+    """Whether the change's runs failed more than the base's: more runs
+    without a result, not ``correct`` or with failed requests, or a
+    larger share of failed requests (two ``_health`` counts)."""
+    if any(change[key] > base[key]
+           for key in ("no_result", "not_correct", "with_failed_requests")):
+        return True
+    return change["failed"] * base["attempted"] > base["failed"] * change["attempted"]
 
 
 def summarize(runs: List[Dict[str, Any]], metrics: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -192,14 +216,19 @@ def summarize(runs: List[Dict[str, Any]], metrics: List[Dict[str, Any]]) -> Dict
             name = metric["name"]
             values[name] = {side: [None] * rounds for side in SIDES}
         for r in mine:
-            reported = (r["result"] or {}).get("metrics", {})
+            if not (r["result"] or {}).get("correct"):
+                continue
+            reported = r["result"].get("metrics", {})
             for name in values:
                 if name in reported:
                     values[name][r["side"]][r["round"]] = float(reported[name]["value"])
+        health = {side: _health([r for r in mine if r["side"] == side]) for side in SIDES}
+        failing = fails_more(health["base"], health["change"])
         out[workload] = {
-            "health": {side: _health([r for r in mine if r["side"] == side]) for side in SIDES},
+            "health": health,
             "metrics": {m["name"]: compare(values[m["name"]]["base"], values[m["name"]]["change"],
-                                           values[m["name"]]["aa"], m["better"], m.get("bound"))
+                                           values[m["name"]]["aa"], m["better"], m.get("bound"),
+                                           failing)
                         for m in metrics},
         }
     return out

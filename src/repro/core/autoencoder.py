@@ -155,7 +155,7 @@ def train_autoencoder(
         Auto-encoder architecture; inferred input size when omitted.
 
     Returns the trained model (in eval mode).  Training runs on a kept
-    heap (:func:`~repro.parallel.kept_heap`): glibc's allocator
+    heap (:func:`~repro.parallel.pool.kept_heap`): glibc's allocator
     thresholds are pinned as it starts and stay pinned for the rest of
     the process, and the heap's free pages go back to the kernel when
     it returns or raises.

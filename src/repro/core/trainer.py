@@ -268,7 +268,7 @@ class Trainer:
         RNG are all restored, so the resumed trajectory matches the
         uninterrupted run exactly.
 
-        The fit runs on a kept heap (:func:`~repro.parallel.kept_heap`):
+        The fit runs on a kept heap (:func:`~repro.parallel.pool.kept_heap`):
         it pins glibc's allocator thresholds as it starts, so each
         step's freed arrays stay in the heap for the next step, and
         hands the heap's free pages back to the kernel on every exit

@@ -6,8 +6,7 @@ Three layers:
   ndarray views (:class:`ShmArena`), the pickle-free transport for
   parameters, batches, and gradients.
 * :mod:`~repro.parallel.pool` — :class:`WorkerPool` processes driven
-  over pipes with BLAS threadpools and the allocator pinned, the
-  training loops' :func:`kept_heap`, plus the generic
+  over pipes with BLAS threadpools pinned, plus the generic
   order-preserving :func:`parallel_map`.
 * :mod:`~repro.parallel.engine` — :class:`DataParallelEngine`,
   synchronous data-parallel SGD over fixed :data:`SHARD_ROWS`-row
@@ -46,10 +45,8 @@ from .pool import (
     WorkerCrashed,
     WorkerPool,
     blas_single_thread,
-    kept_heap,
     parallel_map,
     parallel_supported,
-    pin_allocator,
     pin_blas_threads,
     usable_cores,
     worker_blas,
@@ -66,8 +63,6 @@ __all__ = [
     "parallel_map",
     "parallel_supported",
     "pin_blas_threads",
-    "pin_allocator",
-    "kept_heap",
     "usable_cores",
     "blas_single_thread",
     "worker_blas",

@@ -19,12 +19,13 @@ afterwards: OpenBLAS does not promise the same bytes at every thread
 count, so code that must match a worker bit for bit runs under it.
 
 Training loops keep their heap (:func:`kept_heap`): ``Trainer.fit``
-and ``train_autoencoder`` pin glibc's allocator thresholds
-(:func:`pin_allocator`) when they start, so a step's freed arrays stay
-in the heap for the next step instead of going back to the kernel and
-being faulted in again, and hand the heap's free pages back when they
-end.  Workers pin at start too, for pools started outside a fit.  The
-pin is process-wide and stays for the rest of the process.
+and ``train_autoencoder`` pin glibc's allocator thresholds when they
+start, so a step's freed arrays stay in the heap for the next step
+instead of going back to the kernel and being faulted in again, and
+hand the heap's free pages back when they end.  Workers that train are
+forked inside a fit or call ``train_autoencoder`` themselves, so they
+run pinned too.  The pin is process-wide and stays for the rest of the
+process.
 
 Supervision primitives (used by the resilient engine and serve
 backends): :meth:`WorkerPool.recv` raises :class:`WorkerCrashed` on a
@@ -55,7 +56,6 @@ __all__ = [
     "blas_single_thread",
     "worker_blas",
     "pin_blas_threads",
-    "pin_allocator",
     "kept_heap",
     "parallel_supported",
     "usable_cores",
@@ -243,38 +243,27 @@ def _libc(name: str, *argtypes: Any) -> Any:
     return function
 
 
-def pin_allocator() -> None:
-    """Keep freed heap memory in this process for the next training
-    step (:func:`kept_heap` calls it as a loop starts; every worker
-    calls it at start).
-
-    glibc's default thresholds return a training step's freed
-    activations to the kernel, so each step faults them back in.  The
-    pin is process-wide and permanent: glibc cannot return to its
-    dynamic thresholds, so a process that serves after a fit keeps
-    them.  A no-op where the C library exports no ``mallopt``.
-    """
-    mallopt = _libc("mallopt", ctypes.c_int, ctypes.c_int)
-    if mallopt is None:
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-
-
 @contextlib.contextmanager
 def kept_heap() -> Iterator[None]:
     """Run a training loop on a kept heap; usable as a decorator.
 
-    Pins the allocator on entry (:func:`pin_allocator`, which stays
-    pinned afterwards) and, on every exit path, hands the heap's free
-    pages back to the kernel with ``malloc_trim(0)``, so the memory
-    the loop kept does not outlive it.  Safe beside other threads:
-    ``malloc_trim`` takes each arena's lock; a loop that overlaps
-    another one's exit at worst faults one step's arrays in again.
-    The hand-back is a no-op where the C library exports no
-    ``malloc_trim``.
+    glibc's default thresholds return a training step's freed
+    activations to the kernel, so each step faults them back in.  On
+    entry this pins the thresholds, so freed memory stays in the heap
+    for the next step.  The pin is process-wide and permanent: glibc
+    cannot return to its dynamic thresholds, so a process that serves
+    after a fit keeps them.  On every exit path it hands the heap's
+    free pages back to the kernel with ``malloc_trim(0)``, so the
+    memory the loop kept does not outlive it.  Safe beside other
+    threads: ``malloc_trim`` takes each arena's lock; a loop that
+    overlaps another one's exit at worst faults one step's arrays in
+    again.  Each half is a no-op where the C library exports no
+    ``mallopt`` or no ``malloc_trim``.
     """
-    pin_allocator()
+    mallopt = _libc("mallopt", ctypes.c_int, ctypes.c_int)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
     try:
         yield
     finally:
@@ -541,9 +530,6 @@ class WorkerPool:
 
 def _worker_entry(worker_fn, rank, num_workers, pipe, payload) -> None:
     pin_blas_threads()
-    # A worker forked inside a fit inherits the pin; this covers pools
-    # started anywhere else.
-    pin_allocator()
     try:
         worker_fn(rank, num_workers, pipe, payload)
     except (EOFError, KeyboardInterrupt):  # pragma: no cover - shutdown races

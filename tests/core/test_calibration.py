@@ -107,15 +107,16 @@ def test_property_coverage_guarantee(scores, target):
     assert result.realized_coverage >= min(target, 1.0) - 1e-9
 
 
-@given(st.integers(1, 40), st.integers(0, 1000), st.floats(0.0, 0.5))
+@given(st.integers(1, 40), st.integers(1, 64), st.integers(0, 1000), st.floats(0.0, 0.5))
 @settings(max_examples=60, deadline=None)
-def test_property_risk_budget_when_feasible(n, seed, budget):
+def test_property_risk_budget_when_feasible(n, levels, seed, budget):
     """Property: if any threshold meets the budget, the result meets it.
 
-    Scores take four values, so ties are common; a threshold accepts
-    its whole tie group, so feasibility is checked at tie-closed cuts."""
+    Scores take ``levels`` values: few levels give heavy ties, many give
+    mostly distinct scores.  A threshold accepts its whole tie group, so
+    feasibility is checked at tie-closed cuts."""
     rng = np.random.default_rng(seed)
-    scores = rng.integers(0, 4, n) / 4
+    scores = rng.integers(0, levels, n) / levels
     correct = rng.random(n) < 0.7
     result = threshold_for_risk(scores, correct, budget)
     cut_risks = np.array([1.0 - correct[scores >= tau].mean() for tau in np.unique(scores)])

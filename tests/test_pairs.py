@@ -124,14 +124,17 @@ def test_runner_alternates_runs_the_aa_leg_and_cleans_up(stub_repo, tmp_path):
     assert all(r["result"]["metrics"] for r in artifact["runs"])
     summary = artifact["summary"]["w"]
     assert summary["health"]["change"] == {
-        "runs": 4, "no_result": 0, "not_correct": 0, "with_failed_requests": 1}
+        "runs": 4, "no_result": 0, "not_correct": 0, "with_failed_requests": 1,
+        "attempted": 40, "failed": 1}
     assert summary["health"]["aa"]["with_failed_requests"] == 0
+    # The change failed a request the base did not, so no metric claims a
+    # gain, although `wps` won every pair by far more than the spread.
     verdicts = {name: m["verdict"] for name, m in summary["metrics"].items()}
-    assert verdicts == {"wps": "gain", "lat_ms": "regression", "flat": "spread"}
+    assert verdicts == {"wps": "failing", "lat_ms": "failing", "flat": "failing"}
     assert summary["metrics"]["wps"]["wins"] == 4
     assert summary["metrics"]["flat"]["ties"] == 4
     assert ("| `w` (4 pairs) | `wps` | 101.0 [100.0, 102.0] | 131.0 [130.0, 132.0] | 4/4 "
-            "| +29.7 % | 0.02 | 0.00 | gain |") in proc.stdout
+            "| +29.7 % | 0.02 | 0.00 | failing |") in proc.stdout
 
 
 class TestVerdict:
@@ -182,7 +185,64 @@ class TestVerdict:
         assert result["change"][0] == 2.0
         assert pairs.compare([None], [None], [None], "higher")["verdict"] == "no data"
 
+    def test_failing_change_claims_nothing(self):
+        base = [100.0] * 10
+        result = pairs.compare(base, [130.0] * 10, base, "higher", 0.25, failing=True)
+        assert (result["wins"], result["verdict"]) == (10, "failing")
+        assert pairs.compare([1.0], [None], [1.0], "higher", failing=True)["verdict"] == "failing"
+
+    def test_base_spread_past_the_bound_is_unresolved(self):
+        base = [100.0, 140.0] * 5  # nearest rank: IQR 40 on a median of 100
+        change = [b + 50.0 for b in base]
+        result = pairs.compare(base, change, base, "higher", 0.25)
+        assert result["spread"] == pytest.approx(0.4)
+        assert result["verdict"] == "unresolved"
+        assert pairs.compare(base, change, base, "higher", 0.5)["verdict"] == "gain"
+        assert pairs.compare(base, change, base, "higher", None)["verdict"] == "gain"
+
     def test_run_order_alternates(self):
         assert pairs.run_order(0) == ("base", "change", "aa")
         assert pairs.run_order(1) == ("aa", "change", "base")
         assert pairs.run_order(2) == pairs.run_order(0)
+
+
+def _run(side, round_index, wps, correct=True, failed=0, attempted=10):
+    return {"workload": "w", "side": side, "round": round_index,
+            "result": {"correct": correct, "attempted": attempted, "failed": failed,
+                       "metrics": {"wps": {"value": wps}}}}
+
+
+class TestSummarize:
+    METRICS = [{"name": "wps", "better": "higher", "bound": 0.25}]
+
+    def test_runs_that_are_not_correct_give_no_values(self):
+        runs = [_run(side, i, 100.0 if side != "change" else 130.0)
+                for i in range(10) for side in pairs.SIDES]
+        runs[1] = _run("change", 0, 1.0, correct=False)
+        summary = pairs.summarize(runs, self.METRICS)["w"]
+        assert summary["health"]["change"]["not_correct"] == 1
+        wps = summary["metrics"]["wps"]
+        assert wps["pairs"] == 9
+        assert wps["change"] == [130.0, 130.0, 130.0]
+        assert wps["verdict"] == "failing"
+
+    def test_healthy_sides_keep_the_verdict(self):
+        runs = [_run(side, i, 100.0 if side != "change" else 130.0)
+                for i in range(10) for side in pairs.SIDES]
+        runs[0] = _run("base", 0, 1.0, correct=False)
+        runs[1] = _run("change", 0, 1.0, correct=False)
+        assert pairs.summarize(runs, self.METRICS)["w"]["metrics"]["wps"]["verdict"] == "gain"
+
+    def test_fails_more_counts_runs_and_the_failed_share(self):
+        health = pairs._health
+        clean = health([_run("base", 0, 1.0)])
+        assert not pairs.fails_more(clean, clean)
+        assert pairs.fails_more(clean, health([{"result": None}]))
+        assert pairs.fails_more(clean, health([_run("change", 0, 1.0, correct=False)]))
+        one_in_ten = health([_run("base", 0, 1.0, failed=1)])
+        assert pairs.fails_more(clean, one_in_ten)
+        assert not pairs.fails_more(one_in_ten, one_in_ten)
+        # The same number of runs with failed requests, but a larger share.
+        assert pairs.fails_more(one_in_ten, health([_run("change", 0, 1.0, failed=5)]))
+        assert not pairs.fails_more(one_in_ten, health([_run("change", 0, 1.0, failed=2,
+                                                             attempted=100)]))
