@@ -27,7 +27,8 @@ gives no values.  One rule gives the verdict, first match wins:
   larger share of failed requests;
 * **no data**: the base or the change has no value;
 * **unresolved**: the base's spread is wider than the metric's
-  ``bound`` in ``BENCHMARK.json``, too wide to tell;
+  ``bound`` in ``BENCHMARK.json``, too wide to tell, unless every run
+  of the change reads better than every run of the base;
 * **regression**: the change's median is worse than the base's by
   more than the bound;
 * **gain**: the change won at least 9 of every 10 pairs, and its
@@ -107,9 +108,11 @@ def compare(
     out["change_pct"] = 100.0 * (out["change"][0] - b_med) / scale if scale else 0.0
     out["spread"] = (b_q3 - b_q1) / scale if scale else 0.0
     out["aa_gap"] = None if aa_gap is None else (aa_gap / scale if scale else 0.0)
+    # Every change run better than every base run settles a wide spread.
+    separated = min(sign * v for v in sides["change"]) > max(sign * v for v in sides["base"])
     if failing:
         out["verdict"] = "failing"
-    elif bound is not None and out["spread"] > bound:
+    elif bound is not None and out["spread"] > bound and not separated:
         out["verdict"] = "unresolved"
     elif bound is not None and -gap > bound * scale:
         out["verdict"] = "regression"

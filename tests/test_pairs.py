@@ -193,12 +193,14 @@ class TestVerdict:
 
     def test_base_spread_past_the_bound_is_unresolved(self):
         base = [100.0, 140.0] * 5  # nearest rank: IQR 40 on a median of 100
-        change = [b + 50.0 for b in base]
+        change = [b + 30.0 for b in base]
         result = pairs.compare(base, change, base, "higher", 0.25)
         assert result["spread"] == pytest.approx(0.4)
-        assert result["verdict"] == "unresolved"
-        assert pairs.compare(base, change, base, "higher", 0.5)["verdict"] == "gain"
-        assert pairs.compare(base, change, base, "higher", None)["verdict"] == "gain"
+        assert (result["wins"], result["verdict"]) == (10, "unresolved")
+        assert pairs.compare(base, change, base, "higher", 0.5)["verdict"] == "spread"
+        # Every change run better than every base run settles it.
+        assert pairs.compare(base, [150.0] * 10, base, "higher", 0.25)["verdict"] == "gain"
+        assert pairs.compare(base, [90.0] * 10, base, "lower", 0.25)["verdict"] == "spread"
 
     def test_run_order_alternates(self):
         assert pairs.run_order(0) == ("base", "change", "aa")
