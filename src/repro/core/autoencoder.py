@@ -1,11 +1,12 @@
 """The convolutional auto-encoder used for data augmentation (Fig. 3).
 
-The encoder stacks 5x5 convolutions each followed by 2x2 max-pooling;
-the decoder mirrors it with convolutions and nearest-neighbour
-upsampling ("deconvolution and upsampling replacing the convolution and
-maxpooling operations", Sec. III-B).  The bottleneck activation is the
-latent representation ``z`` that Algorithm 1 perturbs with Gaussian
-noise to synthesize new wafers.
+The encoder stacks 5x5 convolutions each followed by 2x2 max-pooling,
+then ReLU (which commutes with the window max, so it runs on the pooled
+quarter of the values); the decoder mirrors it with convolutions and
+nearest-neighbour upsampling ("deconvolution and upsampling replacing
+the convolution and maxpooling operations", Sec. III-B).  The
+bottleneck activation is the latent representation ``z`` that
+Algorithm 1 perturbs with Gaussian noise to synthesize new wafers.
 
 Fig. 3's exact filter counts are not legible from the paper text; this
 reproduction defaults to (16, 8, 8), a standard light-weight choice
@@ -72,8 +73,8 @@ class ConvAutoencoder(nn.Module):
         in_channels = 1
         for channels in self.config.channels:
             encoder_layers.append(nn.Conv2D(in_channels, channels, k, padding="same", rng=rng))
-            encoder_layers.append(nn.ReLU())
             encoder_layers.append(nn.MaxPool2D(2))
+            encoder_layers.append(nn.ReLU())
             in_channels = channels
         self.encoder = nn.Sequential(*encoder_layers)
 

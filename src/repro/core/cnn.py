@@ -73,14 +73,17 @@ def build_backbone(config: BackboneConfig) -> nn.Sequential:
 
     Convolutions are same-padded so the spatial bookkeeping is exactly
     "halve at every pool", matching how the paper's sizes divide down.
+    Each stage runs conv → max-pool → ReLU: ReLU is monotone, so it
+    commutes with the window max, and after the pool it touches a
+    quarter of the values.
     """
     rng = np.random.default_rng(config.seed)
     layers = []
     in_channels = config.in_channels
     for channels, kernel in zip(config.conv_channels, config.conv_kernels):
         layers.append(nn.Conv2D(in_channels, channels, kernel, padding="same", rng=rng))
-        layers.append(nn.ReLU())
         layers.append(nn.MaxPool2D(2))
+        layers.append(nn.ReLU())
         in_channels = channels
     layers.append(nn.Flatten())
     layers.append(nn.Dense(config.flat_features, config.fc_units, rng=rng))

@@ -481,12 +481,16 @@ def max_pool2d(x: Tensor, kernel: IntPair = 2, stride: IntPair = None) -> Tensor
     The window max is ``kh*kw`` strided-slice ``np.maximum`` passes
     written in the input's memory order.  When recording, backward
     routes each window's gradient to its first maximum in row-major
-    window order (argmax's tie rule), again in the input's order.  A
-    cell shared by overlapping windows sums their gradients in
-    ascending window order, as ``np.add.at`` would.  Routing is exact
-    for finite values: a window whose maximum is NaN passes no
-    gradient, and a non-finite gradient also reaches its window's other
-    cells as NaN (the step is non-finite either way).
+    window order (argmax's tie rule), again in the input's order.
+    Windows that tile the input exactly (the paper's 2x2 pools) write
+    each tap's routed gradient straight into its cells of the result;
+    otherwise a cell shared by overlapping windows sums their gradients
+    in ascending window order, as ``np.add.at`` would, and truncated
+    cells get zero.  Routing is exact for finite values: a window whose
+    maximum is NaN passes no gradient, and a non-finite gradient also
+    reaches its window's other cells as NaN (the step is non-finite
+    either way).  Cells a window does not route to get a zero whose
+    sign may follow the gradient's.
     """
     kernel = _pair(kernel)
     if stride is None:
@@ -500,9 +504,16 @@ def max_pool2d(x: Tensor, kernel: IntPair = 2, stride: IntPair = None) -> Tensor
     if not _recording(x):
         return Tensor(out_data)
 
+    kh, kw = kernel
+    tiles = stride == kernel and data.shape[2] % kh == 0 and data.shape[3] % kw == 0
+
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
+        # Tiling windows cover every cell once, so each tap writes its
+        # routed gradient into its own cells; otherwise cells shared by
+        # overlapping windows add up and truncated tails stay zero.
+        grad_x = np.empty_like(data) if tiles else np.zeros_like(data)
         hits = []
         unrouted = None  # windows whose first maximum is still ahead
         for tap in taps:
@@ -512,8 +523,10 @@ def max_pool2d(x: Tensor, kernel: IntPair = 2, stride: IntPair = None) -> Tensor
             else:
                 hit &= unrouted
                 unrouted ^= hit
-            hits.append(hit)
-        grad_x = np.zeros_like(data)
+            if tiles:
+                np.multiply(grad, hit, out=grad_x[tap])
+            else:
+                hits.append(hit)
         # Later taps belong to earlier windows of a shared cell.
         for tap, hit in zip(reversed(taps), reversed(hits)):
             grad_x[tap] += grad * hit

@@ -65,10 +65,11 @@ class TestBackbone:
     def test_layer_structure(self):
         backbone = build_backbone(BackboneConfig(input_size=32))
         types = [type(layer).__name__ for layer in backbone]
+        # Each stage pools before its ReLU (the two commute).
         assert types == [
-            "Conv2D", "ReLU", "MaxPool2D",
-            "Conv2D", "ReLU", "MaxPool2D",
-            "Conv2D", "ReLU", "MaxPool2D",
+            "Conv2D", "MaxPool2D", "ReLU",
+            "Conv2D", "MaxPool2D", "ReLU",
+            "Conv2D", "MaxPool2D", "ReLU",
             "Flatten", "Dense", "ReLU",
         ]
 
