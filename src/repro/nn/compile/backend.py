@@ -15,10 +15,13 @@ compiler hands one module-level instance to the planner and the
 executor (:mod:`repro.nn.compile.api`).
 
 The backend mirrors the plain eager forward (the tape's forward with
-recording off) *operation for operation* — same gather maps, same GEMM
-call shapes, same bias/activation arithmetic, same window-tap pooling
-passes — so compiled outputs are bit-identical to eager outputs (pinned
-by ``tests/compile/test_compile_parity.py``).
+recording off) *operation for operation* — the same tap-major columns
+(copied from the channels-last padded image's window view, or for one
+input channel gathered through the same cached map), the same permuted
+filters and GEMM call shapes, the same bias/activation arithmetic, the
+same window-tap pooling passes — so compiled outputs are bit-identical
+to eager outputs (pinned by ``tests/compile/test_compile_parity.py``).
+The padded image and the columns live in planned arena scratch.
 """
 
 from __future__ import annotations
@@ -96,9 +99,10 @@ class NumpyBackend:
         out_hw = root.shape[2] * root.shape[3]
         requests: List[Tuple[str, int]] = []
         if _narrowing_conv(kernel):
-            # The transposed-conv GEMM's (N*H*W, C_out*kh*kw) columns.
+            # The transposed-conv GEMM's (N*H*W, kh*kw*C_out) columns.
             requests.append(("cols", n * h * w * c_out * kh * kw * item))
         else:
+            # The channels-last padded image and its tap-major columns.
             if ph or pw:
                 requests.append(
                     ("padded", n * c_in * (h + 2 * ph) * (w + 2 * pw) * item)
@@ -181,6 +185,7 @@ class NumpyBackend:
         get_x = get(root.inputs[0])
         get_w = get(root.inputs[1])
         chain = self._chain_appliers(kernel.ops[1:], get, channels_last=True)
+        post = self._chain_appliers(kernel.post, get, channels_last=True)
         dt = np.dtype(root.dtype)
         if _narrowing_conv(kernel):
             conv = self._transposed_conv_rows(kernel, scratch)
@@ -215,6 +220,8 @@ class NumpyBackend:
                     for j in range(qw):
                         if i or j:
                             np.maximum(pooled, nhwc[:, :, i, :, j], out=pooled)
+                for apply in post:
+                    apply(pooled, env)
                 env[out_id] = pooled.transpose(0, 3, 1, 2)
             else:
                 env[out_id] = buf.reshape(n, out_h, out_w, c_out).transpose(
@@ -227,34 +234,37 @@ class NumpyBackend:
         self, kernel: Kernel, scratch: Dict[str, np.ndarray]
     ) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
         """``conv(x, weight, buf)`` filling ``buf`` ``(N*oh*ow, C_out)``
-        with the im2col GEMM of eager :func:`~repro.nn.functional.conv2d`,
-        the padded image and columns in arena scratch."""
+        with the im2col GEMM of eager :func:`~repro.nn.functional.conv2d`:
+        the channels-last padded image and the tap-major columns in arena
+        scratch, the columns copied from the image's window view (or,
+        for one input channel, gathered through the cached map)."""
         root = kernel.ops[0]
         capacity, c_in, h, w = _conv_input_shape(root)
         kh, kw = root.params["kernel"]
         ph, pw = root.params["padding"]
-        c_out = root.shape[1]
-        index = F._im2col_index(
-            c_in, h, w, (kh, kw), root.params["stride"], (ph, pw)
-        )
+        stride = root.params["stride"]
+        c_out, out_h, out_w = root.shape[1], root.shape[2], root.shape[3]
+        index = None
+        if c_in == 1:
+            index = F._im2col_index(1, h, w, (kh, kw), stride, (ph, pw))
         dt = np.dtype(root.dtype)
         padded = scratch.get("padded")
         if padded is not None:
-            padded = padded.view(dt).reshape(capacity, c_in, h + 2 * ph, w + 2 * pw)
-        cols3 = scratch["cols"].view(dt).reshape((capacity,) + index.shape)
+            padded = padded.view(dt).reshape(capacity, h + 2 * ph, w + 2 * pw, c_in)
+        cols6 = scratch["cols"].view(dt).reshape(capacity, out_h, out_w, kh, kw, c_in)
 
         def conv(x: np.ndarray, weight: np.ndarray, buf: np.ndarray) -> None:
             n = len(x)
-            if padded is not None:
-                pad = padded[:n]
-                pad.fill(0)
-                pad[:, :, ph:ph + h, pw:pw + w] = x
-                flat = pad.reshape(n, -1)
+            pad = F._pad_channels_last(
+                x, (ph, pw), None if padded is None else padded[:n]
+            )
+            if index is not None:
+                np.take(pad.reshape(n, -1), index, axis=1, mode="clip",
+                        out=cols6[:n].reshape(n, *index.shape))
             else:
-                flat = x.reshape(n, -1)
-            np.take(flat, index, axis=1, mode="clip", out=cols3[:n])
-            cols = cols3[:n].reshape(len(buf), index.shape[1])
-            np.matmul(cols, weight.reshape(c_out, -1).T, out=buf)
+                np.copyto(cols6[:n], F._windows(pad, (kh, kw), stride))
+            cols = cols6[:n].reshape(len(buf), kh * kw * c_in)
+            np.matmul(cols, F._tap_major(weight).T, out=buf)
 
         return conv
 

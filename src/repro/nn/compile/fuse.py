@@ -9,7 +9,9 @@ Fusion groups *arbitrary* elementwise chains behind any GEMM producer:
 * a conv-rooted kernel additionally absorbs a trailing non-overlapping
   ``maxpool`` that tiles its output exactly, reducing the windows in
   the GEMM's channels-last rows, so the full-size activation is never
-  written a second time;
+  written a second time, and then the elementwise chain after the pool,
+  which runs in place on the pooled rows: a conv → max-pool → ReLU
+  stage is one kernel whose ReLU touches a quarter of the values;
 * elementwise ops with no producer to ride fuse with each other into a
   single chain kernel;
 * ``reshape`` becomes a zero-copy alias of its input buffer;
@@ -38,11 +40,12 @@ class Kernel:
     inputs: Tuple[int, ...]    # external value ids, primary data input first
     output: int                # value id this kernel defines
     pool: Tuple[LazyOp, ...] = ()  # trailing fused maxpool (conv kernels only)
+    post: Tuple[LazyOp, ...] = ()  # elementwise chain after the pool
 
     @property
     def fused_away(self) -> int:
         """Ops this kernel absorbed beyond its root (telemetry)."""
-        return len(self.ops) - 1 + len(self.pool)
+        return len(self.ops) - 1 + len(self.pool) + len(self.post)
 
 
 @dataclass
@@ -86,6 +89,32 @@ def _pool_tiles_exactly(conv_shape: Tuple[int, ...], pool: LazyOp) -> bool:
     )
 
 
+def _elementwise_chain(
+    graph: Graph,
+    consumers: Dict[int, List[int]],
+    outputs: set,
+    tail: LazyOp,
+    claimed: set,
+) -> List[LazyOp]:
+    """The single-consumer elementwise ops that follow ``tail`` in a
+    chain, each marked claimed."""
+    chain: List[LazyOp] = []
+    while True:
+        nxt_id = _single_consumer(consumers, tail.id)
+        if nxt_id < 0 or tail.id in outputs:
+            return chain
+        nxt = graph.op(nxt_id)
+        if (
+            nxt.kind not in ELEMENTWISE_KINDS
+            or nxt.inputs[0] != tail.id
+            or not _chain_extras_are_params(graph, nxt)
+        ):
+            return chain
+        chain.append(nxt)
+        claimed.add(nxt.id)
+        tail = nxt
+
+
 def fuse_graph(graph: Graph, output_ids: Tuple[int, ...] = ()) -> FusedProgram:
     """Partition ``graph`` into fused kernels (deterministic, one pass)."""
     consumers = graph.consumers()
@@ -105,23 +134,10 @@ def fuse_graph(graph: Graph, output_ids: Tuple[int, ...] = ()) -> FusedProgram:
             continue
 
         if op.kind in PRODUCER_KINDS:
-            chain = [op]
-            tail = op
-            while True:
-                nxt_id = _single_consumer(consumers, tail.id)
-                if nxt_id < 0 or tail.id in outputs:
-                    break
-                nxt = graph.op(nxt_id)
-                if (
-                    nxt.kind not in ELEMENTWISE_KINDS
-                    or nxt.inputs[0] != tail.id
-                    or not _chain_extras_are_params(graph, nxt)
-                ):
-                    break
-                chain.append(nxt)
-                claimed.add(nxt.id)
-                tail = nxt
+            chain = [op] + _elementwise_chain(graph, consumers, outputs, op, claimed)
+            tail = chain[-1]
             pool_ops: Tuple[LazyOp, ...] = ()
+            post: List[LazyOp] = []
             if op.kind == "conv2d" and tail.id not in outputs:
                 nxt_id = _single_consumer(consumers, tail.id)
                 if nxt_id >= 0:
@@ -129,8 +145,9 @@ def fuse_graph(graph: Graph, output_ids: Tuple[int, ...] = ()) -> FusedProgram:
                     if nxt.kind == "maxpool" and _pool_tiles_exactly(op.shape, nxt):
                         pool_ops = (nxt,)
                         claimed.add(nxt.id)
-                        tail = nxt
-            extras = [v for link in chain for v in link.inputs[1:]]
+                        post = _elementwise_chain(graph, consumers, outputs, nxt, claimed)
+                        tail = post[-1] if post else nxt
+            extras = [v for link in chain + post for v in link.inputs[1:]]
             program.kernels.append(
                 Kernel(
                     kind="gemm",
@@ -138,34 +155,20 @@ def fuse_graph(graph: Graph, output_ids: Tuple[int, ...] = ()) -> FusedProgram:
                     inputs=(op.inputs[0],) + tuple(extras),
                     output=tail.id,
                     pool=pool_ops,
+                    post=tuple(post),
                 )
             )
             continue
 
         if op.kind in ELEMENTWISE_KINDS:
-            chain = [op]
-            tail = op
-            while True:
-                nxt_id = _single_consumer(consumers, tail.id)
-                if nxt_id < 0 or tail.id in outputs:
-                    break
-                nxt = graph.op(nxt_id)
-                if (
-                    nxt.kind not in ELEMENTWISE_KINDS
-                    or nxt.inputs[0] != tail.id
-                    or not _chain_extras_are_params(graph, nxt)
-                ):
-                    break
-                chain.append(nxt)
-                claimed.add(nxt.id)
-                tail = nxt
+            chain = [op] + _elementwise_chain(graph, consumers, outputs, op, claimed)
             extras = [v for link in chain for v in link.inputs[1:]]
             program.kernels.append(
                 Kernel(
                     kind="elementwise",
                     ops=tuple(chain),
                     inputs=(op.inputs[0],) + tuple(extras),
-                    output=tail.id,
+                    output=chain[-1].id,
                 )
             )
             continue

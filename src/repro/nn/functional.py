@@ -3,13 +3,20 @@
 Implements 2-D convolution, transposed convolution, max pooling, and
 nearest-neighbour upsampling as tape-aware operations on
 :class:`~repro.nn.tensor.Tensor`.  Convolution reduces to matrix
-multiplication through im2col/col2im, the fastest strategy available in
-pure numpy, and gathers columns from its narrower side: a convolution
-with fewer output than input channels (:func:`narrows`) runs as the
-transposed convolution of its flipped filters, whose GEMM materialises
-``C_out*kh*kw`` columns instead of ``C_in*kh*kw``.  That rule reads
-layer geometry only, so tape, eager and compiled runs of a layer take
-the same route at every batch size.
+multiplication through im2col, the fastest strategy available in pure
+numpy.  Every convolution shares one column contract: :func:`im2col`
+writes **tap-major** ``(kh, kw, C)`` columns, read from channels-last
+memory, and :func:`col2im` is its adjoint.  Convolutions gather their
+columns from the narrower side: a convolution with fewer output than
+input channels (:func:`narrows`) runs as the transposed convolution of
+its flipped filters, whose GEMM materialises ``kh*kw*C_out`` columns
+instead of ``kh*kw*C_in``.  Training gathers where it used to scatter:
+at stride 1 a convolution's input gradient is the convolution of its
+output gradient with the mirrored filters (an im2col and one GEMM), so
+:func:`col2im` runs only in the forward of narrowing convolutions and
+of :func:`conv_transpose2d`, and in the backward of strided ones.
+These rules read layer geometry only, so tape, eager and compiled runs
+of a layer take the same route at every batch size.
 
 All spatial tensors have the NCHW shape ``(batch, channels, height,
 width)``; their memory order may differ.  A convolution's output is an
@@ -17,9 +24,9 @@ NCHW view of its GEMM's ``(N*H*W, C)`` rows (channels-last in memory),
 and on the tape it stays in that order: ReLU, max-pool and
 :func:`col2im` write their results in their input's memory order, and
 the conv backward takes a gradient already in row order as a zero-copy
-GEMM operand.  So nothing in a conv → ReLU → max-pool stage is copied
-to NCHW order, forward or backward; the next conv's im2col packs its
-input from whatever order it arrives in.
+GEMM operand.  So nothing in a conv → max-pool → ReLU stage is copied
+to NCHW order, forward or backward, and the next conv pads its
+channels-last input into channels-last columns with contiguous copies.
 
 Every operator computes its forward once.  When gradients must flow
 (grad enabled and some input requires grad) it also wires a backward
@@ -28,10 +35,12 @@ closure.  So eager inference is the tape's forward without the tape,
 and it is the one eager twin the compiled backends
 (:mod:`repro.nn.compile`) must match.
 
-Unfolding goes through a cached **im2col index map**: a read-only
-gather-index matrix keyed by ``(shape, kernel, stride, padding)`` that
-turns the window extraction into a single ``np.take``.  The map cache
-is LRU-bounded by a byte budget (:data:`_INDEX_CACHE_BUDGET`) so a
+Single-channel inputs (every model's first convolution) unfold through
+a cached **im2col index map** instead: a read-only gather-index matrix
+keyed by ``(shape, kernel, stride, padding)`` that turns the window
+extraction into a single ``np.take``, faster than the strided copy at
+one channel, where both column orders coincide.  The map cache is
+LRU-bounded by a byte budget (:data:`_INDEX_CACHE_BUDGET`) so a
 long-running server seeing many input geometries cannot grow it
 without limit; it is shared by every thread, under one lock.  Every
 other array an operator makes, forward or backward, is allocated for
@@ -86,10 +95,11 @@ _INDEX_CACHE: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
 _INDEX_LOCK = threading.Lock()
 _INDEX_CACHE_NBYTES = 0
 
-#: Byte budget for cached gather maps.  A fixed-geometry training loop
-#: needs a few MB; the budget only matters for long-running servers
-#: seeing many input shapes, where the cache would otherwise grow
-#: without limit.  64 MiB holds ~10 distinct Table-I geometries.
+#: Byte budget for cached gather maps.  Only single-channel inputs (a
+#: model's first conv) use a map, so a fixed-geometry training loop
+#: needs one: 0.8 MB for Table I's 5x5 conv on 64x64 maps.  The budget
+#: only matters for long-running servers seeing many input shapes,
+#: where the cache would otherwise grow without limit.
 _INDEX_CACHE_BUDGET = 64 * 1024 * 1024
 
 
@@ -103,6 +113,8 @@ def _im2col_index(
 ) -> np.ndarray:
     """Cached gather map turning window unfolding into one ``np.take``.
 
+    :func:`im2col` asks only for ``c == 1`` maps, whose columns are
+    tap-major; for ``c > 1`` the map's columns would be channel-major.
     Returns a read-only ``(out_h * out_w, C * kh * kw)`` intp matrix
     whose entry ``[p, c*kh*kw + k]`` is the flat index (into the padded
     ``(C * H' * W')`` image of one sample) of kernel tap ``k`` of
@@ -163,6 +175,21 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def _mirrors(kernel: Tuple[int, int], stride: Tuple[int, int],
+             padding: Tuple[int, int]) -> bool:
+    """Whether a convolution's adjoint is a stride-1 convolution.
+
+    At stride 1 with padding ``p <= k - 1``, the adjoint of
+    ``conv2d(·, w, padding=p)`` is the convolution with the mirrored
+    filters at padding ``k - 1 - p``: an im2col gather, never a scatter.
+    """
+    return (
+        stride == (1, 1)
+        and padding[0] <= kernel[0] - 1
+        and padding[1] <= kernel[1] - 1
+    )
+
+
 def narrows(
     c_in: int, c_out: int, kernel: IntPair, stride: IntPair, padding: IntPair
 ) -> bool:
@@ -177,20 +204,71 @@ def narrows(
     size, so one compiled graph and the eager forward take the same
     route at every batch size.
     """
-    kernel, stride, padding = _pair(kernel), _pair(stride), _pair(padding)
-    return (
-        c_out < c_in
-        and stride == (1, 1)
-        and padding[0] <= kernel[0] - 1
-        and padding[1] <= kernel[1] - 1
-    )
+    return c_out < c_in and _mirrors(_pair(kernel), _pair(stride), _pair(padding))
+
+
+def _tap_major(weight: np.ndarray) -> np.ndarray:
+    """The ``(C_out, kh*kw*C_in)`` GEMM filters of conv filters
+    ``weight`` ``(C_out, C_in, kh, kw)``, in :func:`im2col`'s column
+    order."""
+    return weight.transpose(0, 2, 3, 1).reshape(weight.shape[0], -1)
 
 
 def _flipped_filters(weight: np.ndarray) -> np.ndarray:
-    """The ``(C_in, C_out*kh*kw)`` transposed-conv filters ``flip(w)ᵀ``
-    of conv filters ``weight`` ``(C_out, C_in, kh, kw)``."""
-    transposed = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    """The ``(C_in, kh*kw*C_out)`` transposed-conv filters ``flip(w)ᵀ``
+    of conv filters ``weight`` ``(C_out, C_in, kh, kw)``, tap-major."""
+    transposed = weight[:, :, ::-1, ::-1].transpose(1, 2, 3, 0)
     return np.ascontiguousarray(transposed).reshape(weight.shape[1], -1)
+
+
+def _mirrored_filters(weight: np.ndarray) -> np.ndarray:
+    """The ``(kh*kw*C_out, C_in)`` GEMM operand of a conv's input
+    gradient: the flipped filters of ``weight`` ``(C_out, C_in, kh,
+    kw)``, rows in the column order of the output gradient's im2col."""
+    c_out, c_in, kh, kw = weight.shape
+    mirrored = weight[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+    return np.ascontiguousarray(mirrored).reshape(kh * kw * c_out, c_in)
+
+
+def _pad_channels_last(
+    x: np.ndarray, padding: Tuple[int, int], out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``x`` ``(N, C, H, W)`` zero-padded into a C-contiguous
+    channels-last ``(N, H+2ph, W+2pw, C)`` array.
+
+    Unpadded, that is ``x``'s own memory when it is channels-last
+    already.  Padded, the result is a fresh array, or ``out`` (zeroed
+    first) when given: the compiled backend passes arena scratch.
+    """
+    n, c, h, w = x.shape
+    ph, pw = padding
+    rows = x.transpose(0, 2, 3, 1)
+    if not (ph or pw):
+        return np.ascontiguousarray(rows)
+    if out is None:
+        out = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    else:
+        out.fill(0)
+    out[:, ph:ph + h, pw:pw + w] = rows
+    return out
+
+
+def _windows(
+    padded: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int]
+) -> np.ndarray:
+    """Read-only ``(N, oh, ow, kh, kw, C)`` window view of a padded
+    channels-last image (:func:`_pad_channels_last`); its C-order copy
+    is :func:`im2col`'s columns."""
+    n, h, w, c = padded.shape
+    kh, kw = kernel
+    sh, sw = stride
+    s0, s1, s2, s3 = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(n, (h - kh) // sh + 1, (w - kw) // sw + 1, kh, kw, c),
+        strides=(s0, s1 * sh, s2 * sw, s1, s2, s3),
+        writeable=False,
+    )
 
 
 def im2col(
@@ -201,34 +279,38 @@ def im2col(
 ) -> np.ndarray:
     """Unfold sliding windows of ``x`` into a 2-D matrix.
 
-    Implemented as a single gather through the cached index map of
-    :func:`_im2col_index` — measurably faster than a strided-view copy
-    on the paper's geometries.
+    Columns are tap-major: column ``(i*kw + j)*C + c`` of a row holds
+    channel ``c`` at kernel tap ``(i, j)`` of that row's window, so each
+    tap's ``C`` values are contiguous.  The input is zero-padded into a
+    channels-last buffer and the columns are one copy of its strided
+    window view (:func:`_windows`).  A single-channel input, where the
+    tap-major and channel-major orders coincide, gathers through the
+    cached index map of :func:`_im2col_index` instead, which is faster
+    there.
 
     Parameters
     ----------
     x:
-        Input of shape ``(N, C, H, W)``.
+        Input of shape ``(N, C, H, W)``, in any memory order.
     kernel, stride, padding:
         Convolution geometry, each an ``(h, w)`` pair.
 
     Returns
     -------
     numpy.ndarray
-        Matrix of shape ``(N * out_h * out_w, C * kh * kw)`` whose rows
+        Matrix of shape ``(N * out_h * out_w, kh * kw * C)`` whose rows
         are flattened receptive fields.
     """
     n, c, h, w = x.shape
-    ph, pw = padding
-    index = _im2col_index(c, h, w, kernel, stride, padding)
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    elif not x.flags.c_contiguous:
-        x = np.ascontiguousarray(x)
-    flat = x.reshape(n, -1)
-    # mode="clip" skips bounds checking (indices are valid by construction).
-    cols = np.take(flat, index, axis=1, mode="clip")
-    return cols.reshape(n * index.shape[0], index.shape[1])
+    padded = _pad_channels_last(x, padding)
+    if c == 1:
+        index = _im2col_index(1, h, w, kernel, stride, padding)
+        # mode="clip" skips bounds checking (indices are valid by construction).
+        cols = np.take(padded.reshape(n, -1), index, axis=1, mode="clip")
+        return cols.reshape(n * index.shape[0], index.shape[1])
+    # A copy even where a reshape could view: fresh, compact columns.
+    cols = _windows(padded, kernel, stride).copy()
+    return cols.reshape(-1, kernel[0] * kernel[1] * c)
 
 
 def _tap_span(
@@ -259,9 +341,11 @@ def col2im(
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add columns back into an image.
 
-    Taps are added in ``(i, j)`` order into a channels-last
-    ``(N, H, W, C)`` buffer, the row order of ``cols`` itself, so each
-    tap reads its channels at a stride of ``kh*kw`` elements.  Each tap
+    ``cols`` holds tap-major columns, as :func:`im2col` writes them:
+    each tap's ``C`` values are contiguous.  Taps are added in
+    ``(i, j)`` order into a channels-last ``(N, H, W, C)`` buffer, the
+    row order of ``cols`` itself, so each tap reads one contiguous run
+    of channels per window.  Each tap
     is clipped to the windows that land inside the image, so the
     padding border is never materialised, and every pixel sums the same
     values in the same order a padded buffer would.  The result is the
@@ -283,7 +367,7 @@ def col2im(
         out = np.zeros((n, h, w, c), dtype=cols.dtype)
     else:
         out.fill(0)
-    taps = cols.reshape(n, out_h, out_w, c, kh, kw)
+    taps = cols.reshape(n, out_h, out_w, kh, kw, c)
     row_spans = [_tap_span(i, sh, ph, out_h, h) for i in range(kh)]
     col_spans = [_tap_span(j, sw, pw, out_w, w) for j in range(kw)]
     for i, row_span in enumerate(row_spans):
@@ -291,7 +375,7 @@ def col2im(
             if row_span is None or col_span is None:
                 continue
             (rows, window_rows), (columns, window_cols) = row_span, col_span
-            out[:, rows, columns] += taps[:, window_rows, window_cols, :, i, j]
+            out[:, rows, columns] += taps[:, window_rows, window_cols, i, j]
     return out.transpose(0, 3, 1, 2)
 
 
@@ -327,8 +411,17 @@ def conv2d(
     A layer that :func:`narrows` (fewer output than input channels, at
     stride 1) runs as the transposed convolution of its flipped filters,
     gathering ``C_out*kh*kw`` columns (:func:`_transposed_conv`); every
-    other layer GEMMs im2col's ``C_in*kh*kw`` columns.  Either way the
+    other layer GEMMs im2col's ``kh*kw*C_in`` tap-major columns with
+    the filters permuted to match (:func:`_tap_major`).  Either way the
     output is a compact channels-last NCHW view.
+
+    The input gradient gathers too.  At stride 1 with padding at most
+    ``k - 1`` (every layer of the paper's models) it is the convolution
+    of the output gradient with the mirrored filters: one im2col of the
+    gradient at padding ``k - 1 - p`` and one GEMM
+    (:func:`_mirrored_filters`), landing in channels-last rows.  Only
+    other geometries scatter the GEMM's columns back with
+    :func:`col2im`.
 
     Parameters
     ----------
@@ -345,15 +438,15 @@ def conv2d(
     c_out, c_in_w, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: input has {c_in}, weight expects {c_in_w}")
+    mirrored_padding = (kh - 1 - padding[0], kw - 1 - padding[1])
     if narrows(c_in, c_out, (kh, kw), stride, padding):
-        transposed_padding = (kh - 1 - padding[0], kw - 1 - padding[1])
         return _transposed_conv(
-            x, weight, bias, stride, transposed_padding, flipped=True
+            x, weight, bias, stride, mirrored_padding, flipped=True
         )
     out_h = conv_output_size(h, kh, stride[0], padding[0])
     out_w = conv_output_size(w, kw, stride[1], padding[1])
-    cols = im2col(x.data, (kh, kw), stride, padding)  # (N*oh*ow, C*kh*kw)
-    w_mat = weight.data.reshape(c_out, -1)  # (C_out, C*kh*kw)
+    cols = im2col(x.data, (kh, kw), stride, padding)  # (N*oh*ow, kh*kw*C)
+    w_mat = _tap_major(weight.data)  # (C_out, kh*kw*C)
     out = cols @ w_mat.T  # (N*oh*ow, C_out)
     if bias is not None:
         out += bias.data
@@ -370,10 +463,16 @@ def conv2d(
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=0))
         if weight.requires_grad:
-            grad_w = grad_mat.T @ cols  # (C_out, C*kh*kw)
-            weight._accumulate(grad_w.reshape(weight.shape))
-        if x.requires_grad:
-            grad_cols = grad_mat @ w_mat  # (N*oh*ow, C*kh*kw)
+            grad_w = grad_mat.T @ cols  # (C_out, kh*kw*C)
+            weight._accumulate(grad_w.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2))
+        if not x.requires_grad:
+            return
+        if _mirrors((kh, kw), stride, padding):
+            grad_cols = im2col(grad, (kh, kw), (1, 1), mirrored_padding)
+            grad_x = grad_cols @ _mirrored_filters(weight.data)  # (N*H*W, C_in)
+            x._accumulate(grad_x.reshape(n, h, w, c_in).transpose(0, 3, 1, 2))
+        else:
+            grad_cols = grad_mat @ w_mat  # (N*oh*ow, kh*kw*C)
             x._accumulate(col2im(grad_cols, x.shape, (kh, kw), stride, padding))
 
     return Tensor._make(out_data, parents, backward)
@@ -426,11 +525,12 @@ def _transposed_conv(
     transposed-conv filters are ``flip(w)ᵀ`` (:func:`_flipped_filters`);
     ``stride`` and ``padding`` are the transposed convolution's.  The
     forward is one GEMM of the channels-last input rows
-    ``(N*H*W, C_in)`` with the ``(C_in, C_out*kh*kw)`` filter matrix,
-    then :func:`col2im` into a compact channels-last output.  The
-    backward im2col-s the output gradient (``C_out*kh*kw`` columns); its
-    GEMMs give the filter gradient, mapped back to ``weight``'s layout,
-    and the input gradient already in channels-last rows.
+    ``(N*H*W, C_in)`` with the tap-major ``(C_in, kh*kw*C_out)`` filter
+    matrix, then :func:`col2im` into a compact channels-last output.
+    The backward im2col-s the output gradient (``kh*kw*C_out``
+    columns); its GEMMs give the filter gradient, mapped back to
+    ``weight``'s layout, and the input gradient already in
+    channels-last rows.
     """
     n, c_in, h, w = x.shape
     if flipped:
@@ -438,12 +538,12 @@ def _transposed_conv(
         w_mat = _flipped_filters(weight.data)
     else:
         _, c_out, kh, kw = weight.shape
-        w_mat = weight.data.reshape(c_in, c_out * kh * kw)
+        w_mat = weight.data.transpose(0, 2, 3, 1).reshape(c_in, kh * kw * c_out)
     out_h = (h - 1) * stride[0] - 2 * padding[0] + kh
     out_w = (w - 1) * stride[1] - 2 * padding[1] + kw
 
     x_mat = x.data.transpose(0, 2, 3, 1).reshape(-1, c_in)  # (N*h*w, C_in)
-    cols = x_mat @ w_mat  # (N*h*w, C_out*kh*kw)
+    cols = x_mat @ w_mat  # (N*h*w, kh*kw*C_out)
     out_data = col2im(cols, (n, c_out, out_h, out_w), (kh, kw), stride, padding)
     if bias is not None:
         out_data += bias.data.reshape(1, c_out, 1, 1)
@@ -454,13 +554,16 @@ def _transposed_conv(
 
     def backward(grad: np.ndarray) -> None:
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
+            # Summed over channels-last rows, as conv2d's bias gradient,
+            # so the sum's order does not follow grad's memory order.
+            rows = grad.transpose(0, 2, 3, 1).reshape(-1, c_out)
+            bias._accumulate(rows.sum(axis=0))
         if not (weight.requires_grad or x.requires_grad):
             return
-        grad_cols = im2col(grad, (kh, kw), stride, padding)  # (N*h*w, C_out*kh*kw)
+        grad_cols = im2col(grad, (kh, kw), stride, padding)  # (N*h*w, kh*kw*C_out)
         if weight.requires_grad:
-            grad_w = x_mat.T @ grad_cols  # (C_in, C_out*kh*kw)
-            grad_w = grad_w.reshape(c_in, c_out, kh, kw)
+            grad_w = x_mat.T @ grad_cols  # (C_in, kh*kw*C_out)
+            grad_w = grad_w.reshape(c_in, kh, kw, c_out).transpose(0, 3, 1, 2)
             if flipped:
                 grad_w = grad_w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             weight._accumulate(grad_w)

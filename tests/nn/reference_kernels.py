@@ -1,18 +1,22 @@
 """Reference kernels the production tape kernels are checked against.
 
 These are the earlier NCHW implementations of the training-path max-pool
-and ``col2im``: the max-pool gathers every window through an
-``as_strided`` view, takes ``argmax`` (first maximum wins), and scatters
-the gradient with ``put_along_axis`` (tiled windows) or ``np.add.at``
-(overlapping windows); ``col2im`` adds the taps into a channels-first
-padded buffer.  ``conv2d`` is the im2col convolution every layer ran
-before narrowing layers moved to the transposed-conv kernel: one GEMM of
-the ``C_in*kh*kw`` im2col columns forward, and the reference ``col2im``
-for the input gradient.
+and convolution, kept independent of the production column code: the
+max-pool gathers every window through an ``as_strided`` view, takes
+``argmax`` (first maximum wins), and scatters the gradient with
+``put_along_axis`` (tiled windows) or ``np.add.at`` (overlapping
+windows).  ``im2col`` unfolds a padded NCHW image into channel-major
+``(c, kh, kw)`` columns, the order production used before its columns
+became tap-major; ``col2im`` takes production's tap-major ``(kh, kw,
+c)`` columns and adds the taps into a channels-first padded buffer.
+``conv2d`` is the im2col convolution every layer ran before narrowing
+layers moved to the transposed-conv kernel: one GEMM of the
+channel-major columns forward, and for the input gradient the scatter
+path, a GEMM to tap-major columns and the reference ``col2im``.
 
 Signatures match :func:`repro.nn.functional.max_pool2d`,
-:func:`repro.nn.functional.col2im` and
-:func:`repro.nn.functional.conv2d`, so a test can patch them into
+:func:`repro.nn.functional.im2col`, :func:`repro.nn.functional.col2im`
+and :func:`repro.nn.functional.conv2d`, so a test can patch them into
 :mod:`repro.nn.functional` and train through them.  The reference
 ``col2im`` ignores ``out`` and allocates its own buffer.
 """
@@ -23,7 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn.functional import IntPair, _pair, conv_output_size, im2col
+from repro.nn.functional import IntPair, _pair, conv_output_size
 from repro.nn.tensor import Tensor
 
 
@@ -94,6 +98,23 @@ def max_pool2d(x: Tensor, kernel: IntPair = 2, stride: IntPair = None) -> Tensor
     return Tensor._make(out_data, (x,), backward)
 
 
+def im2col(
+    x: np.ndarray,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> np.ndarray:
+    """``(N*oh*ow, C*kh*kw)`` channel-major columns of a padded NCHW copy."""
+    n, c = x.shape[:2]
+    ph, pw = padding
+    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    windows = _strided_windows(padded, kernel, stride)  # (N, C, oh, ow, kh, kw)
+    out_h, out_w = windows.shape[2:4]
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(
+        n * out_h * out_w, c * kernel[0] * kernel[1]
+    )
+
+
 def col2im(
     cols: np.ndarray,
     x_shape: Tuple[int, int, int, int],
@@ -102,7 +123,8 @@ def col2im(
     padding: Tuple[int, int],
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Adjoint of ``im2col``, accumulated channels-first."""
+    """Adjoint of production's tap-major ``im2col``, accumulated
+    channels-first."""
     n, c, h, w = x_shape
     kh, kw = kernel
     sh, sw = stride
@@ -110,7 +132,7 @@ def col2im(
     out_h = conv_output_size(h, kh, sh, ph)
     out_w = conv_output_size(w, kw, sw, pw)
     padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    reshaped = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    reshaped = cols.reshape(n, out_h, out_w, kh, kw, c).transpose(0, 5, 3, 4, 1, 2)
     for i in range(kh):
         i_end = i + sh * out_h
         for j in range(kw):
@@ -128,7 +150,8 @@ def conv2d(
     stride: IntPair = 1,
     padding: IntPair = 0,
 ) -> Tensor:
-    """Recording im2col convolution, whatever the channel counts."""
+    """Recording im2col convolution, whatever the channel counts; the
+    input gradient scatters through the reference ``col2im``."""
     stride, padding = _pair(stride), _pair(padding)
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
@@ -150,6 +173,8 @@ def conv2d(
         if weight.requires_grad:
             weight._accumulate((grad_mat.T @ cols).reshape(weight.shape))
         if x.requires_grad:
-            x._accumulate(col2im(grad_mat @ w_mat, x.shape, (kh, kw), stride, padding))
+            tap_major = weight.data.transpose(0, 2, 3, 1).reshape(c_out, -1)
+            grad_cols = grad_mat @ tap_major  # (rows, kh*kw*C_in)
+            x._accumulate(col2im(grad_cols, x.shape, (kh, kw), stride, padding))
 
     return Tensor._make(out_data, parents, backward)

@@ -7,7 +7,9 @@ are the earlier NCHW implementations; here both must agree exactly:
 max-pool outputs and input gradients, and ``col2im`` images, under
 ``np.array_equal``, over random geometry, tie-heavy values, float32
 and float64, and C-contiguous or channels-last inputs.  A short
-``Trainer`` run through each set of kernels must end on the same bits.
+``Trainer`` run through each set of kernels must end on the same bits,
+and so must one whose stages apply ReLU before the pool instead of
+after it.
 """
 
 import numpy as np
@@ -16,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.core.cnn import BackboneConfig
+from repro.core import selective
+from repro.core.cnn import BackboneConfig, build_backbone
 from repro.core.selective import SelectiveNet
 from repro.core.trainer import TrainConfig, Trainer
 from repro.data.dataset import WaferDataset
@@ -132,8 +135,11 @@ def _three_class_maps(count, size, seed):
 
 
 def _train(dtype):
+    # 4 -> 6 gathers its input gradient; 6 -> 4 narrows, so its forward
+    # runs col2im.
     config = BackboneConfig(
-        input_size=16, conv_channels=(4, 6), conv_kernels=(3, 3), fc_units=8, seed=2
+        input_size=16, conv_channels=(4, 6, 4), conv_kernels=(3, 3, 3), fc_units=8,
+        seed=2,
     )
     with nn.default_dtype(dtype):
         model = SelectiveNet(num_classes=3, config=config)
@@ -164,5 +170,36 @@ def test_training_trajectory_matches_reference_kernels(dtype, monkeypatch):
     assert calls["max_pool2d"] > 0 and calls["col2im"] > 0
     assert len(production) == len(reference)
     for got, want in zip(production, reference):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def _relu_first(backbone):
+    """``backbone`` with each stage's ReLU moved back before its pool."""
+    layers = list(backbone)
+    for index in range(len(layers) - 1):
+        if isinstance(layers[index], nn.MaxPool2D) and isinstance(layers[index + 1], nn.ReLU):
+            layers[index], layers[index + 1] = layers[index + 1], layers[index]
+    return nn.Sequential(*layers)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_stage_order_keeps_the_training_bytes(dtype, monkeypatch):
+    """Pool → ReLU stages end a fit on the bits ReLU → pool ones do."""
+    pooled_first = _train(dtype)
+
+    built = []
+
+    def relu_first(config):
+        backbone = _relu_first(build_backbone(config))
+        built.append([type(layer).__name__ for layer in backbone][:3])
+        return backbone
+
+    monkeypatch.setattr(selective, "build_backbone", relu_first)
+    rectified_first = _train(dtype)
+
+    assert built == [["Conv2D", "ReLU", "MaxPool2D"]]
+    assert len(pooled_first) == len(rectified_first)
+    for got, want in zip(pooled_first, rectified_first):
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
