@@ -5,15 +5,18 @@
         --pairs N --seed S --out FILE [--trace 0|1]
 
 Run it from inside the git repository whose revisions it compares.
-Each revision is checked out with ``git worktree add --detach`` into a
-temporary directory, and the base twice: the second copy is the A/A
-control, the same code measured as if it were a change.  Every tree
-is byte-compiled first (``python -m compileall -q src fabbench``), so
-no side pays for compiling what it imports.  Then, for each workload
-and round, each tree runs ``BENCHMARK.json``'s command once: base,
-change, A/A copy in even rounds, and A/A copy, change, base in odd
-ones.  So every base/change pair and every A/A pair alternates which
-side runs first.  The worktrees are removed on every exit path.
+Each revision's files are written by ``git archive`` and extracted with
+``tarfile`` into a temporary directory, and the base's twice: the
+second copy is the A/A control, the same code measured as if it were a
+change.  The repository itself is only read: no worktree, ref or file
+under ``.git`` is added, so the runner can run from the repository it
+measures.  Every tree is byte-compiled first (``python -m compileall
+-q src fabbench``), so no side pays for compiling what it imports.
+Then, for each workload and round, each tree runs ``BENCHMARK.json``'s
+command once: base, change, A/A copy in even rounds, and A/A copy,
+change, base in odd ones.  So every base/change pair and every A/A
+pair alternates which side runs first.  The copies are removed on
+every exit path.
 
 For each workload and metric it prints the pair table: each side's
 median ``[Q1, Q3]``; the change's wins over the base (ties count for
@@ -38,7 +41,9 @@ gives no values.  One rule gives the verdict, first match wins:
 
 Each side's run health is printed under the table.  The JSON artifact
 written to ``--out`` (rewritten after every run) holds both commit
-shas and every result line.
+shas, the git tree hashes of the paths a run measures (``src`` and
+``fabbench``; equal code gives equal hashes, in any clone and under
+any later commit) and every result line.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from typing import Any, Dict, List, Optional, Sequence
@@ -61,6 +67,8 @@ if ROOT not in sys.path:
 from fabbench.stats import quantile  # noqa: E402
 
 SIDES = ("base", "change", "aa")
+#: Paths whose git tree hashes identify the code a run measures.
+MEASURED = ("src", "fabbench")
 #: Wall-clock limit of one benchmark run; the run's process group is
 #: killed past it and the run counts as one without a result.
 RUN_TIMEOUT_S = 1800.0
@@ -155,6 +163,27 @@ def _git(repo: str, *args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def _tree_hash(repo: str, sha: str, path: str) -> Optional[str]:
+    """The git tree hash of ``path`` at ``sha``, or ``None`` without it."""
+    proc = subprocess.run(["git", "-C", repo, "rev-parse", "--verify", "--quiet",
+                           f"{sha}:{path}"], capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _checkout(repo: str, sha: str, tree: str) -> None:
+    """Extract the files of commit ``sha`` into the new directory ``tree``."""
+    os.makedirs(tree)
+    proc = subprocess.Popen(["git", "-C", repo, "archive", "--format=tar", sha],
+                            stdout=subprocess.PIPE)
+    try:
+        with tarfile.open(fileobj=proc.stdout, mode="r|") as archive:
+            archive.extractall(tree, filter="data")
+    finally:
+        proc.stdout.close()
+        if proc.wait() != 0:
+            raise subprocess.CalledProcessError(proc.returncode, proc.args)
+
+
 def _compile(tree: str) -> None:
     dirs = [d for d in ("src", "fabbench") if os.path.isdir(os.path.join(tree, d))]
     if dirs:
@@ -238,7 +267,7 @@ def summarize(runs: List[Dict[str, Any]], metrics: List[Dict[str, Any]]) -> Dict
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # A terminated runner still removes its worktrees (the finally below).
+    # A terminated runner still removes its checkouts (the finally below).
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="revision measured as the parent")
@@ -260,7 +289,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     artifact: Dict[str, Any] = {
         "schema": 1,
         "revisions": {side: {"rev": getattr(args, side), "sha": shas[side],
-                             "tree": _git(repo, "rev-parse", f"{shas[side]}^{{tree}}")}
+                             **{path: _tree_hash(repo, shas[side], path) for path in MEASURED}}
                       for side in ("base", "change")},
         "seed": args.seed, "pairs": args.pairs, "trace": args.trace,
         "workloads": args.workload, "runs": [],
@@ -270,7 +299,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         for side in SIDES:
             tree = os.path.join(workdir, side)
-            _git(repo, "worktree", "add", "--detach", tree, shas[side])
+            _checkout(repo, shas[side], tree)
             trees[side] = tree
             _compile(tree)
         bench = {}
@@ -299,13 +328,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                     with open(args.out, "w") as handle:
                         json.dump(artifact, handle, indent=1)
     finally:
-        for tree in trees.values():
-            subprocess.run(["git", "-C", repo, "worktree", "remove", "--force", tree],
-                           capture_output=True)
-        subprocess.run(["git", "-C", repo, "worktree", "prune"], capture_output=True)
         shutil.rmtree(workdir, ignore_errors=True)
 
-    print(f"base {shas['base'][:12]}  change {shas['change'][:12]}  seed {args.seed}")
+    stamps = {side: artifact["revisions"][side] for side in ("base", "change")}
+    print("  ".join(f"{side} {stamp['sha'][:12]} (src {(stamp['src'] or '-')[:12]})"
+                    for side, stamp in stamps.items()) + f"  seed {args.seed}")
     print("| workload | metric | base | change | wins | change | spread | A/A gap | verdict |")
     print("|---|---|---|---|---|---|---|---|---|")
     for workload, summary in artifact["summary"].items():

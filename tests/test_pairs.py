@@ -2,7 +2,7 @@
 
 A stub benchmark stands in for ``fabbench/run.py``: a throwaway git
 repository whose two commits print canned metrics, so the runner's
-worktrees, alternation, A/A leg, counts and verdicts are checked in a
+checkouts, alternation, A/A leg, counts and verdicts are checked in a
 second or two without running the real benchmark.
 """
 
@@ -74,6 +74,8 @@ def stub_repo(tmp_path):
     repo = tmp_path / "repo"
     (repo / "src").mkdir(parents=True)
     (repo / "src" / "module.py").write_text("X = 1\n")
+    (repo / "fabbench").mkdir()
+    (repo / "fabbench" / "harness.py").write_text("Y = 2\n")
     (repo / "BENCHMARK.json").write_text(json.dumps({
         "command": [sys.executable, "bench.py"],
         "paths": [],
@@ -92,10 +94,17 @@ def stub_repo(tmp_path):
     return repo, base, change
 
 
+def _repository_state(repo):
+    """What the runner must leave as it was: worktrees and refs."""
+    return (_git(repo, "worktree", "list", "--porcelain"),
+            _git(repo, "for-each-ref", "--format=%(refname) %(objectname)"))
+
+
 def test_runner_alternates_runs_the_aa_leg_and_cleans_up(stub_repo, tmp_path):
     repo, base, change = stub_repo
     log = tmp_path / "runs.jsonl"
     out = tmp_path / "pairs.json"
+    before = _repository_state(repo)
     proc = subprocess.run(
         [sys.executable, SCRIPT, "--base", "HEAD~1", "--change", "HEAD",
          "--workload", "w", "--pairs", "4", "--seed", "7", "--out", str(out)],
@@ -113,12 +122,17 @@ def test_runner_alternates_runs_the_aa_leg_and_cleans_up(stub_repo, tmp_path):
     assert all(e["compiled"] for e in entries)
     assert entries[0]["argv"] == ["--workload", "w", "--seed", "7", "--seconds", "2",
                                   "--trace", "0"]
-    # Every worktree is gone again.
-    assert _git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
+    # The runner reads the repository and changes nothing in it.
+    assert _repository_state(repo) == before
 
     artifact = json.loads(out.read_text())
-    assert artifact["revisions"]["base"]["sha"] == base
-    assert artifact["revisions"]["change"]["sha"] == change
+    for side, sha in (("base", base), ("change", change)):
+        stamp = artifact["revisions"][side]
+        assert stamp["sha"] == sha
+        # The measured paths' tree hashes; only bench.py differs here.
+        assert stamp["src"] == _git(repo, "rev-parse", f"{sha}:src")
+        assert stamp["fabbench"] == _git(repo, "rev-parse", f"{sha}:fabbench")
+    assert artifact["revisions"]["base"]["src"] == artifact["revisions"]["change"]["src"]
     assert len(artifact["runs"]) == 12
     assert {r["sha"] for r in artifact["runs"] if r["side"] == "aa"} == {base}
     assert all(r["result"]["metrics"] for r in artifact["runs"])
