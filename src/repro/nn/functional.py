@@ -208,9 +208,11 @@ def narrows(
 
 
 def _tap_major(weight: np.ndarray) -> np.ndarray:
-    """The ``(C_out, kh*kw*C_in)`` GEMM filters of conv filters
-    ``weight`` ``(C_out, C_in, kh, kw)``, in :func:`im2col`'s column
-    order."""
+    """Filters ``weight`` ``(A, B, kh, kw)`` as the ``(A, kh*kw*B)``
+    GEMM matrix in :func:`im2col`'s tap-major column order: for conv
+    filters ``(C_out, C_in, kh, kw)`` the conv GEMM's, for
+    transposed-conv filters ``(C_in, C_out, kh, kw)`` the transposed
+    GEMM's."""
     return weight.transpose(0, 2, 3, 1).reshape(weight.shape[0], -1)
 
 
@@ -538,7 +540,7 @@ def _transposed_conv(
         w_mat = _flipped_filters(weight.data)
     else:
         _, c_out, kh, kw = weight.shape
-        w_mat = weight.data.transpose(0, 2, 3, 1).reshape(c_in, kh * kw * c_out)
+        w_mat = _tap_major(weight.data)
     out_h = (h - 1) * stride[0] - 2 * padding[0] + kh
     out_w = (w - 1) * stride[1] - 2 * padding[1] + kw
 

@@ -12,8 +12,9 @@ float32 and float64, and contiguous or channels-last inputs:
   permutation, exactly;
 * a conv's output and gradients equal the reference within a bound
   fixed by the dtype;
-* ``relu(max_pool2d(x))`` equals ``max_pool2d(relu(x))`` in values and
-  input gradient on tie-heavy windows holding -0.0, 0.0 and NaN.
+* ``relu(max_pool2d(x))`` equals ``max_pool2d(relu(x))``, with the
+  production and with the reference pool, in values and input gradient
+  on tie-heavy windows holding -0.0, 0.0 and NaN.
 """
 
 import numpy as np
@@ -128,13 +129,13 @@ def test_conv_gradients_match_the_scatter_reference(
             assert np.abs(got_g - want_g).max() <= tol * scale_g.max()
 
 
-def _stage(values, grad, pool_first, kernel, stride, dtype):
+def _stage(pool, values, grad, pool_first, kernel, stride, dtype):
     with nn.default_dtype(dtype):
         x = Tensor(values, requires_grad=True)
         if pool_first:
-            out = F.max_pool2d(x, kernel, stride).relu()
+            out = pool(x, kernel, stride).relu()
         else:
-            out = F.max_pool2d(x.relu(), kernel, stride)
+            out = pool(x.relu(), kernel, stride)
         out.backward(grad)
     return out.data, x.grad
 
@@ -158,9 +159,13 @@ def test_relu_commutes_with_max_pool(n, c, kernel, stride, extra, channels_last,
     out_w = (w - kernel[1]) // stride[1] + 1
     grad = rng.normal(size=(n, c, out_h, out_w)).astype(dtype)
 
-    pooled, pooled_grad = _stage(values, grad, True, kernel, stride, dtype)
-    rectified, rectified_grad = _stage(values, grad, False, kernel, stride, dtype)
+    pooled, pooled_grad = _stage(F.max_pool2d, values, grad, True, kernel, stride, dtype)
+    rectified, rectified_grad = _stage(F.max_pool2d, values, grad, False, kernel, stride, dtype)
+    # The reference pool, in the order the stages used to run.
+    reference, reference_grad = _stage(R.max_pool2d, values, grad, False, kernel, stride, dtype)
 
-    assert pooled.dtype == rectified.dtype == dtype
+    assert pooled.dtype == rectified.dtype == reference.dtype == dtype
     assert np.array_equal(pooled, rectified, equal_nan=True)
+    assert np.array_equal(pooled, reference, equal_nan=True)
     assert np.array_equal(pooled_grad, rectified_grad)
+    assert np.array_equal(pooled_grad, reference_grad)
