@@ -41,9 +41,12 @@ echo "== prometheus exposition lint =="
 python -m repro.obs.export --format prometheus --demo --lint > /dev/null
 
 echo "== stream smoke (drift detect -> retrain -> promote, poison + chaos) =="
-# The digest hashes every routing decision, so it pins the training
-# bytes end to end.  A change that moves training bytes on purpose
-# re-pins it here and says why in CHANGES.md.
+# The digest hashes the per-step decision trace, so it pins routing
+# decisions end to end, not the training bytes behind them: a change
+# can move every trained parameter and keep it.  A
+# change that moves a decision on purpose re-pins it here and says why
+# in CHANGES.md.  For the bytes, compare the parameter digests of
+# `python scripts/param_digests.py` before and after.
 expected_digest=89ba9e1e9ad44964e8ccb7ae424bd950acd11f32bec84674fd644dd6a6685803
 status=0
 stream_out="$(timeout 600 python -m repro.stream.smoke)" || status=$?
