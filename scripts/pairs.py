@@ -177,7 +177,12 @@ def _checkout(repo: str, sha: str, tree: str) -> None:
                             stdout=subprocess.PIPE)
     try:
         with tarfile.open(fileobj=proc.stdout, mode="r|") as archive:
-            archive.extractall(tree, filter="data")
+            # The "data" filter exists from 3.12 and in later 3.9-3.11 patch
+            # releases; the archive comes from the local repository.
+            if hasattr(tarfile, "data_filter"):
+                archive.extractall(tree, filter="data")
+            else:
+                archive.extractall(tree)
     finally:
         proc.stdout.close()
         if proc.wait() != 0:

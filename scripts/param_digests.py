@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Parameter digests of the benchmark's three training fits.
 
-    PYTHONPATH=src python scripts/param_digests.py [--fit NAME ...]
+    PYTHONPATH=src python scripts/param_digests.py
 
 Each fit is built the way ``fabbench/server.py`` builds it, from
 ``fabbench/workloads.json``: the ``serve_frontdoor`` and
@@ -16,12 +16,11 @@ decisions, which can hold while every parameter moves.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
 import sys
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
@@ -82,15 +81,11 @@ FITS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
 }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--fit", action="extend", nargs="+", choices=sorted(FITS),
-                        help="fits to run (default: all three)")
-    args = parser.parse_args(argv)
+def main() -> int:
     with open(WORKLOADS) as handle:
         workloads = json.load(handle)["workloads"]
-    for name in args.fit or list(FITS):
-        clf = FITS[name](workloads[name])
+    for name, fit in FITS.items():
+        clf = fit(workloads[name])
         print(f"{name} {parameter_digest(clf.model)}", flush=True)
     return 0
 

@@ -129,7 +129,7 @@ def _drop_dropout(
     """
     if not backbone.pop("dropout", 0.0):
         return weights
-    # Each conv stage is Conv2D, ReLU, MaxPool2D; Flatten follows.
+    # Each conv stage is Conv2D, MaxPool2D, ReLU; Flatten follows.
     dropout_index = 3 * len(backbone["conv_channels"]) + 1
     renamed = {}
     for key, value in weights.items():

@@ -223,15 +223,6 @@ def _flipped_filters(weight: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(transposed).reshape(weight.shape[1], -1)
 
 
-def _mirrored_filters(weight: np.ndarray) -> np.ndarray:
-    """The ``(kh*kw*C_out, C_in)`` GEMM operand of a conv's input
-    gradient: the flipped filters of ``weight`` ``(C_out, C_in, kh,
-    kw)``, rows in the column order of the output gradient's im2col."""
-    c_out, c_in, kh, kw = weight.shape
-    mirrored = weight[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
-    return np.ascontiguousarray(mirrored).reshape(kh * kw * c_out, c_in)
-
-
 def _pad_channels_last(
     x: np.ndarray, padding: Tuple[int, int], out: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -420,8 +411,9 @@ def conv2d(
     The input gradient gathers too.  At stride 1 with padding at most
     ``k - 1`` (every layer of the paper's models) it is the convolution
     of the output gradient with the mirrored filters: one im2col of the
-    gradient at padding ``k - 1 - p`` and one GEMM
-    (:func:`_mirrored_filters`), landing in channels-last rows.  Only
+    gradient at padding ``k - 1 - p`` and one GEMM with the transposed
+    flipped filters (:func:`_flipped_filters`, the matrix narrowing
+    layers run on), landing in channels-last rows.  Only
     other geometries scatter the GEMM's columns back with
     :func:`col2im`.
 
@@ -471,7 +463,10 @@ def conv2d(
             return
         if _mirrors((kh, kw), stride, padding):
             grad_cols = im2col(grad, (kh, kw), (1, 1), mirrored_padding)
-            grad_x = grad_cols @ _mirrored_filters(weight.data)  # (N*H*W, C_in)
+            # Copied C-contiguous: BLAS may sum a transposed-view operand
+            # in another order, which would move the trained bytes.
+            w_rows = np.ascontiguousarray(_flipped_filters(weight.data).T)
+            grad_x = grad_cols @ w_rows  # (N*H*W, C_in)
             x._accumulate(grad_x.reshape(n, h, w, c_in).transpose(0, 3, 1, 2))
         else:
             grad_cols = grad_mat @ w_mat  # (N*oh*ow, kh*kw*C)
